@@ -204,20 +204,34 @@ def exact_step(dual, a_i, b_i: float, lam: float) -> float:
     return _root_on_grid(ts, gs, norm2)
 
 
+def bregman_step(dual, primal, a, b: float, lam: float, mode: StepMode):
+    """One iteration of every method: dual step along the row ``a``, then threshold.
+
+    ``primal`` must equal soft_threshold(dual, lam). Returns ``(t, new_dual,
+    new_primal)`` with t from :func:`inexact_step` or :func:`exact_step` per
+    ``mode``, new_dual = dual - t*a and new_primal its soft threshold. No
+    checks: callers validate the row and the step value.
+    """
+    if mode is StepMode.INEXACT:
+        t = inexact_step(primal, a, b)
+    else:
+        t = exact_step(dual, a, b, lam)
+    new_dual = dual - t * a
+    return t, new_dual, soft_threshold(new_dual, lam)
+
+
 def project_hyperplane(pair: DualPair, a_i, b_i: float, mode: StepMode) -> DualPair:
     """Bregman projection of the pair onto the hyperplane <a_i, x> = b_i.
 
     The dual moves by -t*a_i with t chosen per ``mode``; the primal is the
-    soft threshold of the new dual. In exact mode the new primal satisfies
-    the hyperplane; in both modes the Bregman distance to any point of the
-    hyperplane decreases by at least half the squared row residual.
+    soft threshold of the new dual (:func:`bregman_step`). In exact mode the
+    new primal satisfies the hyperplane; in both modes the Bregman distance
+    to any point of the hyperplane decreases by at least half the squared
+    row residual.
     """
     a = np.asarray(a_i, dtype=float)
     norm = float(np.linalg.norm(a))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"project_hyperplane expects a unit row, got norm {norm!r}")
-    if mode is StepMode.INEXACT:
-        t = inexact_step(pair.primal, a, b_i)
-    else:
-        t = exact_step(pair.dual, a, b_i, pair.lam)
-    return DualPair.from_dual(pair.dual - t * a, pair.lam)
+    _, dual, primal = bregman_step(pair.dual, pair.primal, a, b_i, pair.lam, mode)
+    return DualPair(primal=primal, dual=dual, lam=pair.lam)

@@ -14,6 +14,7 @@ import sys
 
 from .errors import (
     ConfigError,
+    NonFiniteDataError,
     ParseError,
     UnsupportedFieldError,
     ZeroRowError,
@@ -120,7 +121,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (ParseError, UnsupportedFieldError, ZeroRowError, OSError) as exc:
+    except (NonFiniteDataError, ParseError, UnsupportedFieldError, ZeroRowError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
     return 0

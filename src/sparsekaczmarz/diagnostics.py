@@ -26,10 +26,10 @@ from .errors import (
     ZeroTruthError,
 )
 from .linsys import LinearSystem, residual
+from .sampling import MAX_ENUMERATED_SUBSETS
 
 NONZERO_ENTRY_TOL = 1e-12
 SINGULAR_VALUE_CUTOFF = 1e-10
-MAX_ENUMERATED_SUBSETS = 100_000
 MC_SUBSET_SAMPLES = 10_000
 
 
@@ -264,7 +264,9 @@ def build_theory_report(
     The iterates are replayed from the recorded steps and chosen rows (the
     trace stores only scalars). Default checkpoints are every iteration on
     tiny systems and every 100th iteration otherwise, where the gamma
-    evaluation is the dominant cost.
+    evaluation is the dominant cost. Given checkpoints are sorted and
+    deduplicated, and the report's arrays follow that order; each must lie
+    in [0, trace.iterations), else ValueError.
     """
     from .bregman import DualPair, soft_threshold  # local import to avoid a cycle
 
@@ -275,7 +277,9 @@ def build_theory_report(
     if checkpoints is None:
         stride = 1 if system.m <= 20 else 100
         checkpoints = np.arange(0, iters, stride)
-    checkpoints = np.asarray(checkpoints, dtype=int)
+    checkpoints = np.unique(np.asarray(checkpoints, dtype=int))
+    if checkpoints.size and (checkpoints[0] < 0 or checkpoints[-1] >= iters):
+        raise ValueError(f"checkpoints must lie in [0, {iters}), got {checkpoints.tolist()}")
     marks = set(checkpoints.tolist())
 
     gammas = np.full(checkpoints.shape[0], np.nan)

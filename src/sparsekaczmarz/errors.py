@@ -13,6 +13,10 @@ class DimensionMismatchError(ValueError):
     """Array shapes are inconsistent with the linear system."""
 
 
+class NonFiniteDataError(ValueError):
+    """A matrix or right-hand side entry is NaN or infinite."""
+
+
 class IndexOutOfRangeError(IndexError):
     """A row index is outside [0, m)."""
 

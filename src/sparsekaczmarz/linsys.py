@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError, IndexOutOfRangeError, ZeroRowError
+from .errors import DimensionMismatchError, IndexOutOfRangeError, NonFiniteDataError, ZeroRowError
 
 _UNIT_NORM_TOL = 1e-12
 _ZERO_ROW_TOL = 1e-14
@@ -44,6 +44,9 @@ class LinearSystem:
                 f"rhs/row_scales length must equal m={m}, got {rhs.shape[0]}/{scales.shape[0]}"
             )
         norms = np.linalg.norm(rows, axis=1)
+        bad = np.flatnonzero(~(np.isfinite(norms) & np.isfinite(rhs)))
+        if bad.size:
+            raise NonFiniteDataError(f"row {int(bad[0])} or its rhs entry is not finite")
         if m and np.max(np.abs(norms - 1.0)) > _UNIT_NORM_TOL:
             worst = int(np.argmax(np.abs(norms - 1.0)))
             raise DimensionMismatchError(
@@ -76,7 +79,8 @@ def normalize_rows(raw_rows, raw_rhs) -> LinearSystem:
     """Scale every row (and its rhs entry) to unit Euclidean norm.
 
     Raises :class:`ZeroRowError` for any row with norm below 1e-14; callers
-    that want to drop such rows must filter them out first.
+    that want to drop such rows must filter them out first. Raises
+    :class:`NonFiniteDataError` if a row or rhs entry is NaN or infinite.
     """
     raw = np.asarray(raw_rows, dtype=float)
     b = np.asarray(raw_rhs, dtype=float).reshape(-1)
@@ -90,7 +94,9 @@ def normalize_rows(raw_rows, raw_rhs) -> LinearSystem:
     small = np.flatnonzero(norms < _ZERO_ROW_TOL)
     if small.size:
         raise ZeroRowError(int(small[0]))
-    return LinearSystem(rows=raw / norms[:, None], rhs=b / norms, row_scales=norms)
+    with np.errstate(invalid="ignore"):  # an inf row gives NaN, which LinearSystem rejects
+        rows = raw / norms[:, None]
+    return LinearSystem(rows=rows, rhs=b / norms, row_scales=norms)
 
 
 def residual(system: LinearSystem, x) -> np.ndarray:

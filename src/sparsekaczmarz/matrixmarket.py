@@ -4,10 +4,12 @@ Supports the two layouts the benchmark matrices use: ``coordinate`` and
 ``array``, field ``real`` (or ``integer``), symmetry ``general`` or
 ``symmetric``. Symmetric files store one triangle and are expanded to the
 full matrix; duplicate coordinate entries are summed; indices are 1-based on
-disk and 0-based in memory.
+disk and 0-based in memory. NaN and infinite values are rejected.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -74,6 +76,8 @@ def _read_coordinate(lines, start, m, n, nnz, symmetry) -> np.ndarray:
             i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise ParseError(pos + 1, f"bad entry {text!r}") from None
+        if not math.isfinite(v):
+            raise ParseError(pos + 1, f"non-finite value {parts[2]!r}")
         if not (1 <= i <= m and 1 <= j <= n):
             raise ParseError(pos + 1, f"index ({i},{j}) outside {m}x{n}")
         out[i - 1, j - 1] += v
@@ -92,9 +96,12 @@ def _read_array(lines, start, m, n, symmetry) -> np.ndarray:
         if not text or text.startswith("%"):
             continue
         try:
-            values.append(float(text))
+            v = float(text)
         except ValueError:
             raise ParseError(pos + 1, f"bad value {text!r}") from None
+        if not math.isfinite(v):
+            raise ParseError(pos + 1, f"non-finite value {text!r}")
+        values.append(v)
     out = np.zeros((m, n))
     if symmetry == "general":
         if len(values) != m * n:

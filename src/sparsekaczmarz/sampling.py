@@ -13,7 +13,6 @@ import enum
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Callable
 
 import numpy as np
 
@@ -35,19 +34,19 @@ class SelectionRule(enum.Enum):
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Subset-size schedule, selection rule, and RNG seed for one solver run.
+    """Selection rule, subset size, and RNG seed for one solver run.
 
-    ``beta`` may be a constant or a function of the iteration counter; every
-    experiment here uses a constant.
+    ``beta`` is the greedy rule's subset size, the same at every iteration;
+    the other rules ignore it.
     """
 
     rule: SelectionRule
-    beta: int | Callable[[int], int] = 1
+    beta: int = 1
     seed: int = 0
 
     def beta_at(self, k: int) -> int:
-        b = self.beta(k) if callable(self.beta) else self.beta
-        return int(b)
+        """Subset size at iteration ``k``; constant."""
+        return int(self.beta)
 
 
 @dataclass(frozen=True, eq=False)

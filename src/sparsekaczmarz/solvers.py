@@ -1,7 +1,9 @@
 """Iteration drivers for the RK, SRK, and SSKM methods.
 
-All three methods share one loop: select a row, move the dual iterate along
-that row, soft-threshold back to the primal. RK is the lam=0 / uniform-row /
+All three methods share one iteration kernel: :func:`next_index` selects a
+row, and :func:`bregman_step` moves the dual iterate along that row and
+soft-thresholds back to the primal. :func:`run` loops over the kernel, and
+:func:`step_once` applies its step once. RK is the lam=0 / uniform-row /
 inexact special case (a plain orthogonal projection per step), SRK adds the
 threshold with uniform rows, and SSKM drives the same update with greedy
 subset sampling. Runs are deterministic given the sampler seed.
@@ -14,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import DualPair, StepMode, exact_step, inexact_step, objective_value, soft_threshold
+from .bregman import DualPair, StepMode, bregman_step, objective_value, project_hyperplane
 from .errors import NonFiniteIterateError
 from .linsys import LinearSystem
-from .sampling import SamplerConfig, Selection, SelectionRule, sample_subset
+from .sampling import SamplerConfig, Selection, SelectionRule, next_index
 
 
 class Method(enum.Enum):
@@ -36,24 +38,19 @@ class StoppingRule:
     """Stop on residual norm, on relative error to a known truth, or on budget.
 
     When a ground truth is supplied to :func:`run` and ``mse_target`` is set,
-    the relative-error test replaces the residual test. ``residual_check_every``
-    trades stopping granularity for speed: the full residual (an O(mn)
-    product) is evaluated on every J-th iteration only; skipped iterations
-    record NaN for the residual norm.
+    the relative-error test replaces the residual test. Both tests run after
+    every iteration.
     """
 
     epsilon: float | None = None
     max_iters: int = 200_000
     mse_target: float | None = None
-    residual_check_every: int = 1
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.epsilon is not None and self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.residual_check_every < 1:
-            raise ValueError("residual_check_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -104,7 +101,7 @@ class SolverSpec:
     def sskm(
         cls,
         lam: float,
-        beta,
+        beta: int,
         step_mode: StepMode = StepMode.EXACT,
         seed: int = 0,
         stop: StoppingRule | None = None,
@@ -123,9 +120,9 @@ class IterationTrace:
     """Per-iteration records of one solver run.
 
     Record k describes iteration k, which produced the iterate x_{k+1}:
-    the chosen row, the step value, the residual norm squared at x_{k+1}
-    (NaN where the residual check was skipped), and, when a ground truth was
-    supplied, the relative squared error and the Bregman distance to it.
+    the chosen row, the step value, the residual norm squared at x_{k+1},
+    and, when a ground truth was supplied, the relative squared error and the
+    Bregman distance to it.
     """
 
     chosen: np.ndarray
@@ -156,23 +153,13 @@ def step_once(
     selection: Selection,
     step_mode: StepMode,
 ) -> DualPair:
-    """One dual update along the selected row, then the threshold map.
+    """One iteration of :func:`run` on the selected row: a hyperplane projection.
 
     With lam = 0 in inexact mode this is exactly the classical Kaczmarz
     orthogonal projection onto the selected hyperplane.
     """
     i = selection.chosen
-    a = system.rows[i]
-    b = float(system.rhs[i])
-    return _apply_step(state, a, b, step_mode)
-
-
-def _apply_step(state: DualPair, a: np.ndarray, b: float, step_mode: StepMode) -> DualPair:
-    if step_mode is StepMode.INEXACT:
-        t = inexact_step(state.primal, a, b)
-    else:
-        t = exact_step(state.dual, a, b, state.lam)
-    return DualPair.from_dual(state.dual - t * a, state.lam)
+    return project_hyperplane(state, system.rows[i], float(system.rhs[i]), step_mode)
 
 
 def run(
@@ -190,8 +177,8 @@ def run(
     m, n = system.shape
     lam = spec.lam
     stop = spec.stop
-    rng = np.random.default_rng(spec.sampler.seed)
-    rule = spec.sampler.rule
+    sampler = spec.sampler
+    rng = np.random.default_rng(sampler.seed)
 
     x_hat = None
     x_hat_norm2 = 0.0
@@ -202,7 +189,6 @@ def run(
     use_mse_stop = x_hat is not None and stop.mse_target is not None
 
     max_iters = stop.max_iters
-    every = stop.residual_check_every
     chosen_rec = np.zeros(max_iters, dtype=np.int64)
     step_rec = np.zeros(max_iters)
     resid_rec = np.full(max_iters, np.nan)
@@ -212,36 +198,16 @@ def run(
     dual = np.zeros(n)
     x = np.zeros(n)
     rows, rhs = system.rows, system.rhs
-    r = -rhs.copy()  # residual at x_0 = 0
-    fy_buffer = np.arange(m) if rule is SelectionRule.SKM_GREEDY else None
+    r = -rhs  # residual at x_0 = 0
+    buffer = np.arange(m) if sampler.rule is SelectionRule.SKM_GREEDY else None
 
     status = RunStatus.MAX_ITERS
     k = 0
     for k in range(max_iters):
-        # --- selection at x_k ---
-        if rule is SelectionRule.CYCLIC:
-            i = k % m
-        elif rule is SelectionRule.UNIFORM_RANDOM:
-            i = int(rng.integers(m))
-        else:
-            subset = sample_subset(m, spec.sampler.beta_at(k), rng, _buffer=fy_buffer)
-            if r is not None:
-                i = int(subset[int(np.argmax(r[subset] ** 2))])
-            else:
-                sub_res = rows[subset] @ x - rhs[subset]
-                i = int(subset[int(np.argmax(sub_res**2))])
-        a = rows[i]
-        b = float(rhs[i])
-
-        # --- dual step and threshold ---
-        if spec.step_mode is StepMode.INEXACT:
-            t = inexact_step(x, a, b)
-        else:
-            t = exact_step(dual, a, b, lam)
+        i = next_index(sampler, k, system, x, rng, residuals=r, _buffer=buffer).chosen
+        t, dual, x = bregman_step(dual, x, rows[i], float(rhs[i]), lam, spec.step_mode)
         if not np.isfinite(t):
             raise NonFiniteIterateError(f"step value became non-finite at iteration {k}")
-        dual = dual - t * a
-        x = soft_threshold(dual, lam)
         if not np.isfinite(x).all():
             raise NonFiniteIterateError(f"iterate became non-finite at iteration {k}")
 
@@ -249,13 +215,9 @@ def run(
         step_rec[k] = t
 
         # --- records and stopping at x_{k+1} ---
-        check_residual = every == 1 or (k + 1) % every == 0 or k + 1 == max_iters
-        if check_residual:
-            r = rows @ x - rhs
-            resid2 = float(np.dot(r, r))
-            resid_rec[k] = resid2
-        else:
-            r = None
+        r = rows @ x - rhs
+        resid2 = float(np.dot(r, r))
+        resid_rec[k] = resid2
 
         if x_hat is not None:
             diff = x - x_hat
@@ -268,11 +230,10 @@ def run(
                 status = RunStatus.CONVERGED
                 k += 1
                 break
-        elif stop.epsilon is not None and check_residual:
-            if resid2 <= stop.epsilon**2:
-                status = RunStatus.CONVERGED
-                k += 1
-                break
+        elif stop.epsilon is not None and resid2 <= stop.epsilon**2:
+            status = RunStatus.CONVERGED
+            k += 1
+            break
     else:
         k = max_iters
 

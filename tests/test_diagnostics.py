@@ -302,6 +302,23 @@ def test_build_theory_report_along_run():
     assert report.q[0] == pytest.approx(q0, rel=1e-14)
 
 
+def test_build_theory_report_checkpoints_keep_their_labels():
+    from sparsekaczmarz import SolverSpec, StoppingRule, build_theory_report, run
+
+    rng = np.random.default_rng(11)
+    system, x_hat, _ = gaussian_instance(14, 9, 2, rng)
+    spec = SolverSpec.sskm(1.0, 7, seed=2, stop=StoppingRule(max_iters=60))
+    _, trace = run(system, spec, ground_truth=x_hat)
+    full = build_theory_report(system, x_hat, trace, lam=1.0, beta=7)
+    some = build_theory_report(system, x_hat, trace, lam=1.0, beta=7, checkpoints=[50, 5, 20, 5])
+    assert some.checkpoints.tolist() == [5, 20, 50]
+    for name in ("gamma", "q", "bound_margins"):
+        assert np.array_equal(getattr(some, name), getattr(full, name)[[5, 20, 50]], equal_nan=True)
+    for bad in ([60], [-1], [5, 5, 1000]):
+        with pytest.raises(ValueError):
+            build_theory_report(system, x_hat, trace, lam=1.0, beta=7, checkpoints=bad)
+
+
 # --------------------------------------------------------------- density
 
 

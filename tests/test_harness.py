@@ -338,3 +338,21 @@ def test_cli_missing_matrix_file_exit_code(tmp_path):
         "real", "--config", str(config), "--out", str(tmp_path / "out"), str(tmp_path / "nope.mtx")
     )
     assert proc.returncode == 3
+
+
+def test_cli_non_finite_matrix_file_exit_code(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m": 10, "n": 8, "k": 2, "trials": 1, "max_iters": 50}))
+    mtx = tmp_path / "nan.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 nan\n")
+    proc = run_cli("real", "--config", str(config), "--out", str(tmp_path / "out"), str(mtx))
+    assert proc.returncode == 3, proc.stderr
+    assert "skipped" in proc.stderr and "line 4" in proc.stderr
+
+
+def test_cli_non_finite_rhs_exit_code(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m": 20, "n": 12, "k": 2, "trials": 1, "max_iters": 50}))
+    proc = run_cli("solve", "--config", str(config), "--out", str(tmp_path / "out"), "--noise", "inf")
+    assert proc.returncode == 3, proc.stderr
+    assert "data error" in proc.stderr

@@ -5,6 +5,7 @@ from sparsekaczmarz import LinearSystem, normalize_rows, residual, row_residual
 from sparsekaczmarz.errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
+    NonFiniteDataError,
     ZeroRowError,
 )
 
@@ -29,6 +30,26 @@ def test_normalize_rejects_zero_row():
     with pytest.raises(ZeroRowError) as exc:
         normalize_rows([[0.0, 0.0]], [1.0])
     assert exc.value.row_index == 0
+
+
+@pytest.mark.parametrize(
+    "raw, b",
+    [
+        ([[1.0, 0.0], [np.nan, 1.0]], [1.0, 2.0]),
+        ([[1.0, 0.0], [np.inf, 1.0]], [1.0, 2.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, np.inf]),
+        ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 2.0]),
+    ],
+)
+def test_normalize_rejects_non_finite_data(raw, b):
+    with pytest.raises(NonFiniteDataError):
+        normalize_rows(raw, b)
+
+
+def test_with_rhs_rejects_non_finite_rhs():
+    system = normalize_rows([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
+    with pytest.raises(NonFiniteDataError):
+        system.with_rhs([1.0, np.nan])
 
 
 def test_normalize_rejects_mismatched_rhs():

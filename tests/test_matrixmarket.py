@@ -184,6 +184,27 @@ def test_malformed_entry_reports_line(tmp_path):
     assert exc.value.line_number == 4
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_non_finite_coordinate_value_reports_line(tmp_path, value):
+    path = tmp_path / "nan.mtx"
+    write_lines(
+        path,
+        ["%%MatrixMarket matrix coordinate real general", "2 2 2", "1 1 1.0", f"2 2 {value}"],
+    )
+    with pytest.raises(ParseError) as exc:
+        read_matrix_market(path)
+    assert exc.value.line_number == 4
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_non_finite_array_value_reports_line(tmp_path, value):
+    path = tmp_path / "nan.mtx"
+    write_lines(path, ["%%MatrixMarket matrix array real general", "2 1", "1.0", value])
+    with pytest.raises(ParseError) as exc:
+        read_matrix_market(path)
+    assert exc.value.line_number == 4
+
+
 def test_out_of_range_index(tmp_path):
     path = tmp_path / "oob.mtx"
     write_lines(

@@ -182,8 +182,3 @@ def test_next_index_uses_passed_residuals():
     sel_a = next_index(config, 0, system, x, np.random.default_rng(1), residuals=r)
     sel_b = next_index(config, 0, system, x, np.random.default_rng(1))
     assert sel_a.chosen == sel_b.chosen
-
-
-def test_beta_schedule_callable():
-    config = SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=lambda k: 2 + (k % 3))
-    assert [config.beta_at(k) for k in range(4)] == [2, 3, 4, 2]
