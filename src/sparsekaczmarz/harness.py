@@ -63,8 +63,8 @@ class ExperimentConfig:
             raise ConfigError(f"sparsity k={self.k} outside [1, n={self.n}]")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.noise_level < 0:
-            raise ConfigError("noise_level must be nonnegative")
+        if not (np.isfinite(self.noise_level) and self.noise_level >= 0):
+            raise ConfigError(f"noise_level must be finite and nonnegative, got {self.noise_level}")
         if self.step_mode not in ("exact", "inexact", "both"):
             raise ConfigError(f"step_mode must be exact/inexact/both, got {self.step_mode!r}")
         for name in self.methods:

@@ -1,10 +1,10 @@
 """Row selection rules: cyclic, uniform random, and greedy subset sampling.
 
-The greedy rule draws a uniform size-beta subset of the rows and acts on the
-member with the largest squared residual. With unit rows this uniform subset
-law coincides with the norm-weighted law that the selection analysis uses,
-so no subset enumeration is needed inside the solver; the enumerated law is
-exposed separately as a diagnostic.
+The greedy rule draws a uniform size-beta subset of the rows, with one
+C-level numpy draw, and acts on the member with the largest squared residual.
+With unit rows this uniform subset law coincides with the norm-weighted law
+that the selection analysis uses, so no subset enumeration is needed inside
+the solver; the enumerated law is exposed separately as a diagnostic.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class SamplerConfig:
 
 @dataclass(frozen=True, eq=False)
 class Selection:
-    """A sampled subset (sorted) and the greedily chosen index within it."""
+    """A subset of rows (sorted) and the index chosen within it."""
 
     subset: np.ndarray
     chosen: int
@@ -60,18 +60,14 @@ class Selection:
 def sample_subset(m: int, beta: int, rng: np.random.Generator, _buffer=None) -> np.ndarray:
     """Uniform size-beta subset of {0..m-1} without replacement, sorted.
 
-    Partial Fisher-Yates over an index buffer: O(beta) swaps per draw. A
-    persistent ``_buffer`` (any permutation of arange(m)) may be supplied by
-    tight loops to skip the O(m) setup; it is permuted in place.
+    One ``rng.choice(m, beta, replace=False, shuffle=False)`` call: O(beta),
+    unless m > 10000 and beta > m/50, where numpy shuffles arange(m). The
+    ``_buffer`` argument is accepted and ignored, so callers that still pass
+    one keep working; it is neither read nor modified.
     """
     if beta < 1 or beta > m:
         raise InvalidBetaError(f"beta={beta} outside [1, m={m}]")
-    buf = np.arange(m) if _buffer is None else _buffer
-    offsets = rng.integers(0, m - np.arange(beta))
-    for j in range(beta):
-        r = j + offsets[j]
-        buf[j], buf[r] = buf[r], buf[j]
-    return np.sort(buf[:beta])
+    return np.sort(rng.choice(m, beta, replace=False, shuffle=False))
 
 
 def select_motzkin(subset, residuals) -> Selection:
@@ -88,34 +84,38 @@ def select_motzkin(subset, residuals) -> Selection:
     return Selection(subset=subset, chosen=int(subset[int(np.argmax(vals))]))
 
 
-def next_index(
+def pick_index(
     config: SamplerConfig,
     k: int,
     system: LinearSystem,
     x,
     rng: np.random.Generator,
     residuals=None,
-    _buffer=None,
-) -> Selection:
-    """One selection according to the configured rule.
+) -> int:
+    """Row chosen at iteration ``k``: one :func:`sample_subset` or ``rng.integers(m)`` call.
 
     ``residuals`` may pass the full residual vector at ``x`` when the caller
     already has it; otherwise only the sampled rows are evaluated.
     """
     m = system.m
     if config.rule is SelectionRule.CYCLIC:
-        i = k % m
-        return Selection(subset=np.array([i]), chosen=i)
+        return k % m
     if config.rule is SelectionRule.UNIFORM_RANDOM:
         # unit rows make squared-norm weighting uniform
-        i = int(rng.integers(m))
-        return Selection(subset=np.array([i]), chosen=i)
-    subset = sample_subset(m, config.beta_at(k), rng, _buffer=_buffer)
+        return int(rng.integers(m))
+    subset = sample_subset(m, config.beta_at(k), rng)
     if residuals is None:
         sub_res = system.rows[subset] @ np.asarray(x, dtype=float) - system.rhs[subset]
-        vals = sub_res**2
-        return Selection(subset=subset, chosen=int(subset[int(np.argmax(vals))]))
-    return select_motzkin(subset, residuals)
+    else:
+        sub_res = residuals[subset]
+    # the subset is sorted and argmax takes the first maximum: ties go to the smallest index
+    return int(subset[(sub_res**2).argmax()])
+
+
+def next_index(config: SamplerConfig, k: int, system: LinearSystem, x, rng, residuals=None) -> Selection:
+    """:func:`pick_index` as a :class:`Selection`, whose ``subset`` is the chosen row alone."""
+    i = pick_index(config, k, system, x, rng, residuals)
+    return Selection(subset=np.array([i]), chosen=i)
 
 
 def theoretical_subset_probability(system: LinearSystem, x, beta: int, tau) -> float:

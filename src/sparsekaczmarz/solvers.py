@@ -1,6 +1,6 @@
 """Iteration drivers for the RK, SRK, and SSKM methods.
 
-All three methods share one iteration kernel: :func:`next_index` selects a
+All three methods share one iteration kernel: :func:`pick_index` selects a
 row, and :func:`bregman_step` moves the dual iterate along that row and
 soft-thresholds back to the primal. :func:`run` loops over the kernel, and
 :func:`step_once` applies its step once. RK is the lam=0 / uniform-row /
@@ -19,7 +19,7 @@ import numpy as np
 from .bregman import DualPair, StepMode, bregman_step, objective_value, project_hyperplane
 from .errors import NonFiniteIterateError
 from .linsys import LinearSystem
-from .sampling import SamplerConfig, Selection, SelectionRule, next_index
+from .sampling import SamplerConfig, Selection, SelectionRule, pick_index
 
 
 class Method(enum.Enum):
@@ -140,6 +140,19 @@ class IterationTrace:
         return float(self.mse[self.iterations - 1])
 
 
+_FIRST_RECORDS = 1024
+
+
+def _resized(a: np.ndarray | None, size: int) -> np.ndarray | None:
+    """A copy of ``a`` cut or extended to ``size`` entries; ``None`` stays ``None``."""
+    if a is None:
+        return None
+    out = np.empty(size, dtype=a.dtype)
+    kept = min(size, a.size)
+    out[:kept] = a[:kept]
+    return out
+
+
 def init_state(n: int, lam: float) -> DualPair:
     """Zero primal and dual start; the thresholding link holds trivially."""
     if n < 1:
@@ -174,7 +187,7 @@ def run(
     noisy data) are allowed and simply run to the iteration budget. Raises
     :class:`NonFiniteIterateError` if an iterate stops being finite.
     """
-    m, n = system.shape
+    n = system.n
     lam = spec.lam
     stop = spec.stop
     sampler = spec.sampler
@@ -188,23 +201,29 @@ def run(
         f_hat = objective_value(x_hat, lam)
     use_mse_stop = x_hat is not None and stop.mse_target is not None
 
+    # records start small and double when full, so their memory follows the work done
     max_iters = stop.max_iters
-    chosen_rec = np.zeros(max_iters, dtype=np.int64)
-    step_rec = np.zeros(max_iters)
-    resid_rec = np.full(max_iters, np.nan)
-    mse_rec = np.full(max_iters, np.nan) if x_hat is not None else None
-    breg_rec = np.full(max_iters, np.nan) if x_hat is not None else None
+    cap = min(max_iters, _FIRST_RECORDS)
+    chosen_rec = np.empty(cap, dtype=np.int64)
+    step_rec = np.empty(cap)
+    resid_rec = np.empty(cap)
+    mse_rec = np.empty(cap) if x_hat is not None else None
+    breg_rec = np.empty(cap) if x_hat is not None else None
 
     dual = np.zeros(n)
     x = np.zeros(n)
     rows, rhs = system.rows, system.rhs
     r = -rhs  # residual at x_0 = 0
-    buffer = np.arange(m) if sampler.rule is SelectionRule.SKM_GREEDY else None
 
     status = RunStatus.MAX_ITERS
     k = 0
     for k in range(max_iters):
-        i = next_index(sampler, k, system, x, rng, residuals=r, _buffer=buffer).chosen
+        if k == cap:
+            cap = min(2 * cap, max_iters)
+            chosen_rec, step_rec, resid_rec, mse_rec, breg_rec = (
+                _resized(a, cap) for a in (chosen_rec, step_rec, resid_rec, mse_rec, breg_rec)
+            )
+        i = pick_index(sampler, k, system, x, rng, r)
         t, dual, x = bregman_step(dual, x, rows[i], float(rhs[i]), lam, spec.step_mode)
         if not np.isfinite(t):
             raise NonFiniteIterateError(f"step value became non-finite at iteration {k}")
@@ -238,11 +257,11 @@ def run(
         k = max_iters
 
     trace = IterationTrace(
-        chosen=chosen_rec[:k],
-        step=step_rec[:k],
-        residual_norm2=resid_rec[:k],
-        mse=mse_rec[:k] if mse_rec is not None else None,
-        bregman_to_truth=breg_rec[:k] if breg_rec is not None else None,
+        chosen=_resized(chosen_rec, k),
+        step=_resized(step_rec, k),
+        residual_norm2=_resized(resid_rec, k),
+        mse=_resized(mse_rec, k),
+        bregman_to_truth=_resized(breg_rec, k),
         status=status,
         iterations=k,
     )

@@ -150,6 +150,9 @@ def test_config_validation():
         ExperimentConfig(step_mode="sometimes")
     with pytest.raises(ConfigError):
         ExperimentConfig(methods=("srk", "newton"))
+    for noise in (-0.1, float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(noise_level=noise)
 
 
 # --------------------------------------------------------------- sweeps
@@ -351,8 +354,10 @@ def test_cli_non_finite_matrix_file_exit_code(tmp_path):
 
 
 def test_cli_non_finite_rhs_exit_code(tmp_path):
+    # a non-finite noise level is refused as configuration, before any rhs is built
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"m": 20, "n": 12, "k": 2, "trials": 1, "max_iters": 50}))
-    proc = run_cli("solve", "--config", str(config), "--out", str(tmp_path / "out"), "--noise", "inf")
-    assert proc.returncode == 3, proc.stderr
-    assert "data error" in proc.stderr
+    for noise in ("inf", "nan"):
+        proc = run_cli("solve", "--config", str(config), "--out", str(tmp_path / "out"), "--noise", noise)
+        assert proc.returncode == 2, (noise, proc.stderr)
+        assert "config error" in proc.stderr and "noise_level" in proc.stderr

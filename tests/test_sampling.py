@@ -3,6 +3,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sparsekaczmarz import (
@@ -20,6 +22,7 @@ from sparsekaczmarz.errors import (
     InvalidBetaError,
     TooManySubsetsError,
 )
+from sparsekaczmarz.sampling import pick_index
 
 
 def test_sample_subset_full_set():
@@ -71,6 +74,33 @@ def test_sample_subset_deterministic_given_seed():
     a = [sample_subset(20, 6, np.random.default_rng(99)).tolist() for _ in range(3)]
     b = [sample_subset(20, 6, np.random.default_rng(99)).tolist() for _ in range(3)]
     assert a == b
+
+
+def test_sample_subset_ignores_buffer():
+    buffer = np.arange(50)
+    with_buffer = sample_subset(50, 20, np.random.default_rng(13), _buffer=buffer)
+    without = sample_subset(50, 20, np.random.default_rng(13))
+    assert np.array_equal(with_buffer, without)
+    assert np.array_equal(buffer, np.arange(50))
+
+
+@pytest.mark.parametrize("m, beta", [(300, 150), (2000, 1000), (12_000, 100), (12_000, 3000), (12_000, 12_000)])
+def test_sample_subset_sorted_distinct_either_side_of_m_10000(m, beta):
+    # numpy draws by Floyd's algorithm unless m > 10000 and beta > m/50, then by a tail shuffle
+    out = sample_subset(m, beta, np.random.default_rng(m + beta))
+    assert out.shape == (beta,)
+    assert np.all(np.diff(out) > 0)
+    assert out[0] >= 0 and out[-1] < m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 500).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))), st.integers(0, 2**32 - 1))
+def test_sample_subset_property(m_beta, seed):
+    m, beta = m_beta
+    out = sample_subset(m, beta, np.random.default_rng(seed))
+    assert out.shape == (beta,)
+    assert np.all(np.diff(out) > 0)
+    assert out[0] >= 0 and out[-1] < m
 
 
 def test_select_motzkin_argmax():
@@ -182,3 +212,35 @@ def test_next_index_uses_passed_residuals():
     sel_a = next_index(config, 0, system, x, np.random.default_rng(1), residuals=r)
     sel_b = next_index(config, 0, system, x, np.random.default_rng(1))
     assert sel_a.chosen == sel_b.chosen
+
+
+def test_pick_index_breaks_ties_like_select_motzkin():
+    # rows 2, 5 and 7 tie for the largest squared residual
+    system = normalize_rows(np.eye(8), np.zeros(8))
+    r = np.array([0.5, -1.0, 3.0, 0.0, 2.0, -3.0, 1.0, 3.0])
+    full = SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=8)
+    assert pick_index(full, 0, system, np.zeros(8), np.random.default_rng(0), r) == 2
+    assert select_motzkin(np.arange(8)[::-1], r).chosen == 2
+    config = SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=4)
+    for seed in range(200):
+        i = pick_index(config, 0, system, np.zeros(8), np.random.default_rng(seed), r)
+        subset = sample_subset(8, 4, np.random.default_rng(seed))
+        assert i == select_motzkin(subset, r).chosen, seed
+
+
+def test_pick_index_uniform_consumes_one_integer_draw():
+    system = normalize_rows(np.eye(6), np.ones(6))
+    config = SamplerConfig(rule=SelectionRule.UNIFORM_RANDOM)
+    rng, ref = np.random.default_rng(14), np.random.default_rng(14)
+    picks = [pick_index(config, k, system, np.zeros(6), rng) for k in range(50)]
+    assert picks == [int(ref.integers(6)) for _ in range(50)]
+
+
+def test_next_index_wraps_pick_index():
+    rng = np.random.default_rng(15)
+    system = normalize_rows(rng.standard_normal((12, 5)), rng.standard_normal(12))
+    x = rng.standard_normal(5)
+    config = SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=5)
+    sel = next_index(config, 0, system, x, np.random.default_rng(2))
+    assert sel.chosen == pick_index(config, 0, system, x, np.random.default_rng(2))
+    assert sel.subset.tolist() == [sel.chosen]

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sparsekaczmarz import (
     DualPair,
+    LinearSystem,
     Method,
     RunStatus,
     SamplerConfig,
@@ -12,6 +15,7 @@ from sparsekaczmarz import (
     StepMode,
     StoppingRule,
     bregman_distance,
+    child_rng,
     gaussian_instance,
     init_state,
     inexact_step,
@@ -22,6 +26,7 @@ from sparsekaczmarz import (
     soft_threshold,
     step_once,
 )
+from sparsekaczmarz.errors import NonFiniteIterateError
 
 from oracles import orthogonal_projection
 
@@ -125,11 +130,10 @@ def test_run_matches_composed_single_steps():
     for name, spec in specs.items():
         pair, trace = run(system, spec, ground_truth=x_hat)
         rng = np.random.default_rng(spec.sampler.seed)
-        buffer = np.arange(system.m)
         state = init_state(system.n, spec.lam)
         for k in range(trace.iterations):
             r = residual(system, state.primal)
-            sel = next_index(spec.sampler, k, system, state.primal, rng, residuals=r, _buffer=buffer)
+            sel = next_index(spec.sampler, k, system, state.primal, rng, residuals=r)
             assert sel.chosen == trace.chosen[k], (name, k)
             new_state = step_once(state, system, sel, spec.step_mode)
             # the recorded step value reproduces this step's dual bit for bit
@@ -214,3 +218,48 @@ def test_spec_invariants():
             sampler=SamplerConfig(rule=SelectionRule.UNIFORM_RANDOM),
             stop=StoppingRule(),
         )
+
+
+def test_run_record_memory_follows_iterations_not_budget():
+    # the reference instance converges in a few dozen SSKM-exact iterations; a
+    # 10**7 budget preallocated as five records would need about 380 MB
+    system, x_hat, _ = gaussian_instance(300, 200, 5, child_rng(42, 0, 0))
+    stop = StoppingRule(max_iters=10**7, mse_target=1e-6)
+    spec = SolverSpec.sskm(1.0, 150, StepMode.EXACT, seed=1, stop=stop)
+    tracemalloc.start()
+    try:
+        _, trace = run(system, spec, ground_truth=x_hat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.status is RunStatus.CONVERGED and trace.iterations < 1000
+    assert peak < 4 * 2**20
+    for arr in (trace.chosen, trace.step, trace.residual_norm2, trace.mse, trace.bregman_to_truth):
+        assert arr.shape == (trace.iterations,)
+
+
+def test_run_records_grow_past_the_first_chunk():
+    # 3000 iterations cross two doublings of the records; the trace must equal
+    # the single steps it records
+    system, x_hat, _ = small_instance(seed=8, m=30, n=20, k=3)
+    spec = SolverSpec.rk(seed=4, stop=StoppingRule(max_iters=3000))
+    pair, trace = run(system, spec, ground_truth=x_hat)
+    assert trace.iterations == 3000
+    x = np.zeros(system.n)
+    for k in range(trace.iterations):
+        i = int(trace.chosen[k])
+        x = x - trace.step[k] * system.rows[i]
+        r = residual(system, x)
+        assert trace.residual_norm2[k] == float(np.dot(r, r)), k
+    assert np.array_equal(x, pair.primal)
+    assert trace.mse[-1] == trace.final_mse
+
+
+def test_run_raises_on_non_finite_iterate():
+    # two copies of one row with rhs +-1e308: the projections alternate and
+    # overflow to inf within a few iterations
+    system = LinearSystem(rows=np.array([[1.0], [1.0]]), rhs=np.array([1e308, -1e308]), row_scales=np.ones(2))
+    spec = SolverSpec.rk(seed=0, stop=StoppingRule(max_iters=100))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NonFiniteIterateError, match="iteration 3"):
+            run(system, spec)
