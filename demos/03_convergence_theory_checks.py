@@ -1,7 +1,6 @@
 """Watching the convergence theory hold along a single greedy run.
 
-Three quantities are tracked per iteration on a small instance where every
-row subset can be enumerated:
+Three quantities are tracked per iteration on a small instance:
 
   gamma  - how concentrated the residual is (1 = one dominant row, beta =
            perfectly flat); it modulates the contraction factor,
@@ -31,14 +30,14 @@ d_cur = sk.bregman_distance(pair, x_hat)
 print(f"{'iter':>4s} {'gamma':>7s} {'q':>8s} {'D ratio':>9s} {'bound margin':>13s}")
 for j in range(25):
     r = sk.residual(system, pair.primal)
-    gamma = sk.gamma_from_residuals(r, beta)       # exact: C(12,6) subsets enumerated
-    q = sk.contraction_factor(sv.smallest_nonzero, lam, xmin, beta, gamma.value, m)
+    gamma = sk.gamma_from_residuals(r, beta)       # exact over all C(12,6) subsets
+    q = sk.contraction_factor(sv.smallest_nonzero, lam, xmin, beta, gamma, m)
     subset = sk.sample_subset(m, beta, rng)
     chosen = int(subset[int(np.argmax(r[subset] ** 2))])
     pair = sk.step_once(pair, system, sk.Selection(subset=subset, chosen=chosen), sk.StepMode.EXACT)
     d_next = sk.bregman_distance(pair, x_hat)
     margin = sk.error_bound_margin(pair, system, x_hat, lam, sv.smallest_nonzero)
-    print(f"{j:4d} {gamma.value:7.3f} {q.value:8.5f} {d_next / d_cur:9.5f} {margin:13.4e}")
+    print(f"{j:4d} {gamma:7.3f} {q.value:8.5f} {d_next / d_cur:9.5f} {margin:13.4e}")
     d_cur = d_next
 
 print("\nratio <= q does not hold pathwise (q bounds the expectation), but the")

@@ -9,9 +9,7 @@ residual, and the expected-error envelopes for noiseless and noisy data.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -26,11 +24,10 @@ from .errors import (
     ZeroTruthError,
 )
 from .linsys import LinearSystem, residual
-from .sampling import MAX_ENUMERATED_SUBSETS
+from .sampling import _max_rank_sums
 
 NONZERO_ENTRY_TOL = 1e-12
 SINGULAR_VALUE_CUTOFF = 1e-10
-MC_SUBSET_SAMPLES = 10_000
 
 
 def mse(x, x_hat) -> float:
@@ -83,62 +80,30 @@ def min_abs_nonzero(x_hat) -> float:
     return float(mags.min())
 
 
-class GammaEstimate(NamedTuple):
-    value: float
-    standard_error: float
-    exact: bool
-
-
-@lru_cache(maxsize=32)
-def _subset_index_matrix(m: int, beta: int) -> np.ndarray:
-    combos = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(m), beta)),
-        dtype=np.int64,
-        count=comb(m, beta) * beta,
-    )
-    out = combos.reshape(-1, beta)
-    out.setflags(write=False)
-    return out
-
-
-def gamma_from_residuals(residuals, beta: int, rng: np.random.Generator | None = None) -> GammaEstimate:
+def gamma_from_residuals(residuals, beta: int) -> float:
     """Ratio of subset-summed squared 2-norms to squared max-norms of residual subvectors.
 
-    Exact enumeration over all C(m, beta) subsets when that count is at most
-    100000; otherwise a Monte Carlo estimate over 10000 uniform subsets, with
-    the numerator evaluated in closed form (each entry lies in the same
-    number of subsets) and a delta-method standard error on the denominator.
+    Sums run over all C(m, beta) subsets, exactly and with no enumeration:
+    every entry lies in C(m-1, beta-1) subsets, and sorted by magnitude the
+    entry at rank p is the subset maximum in C(m-1-p, beta-1) of them. The
+    sums are Python integers (squared integer mantissas, so finite input
+    never overflows) and the ratio is one correctly rounded division. It is
+    exactly 1 for a single nonzero entry and exactly beta for constant
+    magnitudes. Raises NonFiniteDataError for a NaN or infinite entry.
     """
     r = np.asarray(residuals, dtype=float)
     m = r.shape[0]
     if beta < 1 or beta > m:
         raise InvalidGammaError(f"beta={beta} outside [1, m={m}]")
-    sq = r**2
-    if not np.any(sq > 0.0):
+    sq, total, _ = _max_rank_sums(r, beta, r)
+    if total == 0:
         raise ZeroResidualError("gamma is undefined at a solution")
-    if comb(m, beta) <= MAX_ENUMERATED_SUBSETS:
-        idx = _subset_index_matrix(m, beta)
-        sub = sq[idx]
-        num = float(np.sum(sub.sum(axis=1)))
-        den = float(np.sum(sub.max(axis=1)))
-        return GammaEstimate(value=num / den, standard_error=0.0, exact=True)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    # E[||r_tau||^2] = (beta/m) * ||r||^2 exactly; sample only the max term
-    num_mean = (beta / m) * float(sq.sum())
-    maxes = np.empty(MC_SUBSET_SAMPLES)
-    for s in range(MC_SUBSET_SAMPLES):
-        subset = rng.choice(m, size=beta, replace=False)
-        maxes[s] = sq[subset].max()
-    den_mean = float(maxes.mean())
-    gamma = num_mean / den_mean
-    den_se = float(maxes.std(ddof=1)) / np.sqrt(MC_SUBSET_SAMPLES)
-    return GammaEstimate(value=gamma, standard_error=gamma * den_se / den_mean, exact=False)
+    return comb(m - 1, beta - 1) * sum(sq) / total
 
 
-def gamma_k(system: LinearSystem, x, beta: int, rng: np.random.Generator | None = None) -> GammaEstimate:
+def gamma_k(system: LinearSystem, x, beta: int) -> float:
     """``gamma_from_residuals`` evaluated at the residual of ``x``."""
-    return gamma_from_residuals(residual(system, x), beta, rng=rng)
+    return gamma_from_residuals(residual(system, x), beta)
 
 
 class ContractionFactor(NamedTuple):
@@ -250,6 +215,18 @@ class TheoryReport:
     delta: float = 0.0
 
 
+def replay_duals(system: LinearSystem, trace):
+    """Yield the dual iterate before each iteration of ``trace``, from zero as ``run`` starts.
+
+    The trace stores only scalars, so the iterates are rebuilt from its
+    recorded steps and chosen rows. Each yielded array is a fresh one.
+    """
+    dual = np.zeros(system.n)
+    for k in range(trace.iterations):
+        yield dual
+        dual = dual - trace.step[k] * system.rows[trace.chosen[k]]
+
+
 def build_theory_report(
     system: LinearSystem,
     x_hat,
@@ -261,10 +238,9 @@ def build_theory_report(
 ) -> TheoryReport:
     """Evaluate the theory quantities along a finished solver trace.
 
-    The iterates are replayed from the recorded steps and chosen rows (the
-    trace stores only scalars). Default checkpoints are every iteration on
-    tiny systems and every 100th iteration otherwise, where the gamma
-    evaluation is the dominant cost. Given checkpoints are sorted and
+    The iterates come from :func:`replay_duals`, up to the last checkpoint.
+    Default checkpoints are every iteration on tiny systems and
+    every 100th iteration otherwise. Given checkpoints are sorted and
     deduplicated, and the report's arrays follow that order; each must lie
     in [0, trace.iterations), else ValueError.
     """
@@ -280,28 +256,25 @@ def build_theory_report(
     checkpoints = np.unique(np.asarray(checkpoints, dtype=int))
     if checkpoints.size and (checkpoints[0] < 0 or checkpoints[-1] >= iters):
         raise ValueError(f"checkpoints must lie in [0, {iters}), got {checkpoints.tolist()}")
-    marks = set(checkpoints.tolist())
 
     gammas = np.full(checkpoints.shape[0], np.nan)
     qs = np.full(checkpoints.shape[0], np.nan)
     margins = np.full(checkpoints.shape[0], np.nan)
-    dual = np.zeros(system.n)
     pos = 0
-    for k in range(iters):
-        if k in marks:
-            x = soft_threshold(dual, lam)
-            r = system.rows @ x - system.rhs
-            if np.any(r != 0.0):
-                est = gamma_from_residuals(r, beta)
-                gammas[pos] = est.value
-                qs[pos] = contraction_factor(
-                    sv.smallest_nonzero, lam, xmin, beta, est.value, system.m
-                ).value
-            margins[pos] = error_bound_margin(
-                DualPair.from_dual(dual, lam), system, x_hat, lam, sv.smallest_nonzero
-            )
-            pos += 1
-        dual = dual - trace.step[k] * system.rows[trace.chosen[k]]
+    for k, dual in enumerate(replay_duals(system, trace)):
+        if pos == checkpoints.size:
+            break
+        if k < checkpoints[pos]:
+            continue
+        x = soft_threshold(dual, lam)
+        r = system.rows @ x - system.rhs
+        if np.any(r != 0.0):
+            gammas[pos] = gamma = gamma_from_residuals(r, beta)
+            qs[pos] = contraction_factor(sv.smallest_nonzero, lam, xmin, beta, gamma, system.m).value
+        margins[pos] = error_bound_margin(
+            DualPair.from_dual(dual, lam), system, x_hat, lam, sv.smallest_nonzero
+        )
+        pos += 1
     return TheoryReport(
         sigma_min_tilde=sv.smallest_nonzero,
         sigma_min=sv.smallest,

@@ -33,10 +33,6 @@ class EmptySubsetError(ValueError):
     """A greedy selection was attempted on an empty subset."""
 
 
-class TooManySubsetsError(ValueError):
-    """Exhaustive subset enumeration would exceed its size bound."""
-
-
 class ZeroResidualError(ValueError):
     """The residual is identically zero, so a residual-based quantity is undefined."""
 

@@ -3,27 +3,20 @@
 The greedy rule draws a uniform size-beta subset of the rows, with one
 C-level numpy draw, and acts on the member with the largest squared residual.
 With unit rows this uniform subset law coincides with the norm-weighted law
-that the selection analysis uses, so no subset enumeration is needed inside
-the solver; the enumerated law is exposed separately as a diagnostic.
+that the selection analysis uses. That law is exposed separately as a
+diagnostic, in closed form: ranked by residual, the row at rank p is the
+greedy pick of exactly C(m-1-p, beta-1) of the C(m, beta) subsets.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
-from .errors import (
-    EmptySubsetError,
-    InvalidBetaError,
-    TooManySubsetsError,
-)
+from .errors import EmptySubsetError, InvalidBetaError, NonFiniteDataError
 from .linsys import LinearSystem
-
-MAX_ENUMERATED_SUBSETS = 100_000
 
 
 class SelectionRule(enum.Enum):
@@ -118,39 +111,54 @@ def next_index(config: SamplerConfig, k: int, system: LinearSystem, x, rng, resi
     return Selection(subset=np.array([i]), chosen=i)
 
 
+def _max_rank_sums(values, beta: int, scales) -> tuple[list[int], int, list[int]]:
+    """Greedy-pick sums over all C(m, beta) subsets in exact integer arithmetic.
+
+    Ranks the rows by descending ``|values|``, ties to the smaller index as
+    :func:`pick_index` breaks them; the row at rank p is the pick of exactly
+    C(m-1-p, beta-1) subsets. Returns the squared ``scales`` as Python ints
+    (exact, up to one common power of two), the sum over all subsets of the
+    pick's squared scale, and the ranking. Raises :class:`NonFiniteDataError`
+    if ``values`` or ``scales`` holds a NaN or an infinity.
+    """
+    values = np.asarray(values, dtype=float)
+    scales = np.abs(np.asarray(scales, dtype=float))
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(scales))):
+        raise NonFiniteDataError("subset sums need finite values")
+    frac, exp = np.frexp(scales)
+    mant = (frac * 2.0**53).astype(np.int64).tolist()
+    shift = (exp - exp.min()).tolist()
+    sq = [(a << s) ** 2 for a, s in zip(mant, shift)]
+    order = np.argsort(-np.abs(values), kind="stable").tolist()
+    m = len(order)
+    total, count = 0, 1  # count = C(m-1-p, beta-1), from p = m-beta down to 0
+    for p in range(m - beta, -1, -1):
+        total += count * sq[order[p]]
+        count = count * (m - p) // (m - p - beta + 1)
+    return sq, total, order
+
+
 def theoretical_subset_probability(system: LinearSystem, x, beta: int, tau) -> float:
     """Probability the norm-weighted subset law assigns to the subset ``tau``.
 
     Each subset is weighted by the squared original norm of the row the
-    greedy rule would pick from it (evaluated on the raw, pre-normalization
-    data via the stored row scales). With unit row scales this is constant,
-    1 / C(m, beta), for every subset. Exhaustive enumeration; diagnostic use
-    only.
+    greedy rule would pick from it: the largest raw residual, evaluated on
+    the pre-normalization data via the stored row scales, ties to the smaller
+    index. With unit row scales this is 1 / C(m, beta) for every subset.
+    Exact for every (m, beta), with no enumeration: see :func:`_max_rank_sums`.
+    ``tau`` must hold beta distinct indices in [0, m), else InvalidBetaError.
     """
     m = system.m
     if beta < 1 or beta > m:
         raise InvalidBetaError(f"beta={beta} outside [1, m={m}]")
-    total = comb(m, beta)
-    if total > MAX_ENUMERATED_SUBSETS:
-        raise TooManySubsetsError(f"C({m},{beta})={total} exceeds {MAX_ENUMERATED_SUBSETS}")
-    tau = np.sort(np.asarray(tau))
-    if tau.shape != (beta,):
-        raise InvalidBetaError(f"tau must contain beta={beta} indices, got {tau.shape}")
+    tau = np.asarray(tau)
+    if tau.shape != (beta,) or not np.issubdtype(tau.dtype, np.integer):
+        raise InvalidBetaError(f"tau must hold beta={beta} integer indices, got {tau.tolist()}")
+    if tau.min() < 0 or tau.max() >= m or np.unique(tau).size != beta:
+        raise InvalidBetaError(f"tau must hold distinct indices in [0, {m}), got {tau.tolist()}")
 
-    # residuals and row norms of the raw system
     raw_res = (system.rows @ np.asarray(x, dtype=float) - system.rhs) * system.row_scales
-    sq = raw_res**2
-    scales2 = system.row_scales**2
-
-    denom = 0.0
-    weight_tau = None
-    for subset in itertools.combinations(range(m), beta):
-        idx = np.fromiter(subset, dtype=int, count=beta)
-        t_pick = idx[int(np.argmax(sq[idx]))]
-        w = scales2[t_pick]
-        denom += w
-        if weight_tau is None and np.array_equal(idx, tau):
-            weight_tau = w
-    if weight_tau is None:
-        raise InvalidBetaError("tau contains out-of-range or duplicate indices")
-    return float(weight_tau / denom)
+    sq, total, order = _max_rank_sums(raw_res, beta, system.row_scales)
+    rank = np.empty(m, dtype=int)
+    rank[order] = np.arange(m)
+    return sq[int(tau[np.argmin(rank[tau])])] / total

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sparsekaczmarz import (
     DualPair,
@@ -20,12 +22,19 @@ from sparsekaczmarz import (
 from sparsekaczmarz.errors import (
     AllZeroError,
     InvalidGammaError,
+    NonFiniteDataError,
     ZeroMatrixError,
     ZeroResidualError,
     ZeroTruthError,
 )
 
-from oracles import gamma_bruteforce, gamma_order_statistics, singular_values_via_gram
+from oracles import (
+    gamma_bruteforce,
+    gamma_order_statistics,
+    gamma_sorted,
+    max_rank_weights,
+    singular_values_via_gram,
+)
 
 
 # ----------------------------------------------------------------- mse
@@ -95,21 +104,20 @@ def test_gamma_single_nonzero_residual_is_exactly_one():
     r = np.zeros(9)
     r[4] = 2.7
     for beta in (1, 3, 6, 9):
-        assert gamma_from_residuals(r, beta).value == 1.0
+        assert gamma_from_residuals(r, beta) == 1.0
 
 
 def test_gamma_constant_magnitude_is_exactly_beta():
     signs = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
     for beta in (1, 2, 4, 6):
-        assert gamma_from_residuals(signs, beta).value == float(beta)
-    # power-of-two magnitudes keep the sums exact too
-    assert gamma_from_residuals(0.5 * signs, 3).value == 3.0
+        assert gamma_from_residuals(signs, beta) == float(beta)
+    # integer arithmetic keeps any constant magnitude exact
+    for mag in (0.5, 0.1, 3.7e-200, 1e200):
+        assert gamma_from_residuals(mag * signs, 3) == 3.0
 
 
 def test_gamma_worked_example():
-    est = gamma_from_residuals(np.array([1.0, 2.0, 2.0]), 2)
-    assert est.exact
-    assert est.value == pytest.approx(1.5, rel=1e-15)
+    assert gamma_from_residuals(np.array([1.0, 2.0, 2.0]), 2) == 1.5
 
 
 def test_gamma_matches_bruteforce_and_order_statistics():
@@ -118,9 +126,9 @@ def test_gamma_matches_bruteforce_and_order_statistics():
         m = int(rng.integers(2, 10))
         beta = int(rng.integers(1, m + 1))
         r = rng.standard_normal(m)
-        est = gamma_from_residuals(r, beta)
-        assert est.value == pytest.approx(gamma_bruteforce(r, beta), rel=1e-12)
-        assert est.value == pytest.approx(gamma_order_statistics(r, beta), rel=1e-12)
+        gamma = gamma_from_residuals(r, beta)
+        assert gamma == pytest.approx(gamma_bruteforce(r, beta), rel=1e-12)
+        assert gamma == pytest.approx(gamma_order_statistics(r, beta), rel=1e-12)
 
 
 def test_gamma_range():
@@ -128,8 +136,7 @@ def test_gamma_range():
     for _ in range(200):
         m = int(rng.integers(2, 12))
         beta = int(rng.integers(1, m + 1))
-        est = gamma_from_residuals(rng.standard_normal(m), beta)
-        assert 1.0 <= est.value <= beta + 1e-12
+        assert 1.0 <= gamma_from_residuals(rng.standard_normal(m), beta) <= beta + 1e-12
 
 
 def test_gamma_zero_residual():
@@ -137,14 +144,43 @@ def test_gamma_zero_residual():
         gamma_from_residuals(np.zeros(4), 2)
 
 
-def test_gamma_monte_carlo_fallback():
+def test_gamma_exact_at_astronomical_subset_counts():
     rng = np.random.default_rng(3)
     r = rng.standard_normal(60)
-    est = gamma_from_residuals(r, 30, rng=np.random.default_rng(9))  # C(60,30) huge
-    assert not est.exact
-    assert est.standard_error > 0.0
-    ref = gamma_order_statistics(r, 30)
-    assert abs(est.value - ref) < 5 * est.standard_error
+    assert gamma_from_residuals(r, 30) == pytest.approx(gamma_order_statistics(r, 30), rel=1e-12)
+    r = rng.standard_normal(2000)
+    ref = gamma_sorted(r, 1000, max_rank_weights(2000, 1000))
+    assert gamma_from_residuals(r, 1000) == pytest.approx(ref, rel=1e-12)
+
+
+def test_gamma_rejects_non_finite_residuals():
+    for bad in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
+        with pytest.raises(NonFiniteDataError):
+            gamma_from_residuals(bad, 1)
+
+
+def test_gamma_does_not_overflow_on_finite_residuals():
+    # the squares of 1e200 overflow a float, not the integer mantissas
+    gamma = gamma_from_residuals([1e200, 1.0], 2)
+    assert np.isfinite(gamma) and 1.0 <= gamma <= 2.0
+    assert gamma_from_residuals([1e200, -1e200, 1e-300], 2) == pytest.approx(4.0 / 3.0, rel=1e-15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 3.0]), min_size=m, max_size=m),
+            st.integers(1, m),
+        )
+    )
+)
+def test_gamma_property_matches_bruteforce(r_beta):
+    r, beta = r_beta
+    assume(any(r))
+    gamma = gamma_from_residuals(r, beta)
+    assert gamma == pytest.approx(gamma_bruteforce(r, beta), rel=1e-12)
+    assert 1.0 <= gamma <= beta
 
 
 def test_gamma_k_uses_system_residual():
@@ -152,9 +188,7 @@ def test_gamma_k_uses_system_residual():
     system, x_hat, _ = gaussian_instance(8, 5, 2, rng)
     x = rng.standard_normal(5)
     r = system.rows @ x - system.rhs
-    assert gamma_k(system, x, 3).value == pytest.approx(
-        gamma_from_residuals(r, 3).value, rel=1e-14
-    )
+    assert gamma_k(system, x, 3) == pytest.approx(gamma_from_residuals(r, 3), rel=1e-14)
 
 
 # --------------------------------------------------------- contraction
@@ -297,9 +331,24 @@ def test_build_theory_report_along_run():
     assert np.all((report.q[live] > 0.0) & (report.q[live] < 1.0))
     assert np.nanmin(report.bound_margins) >= -1e-9
     # q must agree with a direct recomputation at the first checkpoint
-    g0 = gamma_from_residuals(system.rows @ np.zeros(9) - system.rhs, beta).value
+    g0 = gamma_from_residuals(system.rows @ np.zeros(9) - system.rhs, beta)
     q0 = contraction_factor(report.sigma_min_tilde, 1.0, report.x_min_abs, beta, g0, 14).value
     assert report.q[0] == pytest.approx(q0, rel=1e-14)
+
+
+def test_replay_duals_rebuilds_the_run():
+    from sparsekaczmarz import SolverSpec, StepMode, StoppingRule, replay_duals, run
+
+    rng = np.random.default_rng(12)
+    system, x_hat, _ = gaussian_instance(30, 20, 3, rng)
+    spec = SolverSpec.sskm(1.0, 10, StepMode.EXACT, seed=5, stop=StoppingRule(max_iters=40))
+    pair, trace = run(system, spec, ground_truth=x_hat)
+    duals = list(replay_duals(system, trace))
+    assert len(duals) == trace.iterations
+    assert np.array_equal(duals[0], np.zeros(20))
+    last = duals[-1] - trace.step[-1] * system.rows[trace.chosen[-1]]
+    assert np.array_equal(last, pair.dual)
+    assert not any(np.shares_memory(a, b) for a, b in zip(duals, duals[1:]))
 
 
 def test_build_theory_report_checkpoints_keep_their_labels():

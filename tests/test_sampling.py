@@ -17,12 +17,10 @@ from sparsekaczmarz import (
     select_motzkin,
     theoretical_subset_probability,
 )
-from sparsekaczmarz.errors import (
-    EmptySubsetError,
-    InvalidBetaError,
-    TooManySubsetsError,
-)
+from sparsekaczmarz.errors import EmptySubsetError, InvalidBetaError, NonFiniteDataError
 from sparsekaczmarz.sampling import pick_index
+
+from oracles import subset_probability_bruteforce
 
 
 def test_sample_subset_full_set():
@@ -164,11 +162,63 @@ def test_theoretical_probability_sums_to_one():
     assert total == pytest.approx(1.0, rel=1e-12)
 
 
-def test_theoretical_probability_enumeration_bound():
+def test_theoretical_probability_has_no_size_cap():
+    # C(60, 30) ~ 1.2e17 subsets, each with the same weight
     rng = np.random.default_rng(8)
-    system = normalize_rows(rng.standard_normal((60, 3)), rng.standard_normal(60))
-    with pytest.raises(TooManySubsetsError):
-        theoretical_subset_probability(system, np.zeros(3), 30, list(range(30)))
+    raw = rng.standard_normal((60, 3))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)  # pre-normalized input
+    system = normalize_rows(raw, rng.standard_normal(60))
+    x = rng.standard_normal(3)
+    assert theoretical_subset_probability(system, x, 30, list(range(30))) == pytest.approx(
+        1.0 / comb(60, 30), rel=1e-12
+    )
+
+
+def test_theoretical_probability_ties_go_to_the_smallest_index():
+    # raw residuals all -1, original norms 1, 2, 4: the pick of {1, 2} is row 1
+    system = normalize_rows([[1.0, 0.0], [2.0, 0.0], [4.0, 0.0]], [1.0, 1.0, 1.0])
+    x = np.zeros(2)
+    # weights: {0,1} -> 1, {0,2} -> 1, {1,2} -> 4
+    assert theoretical_subset_probability(system, x, 2, [0, 1]) == 1.0 / 6.0
+    assert theoretical_subset_probability(system, x, 2, [2, 0]) == 1.0 / 6.0
+    assert theoretical_subset_probability(system, x, 2, [1, 2]) == 4.0 / 6.0
+
+
+def test_theoretical_probability_rejects_bad_tau():
+    system = normalize_rows(np.eye(4), np.ones(4))
+    x = np.zeros(4)
+    for tau in ([0], [0, 1, 2], [1, 1], [0, 4], [-1, 2], [0.0, 1.0]):
+        with pytest.raises(InvalidBetaError):
+            theoretical_subset_probability(system, x, 2, tau)
+    with pytest.raises(InvalidBetaError):
+        theoretical_subset_probability(system, x, 5, [0, 1, 2, 3, 4])
+    with pytest.raises(NonFiniteDataError):
+        theoretical_subset_probability(system, np.full(4, np.nan), 2, [0, 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 3.0]), min_size=m, max_size=m),
+            st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m),
+            st.integers(1, m),
+        )
+    )
+)
+def test_theoretical_probability_property_matches_bruteforce(case):
+    # small value sets make raw residuals tie; random row scales weigh the picks
+    values, scales, beta = case
+    m = len(values)
+    raw = np.zeros((m, 2))
+    raw[:, 0] = scales
+    system = normalize_rows(raw, np.multiply(scales, values))
+    x = np.zeros(2)
+    law = subset_probability_bruteforce(system, x, beta)
+    probs = {tau: theoretical_subset_probability(system, x, beta, tau) for tau in law}
+    for tau, p in probs.items():
+        assert p == pytest.approx(law[tau], rel=1e-12)
+    assert sum(probs.values()) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_next_index_cyclic():
