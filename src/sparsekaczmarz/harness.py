@@ -6,6 +6,17 @@ stopping at 1e-6 with a 200000-iteration budget, and per-trial RNG streams
 derived from a master seed so that every report is reproducible byte for
 byte. All CSV output uses a header row, LF line endings, and floats with 17
 significant digits.
+
+Every driver takes one trial path. Trial t of cell (m, k) builds its instance
+once, from ``child_rng(master_seed, m, k, t, 0)``, and its noise from
+``child_rng(master_seed, m, k, t, 1)``; every solve on it is seeded with
+``child_seed(master_seed, m, k, t, 2, ...)``. The trailing ids are (method
+id, step-mode id) in ``compare_methods`` and ``solve_single``, the lambda
+index in ``sweep_lambda`` and (step-mode id, beta index) in ``sweep_beta``;
+``real_matrix_bench`` puts the CRC-32 of the file name in place of (m, k).
+RK always takes the inexact step, so a single RK solve is ``rk-inexact``.
+Matrix Market files that cannot be read or parsed, or hold an identically
+zero matrix, are skipped and reported.
 """
 
 from __future__ import annotations
@@ -15,14 +26,20 @@ import json
 import os
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from .bregman import StepMode
 from .diagnostics import density, smallest_nonzero_singular_value
-from .errors import ConfigError, InvalidSparsityError, ZeroRowError
+from .errors import (
+    ConfigError,
+    InvalidSparsityError,
+    ParseError,
+    UnsupportedFieldError,
+    ZeroMatrixError,
+)
 from .linsys import LinearSystem, normalize_rows
 from .matrixmarket import read_matrix_market
 from .solvers import IterationTrace, RunStatus, SolverSpec, StoppingRule, run
@@ -78,28 +95,12 @@ class ExperimentConfig:
         )
 
 
-_CONFIG_KEYS = {
-    "m": "m",
-    "n": "n",
-    "k": "k",
-    "lambda": "lam",
-    "beta": "beta",
-    "step_mode": "step_mode",
-    "methods": "methods",
-    "noise_level": "noise_level",
-    "trials": "trials",
-    "master_seed": "master_seed",
-    "mse_target": "mse_target",
-    "max_iters": "max_iters",
-    "epsilon": "epsilon",
-    "out_dir": "out_dir",
-    "m_grid": "m_grid",
-    "k_grid": "k_grid",
-}
-
-
 def load_config(path) -> ExperimentConfig:
-    """Read a flat JSON config file; unknown keys are errors."""
+    """Read a flat JSON config file; unknown keys are errors.
+
+    Keys are the ``ExperimentConfig`` field names, except that the
+    regularization weight is spelled ``lambda`` (``lam`` is unknown).
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -109,11 +110,12 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    names = {f.name for f in fields(ExperimentConfig)}
     kwargs = {}
     for key, value in raw.items():
-        if key not in _CONFIG_KEYS:
+        name = "lam" if key == "lambda" else key
+        if key == "lam" or name not in names:
             raise ConfigError(f"unknown config key {key!r}")
-        name = _CONFIG_KEYS[key]
         if name in ("methods", "m_grid", "k_grid") and value is not None:
             value = tuple(value)
         kwargs[name] = value
@@ -153,6 +155,18 @@ def child_rng(master_seed: int, *parts: int) -> np.random.Generator:
     return np.random.default_rng(child_seed(master_seed, *parts))
 
 
+def _sparse_truth(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-sparse standard normal vector: the support is drawn first, then the values.
+
+    The two draws stay separate statements: an assignment evaluates its right
+    side first, which would swap them and change every stream.
+    """
+    support = rng.choice(n, size=k, replace=False)
+    x_hat = np.zeros(n)
+    x_hat[support] = rng.standard_normal(k)
+    return x_hat
+
+
 def gaussian_instance(
     m: int, n: int, k: int, rng: np.random.Generator
 ) -> tuple[LinearSystem, np.ndarray, np.ndarray]:
@@ -164,9 +178,7 @@ def gaussian_instance(
     if not 1 <= k <= n:
         raise InvalidSparsityError(f"k={k} outside [1, n={n}]")
     a_raw = rng.standard_normal((m, n))
-    support = rng.choice(n, size=k, replace=False)
-    x_hat = np.zeros(n)
-    x_hat[support] = rng.standard_normal(k)
+    x_hat = _sparse_truth(n, k, rng)
     b_raw = a_raw @ x_hat
     return normalize_rows(a_raw, b_raw), x_hat, b_raw
 
@@ -194,22 +206,6 @@ class TrialResult:
     wall_time: float
     converged: bool
     trace: IterationTrace
-
-
-def _solver_spec(
-    method: str,
-    mode: str,
-    lam: float,
-    beta: int,
-    seed: int,
-    stop: StoppingRule,
-) -> SolverSpec:
-    if method == "rk":
-        return SolverSpec.rk(seed=seed, stop=stop)
-    step = StepMode.EXACT if mode == "exact" else StepMode.INEXACT
-    if method == "srk":
-        return SolverSpec.srk(lam=lam, step_mode=step, seed=seed, stop=stop)
-    return SolverSpec.sskm(lam=lam, beta=beta, step_mode=step, seed=seed, stop=stop)
 
 
 def run_trial(
@@ -244,6 +240,53 @@ def _variants(config: ExperimentConfig) -> list[tuple[str, str]]:
     return out
 
 
+def _variant_ids(variant: tuple[str, str]) -> tuple[int, int]:
+    """(method id, step-mode id): the trailing parts of a variant's solver seed."""
+    method, mode = variant
+    return _METHOD_IDS[method], _MODE_IDS[mode]
+
+
+def _instance(
+    config: ExperimentConfig, m: int, k: int, trial: int
+) -> tuple[LinearSystem, np.ndarray, LinearSystem, float]:
+    """Trial ``trial`` of cell (m, k): system, truth, noisy system, ``||e||_inf``.
+
+    Without noise the noisy system is the system itself.
+    """
+    rng = child_rng(config.master_seed, m, k, trial, 0)
+    system, x_hat, _ = gaussian_instance(m, config.n, k, rng)
+    if config.noise_level == 0:
+        return system, x_hat, system, 0.0
+    noise_rng = child_rng(config.master_seed, m, k, trial, 1)
+    b_noisy, _, delta_inf = add_noise(system.rhs, config.noise_level, noise_rng)
+    return system, x_hat, system.with_rhs(b_noisy), delta_inf
+
+
+def _solve(
+    config: ExperimentConfig,
+    system: LinearSystem,
+    x_hat: np.ndarray,
+    variant: tuple[str, str],
+    beta: int,
+    seed: int,
+    trial: int,
+) -> TrialResult:
+    """One timed solve of ``(method, mode)`` with the config's lambda and stopping rule."""
+    method, mode = variant
+    stop = StoppingRule(
+        epsilon=config.epsilon, max_iters=config.max_iters, mse_target=config.mse_target
+    )
+    if method == "rk":
+        spec = SolverSpec.rk(seed=seed, stop=stop)
+    elif method == "srk":
+        spec = SolverSpec.srk(lam=config.lam, step_mode=StepMode(mode), seed=seed, stop=stop)
+    else:
+        spec = SolverSpec.sskm(
+            lam=config.lam, beta=beta, step_mode=StepMode(mode), seed=seed, stop=stop
+        )
+    return run_trial(system, x_hat, spec, trial)
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
@@ -261,6 +304,14 @@ def write_csv(path, header: Sequence[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _write(config: ExperimentConfig, name: str, header: Sequence[str], rows) -> str:
+    """Write one CSV into the output directory, creating it; returns the path."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    path = os.path.join(config.out_dir, name)
+    write_csv(path, header, rows)
+    return path
 
 
 TRACE_HEADER = ("experiment_id", "trial", "k_iter", "mse", "residual2", "bregman", "i_k", "t_k")
@@ -307,65 +358,50 @@ def _mse_at(trace: IterationTrace, iterate: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _stopping(config: ExperimentConfig) -> StoppingRule:
-    return StoppingRule(
-        epsilon=config.epsilon,
-        max_iters=config.max_iters,
-        mse_target=config.mse_target,
-    )
-
-
 def sweep_lambda(config: ExperimentConfig) -> dict:
     """Best regularization weight per (m, k) grid cell, by mean final MSE."""
     m_grid, k_grid = config.grid()
-    stop = _stopping(config)
+    variant = _variants(replace(config, methods=("sskm",)))[0]
+    lam_configs = [replace(config, lam=lam) for lam in LAMBDA_CANDIDATES]
     rows = []
     for m in m_grid:
         beta = resolve_beta(config.beta, m)
         for k in k_grid:
-            means = []
-            for lam_idx, lam in enumerate(LAMBDA_CANDIDATES):
-                finals = []
-                for trial in range(config.trials):
-                    rng = child_rng(config.master_seed, m, k, trial, 0)
-                    system, x_hat, _ = gaussian_instance(m, config.n, k, rng)
+            finals = [[] for _ in lam_configs]
+            for trial in range(config.trials):
+                system, x_hat, _, _ = _instance(config, m, k, trial)
+                for lam_idx, lam_config in enumerate(lam_configs):
                     seed = child_seed(config.master_seed, m, k, trial, 2, lam_idx)
-                    mode = config.step_mode if config.step_mode != "both" else "exact"
-                    spec = _solver_spec("sskm", mode, lam, beta, seed, stop)
-                    finals.append(run_trial(system, x_hat, spec, trial).final_mse)
-                mean_mse = float(np.mean(finals))
-                means.append(mean_mse)
+                    result = _solve(lam_config, system, x_hat, variant, beta, seed, trial)
+                    finals[lam_idx].append(result.final_mse)
+            means = [float(np.mean(values)) for values in finals]
+            for lam, mean_mse in zip(LAMBDA_CANDIDATES, means):
                 rows.append((m, k, f"mean_mse[lambda={lam:g}]", mean_mse))
             best = LAMBDA_CANDIDATES[int(np.argmin(means))]
             rows.append((m, k, "best_lambda", float(best)))
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, "lambda_sweep.csv")
-    write_csv(path, ("m", "k", "stat", "value"), rows)
+    path = _write(config, "lambda_sweep.csv", ("m", "k", "stat", "value"), rows)
     return {"rows": rows, "path": path}
 
 
 def sweep_beta(config: ExperimentConfig) -> dict:
     """Mean and spread of the final MSE across subset sizes, both step modes."""
-    m, n, k = config.m, config.n, config.k
-    stop = _stopping(config)
+    m, k = config.m, config.k
     betas = [resolve_beta(spec, m) for spec in BETA_CANDIDATE_FRACTIONS]
+    modes = [mode for mode in ("inexact", "exact") if config.step_mode in ("both", mode)]
+    # keyed by beta index: two fractions can resolve to the same beta
+    finals = {(mode, beta_idx): [] for mode in modes for beta_idx in range(len(betas))}
+    for trial in range(config.trials):
+        system, x_hat, _, _ = _instance(config, m, k, trial)
+        for mode, beta_idx in finals:
+            seed = child_seed(config.master_seed, m, k, trial, 2, _MODE_IDS[mode], beta_idx)
+            result = _solve(config, system, x_hat, ("sskm", mode), betas[beta_idx], seed, trial)
+            finals[mode, beta_idx].append(result.final_mse)
     rows = []
-    for mode_idx, mode in enumerate(("inexact", "exact")):
-        if config.step_mode != "both" and mode != config.step_mode:
-            continue
-        for beta_idx, beta in enumerate(betas):
-            finals = []
-            for trial in range(config.trials):
-                rng = child_rng(config.master_seed, m, k, trial, 0)
-                system, x_hat, _ = gaussian_instance(m, n, k, rng)
-                seed = child_seed(config.master_seed, m, k, trial, 2, mode_idx, beta_idx)
-                spec = _solver_spec("sskm", mode, config.lam, beta, seed, stop)
-                finals.append(run_trial(system, x_hat, spec, trial).final_mse)
-            rows.append((mode, beta, "mean_mse", float(np.mean(finals))))
-            rows.append((mode, beta, "std_mse", float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0))
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, "beta_sweep.csv")
-    write_csv(path, ("step", "beta", "stat", "value"), rows)
+    for (mode, beta_idx), values in finals.items():
+        beta = betas[beta_idx]
+        rows.append((mode, beta, "mean_mse", float(np.mean(values))))
+        rows.append((mode, beta, "std_mse", float(np.std(values, ddof=1)) if len(values) > 1 else 0.0))
+    path = _write(config, "beta_sweep.csv", ("step", "beta", "stat", "value"), rows)
     return {"rows": rows, "path": path}
 
 
@@ -378,7 +414,6 @@ def compare_methods(config: ExperimentConfig) -> dict:
     for the primary cell (config.m, config.k) on noiseless data.
     """
     m_grid, k_grid = config.grid()
-    stop = _stopping(config)
     variants = _variants(config)
     grid_rows = []
     noisy_rows = []
@@ -394,31 +429,20 @@ def compare_methods(config: ExperimentConfig) -> dict:
             iters = {v: [] for v in variants}
             curves = {v: [] for v in variants}
             for trial in range(config.trials):
-                rng = child_rng(config.master_seed, m, k, trial, 0)
-                system, x_hat, _ = gaussian_instance(m, config.n, k, rng)
-                if config.noise_level > 0:
-                    noise_rng = child_rng(config.master_seed, m, k, trial, 1)
-                    b_noisy, _, _ = add_noise(system.rhs, config.noise_level, noise_rng)
-                    noisy_system = system.with_rhs(b_noisy)
-                for method, mode in variants:
-                    seed = child_seed(
-                        config.master_seed, m, k, trial, 2, _METHOD_IDS[method], _MODE_IDS[mode]
-                    )
-                    lam = 0.0 if method == "rk" else config.lam
-                    spec = _solver_spec(method, mode, lam, beta, seed, stop)
-                    result = run_trial(system, x_hat, spec, trial)
-                    finals[(method, mode)].append(result.final_mse)
-                    iters[(method, mode)].append(result.iterations)
+                system, x_hat, noisy_system, _ = _instance(config, m, k, trial)
+                for variant in variants:
+                    seed = child_seed(config.master_seed, m, k, trial, 2, *_variant_ids(variant))
+                    result = _solve(config, system, x_hat, variant, beta, seed, trial)
+                    finals[variant].append(result.final_mse)
+                    iters[variant].append(result.iterations)
                     if (m, k) == (config.m, config.k):
-                        curves[(method, mode)].append(
-                            [_mse_at(result.trace, int(c)) for c in checkpoints]
-                        )
+                        curves[variant].append([_mse_at(result.trace, int(c)) for c in checkpoints])
                         breg = result.trace.bregman_to_truth
                         if breg is not None and np.any(np.diff(breg) > 1e-10):
                             breg_ok = False
                     if config.noise_level > 0:
-                        noisy_result = run_trial(noisy_system, x_hat, spec, trial)
-                        finals_noisy[(method, mode)].append(noisy_result.final_mse)
+                        noisy_result = _solve(config, noisy_system, x_hat, variant, beta, seed, trial)
+                        finals_noisy[variant].append(noisy_result.final_mse)
             for (method, mode), values in finals.items():
                 arr = np.asarray(values)
                 grid_rows.append((m, k, method, mode, "mean_mse", float(arr.mean())))
@@ -447,17 +471,13 @@ def compare_methods(config: ExperimentConfig) -> dict:
                             )
                         )
 
-    os.makedirs(config.out_dir, exist_ok=True)
-    paths = {}
     grid_header = ("m", "k", "method", "step", "stat", "value")
-    paths["grid"] = os.path.join(config.out_dir, "mse_grid_noiseless.csv")
-    write_csv(paths["grid"], grid_header, grid_rows)
+    paths = {"grid": _write(config, "mse_grid_noiseless.csv", grid_header, grid_rows)}
     if noisy_rows:
-        paths["grid_noisy"] = os.path.join(config.out_dir, "mse_grid_noisy.csv")
-        write_csv(paths["grid_noisy"], grid_header, noisy_rows)
-    paths["curves"] = os.path.join(config.out_dir, "convergence_curves.csv")
-    write_csv(
-        paths["curves"],
+        paths["grid_noisy"] = _write(config, "mse_grid_noisy.csv", grid_header, noisy_rows)
+    paths["curves"] = _write(
+        config,
+        "convergence_curves.csv",
         ("method", "step", "k_iter", "median_mse", "q25_mse", "q75_mse", "min_mse", "max_mse"),
         curve_rows,
     )
@@ -473,12 +493,14 @@ def compare_methods(config: ExperimentConfig) -> dict:
 def real_matrix_bench(paths: Sequence[str], config: ExperimentConfig) -> dict:
     """Iteration and CPU cost of each method on externally supplied matrices.
 
-    Rows with numerically zero norm are dropped (and counted) before
-    normalization. Ground truths are synthetic k-sparse vectors, one per
-    trial; means are over converged trials and '--' marks methods for which
-    no trial converged within the budget.
+    Files that cannot be read or parsed, or hold an identically zero matrix,
+    are reported in ``errors`` and skipped. Rows with numerically zero norm
+    are dropped (and counted) before normalization. Ground truths are
+    synthetic k-sparse vectors, one per trial; means are over converged
+    trials and '--' marks methods for which no trial converged within the
+    budget.
     """
-    stop = _stopping(config)
+    variants = _variants(config)
     rows = []
     errors = {}
     for path in paths:
@@ -486,8 +508,9 @@ def real_matrix_bench(paths: Sequence[str], config: ExperimentConfig) -> dict:
         name_id = zlib.crc32(name.encode("utf-8"))
         try:
             raw = read_matrix_market(path)
-        except Exception as exc:  # report per file, keep going
-            errors[path] = exc
+            sv = smallest_nonzero_singular_value(raw)
+        except (OSError, ParseError, UnsupportedFieldError, ZeroMatrixError) as exc:
+            errors[path] = exc  # report per file, keep going
             continue
         norms = np.linalg.norm(raw, axis=1)
         keep = norms >= 1e-14
@@ -495,75 +518,46 @@ def real_matrix_bench(paths: Sequence[str], config: ExperimentConfig) -> dict:
         kept = raw[keep]
         m, n = kept.shape
         k = min(config.k, n)
-        sv = smallest_nonzero_singular_value(raw)
         rows.append((name, m, n, "density", density(raw)))
         rows.append((name, m, n, "cond", sv.cond))
         rows.append((name, m, n, "sigma_min_tilde", sv.smallest_nonzero))
         rows.append((name, m, n, "dropped_zero_rows", dropped))
         beta = resolve_beta(config.beta, m)
-        for method, mode in _variants(config):
-            its, cpus = [], []
-            for trial in range(config.trials):
-                rng = child_rng(config.master_seed, name_id, trial, 0)
-                support = rng.choice(n, size=k, replace=False)
-                x_hat = np.zeros(n)
-                x_hat[support] = rng.standard_normal(k)
-                b_raw = kept @ x_hat
-                try:
-                    system = normalize_rows(kept, b_raw)
-                except ZeroRowError:
-                    break
-                seed = child_seed(
-                    config.master_seed,
-                    name_id,
-                    trial,
-                    2,
-                    _METHOD_IDS[method],
-                    _MODE_IDS[mode],
-                )
-                lam = 0.0 if method == "rk" else config.lam
-                spec = _solver_spec(method, mode, lam, beta, seed, stop)
-                result = run_trial(system, x_hat, spec, trial)
+        converged = {v: [] for v in variants}
+        for trial in range(config.trials):
+            x_hat = _sparse_truth(n, k, child_rng(config.master_seed, name_id, trial, 0))
+            system = normalize_rows(kept, kept @ x_hat)
+            for variant in variants:
+                seed = child_seed(config.master_seed, name_id, trial, 2, *_variant_ids(variant))
+                result = _solve(config, system, x_hat, variant, beta, seed, trial)
                 if result.converged:
-                    its.append(result.iterations)
-                    cpus.append(result.wall_time)
+                    converged[variant].append((result.iterations, result.wall_time))
+        for (method, mode), done in converged.items():
             label = f"{method}-{mode}"
-            if its:
-                rows.append((name, m, n, f"mean_iters[{label}]", float(np.mean(its))))
-                rows.append((name, m, n, f"mean_cpu[{label}]", float(np.mean(cpus))))
-                rows.append((name, m, n, f"converged[{label}]", len(its)))
-            else:
-                rows.append((name, m, n, f"mean_iters[{label}]", "--"))
-                rows.append((name, m, n, f"mean_cpu[{label}]", "--"))
-                rows.append((name, m, n, f"converged[{label}]", 0))
-    os.makedirs(config.out_dir, exist_ok=True)
-    out_path = os.path.join(config.out_dir, "real_bench.csv")
-    write_csv(out_path, ("matrix", "m", "n", "stat", "value"), rows)
+            mean_iters = mean_cpu = "--"
+            if done:
+                its, cpus = zip(*done)
+                mean_iters, mean_cpu = float(np.mean(its)), float(np.mean(cpus))
+            rows.append((name, m, n, f"mean_iters[{label}]", mean_iters))
+            rows.append((name, m, n, f"mean_cpu[{label}]", mean_cpu))
+            rows.append((name, m, n, f"converged[{label}]", len(done)))
+    out_path = _write(config, "real_bench.csv", ("matrix", "m", "n", "stat", "value"), rows)
     return {"rows": rows, "path": out_path, "errors": errors}
 
 
 def solve_single(config: ExperimentConfig, method: str | None = None) -> dict:
-    """One seeded run of one method; writes the full iteration trace."""
-    method = method or config.methods[0]
-    mode = config.step_mode if config.step_mode != "both" else "exact"
-    rng = child_rng(config.master_seed, config.m, config.k, 0, 0)
-    system, x_hat, _ = gaussian_instance(config.m, config.n, config.k, rng)
-    delta_inf = 0.0
-    if config.noise_level > 0:
-        noise_rng = child_rng(config.master_seed, config.m, config.k, 0, 1)
-        b_noisy, _, delta_inf = add_noise(system.rhs, config.noise_level, noise_rng)
-        system = system.with_rhs(b_noisy)
-    seed = child_seed(
-        config.master_seed, config.m, config.k, 0, 2, _METHOD_IDS[method], _MODE_IDS[mode]
-    )
-    lam = 0.0 if method == "rk" else config.lam
-    beta = resolve_beta(config.beta, config.m)
-    spec = _solver_spec(method, mode, lam, beta, seed, _stopping(config))
-    result = run_trial(system, x_hat, spec, 0)
-    os.makedirs(config.out_dir, exist_ok=True)
-    experiment_id = f"solve-{method}-{mode}-m{config.m}-n{config.n}-k{config.k}"
-    path = os.path.join(config.out_dir, "trace.csv")
-    write_csv(path, TRACE_HEADER, trace_rows(experiment_id, 0, result.trace))
+    """One seeded run of one method, on trial 0 of cell (config.m, config.k).
+
+    Writes the full iteration trace. The step mode is the first that
+    ``compare_methods`` runs for the method, so RK is always ``rk-inexact``.
+    """
+    variant = _variants(replace(config, methods=(method or config.methods[0],)))[0]
+    m, k = config.m, config.k
+    _, x_hat, system, delta_inf = _instance(config, m, k, 0)
+    seed = child_seed(config.master_seed, m, k, 0, 2, *_variant_ids(variant))
+    result = _solve(config, system, x_hat, variant, resolve_beta(config.beta, m), seed, 0)
+    experiment_id = f"solve-{'-'.join(variant)}-m{m}-n{config.n}-k{k}"
+    path = _write(config, "trace.csv", TRACE_HEADER, trace_rows(experiment_id, 0, result.trace))
     return {
         "result": result,
         "path": path,

@@ -4,7 +4,8 @@ Supports the two layouts the benchmark matrices use: ``coordinate`` and
 ``array``, field ``real`` (or ``integer``), symmetry ``general`` or
 ``symmetric``. Symmetric files store one triangle and are expanded to the
 full matrix; duplicate coordinate entries are summed; indices are 1-based on
-disk and 0-based in memory. NaN and infinite values are rejected.
+disk and 0-based in memory. NaN and infinite values, and files that are not
+UTF-8 text, raise ``ParseError``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,12 @@ _BANNER_PREFIX = "%%MatrixMarket"
 
 def read_matrix_market(path) -> np.ndarray:
     """Parse a Matrix Market file into a dense float array."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
     if not lines:
         raise ParseError(1, "empty file")
 

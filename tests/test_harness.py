@@ -7,20 +7,28 @@ import pytest
 
 from sparsekaczmarz import (
     ExperimentConfig,
+    SolverSpec,
+    StepMode,
+    StoppingRule,
     add_noise,
     child_rng,
+    child_seed,
     compare_methods,
     gaussian_instance,
+    harness,
     load_config,
     real_matrix_bench,
     residual,
     resolve_beta,
+    run,
     solve_single,
     sweep_beta,
     sweep_lambda,
     write_matrix_market,
 )
-from sparsekaczmarz.errors import ConfigError, InvalidSparsityError
+from sparsekaczmarz.errors import ConfigError, InvalidSparsityError, ParseError, ZeroMatrixError
+
+ZERO_MTX = "%%MatrixMarket matrix coordinate real general\n3 2 0\n"
 
 
 def tiny_config(tmp_path, **overrides):
@@ -258,6 +266,60 @@ def test_compare_csv_bodies_reproducible(tmp_path):
         assert body_a == body_b
 
 
+def test_compare_seeds_follow_the_stream_contract(tmp_path):
+    # trial t of cell (m, k): instance child_rng(seed, m, k, t, 0), solver
+    # child_seed(seed, m, k, t, 2, method id, step-mode id); benchmarks rely on it
+    config = tiny_config(tmp_path, trials=1, methods=("rk", "srk", "sskm"), max_iters=3000)
+    out = compare_methods(config)
+    iters = {(r[2], r[3]): r[5] for r in out["grid_rows"] if r[4] == "mean_iters"}
+    assert len(iters) == 5
+    system, x_hat, _ = gaussian_instance(20, 12, 2, child_rng(7, 20, 2, 0, 0))
+    stop = StoppingRule(max_iters=3000, mse_target=1e-6)
+    method_ids = {"rk": 0, "srk": 1, "sskm": 2}
+    mode_ids = {"inexact": 0, "exact": 1}
+    for (method, mode), mean_iters in iters.items():
+        seed = child_seed(7, 20, 2, 0, 2, method_ids[method], mode_ids[mode])
+        if method == "rk":
+            spec = SolverSpec.rk(seed=seed, stop=stop)
+        elif method == "srk":
+            spec = SolverSpec.srk(lam=1.0, step_mode=StepMode(mode), seed=seed, stop=stop)
+        else:
+            spec = SolverSpec.sskm(lam=1.0, beta=10, step_mode=StepMode(mode), seed=seed, stop=stop)
+        _, trace = run(system, spec, ground_truth=x_hat)
+        assert mean_iters == trace.iterations, (method, mode)
+
+
+@pytest.mark.parametrize(
+    "driver, cells",
+    [(sweep_lambda, 4), (sweep_beta, 1), (compare_methods, 4)],
+    ids=["sweep_lambda", "sweep_beta", "compare_methods"],
+)
+def test_each_trial_instance_is_built_once(tmp_path, monkeypatch, driver, cells):
+    # one instance per (m, k, trial), shared by every solve made on it
+    calls = []
+
+    def counted(*args):
+        calls.append(args[:3])
+        return gaussian_instance(*args)
+
+    monkeypatch.setattr(harness, "gaussian_instance", counted)
+    config = tiny_config(tmp_path, trials=2, max_iters=30, m_grid=(20, 24), k_grid=(2, 3), noise_level=0.1)
+    driver(config)
+    assert len(calls) == config.trials * cells
+    assert len(set(calls)) == cells
+
+
+def test_solve_rk_matches_compare_rk_variant(tmp_path):
+    # RK always takes the inexact step: solve runs compare's rk-inexact solve
+    config = tiny_config(tmp_path, trials=1, methods=("rk",), max_iters=20000)
+    out = compare_methods(config)
+    (mean_iters,) = [r[5] for r in out["grid_rows"] if r[4] == "mean_iters"]
+    single = solve_single(config, "rk")
+    assert single["result"].converged
+    assert single["result"].iterations == mean_iters
+    assert single["experiment_id"] == "solve-rk-inexact-m20-n12-k2"
+
+
 # ----------------------------------------------------------- real bench
 
 
@@ -293,13 +355,29 @@ def test_real_matrix_bench_marks_nonconvergent(tmp_path):
 def test_real_matrix_bench_skips_bad_file(tmp_path):
     bad = tmp_path / "bad.mtx"
     bad.write_text("not a matrix\n")
+    zero = tmp_path / "zero.mtx"
+    zero.write_text(ZERO_MTX)
+    binary = tmp_path / "binary.mtx"
+    binary.write_bytes(np.random.default_rng(0).bytes(200))
     rng = np.random.default_rng(8)
     good = tmp_path / "good.mtx"
     write_matrix_market(good, rng.standard_normal((10, 6)))
     config = tiny_config(tmp_path, k=2, trials=1, max_iters=500, methods=("sskm",), step_mode="exact")
-    out = real_matrix_bench([str(bad), str(good)], config)
-    assert str(bad) in out["errors"]
-    assert any(row[0] == "good" for row in out["rows"])
+    out = real_matrix_bench([str(bad), str(zero), str(good), str(binary)], config)
+    assert set(out["errors"]) == {str(bad), str(zero), str(binary)}
+    assert isinstance(out["errors"][str(zero)], ZeroMatrixError)
+    assert isinstance(out["errors"][str(binary)], ParseError)
+    assert {row[0] for row in out["rows"]} == {"good"}
+
+
+def test_real_matrix_bench_propagates_unexpected_errors(tmp_path, monkeypatch):
+    # only read and data errors are per-file; a fault in the program is not hidden
+    def broken_reader(path):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(harness, "read_matrix_market", broken_reader)
+    with pytest.raises(RuntimeError, match="bug"):
+        real_matrix_bench([str(tmp_path / "any.mtx")], tiny_config(tmp_path, trials=1))
 
 
 # ------------------------------------------------------------------ CLI
@@ -351,6 +429,17 @@ def test_cli_non_finite_matrix_file_exit_code(tmp_path):
     proc = run_cli("real", "--config", str(config), "--out", str(tmp_path / "out"), str(mtx))
     assert proc.returncode == 3, proc.stderr
     assert "skipped" in proc.stderr and "line 4" in proc.stderr
+
+
+def test_cli_zero_matrix_file_exit_code(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m": 10, "n": 8, "k": 2, "trials": 1, "max_iters": 50}))
+    mtx = tmp_path / "zero.mtx"
+    mtx.write_text(ZERO_MTX)
+    proc = run_cli("real", "--config", str(config), "--out", str(tmp_path / "out"), str(mtx))
+    assert proc.returncode == 3, proc.stderr
+    assert "skipped" in proc.stderr and "identically zero" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_non_finite_rhs_exit_code(tmp_path):

@@ -223,3 +223,15 @@ def test_entry_count_mismatch(tmp_path):
     )
     with pytest.raises(ParseError):
         read_matrix_market(path)
+
+
+def test_non_utf8_file_is_parse_error(tmp_path):
+    path = tmp_path / "latin1.mtx"
+    path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 \xe9\n")
+    with pytest.raises(ParseError) as exc:
+        read_matrix_market(path)
+    assert exc.value.line_number == 4
+    path = tmp_path / "random.bin"
+    path.write_bytes(np.random.default_rng(0).bytes(200))
+    with pytest.raises(ParseError):
+        read_matrix_market(path)
