@@ -4,9 +4,12 @@ The working objective is f(x) = lam*||x||_1 + 0.5*||x||_2^2, which is
 1-strongly convex. Its conjugate is smooth with gradient equal to the soft
 thresholding map, so a Bregman projection onto a hyperplane reduces to a
 one-dimensional step in the dual variable. Both the cheap step (the row
-residual) and the exact minimizing step are provided; the exact step is
-computed by breakpoint enumeration because the dual derivative is piecewise
-linear in the step size.
+residual) and the exact minimizing step are provided. The dual derivative is
+nondecreasing and piecewise linear in the step size, so the exact step is its
+root, found by bisection over the sorted breakpoints inside a bracket with
+the derivative evaluated directly at O(log n) of them, then interpolated on
+the linear piece that holds it: the search of l1-ball projection (Duchi et
+al. 2008) applied to the Bregman projection of Lorenz et al. (2014).
 """
 
 from __future__ import annotations
@@ -17,10 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailureError
-
-# strong-convexity constant of lam*||.||_1 + 0.5*||.||_2^2; not a tunable
-ALPHA = 1.0
-
 
 class StepMode(enum.Enum):
     INEXACT = "inexact"
@@ -107,101 +106,99 @@ def inexact_step(x, a_i, b_i: float) -> float:
     return float(np.dot(a_i, x) - b_i)
 
 
-def _dual_slope_root_candidates(dual: np.ndarray, a: np.ndarray, lam: float) -> np.ndarray:
-    """Sorted t values where a component of dual - t*a crosses the threshold band."""
+def _breakpoints(dual: np.ndarray, a: np.ndarray, lam: float) -> np.ndarray:
+    """Unsorted t values where a component of dual - t*a crosses the threshold band."""
     nz = a != 0.0
     d, an = dual[nz], a[nz]
     bp = np.concatenate(((d - lam) / an, (d + lam) / an))
-    bp = bp[np.isfinite(bp)]
-    return np.unique(bp)
+    return bp[np.isfinite(bp)]
 
 
-def _step_derivative(t, dual, a, b_i, lam):
-    """d/dt [f*(dual - t a) + t b_i] = b_i - <a, soft_threshold(dual - t a, lam)>.
+def _root_by_bisection(g, ts, lo: int, hi: int, g_lo: float, g_hi: float, slope_outside: float) -> float:
+    """Root of a nondecreasing piecewise-linear ``g`` whose kinks are the sorted ``ts``.
 
-    Nondecreasing and piecewise linear in t; its root is the exact step.
-    Accepts scalar or 1-D array t.
+    Requires g_lo < 0 < g_hi at grid indices ``lo`` < ``hi``; index -1 and
+    ``ts.size`` stand for the rays beyond the grid, of slope
+    ``slope_outside``. Bisection on the grid finds the adjacent kinks around
+    the sign change, evaluating ``g`` at O(log |ts|) of them, and the root is
+    interpolated from the two exact end values. If g is exactly zero on
+    [ts[p], ts[q]], the midpoint is returned; a lone zero kink is returned as is.
     """
-    t = np.asarray(t, dtype=float)
-    shifted = dual[None, :] - t.reshape(-1, 1) * a[None, :]
-    vals = b_i - soft_threshold(shifted, lam) @ a
-    return vals if t.ndim else float(vals[0])
-
-
-def _root_on_grid(ts: np.ndarray, gs: np.ndarray, slope_outside: float) -> float:
-    """Root of a nondecreasing piecewise-linear function sampled at its kinks.
-
-    ``slope_outside`` is the (positive) slope on the two unbounded rays. On a
-    flat zero segment the midpoint is returned.
-    """
-    if gs[0] > 0.0:
-        return float(ts[0] - gs[0] / slope_outside)
-    if gs[-1] < 0.0:
-        return float(ts[-1] - gs[-1] / slope_outside)
-    neg = np.flatnonzero(gs < 0.0)
-    pos = np.flatnonzero(gs > 0.0)
-    if neg.size == 0 and pos.size == 0:
-        return float(0.5 * (ts[0] + ts[-1]))
-    if neg.size == 0:
-        return float(0.5 * (ts[0] + ts[pos[0] - 1]))
-    if pos.size == 0:
-        return float(0.5 * (ts[neg[-1] + 1] + ts[-1]))
-    i, j = int(neg[-1]), int(pos[0])
-    if j > i + 1:
-        # g is exactly zero on [ts[i+1], ts[j-1]]
-        return float(0.5 * (ts[i + 1] + ts[j - 1]))
-    slope = (gs[j] - gs[i]) / (ts[j] - ts[i])
-    return float(ts[i] - gs[i] / slope)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        g_mid = g(ts[mid])
+        if g_mid < 0.0:
+            lo, g_lo = mid, g_mid
+        else:
+            hi, g_hi = mid, g_mid
+    if g_hi > 0.0:
+        if lo < 0:
+            return float(ts[0] - g_hi / slope_outside)
+        if hi == ts.size:
+            return float(ts[-1] - g_lo / slope_outside)
+        slope = (g_hi - g_lo) / (ts[hi] - ts[lo])
+        return float(ts[lo] - g_lo / slope)
+    # g is zero at ts[hi], its first zero kink; bisect again for the last one
+    first_zero, lo, hi = hi, hi, ts.size
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if g(ts[mid]) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return float(0.5 * (ts[first_zero] + ts[lo]))
 
 
 def exact_step(dual, a_i, b_i: float, lam: float) -> float:
     """Minimizer of t -> f*(dual - t*a_i) + t*b_i.
 
-    The derivative is a nondecreasing piecewise-linear function of t whose
-    kinks are the up-to-2n points where a component of dual - t*a_i hits the
-    threshold band. The root always exists for a_i != 0 and is found by
-    bracketing around the row residual, then exact interpolation on the
-    bracketed segment. If the derivative vanishes on a whole segment, the
-    segment midpoint is returned.
+    The derivative g(t) = b_i - <a_i, soft_threshold(dual - t*a_i, lam)> is a
+    nondecreasing piecewise-linear function of t whose kinks are the up-to-2n
+    points where a component of dual - t*a_i hits the threshold band. The
+    root always exists for a_i != 0. It is bracketed around the row
+    residual; only the kinks inside the bracket are sorted, and bisection
+    over them, with g evaluated directly at each probe, finds the linear
+    piece that holds the root, which is then interpolated exactly. If the
+    derivative vanishes on a whole segment, the segment midpoint is returned.
     """
     dual = np.asarray(dual, dtype=float)
     a = np.asarray(a_i, dtype=float)
     norm2 = float(np.dot(a, a))
     if norm2 == 0.0:
         raise NumericalFailureError("exact_step requires a nonzero row")
-    bp = _dual_slope_root_candidates(dual, a, lam)
+    bp = _breakpoints(dual, a, lam)
     if bp.size == 0:
         raise NumericalFailureError("no breakpoints found; row is numerically zero")
 
-    # cheap bracket around the inexact step before touching all breakpoints
+    def g(t):
+        v = dual - t * a
+        # v minus its clip to the band is soft_threshold(v, lam)
+        return b_i - float(np.dot(v - np.minimum(np.maximum(v, -lam), lam), a))
+
+    # cheap bracket around the inexact step before touching the breakpoints
     center = inexact_step(soft_threshold(dual, lam), a, b_i)
     width = 1.0 + abs(center)
     lo, hi = center - width, center + width
-    g_lo = _step_derivative(lo, dual, a, b_i, lam)
-    g_hi = _step_derivative(hi, dual, a, b_i, lam)
+    g_lo, g_hi = g(lo), g(hi)
     for _ in range(80):
         if g_lo < 0.0 < g_hi:
             break
         width *= 2.0
         if g_lo >= 0.0:
             lo = center - width
-            g_lo = _step_derivative(lo, dual, a, b_i, lam)
+            g_lo = g(lo)
         if g_hi <= 0.0:
             hi = center + width
-            g_hi = _step_derivative(hi, dual, a, b_i, lam)
+            g_hi = g(hi)
     if not g_lo < 0.0 < g_hi:
-        # an endpoint landed exactly on a root or plateau; fall back to the
-        # full breakpoint scan, which also resolves flat zero segments
-        ts = bp
-        gs = _step_derivative(ts, dual, a, b_i, lam)
-        return _root_on_grid(ts, gs, norm2)
-
-    inside = bp[(bp > lo) & (bp < hi)]
-    ts = np.concatenate(([lo], inside, [hi]))
-    gs = np.concatenate(([g_lo], _step_derivative(inside, dual, a, b_i, lam), [g_hi]))
-    # between consecutive kinks (and on the bracket ends, which lie strictly
-    # inside a linear piece) the derivative is linear, so this is exact
-    return _root_on_grid(ts, gs, norm2)
+        # 80 doublings did not close the bracket (kinks far out, from tiny
+        # row entries): search all breakpoints, with the rays beyond them
+        ts = np.sort(bp)
+        return _root_by_bisection(g, ts, -1, ts.size, -np.inf, np.inf, norm2)
+    # the bracket ends lie strictly inside linear pieces, so interpolating
+    # between them and the kinks they enclose is exact
+    ts = np.concatenate(([lo], np.sort(bp[(bp > lo) & (bp < hi)]), [hi]))
+    return _root_by_bisection(g, ts, 0, ts.size - 1, g_lo, g_hi, norm2)
 
 
 def bregman_step(dual, primal, a, b: float, lam: float, mode: StepMode):

@@ -15,8 +15,9 @@ id, step-mode id) in ``compare_methods`` and ``solve_single``, the lambda
 index in ``sweep_lambda`` and (step-mode id, beta index) in ``sweep_beta``;
 ``real_matrix_bench`` puts the CRC-32 of the file name in place of (m, k).
 RK always takes the inexact step, so a single RK solve is ``rk-inexact``.
-Matrix Market files that cannot be read or parsed, or hold an identically
-zero matrix, are skipped and reported.
+Matrix Market files that cannot be read or parsed, hold an identically zero
+matrix, or have fewer rows than an integer beta, are skipped and reported.
+The two sweeps run on noiseless data and refuse a positive noise level.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 import time
 import zlib
 from dataclasses import dataclass, fields, replace
@@ -87,6 +89,8 @@ class ExperimentConfig:
         for name in self.methods:
             if name not in _METHOD_IDS:
                 raise ConfigError(f"unknown method {name!r}")
+        # the spec's form here; its range is checked against each system's m
+        resolve_beta(self.beta, sys.maxsize)
 
     def grid(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (
@@ -358,8 +362,18 @@ def _mse_at(trace: IterationTrace, iterate: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _noiseless_only(config: ExperimentConfig, name: str) -> None:
+    """The sweeps solve noiseless systems; refuse a noise level rather than ignore it."""
+    if config.noise_level > 0:
+        raise ConfigError(f"{name} sweeps noiseless systems only, got noise_level={config.noise_level}")
+
+
 def sweep_lambda(config: ExperimentConfig) -> dict:
-    """Best regularization weight per (m, k) grid cell, by mean final MSE."""
+    """Best regularization weight per (m, k) grid cell, by mean final MSE.
+
+    Noiseless data only: a positive ``noise_level`` is a :class:`ConfigError`.
+    """
+    _noiseless_only(config, "sweep_lambda")
     m_grid, k_grid = config.grid()
     variant = _variants(replace(config, methods=("sskm",)))[0]
     lam_configs = [replace(config, lam=lam) for lam in LAMBDA_CANDIDATES]
@@ -384,7 +398,11 @@ def sweep_lambda(config: ExperimentConfig) -> dict:
 
 
 def sweep_beta(config: ExperimentConfig) -> dict:
-    """Mean and spread of the final MSE across subset sizes, both step modes."""
+    """Mean and spread of the final MSE across subset sizes, both step modes.
+
+    Noiseless data only: a positive ``noise_level`` is a :class:`ConfigError`.
+    """
+    _noiseless_only(config, "sweep_beta")
     m, k = config.m, config.k
     betas = [resolve_beta(spec, m) for spec in BETA_CANDIDATE_FRACTIONS]
     modes = [mode for mode in ("inexact", "exact") if config.step_mode in ("both", mode)]
@@ -493,12 +511,12 @@ def compare_methods(config: ExperimentConfig) -> dict:
 def real_matrix_bench(paths: Sequence[str], config: ExperimentConfig) -> dict:
     """Iteration and CPU cost of each method on externally supplied matrices.
 
-    Files that cannot be read or parsed, or hold an identically zero matrix,
-    are reported in ``errors`` and skipped. Rows with numerically zero norm
-    are dropped (and counted) before normalization. Ground truths are
-    synthetic k-sparse vectors, one per trial; means are over converged
-    trials and '--' marks methods for which no trial converged within the
-    budget.
+    Files that cannot be read or parsed, hold an identically zero matrix, or
+    have fewer rows than an integer ``beta``, are reported in ``errors`` and
+    skipped. Rows with numerically zero norm are dropped (and counted) before
+    normalization. Ground truths are synthetic k-sparse vectors, one per
+    trial; means are over converged trials and '--' marks methods for which
+    no trial converged within the budget.
     """
     variants = _variants(config)
     rows = []
@@ -509,20 +527,19 @@ def real_matrix_bench(paths: Sequence[str], config: ExperimentConfig) -> dict:
         try:
             raw = read_matrix_market(path)
             sv = smallest_nonzero_singular_value(raw)
-        except (OSError, ParseError, UnsupportedFieldError, ZeroMatrixError) as exc:
+            keep = np.linalg.norm(raw, axis=1) >= 1e-14
+            kept = raw[keep]
+            beta = resolve_beta(config.beta, kept.shape[0])
+        except (OSError, ParseError, UnsupportedFieldError, ZeroMatrixError, ConfigError) as exc:
             errors[path] = exc  # report per file, keep going
             continue
-        norms = np.linalg.norm(raw, axis=1)
-        keep = norms >= 1e-14
         dropped = int(np.count_nonzero(~keep))
-        kept = raw[keep]
         m, n = kept.shape
         k = min(config.k, n)
         rows.append((name, m, n, "density", density(raw)))
         rows.append((name, m, n, "cond", sv.cond))
         rows.append((name, m, n, "sigma_min_tilde", sv.smallest_nonzero))
         rows.append((name, m, n, "dropped_zero_rows", dropped))
-        beta = resolve_beta(config.beta, m)
         converged = {v: [] for v in variants}
         for trial in range(config.trials):
             x_hat = _sparse_truth(n, k, child_rng(config.master_seed, name_id, trial, 0))

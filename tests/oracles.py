@@ -194,3 +194,75 @@ def orthogonal_projection(x, a, b_i):
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
     return x - (float(np.dot(a, x)) - b_i) / float(np.dot(a, a)) * a
+
+
+def _step_derivative(t, dual, a, b_i, lam):
+    """b_i - <a, soft_threshold(dual - t a, lam)> at scalar or 1-D array t, as one matrix."""
+    t = np.asarray(t, dtype=float)
+    shifted = dual[None, :] - t.reshape(-1, 1) * a[None, :]
+    vals = b_i - soft_threshold(shifted, lam) @ a
+    return vals if t.ndim else float(vals[0])
+
+
+def _root_on_grid(ts, gs, slope_outside):
+    """Root of a nondecreasing piecewise-linear function sampled at its kinks.
+
+    ``slope_outside`` is the (positive) slope on the two unbounded rays. On a
+    flat zero segment the midpoint is returned.
+    """
+    if gs[0] > 0.0:
+        return float(ts[0] - gs[0] / slope_outside)
+    if gs[-1] < 0.0:
+        return float(ts[-1] - gs[-1] / slope_outside)
+    neg = np.flatnonzero(gs < 0.0)
+    pos = np.flatnonzero(gs > 0.0)
+    if neg.size == 0 and pos.size == 0:
+        return float(0.5 * (ts[0] + ts[-1]))
+    if neg.size == 0:
+        return float(0.5 * (ts[0] + ts[pos[0] - 1]))
+    if pos.size == 0:
+        return float(0.5 * (ts[neg[-1] + 1] + ts[-1]))
+    i, j = int(neg[-1]), int(pos[0])
+    if j > i + 1:
+        # g is exactly zero on [ts[i+1], ts[j-1]]
+        return float(0.5 * (ts[i + 1] + ts[j - 1]))
+    slope = (gs[j] - gs[i]) / (ts[j] - ts[i])
+    return float(ts[i] - gs[i] / slope)
+
+
+def breakpoint_scan_exact_step(dual, a, b_i, lam):
+    """Exact step by evaluating the derivative at every bracketed breakpoint.
+
+    The library's earlier implementation, kept as the reference for its
+    bisection: the same bracket around the row residual, then the derivative
+    at every deduplicated breakpoint inside it, as one matrix product, and
+    :func:`_root_on_grid` on the result.
+    """
+    dual = np.asarray(dual, dtype=float)
+    a = np.asarray(a, dtype=float)
+    norm2 = float(np.dot(a, a))
+    nz = a != 0.0
+    bp = np.concatenate(((dual[nz] - lam) / a[nz], (dual[nz] + lam) / a[nz]))
+    bp = np.unique(bp[np.isfinite(bp)])
+
+    center = float(np.dot(a, soft_threshold(dual, lam)) - b_i)
+    width = 1.0 + abs(center)
+    lo, hi = center - width, center + width
+    g_lo = _step_derivative(lo, dual, a, b_i, lam)
+    g_hi = _step_derivative(hi, dual, a, b_i, lam)
+    for _ in range(80):
+        if g_lo < 0.0 < g_hi:
+            break
+        width *= 2.0
+        if g_lo >= 0.0:
+            lo = center - width
+            g_lo = _step_derivative(lo, dual, a, b_i, lam)
+        if g_hi <= 0.0:
+            hi = center + width
+            g_hi = _step_derivative(hi, dual, a, b_i, lam)
+    if not g_lo < 0.0 < g_hi:
+        return _root_on_grid(bp, _step_derivative(bp, dual, a, b_i, lam), norm2)
+    inside = bp[(bp > lo) & (bp < hi)]
+    ts = np.concatenate(([lo], inside, [hi]))
+    gs = np.concatenate(([g_lo], _step_derivative(inside, dual, a, b_i, lam), [g_hi]))
+    return _root_on_grid(ts, gs, norm2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsekaczmarz import (
     DualPair,
@@ -16,6 +18,7 @@ from sparsekaczmarz.errors import NumericalFailureError
 
 from oracles import (
     bisection_exact_step,
+    breakpoint_scan_exact_step,
     bregman_distance_alt,
     conjugate_sup_oracle,
     orthogonal_projection,
@@ -215,6 +218,54 @@ def test_exact_step_matches_bisection_oracle():
         # the root is a stationary point of the dual line search
         deriv = b - float(np.dot(a, soft_threshold(dual - t * a, lam)))
         assert abs(deriv) <= 1e-12 * (1.0 + abs(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.01, 20.0),
+    lam=st.sampled_from([0.0, 0.05, 0.5, 1.0, 3.0]),
+    zeros=st.floats(0.0, 0.6),
+    b=st.floats(-5.0, 5.0),
+    db=st.floats(1e-6, 3.0),
+)
+def test_exact_step_bisection_matches_breakpoint_scan(n, seed, scale, lam, zeros, b, db):
+    rng = np.random.default_rng(seed)
+    dual = rng.standard_normal(n) * scale
+    a = rng.standard_normal(n)
+    a[1:][rng.random(n - 1) < zeros] = 0.0  # zero entries have no kinks; a[0] stays nonzero
+    a /= np.linalg.norm(a)
+    t = exact_step(dual, a, b, lam)
+    t_ref = breakpoint_scan_exact_step(dual, a, b, lam)
+    assert abs(t - t_ref) <= 1e-12 * abs(t_ref) + 1e-15
+    deriv = b - float(np.dot(a, soft_threshold(dual - t * a, lam)))
+    assert abs(deriv) <= 1e-12 * (1.0 + abs(b) + abs(t))
+    # the derivative falls as b rises, so the root moves down: t is nonincreasing in b
+    assert exact_step(dual, a, b + db, lam) <= t + 1e-12 * (1.0 + abs(t))
+
+
+def test_exact_step_flat_zero_segment_returns_its_midpoint():
+    # g(t) = -soft_threshold(0.5 - t, 1) is zero on [-0.5, 1.5]
+    for step in (exact_step, breakpoint_scan_exact_step):
+        assert step(np.array([0.5]), np.array([1.0]), 0.0, 1.0) == 0.5
+
+
+def test_exact_step_zero_at_a_kink_returns_the_kink():
+    # g(t) = 3 - <a, soft_threshold(dual - t a, 1)> has slope 1 left of t = 1,
+    # slope 2 right of it, and is exactly 0 at that kink
+    dual, a = np.array([0.0, 5.0]), np.array([1.0, 1.0])
+    for step in (exact_step, breakpoint_scan_exact_step):
+        assert step(dual, a, 3.0, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_exact_step_root_beyond_the_bracket_is_found_on_a_ray(side):
+    # the root, +-1.5e30, lies past every doubling of the bracket; the search
+    # over all breakpoints extrapolates along the ray beyond the outermost kink
+    dual, a = np.array([0.0]), np.array([1e-30])
+    for step in (exact_step, breakpoint_scan_exact_step):
+        assert step(dual, a, -side * 0.5e-30, 1.0) == pytest.approx(side * 1.5e30, rel=1e-15)
 
 
 def test_exact_step_rejects_zero_row():

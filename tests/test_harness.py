@@ -161,6 +161,9 @@ def test_config_validation():
     for noise in (-0.1, float("inf"), float("nan")):
         with pytest.raises(ConfigError):
             ExperimentConfig(noise_level=noise)
+    for beta in ("m/3", 0):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(beta=beta)
 
 
 # --------------------------------------------------------------- sweeps
@@ -290,12 +293,13 @@ def test_compare_seeds_follow_the_stream_contract(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "driver, cells",
-    [(sweep_lambda, 4), (sweep_beta, 1), (compare_methods, 4)],
+    "driver, cells, noise",
+    [(sweep_lambda, 4, 0.0), (sweep_beta, 1, 0.0), (compare_methods, 4, 0.1)],
     ids=["sweep_lambda", "sweep_beta", "compare_methods"],
 )
-def test_each_trial_instance_is_built_once(tmp_path, monkeypatch, driver, cells):
-    # one instance per (m, k, trial), shared by every solve made on it
+def test_each_trial_instance_is_built_once(tmp_path, monkeypatch, driver, cells, noise):
+    # one instance per (m, k, trial), shared by every solve made on it; the
+    # sweeps refuse noise, compare also builds the noisy system from it
     calls = []
 
     def counted(*args):
@@ -303,7 +307,7 @@ def test_each_trial_instance_is_built_once(tmp_path, monkeypatch, driver, cells)
         return gaussian_instance(*args)
 
     monkeypatch.setattr(harness, "gaussian_instance", counted)
-    config = tiny_config(tmp_path, trials=2, max_iters=30, m_grid=(20, 24), k_grid=(2, 3), noise_level=0.1)
+    config = tiny_config(tmp_path, trials=2, max_iters=30, m_grid=(20, 24), k_grid=(2, 3), noise_level=noise)
     driver(config)
     assert len(calls) == config.trials * cells
     assert len(set(calls)) == cells
@@ -367,6 +371,20 @@ def test_real_matrix_bench_skips_bad_file(tmp_path):
     assert set(out["errors"]) == {str(bad), str(zero), str(binary)}
     assert isinstance(out["errors"][str(zero)], ZeroMatrixError)
     assert isinstance(out["errors"][str(binary)], ParseError)
+    assert {row[0] for row in out["rows"]} == {"good"}
+
+
+def test_real_matrix_bench_skips_file_with_fewer_rows_than_beta(tmp_path):
+    rng = np.random.default_rng(8)
+    short = tmp_path / "short.mtx"
+    write_matrix_market(short, rng.standard_normal((4, 3)))
+    good = tmp_path / "good.mtx"
+    write_matrix_market(good, rng.standard_normal((12, 8)))
+    config = tiny_config(tmp_path, k=2, trials=1, max_iters=500, beta=6, methods=("sskm",), step_mode="exact")
+    out = real_matrix_bench([str(short), str(good)], config)
+    assert set(out["errors"]) == {str(short)}
+    assert isinstance(out["errors"][str(short)], ConfigError)
+    assert "beta=6 outside [1, m=4]" in str(out["errors"][str(short)])
     assert {row[0] for row in out["rows"]} == {"good"}
 
 
@@ -450,3 +468,15 @@ def test_cli_non_finite_rhs_exit_code(tmp_path):
         proc = run_cli("solve", "--config", str(config), "--out", str(tmp_path / "out"), "--noise", noise)
         assert proc.returncode == 2, (noise, proc.stderr)
         assert "config error" in proc.stderr and "noise_level" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["sweep-lambda", "sweep-beta"])
+def test_cli_noisy_sweep_exit_code(tmp_path, command):
+    # the sweeps solve noiseless systems, so a noise level is refused, not ignored
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m": 20, "n": 12, "k": 2, "trials": 1, "max_iters": 50}))
+    out = tmp_path / "out"
+    proc = run_cli(command, "--config", str(config), "--out", str(out), "--noise", "0.05")
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr and "noise_level=0.05" in proc.stderr
+    assert not out.exists()

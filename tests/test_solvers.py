@@ -21,11 +21,13 @@ from sparsekaczmarz import (
     inexact_step,
     next_index,
     normalize_rows,
+    replay_duals,
     residual,
     run,
     soft_threshold,
     step_once,
 )
+from sparsekaczmarz import solvers
 from sparsekaczmarz.errors import NonFiniteIterateError
 
 from oracles import orthogonal_projection
@@ -263,3 +265,79 @@ def test_run_raises_on_non_finite_iterate():
     with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(NonFiniteIterateError, match="iteration 3"):
             run(system, spec)
+
+
+def _iterates(system, trace, lam):
+    """x_{k+1} for every record k, rebuilt from the trace's rows and steps."""
+    for k, dual in enumerate(replay_duals(system, trace)):
+        yield soft_threshold(dual - trace.step[k] * system.rows[trace.chosen[k]], lam)
+
+
+@pytest.mark.parametrize("method", ["sskm", "rk"])
+def test_run_residual_from_support_columns_equals_dense(monkeypatch, method):
+    # 600 x 500 is above the size gate. SSKM-exact's support grows and shrinks,
+    # so columns enter and leave the block; RK's support is full, so every
+    # product takes the dense fallback
+    system, x_hat, _ = gaussian_instance(600, 500, 10, child_rng(5, 600, 500, 0))
+    assert system.rows.size >= solvers._BLOCK_MIN_ENTRIES
+    block_sizes = []
+    product = solvers._SupportColumns.product
+
+    def spy(self, x):
+        out = product(self, x)
+        block_sizes.append(self.size)
+        return out
+
+    monkeypatch.setattr(solvers._SupportColumns, "product", spy)
+    stop = StoppingRule(max_iters=60)
+    if method == "sskm":
+        lam, spec = 1.0, SolverSpec.sskm(1.0, 300, StepMode.EXACT, seed=3, stop=stop)
+    else:
+        lam, spec = 0.0, SolverSpec.rk(seed=3, stop=stop)
+    _, trace = run(system, spec, ground_truth=x_hat)
+    supports = []
+    for k, x in enumerate(_iterates(system, trace, lam)):
+        r = system.rows @ x - system.rhs
+        assert trace.residual_norm2[k] == pytest.approx(float(np.dot(r, r)), rel=1e-12), k
+        supports.append(np.count_nonzero(x))
+    assert len(block_sizes) == trace.iterations
+    if method == "sskm":
+        assert block_sizes == supports
+        steps = np.diff(supports)
+        assert steps.max() > 0 and steps.min() < 0
+    else:
+        assert set(supports) == {system.n} and set(block_sizes) == {0}
+
+
+def test_support_columns_product_through_dense_and_back():
+    # supports that grow, shrink, jump past the share limit (dense product)
+    # and come back under it, where the block is rebuilt from the columns
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((600, 500))
+    cols = solvers._SupportColumns(rows)
+    for size in (0, 3, 40, 90, 20, 130, 400, 500, 60, 0, 200, 125, 7):
+        x = np.zeros(500)
+        x[rng.choice(500, size, replace=False)] = rng.standard_normal(size)
+        out = cols.product(x)
+        assert np.allclose(out, rows @ x, rtol=0.0, atol=1e-12), size
+        assert cols.size == (size if size <= cols.limit else 0)
+
+
+def test_run_support_block_memory_follows_support_not_n():
+    m, n = 600, 4000
+    system, x_hat, _ = gaussian_instance(m, n, 10, child_rng(3, m, n, 0))
+    spec = SolverSpec.sskm(1.0, 300, StepMode.EXACT, seed=2, stop=StoppingRule(max_iters=40))
+    tracemalloc.start()
+    try:
+        _, trace = run(system, spec, ground_truth=x_hat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    largest = max(np.count_nonzero(x) for x in _iterates(system, trace, 1.0))
+    assert 0 < largest < 0.05 * n
+    # the block's capacity stays under twice the largest support (or the first
+    # 64 columns), and while it grows the old and new blocks coexist; the rest
+    # is a few dozen vectors of length m or n
+    block = 8 * m * 3 * max(solvers._FIRST_COLUMNS, largest)
+    vectors = 32 * 8 * (m + n)
+    assert peak < block + vectors < 0.2 * system.rows.nbytes
