@@ -3,7 +3,7 @@
 Subcommands: ``solve`` (single run), ``sweep-lambda``, ``sweep-beta``,
 ``compare``, ``real``. Each reads an optional JSON config file and applies
 flag overrides on top. Exit codes: 0 success, 2 configuration error, 3 data
-error.
+error, 4 solver error (an iterate became non-finite).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import sys
 from .errors import (
     ConfigError,
     NonFiniteDataError,
+    NonFiniteIterateError,
     ParseError,
     UnsupportedFieldError,
     ZeroRowError,
@@ -31,6 +32,7 @@ from .harness import (
 
 EXIT_CONFIG_ERROR = 2
 EXIT_DATA_ERROR = 3
+EXIT_SOLVER_ERROR = 4
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -124,6 +126,9 @@ def main(argv=None) -> int:
     except (NonFiniteDataError, ParseError, UnsupportedFieldError, ZeroRowError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
+    except NonFiniteIterateError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_ERROR
     return 0
 
 

@@ -4,8 +4,9 @@ Supports the two layouts the benchmark matrices use: ``coordinate`` and
 ``array``, field ``real`` (or ``integer``), symmetry ``general`` or
 ``symmetric``. Symmetric files store one triangle and are expanded to the
 full matrix; duplicate coordinate entries are summed; indices are 1-based on
-disk and 0-based in memory. NaN and infinite values, and files that are not
-UTF-8 text, raise ``ParseError``.
+disk and 0-based in memory. NaN and infinite values, files that are not
+UTF-8 text, and size lines that declare a negative size or more than
+``MAX_DENSE_ENTRIES`` entries, raise ``ParseError``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 from .errors import ParseError, UnsupportedFieldError
 
 _BANNER_PREFIX = "%%MatrixMarket"
+# the reader builds a dense float64 array: refuse sizes above 512 MB of it
+MAX_DENSE_ENTRIES = 2**26
 
 
 def read_matrix_market(path) -> np.ndarray:
@@ -57,6 +60,7 @@ def read_matrix_market(path) -> np.ndarray:
             m, n, nnz = (int(p) for p in size_parts)
         except ValueError:
             raise ParseError(pos + 1, f"bad size line {lines[pos]!r}") from None
+        _check_size(pos + 1, m, n)
         return _read_coordinate(lines, pos + 1, m, n, nnz, symmetry)
     if len(size_parts) != 2:
         raise ParseError(pos + 1, "array size line needs 'm n'")
@@ -64,7 +68,15 @@ def read_matrix_market(path) -> np.ndarray:
         m, n = (int(p) for p in size_parts)
     except ValueError:
         raise ParseError(pos + 1, f"bad size line {lines[pos]!r}") from None
+    _check_size(pos + 1, m, n)
     return _read_array(lines, pos + 1, m, n, symmetry)
+
+
+def _check_size(line_number: int, m: int, n: int) -> None:
+    if m < 0 or n < 0:
+        raise ParseError(line_number, f"negative size {m}x{n}")
+    if m * n > MAX_DENSE_ENTRIES:
+        raise ParseError(line_number, f"size {m}x{n} exceeds the cap of {MAX_DENSE_ENTRIES} dense entries")
 
 
 def _read_coordinate(lines, start, m, n, nnz, symmetry) -> np.ndarray:

@@ -153,10 +153,16 @@ _BLOCK_MIN_ENTRIES = 2**18
 _BLOCK_MAX_SHARE = 0.25
 _FIRST_COLUMNS = 64
 _GATHER_ROWS = 512
+# above the size gate, uniform row selection (which never reads the residual)
+# records the residuals of up to this many iterates with one matrix product
+_WINDOW = 32
 
 
 class _SupportColumns:
     """The columns of A on supp(x), kept in one Fortran-order m x cap block.
+
+    For a window of iterates (:class:`_ResidualWindow`) supp(x) is the union
+    of their supports.
 
     ``cols`` lists the held columns in block order and ``held`` marks them.
     An entering column is copied in at the end; a leaving one is overwritten
@@ -177,21 +183,28 @@ class _SupportColumns:
         self.size = 0
 
     def product(self, x: np.ndarray) -> np.ndarray:
-        """A @ x: from the block when supp(x) fits in the share limit, else dense."""
-        support = np.flatnonzero(x)
+        """A @ x, for one vector x or for the n x w block of a window of them.
+
+        From the block when the support of x (the union of the columns'
+        supports) fits in the share limit, else dense.
+        """
+        # nonzero where a column is in the support: x itself, or a row-wise any
+        marks = x if x.ndim == 1 else x.any(axis=1)
+        support = np.flatnonzero(marks)
         if support.size > self.limit:
             self.held[self.cols[: self.size]] = False
             self.size = 0
-            return self.rows @ x
-        self._remove_zeros(x)
+            return self.rows @ x if x.ndim == 1 else _window_product(self.rows, x)
+        self._remove_zeros(marks)
         self._append(support[~self.held[support]])
         s = self.size
-        return self.block[:, :s] @ x[self.cols[:s]]
+        block, xs = self.block[:, :s], x[self.cols[:s]]
+        return block @ xs if x.ndim == 1 else _window_product(block, xs)
 
-    def _remove_zeros(self, x: np.ndarray) -> None:
+    def _remove_zeros(self, marks: np.ndarray) -> None:
         s = self.size
         cols = self.cols[:s]
-        live = x[cols] != 0.0
+        live = marks[cols] != 0.0
         kept = int(np.count_nonzero(live))
         if kept == s:
             return
@@ -218,6 +231,60 @@ class _SupportColumns:
         self.cols[s:end] = new
         self.held[new] = True
         self.size = end
+
+
+def _window_product(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """a @ xs for the n x w block of a window, formed as (xs^T a^T)^T: on one
+    OpenBLAS thread the w x m product runs 1.1 to 1.6 times faster than the
+    m x w one (m=2000, w=10..32)."""
+    return (xs.T @ a.T).T
+
+
+class _ResidualWindow:
+    """Iterates held back so that their residuals take one matrix product.
+
+    ``push`` copies x_{k+1} into a column of an n x size Fortran-order
+    buffer, and ``flush`` records ||A x - b||^2 for every held iterate from
+    one product with it: ``rows @ X`` or, on the support columns, ``block @
+    X[cols]``. When the epsilon stop is active the duals are held too, so
+    that a stop found inside the window returns the iterate that met it.
+    """
+
+    def __init__(self, n: int, size: int, columns: _SupportColumns, rhs: np.ndarray, eps2: float | None):
+        self.columns = columns
+        self.rhs = rhs[:, None]
+        self.eps2 = eps2
+        self.xs = np.empty((n, size), order="F")
+        self.duals = np.empty((n, size), order="F") if eps2 is not None else None
+        self.held = 0
+
+    def push(self, x: np.ndarray, dual: np.ndarray) -> bool:
+        """Holds an iterate and its dual; True when the window is full."""
+        self.xs[:, self.held] = x
+        if self.duals is not None:
+            self.duals[:, self.held] = dual
+        self.held += 1
+        return self.held == self.xs.shape[1]
+
+    def flush(self, resid_rec: np.ndarray, end: int):
+        """Writes the held iterates' ||A x - b||^2 to records end - held .. end - 1.
+
+        Returns ``(iterations, primal, dual)`` at the first of them that meets
+        the epsilon stop, or ``None``.
+        """
+        held, self.held = self.held, 0
+        start = end - held
+        r = self.columns.product(self.xs[:, :held])
+        r -= self.rhs
+        norms = np.einsum("ij,ij->j", r, r)
+        resid_rec[start:end] = norms
+        if self.eps2 is None:
+            return None
+        hits = np.flatnonzero(norms <= self.eps2)
+        if hits.size == 0:
+            return None
+        j = int(hits[0])
+        return start + j + 1, self.xs[:, j].copy(), self.duals[:, j].copy()
 
 
 def _resized(a: np.ndarray | None, size: int) -> np.ndarray | None:
@@ -269,6 +336,17 @@ def run(
     falls back to the dense product ``rows @ x`` on systems with fewer than
     2**18 entries, and at iterates whose support holds more than a quarter of
     the columns (RK's, for one).
+
+    Above that size, uniform row selection (RK and SRK) does not read the
+    residual, so the residuals of up to 32 iterates are computed together,
+    with one matrix product (:class:`_ResidualWindow`). The window is flushed
+    when it is full, when the MSE stop fires, at the last budgeted iteration
+    and before a non-finite iterate raises. The epsilon stop is tested at each flush; when it fires, the
+    trace ends at the first iterate that met it, and that iterate is
+    returned. Greedy selection reads the residual at every iterate, so SSKM
+    keeps one product per iterate. Only ``residual_norm2`` can differ from
+    one product per iterate, in its rounding, and so the epsilon stop when a
+    residual lies within that rounding of epsilon.
     """
     n = system.n
     lam = spec.lam
@@ -283,6 +361,7 @@ def run(
         x_hat_norm2 = float(np.dot(x_hat, x_hat))
         f_hat = objective_value(x_hat, lam)
     use_mse_stop = x_hat is not None and stop.mse_target is not None
+    eps2 = stop.epsilon**2 if stop.epsilon is not None and not use_mse_stop else None
 
     # records start small and double when full, so their memory follows the work done
     max_iters = stop.max_iters
@@ -298,8 +377,12 @@ def run(
     rows, rhs = system.rows, system.rhs
     r = -rhs  # residual at x_0 = 0
     support_cols = _SupportColumns(rows) if rows.size >= _BLOCK_MIN_ENTRIES else None
+    window = None
+    if _WINDOW > 1 and support_cols is not None and sampler.rule is not SelectionRule.SKM_GREEDY:
+        window = _ResidualWindow(n, min(_WINDOW, max_iters), support_cols, rhs, eps2)
 
     status = RunStatus.MAX_ITERS
+    hit = None  # (iterations, primal, dual) where a flushed window met the epsilon stop
     k = 0
     for k in range(max_iters):
         if k == cap:
@@ -309,18 +392,17 @@ def run(
             )
         i = pick_index(sampler, k, system, x, rng, r)
         t, dual, x = bregman_step(dual, x, rows[i], float(rhs[i]), lam, spec.step_mode)
-        if not np.isfinite(t):
-            raise NonFiniteIterateError(f"step value became non-finite at iteration {k}")
-        if not np.isfinite(x).all():
-            raise NonFiniteIterateError(f"iterate became non-finite at iteration {k}")
+        if not (np.isfinite(t) and np.isfinite(x).all()):
+            # a held iterate that met the epsilon stop ends the run before this one
+            if window is not None and window.held:
+                hit = window.flush(resid_rec, k)
+            if hit is None:
+                what = "step value" if not np.isfinite(t) else "iterate"
+                raise NonFiniteIterateError(f"{what} became non-finite at iteration {k}")
+            break
 
         chosen_rec[k] = i
         step_rec[k] = t
-
-        # --- records and stopping at x_{k+1} ---
-        r = (rows @ x if support_cols is None else support_cols.product(x)) - rhs
-        resid2 = float(np.dot(r, r))
-        resid_rec[k] = resid2
 
         if x_hat is not None:
             diff = x - x_hat
@@ -328,17 +410,32 @@ def run(
             mse_rec[k] = mse_val
             breg_rec[k] = f_hat - objective_value(x, lam) - float(np.dot(dual, x_hat - x))
 
+        # --- residual record and stopping at x_{k+1} ---
+        if window is None:
+            r = (rows @ x if support_cols is None else support_cols.product(x)) - rhs
+            resid2 = float(np.dot(r, r))
+            resid_rec[k] = resid2
+        elif window.push(x, dual):
+            hit = window.flush(resid_rec, k + 1)
+            if hit is not None:
+                break
+
         if use_mse_stop:
             if mse_val <= stop.mse_target:
                 status = RunStatus.CONVERGED
                 k += 1
                 break
-        elif stop.epsilon is not None and resid2 <= stop.epsilon**2:
+        elif eps2 is not None and window is None and resid2 <= eps2:
             status = RunStatus.CONVERGED
             k += 1
             break
     else:
         k = max_iters
+    if window is not None and window.held:  # the MSE stop or the budget ended a window early
+        hit = window.flush(resid_rec, k)
+    if hit is not None:
+        k, x, dual = hit
+        status = RunStatus.CONVERGED
 
     trace = IterationTrace(
         chosen=_resized(chosen_rec, k),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sparsekaczmarz import (
     DualPair,
@@ -63,6 +64,33 @@ def test_soft_threshold_is_1_lipschitz():
         lam = rng.uniform(0.0, 3.0)
         lhs = np.linalg.norm(soft_threshold(u, lam) - soft_threshold(v, lam))
         assert lhs <= np.linalg.norm(u - v) + 1e-12
+
+
+_VECTORS = hnp.arrays(np.float64, st.integers(1, 30), elements=st.floats(-1e6, 1e6))
+_LAMS = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=_VECTORS, lam=_LAMS)
+def test_soft_threshold_shrinks_magnitude_and_keeps_sign(v, lam):
+    out = soft_threshold(v, lam)
+    assert np.array_equal(np.abs(out), np.maximum(np.abs(v) - lam, 0.0))
+    # the sign is kept, or the entry is zero
+    assert np.all((np.sign(out) == np.sign(v)) | (out == 0.0))
+    # odd
+    assert np.array_equal(soft_threshold(-v, lam), -out)
+    if lam == 0.0:
+        assert np.array_equal(out, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(uv=hnp.arrays(np.float64, st.tuples(st.just(2), st.integers(1, 30)), elements=st.floats(-1e6, 1e6)), lam=_LAMS)
+def test_soft_threshold_is_1_lipschitz_entrywise(uv, lam):
+    u, v = uv
+    gap = np.abs(soft_threshold(u, lam) - soft_threshold(v, lam))
+    # up to the rounding of the three subtractions involved
+    slack = 4 * np.finfo(float).eps * (np.abs(u) + np.abs(v) + lam)
+    assert np.all(gap <= np.abs(u - v) + slack)
 
 
 # ---------------------------------------------------------------- objective

@@ -26,9 +26,18 @@ from sparsekaczmarz import (
     sweep_lambda,
     write_matrix_market,
 )
-from sparsekaczmarz.errors import ConfigError, InvalidSparsityError, ParseError, ZeroMatrixError
+from sparsekaczmarz import cli
+from sparsekaczmarz.errors import (
+    ConfigError,
+    InvalidSparsityError,
+    NonFiniteIterateError,
+    ParseError,
+    ZeroMatrixError,
+)
 
 ZERO_MTX = "%%MatrixMarket matrix coordinate real general\n3 2 0\n"
+# declares 10**12 entries on its size line (line 2)
+HUGE_MTX = "%%MatrixMarket matrix coordinate real general\n1000000 1000000 1\n1 1 1.0\n"
 
 
 def tiny_config(tmp_path, **overrides):
@@ -388,6 +397,20 @@ def test_real_matrix_bench_skips_file_with_fewer_rows_than_beta(tmp_path):
     assert {row[0] for row in out["rows"]} == {"good"}
 
 
+def test_real_matrix_bench_skips_file_above_the_size_cap(tmp_path):
+    # the size line declares 10**12 entries: refused before any array is built
+    huge = tmp_path / "huge.mtx"
+    huge.write_text(HUGE_MTX)
+    good = tmp_path / "good.mtx"
+    write_matrix_market(good, np.random.default_rng(8).standard_normal((10, 6)))
+    config = tiny_config(tmp_path, k=2, trials=1, max_iters=500, methods=("sskm",), step_mode="exact")
+    out = real_matrix_bench([str(huge), str(good)], config)
+    assert set(out["errors"]) == {str(huge)}
+    assert isinstance(out["errors"][str(huge)], ParseError)
+    assert out["errors"][str(huge)].line_number == 2
+    assert {row[0] for row in out["rows"]} == {"good"}
+
+
 def test_real_matrix_bench_propagates_unexpected_errors(tmp_path, monkeypatch):
     # only read and data errors are per-file; a fault in the program is not hidden
     def broken_reader(path):
@@ -460,6 +483,17 @@ def test_cli_zero_matrix_file_exit_code(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_oversized_matrix_file_exit_code(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m": 10, "n": 8, "k": 2, "trials": 1, "max_iters": 50}))
+    mtx = tmp_path / "huge.mtx"
+    mtx.write_text(HUGE_MTX)
+    proc = run_cli("real", "--config", str(config), "--out", str(tmp_path / "out"), str(mtx))
+    assert proc.returncode == 3, proc.stderr
+    assert "skipped" in proc.stderr and "line 2" in proc.stderr and "exceeds the cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_non_finite_rhs_exit_code(tmp_path):
     # a non-finite noise level is refused as configuration, before any rhs is built
     config = tmp_path / "config.json"
@@ -480,3 +514,17 @@ def test_cli_noisy_sweep_exit_code(tmp_path, command):
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr and "noise_level=0.05" in proc.stderr
     assert not out.exists()
+
+
+def test_cli_solver_error_exit_code(tmp_path, monkeypatch, capsys):
+    # a non-finite iterate ends the command with exit 4 and one line on stderr
+    def diverging(system, spec, ground_truth=None):
+        raise NonFiniteIterateError("iterate became non-finite at iteration 7")
+
+    monkeypatch.setattr(harness, "run", diverging)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m": 20, "n": 12, "k": 2, "trials": 1, "max_iters": 50}))
+    code = cli.main(["solve", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_SOLVER_ERROR == 4
+    err = capsys.readouterr().err
+    assert err == "solver error: iterate became non-finite at iteration 7\n"

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from sparsekaczmarz import read_matrix_market, write_matrix_market
+from sparsekaczmarz import matrixmarket, read_matrix_market, write_matrix_market
 from sparsekaczmarz.errors import ParseError, UnsupportedFieldError
 
 
@@ -144,6 +147,41 @@ def test_round_trip_exact(tmp_path):
     path = tmp_path / "rt.mtx"
     write_matrix_market(path, a)
     assert np.array_equal(read_matrix_market(path), a)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6), elements=_FINITE),
+    comment=st.one_of(st.none(), st.text(alphabet=st.characters(blacklist_categories=("Cc", "Cs")), max_size=20)),
+)
+def test_round_trip_is_bitwise_for_finite_arrays(tmp_path, a, comment):
+    path = tmp_path / "prop.mtx"
+    write_matrix_market(path, a, comment=comment)
+    back = read_matrix_market(path)
+    assert back.shape == a.shape and back.dtype == np.float64
+    # bit for bit; -0.0 is a zero, so it is not written and reads back as +0.0
+    assert np.array_equal(back.view(np.int64), (a + 0.0).view(np.int64))
+
+
+@pytest.mark.parametrize("layout,size", [("coordinate", "1000000 1000000 1"), ("array", "1000000 1000000")])
+def test_size_above_the_dense_cap_is_refused_at_the_size_line(tmp_path, layout, size):
+    path = tmp_path / "huge.mtx"
+    write_lines(path, [f"%%MatrixMarket matrix {layout} real general", "% declared, not stored", size, "1 1 1.0"])
+    with pytest.raises(ParseError, match="exceeds the cap") as exc:
+        read_matrix_market(path)
+    assert exc.value.line_number == 3
+    assert 10**12 > matrixmarket.MAX_DENSE_ENTRIES
+
+
+def test_negative_size_is_refused(tmp_path):
+    path = tmp_path / "negative.mtx"
+    write_lines(path, ["%%MatrixMarket matrix coordinate real general", "-2 3 0"])
+    with pytest.raises(ParseError, match="negative size") as exc:
+        read_matrix_market(path)
+    assert exc.value.line_number == 2
 
 
 def test_bad_banner(tmp_path):

@@ -276,8 +276,9 @@ def _iterates(system, trace, lam):
 @pytest.mark.parametrize("method", ["sskm", "rk"])
 def test_run_residual_from_support_columns_equals_dense(monkeypatch, method):
     # 600 x 500 is above the size gate. SSKM-exact's support grows and shrinks,
-    # so columns enter and leave the block; RK's support is full, so every
-    # product takes the dense fallback
+    # so columns enter and leave the block, one product per iteration; RK's
+    # support is full, so its products, one per window of iterates, take the
+    # dense fallback
     system, x_hat, _ = gaussian_instance(600, 500, 10, child_rng(5, 600, 500, 0))
     assert system.rows.size >= solvers._BLOCK_MIN_ENTRIES
     block_sizes = []
@@ -300,12 +301,13 @@ def test_run_residual_from_support_columns_equals_dense(monkeypatch, method):
         r = system.rows @ x - system.rhs
         assert trace.residual_norm2[k] == pytest.approx(float(np.dot(r, r)), rel=1e-12), k
         supports.append(np.count_nonzero(x))
-    assert len(block_sizes) == trace.iterations
     if method == "sskm":
+        assert len(block_sizes) == trace.iterations
         assert block_sizes == supports
         steps = np.diff(supports)
         assert steps.max() > 0 and steps.min() < 0
     else:
+        assert len(block_sizes) == -(-trace.iterations // solvers._WINDOW)
         assert set(supports) == {system.n} and set(block_sizes) == {0}
 
 
@@ -341,3 +343,140 @@ def test_run_support_block_memory_follows_support_not_n():
     block = 8 * m * 3 * max(solvers._FIRST_COLUMNS, largest)
     vectors = 32 * 8 * (m + n)
     assert peak < block + vectors < 0.2 * system.rows.nbytes
+
+
+def test_support_columns_product_of_a_window():
+    # a window's block of iterates takes the block of their joint support, or
+    # the dense product when that union passes the share limit
+    rng = np.random.default_rng(12)
+    rows = rng.standard_normal((600, 500))
+    cols = solvers._SupportColumns(rows)
+    for sizes in ((0, 0), (5, 30), (40, 0, 60), (100, 100), (3,)):
+        xs = np.zeros((500, len(sizes)), order="F")
+        for j, size in enumerate(sizes):
+            xs[rng.choice(500, size, replace=False), j] = rng.standard_normal(size)
+        union = np.count_nonzero(xs.any(axis=1))
+        out = cols.product(xs)
+        assert out.shape == (600, len(sizes))
+        assert np.allclose(out, rows @ xs, rtol=0.0, atol=1e-12), sizes
+        assert cols.size == (union if union <= cols.limit else 0), sizes
+
+
+# (variant, lam) on the 600 x 500 instance above the size gate: RK's products
+# are dense, SRK-exact's come from the support block
+_WINDOWED = [("rk", 0.0), ("srk-inexact", 0.05), ("srk-exact", 1.0)]
+
+
+def _windowed_spec(variant, lam, stop):
+    if variant == "rk":
+        return SolverSpec.rk(seed=3, stop=stop)
+    mode = StepMode(variant.split("-")[1])
+    return SolverSpec.srk(lam, step_mode=mode, seed=3, stop=stop)
+
+
+def _first_new_low(values, after, window):
+    """The first index past ``after`` whose value is clearly below every earlier one
+    and which does not end a window: a stop at it fires inside a window."""
+    for j in range(after, values.size):
+        if values[j] < values[:j].min() * (1 - 1e-6) and (j + 1) % window:
+            return j
+    raise AssertionError("no new low")
+
+
+@pytest.mark.parametrize("case", ["budget-20", "budget-75", "mse-stop", "epsilon-stop", "epsilon-stop-last-window"])
+@pytest.mark.parametrize("variant,lam", _WINDOWED)
+def test_run_window_matches_one_product_per_iterate(monkeypatch, variant, lam, case):
+    system, x_hat, _ = gaussian_instance(600, 500, 10, child_rng(5, 600, 500, 0))
+    window = solvers._WINDOW
+    assert system.rows.size >= solvers._BLOCK_MIN_ENTRIES and window > 1
+
+    def solve(stop, size):
+        monkeypatch.setattr(solvers, "_WINDOW", size)
+        return run(system, _windowed_spec(variant, lam, stop), ground_truth=x_hat)
+
+    if case.startswith("budget"):
+        # a budget below the window, and one that is not a multiple of it
+        stop = StoppingRule(max_iters=int(case.split("-")[1]))
+    else:
+        _, probe = solve(StoppingRule(max_iters=200), 1)
+        if case == "mse-stop":
+            j = _first_new_low(probe.mse, 40, window)
+            stop = StoppingRule(max_iters=200, mse_target=float(probe.mse[j]))
+        else:
+            j = _first_new_low(probe.residual_norm2, 40, window)
+            budget = 200
+            if case.endswith("last-window"):
+                # the budget ends the window that holds the stop early
+                budget = j + 5
+                assert budget % window and j // window == (budget - 1) // window
+            stop = StoppingRule(max_iters=budget, epsilon=float(np.sqrt(probe.residual_norm2[j] * (1 + 1e-9))))
+    pair, trace = solve(stop, window)
+    ref_pair, ref = solve(stop, 1)
+
+    if case.startswith("budget"):
+        assert ref.status is RunStatus.MAX_ITERS and ref.iterations == stop.max_iters
+    else:
+        assert ref.status is RunStatus.CONVERGED and ref.iterations == j + 1
+    for name in ("chosen", "step", "mse", "bregman_to_truth"):
+        assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
+    assert (trace.status, trace.iterations) == (ref.status, ref.iterations)
+    assert np.array_equal(pair.primal, ref_pair.primal)
+    assert np.array_equal(pair.dual, ref_pair.dual)
+    assert pair.lam == ref_pair.lam
+    assert trace.residual_norm2.shape == ref.residual_norm2.shape
+    assert trace.residual_norm2 == pytest.approx(ref.residual_norm2, rel=1e-12)
+
+
+def _overflowing_system():
+    # two copies of one row with rhs +-1e308: the projections alternate and
+    # overflow to inf within a few iterations
+    return LinearSystem(rows=np.array([[1.0], [1.0]]), rhs=np.array([1e308, -1e308]), row_scales=np.ones(2))
+
+
+@pytest.mark.parametrize("window", [32, 1])
+def test_run_window_raises_at_the_same_non_finite_iteration(monkeypatch, window):
+    monkeypatch.setattr(solvers, "_BLOCK_MIN_ENTRIES", 1)
+    monkeypatch.setattr(solvers, "_WINDOW", window)
+    spec = SolverSpec.rk(seed=0, stop=StoppingRule(max_iters=100))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteIterateError, match="iteration 3"):
+            run(_overflowing_system(), spec)
+
+
+@pytest.mark.parametrize("window", [32, 1])
+def test_run_window_stop_before_a_non_finite_iterate_does_not_raise(monkeypatch, window):
+    # every residual meets an infinite epsilon, so the run stops after its first
+    # iterate, whether or not iterates 2 and 3 were held in a window when
+    # iteration 3 overflowed
+    monkeypatch.setattr(solvers, "_BLOCK_MIN_ENTRIES", 1)
+    monkeypatch.setattr(solvers, "_WINDOW", window)
+    system = _overflowing_system()
+    spec = SolverSpec.rk(seed=0, stop=StoppingRule(max_iters=100, epsilon=np.inf))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair, trace = run(system, spec)
+    assert trace.status is RunStatus.CONVERGED and trace.iterations == 1
+    i = int(trace.chosen[0])
+    assert np.array_equal(pair.primal, system.rhs[i : i + 1])
+
+
+def test_run_window_memory_follows_iterations_not_budget():
+    # RK above the size gate, to the same MSE stop under two budgets: the
+    # window buffers are sized by the window, the records by the work done
+    m, n = 600, 500
+    system, x_hat, _ = gaussian_instance(m, n, 10, child_rng(5, m, n, 0))
+    peaks = []
+    for max_iters in (10**3, 10**7):
+        spec = SolverSpec.rk(seed=3, stop=StoppingRule(max_iters=max_iters, mse_target=0.5))
+        tracemalloc.start()
+        try:
+            _, trace = run(system, spec, ground_truth=x_hat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.status is RunStatus.CONVERGED and 100 < trace.iterations < 1000
+        peaks.append(peak)
+    # iterates and duals n x w, products and residuals w x m, five 1024-entry
+    # records, and a few dozen vectors of length m or n
+    bound = 8 * solvers._WINDOW * (2 * n + 3 * m) + 5 * 8 * 1024 + 32 * 8 * (m + n)
+    assert peaks[1] <= peaks[0] + 4096
+    assert max(peaks) < bound
