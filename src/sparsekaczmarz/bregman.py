@@ -4,17 +4,24 @@ The working objective is f(x) = lam*||x||_1 + 0.5*||x||_2^2, which is
 1-strongly convex. Its conjugate is smooth with gradient equal to the soft
 thresholding map, so a Bregman projection onto a hyperplane reduces to a
 one-dimensional step in the dual variable. Both the cheap step (the row
-residual) and the exact minimizing step are provided. The dual derivative is
-nondecreasing and piecewise linear in the step size, so the exact step is its
-root, found by bisection over the sorted breakpoints inside a bracket with
-the derivative evaluated directly at O(log n) of them, then interpolated on
-the linear piece that holds it: the search of l1-ball projection (Duchi et
-al. 2008) applied to the Bregman projection of Lorenz et al. (2014).
+residual) and the exact minimizing step are provided. The soft threshold is
+taken as v minus its clip to [-lam, lam], three array passes.
+
+The dual derivative is nondecreasing and piecewise linear in the step size,
+so the exact step, the Bregman projection of Lorenz et al. (2014), is its
+root. It is found by an active-set Newton iteration from the cheap step: on
+the linear piece that holds the current point the root is one division
+away, and it is accepted once the piece is unchanged. When Newton fails to
+settle, the root is found by bisection over the sorted breakpoints inside a
+bracket with the derivative evaluated directly at O(log n) of them, then
+interpolated on the linear piece that holds it: the search of l1-ball
+projection (Duchi et al. 2008).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +34,14 @@ class StepMode(enum.Enum):
 
 
 def soft_threshold(v, lam: float) -> np.ndarray:
-    """Componentwise shrink toward zero: sign(v) * max(|v| - lam, 0)."""
+    """Componentwise shrink toward zero: sign(v) * max(|v| - lam, 0).
+
+    Computed as v minus its clip to [-lam, lam], in three array passes. The
+    two forms are equal under ``==``, NaN entries included; only the sign of
+    a zero may differ.
+    """
     v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
+    return v - np.minimum(np.maximum(v, -lam), lam)
 
 
 def objective_value(x, lam: float) -> float:
@@ -93,17 +105,111 @@ def bregman_distance(pair: DualPair, y, lam: float | None = None) -> float:
     """
     if lam is None:
         lam = pair.lam
-    y = np.asarray(y, dtype=float)
-    return float(
-        objective_value(y, lam)
-        - objective_value(pair.primal, lam)
-        - np.dot(pair.dual, y - pair.primal)
-    )
+    return _bregman_gap(pair.primal, pair.dual, np.asarray(y, dtype=float), lam)
+
+
+def _bregman_gap(x, dual, y, lam: float) -> float:
+    """:func:`bregman_distance` from the arrays of a pair, with no validation of the link."""
+    return float(objective_value(y, lam) - objective_value(x, lam) - np.dot(dual, y - x))
 
 
 def inexact_step(x, a_i, b_i: float) -> float:
     """Row residual <a_i, x> - b_i; the cheap step size for a unit row."""
     return float(np.dot(a_i, x) - b_i)
+
+
+# Newton steps tried before the bisection takes over
+_NEWTON_STEPS = 8
+# a Newton root where every term a_j * s_j of g lies within this share of the
+# scale of the step's arithmetic may sit at the end of a plateau where g is
+# zero up to rounding
+_KINK_ROUNDING = 2.0**-30
+
+
+def exact_step(dual, a_i, b_i: float, lam: float) -> float:
+    """Minimizer of t -> f*(dual - t*a_i) + t*b_i.
+
+    The derivative g(t) = b_i - <a_i, soft_threshold(dual - t*a_i, lam)> is a
+    nondecreasing piecewise-linear function of t whose kinks are the up-to-2n
+    points where a component of dual - t*a_i hits the threshold band; its
+    slope on a piece is the sum of a_j^2 over the entries above the band.
+    The root always exists for a_i != 0.
+
+    Newton steps start at the row residual (the inexact step). Each one
+    jumps to the root of the current piece's line, and the jump is accepted
+    when the sign pattern of the thresholded dual is the same there, so that
+    both points lie on one piece and the jump is its exact root; one more
+    step on that piece removes the rounding of the jump. Newton hands off to
+    a bracketed bisection over the sorted kinks when a piece is flat, when
+    the pattern still changes after ``_NEWTON_STEPS`` steps, or when every
+    term of g at the root lies within rounding of zero (so b_i is zero up to
+    rounding): the root may then end a piece where g is zero, and the
+    midpoint of that plateau is the answer. The bisection evaluates g
+    directly at O(log n) kinks and interpolates the root on its piece, or
+    returns the midpoint of a segment where g vanishes.
+    """
+    dual = np.asarray(dual, dtype=float)
+    return _exact_step(dual, soft_threshold(dual, lam), np.asarray(a_i, dtype=float), b_i, lam)
+
+
+def _exact_step(dual: np.ndarray, primal: np.ndarray, a: np.ndarray, b: float, lam: float) -> float:
+    """:func:`exact_step`, given ``primal`` = soft_threshold(dual, lam)."""
+    norm2 = float(np.dot(a, a))
+    if norm2 == 0.0:
+        raise NumericalFailureError("exact_step requires a nonzero row")
+    center = inexact_step(primal, a, b)
+    t = _newton_root(dual, a, b, lam, center, norm2)
+    return _bisection_root(dual, a, b, lam, center, norm2) if t is None else t
+
+
+def _newton_root(dual, a, b: float, lam: float, t: float, norm2: float) -> float | None:
+    """Root of g by active-set Newton from ``t``, or ``None`` to hand off.
+
+    The pattern of a piece is counted as c = sum_j sign(a_j) sign(s_j) with
+    s = soft_threshold(dual - t*a, lam): each entry's sign moves one way as t
+    grows, so c falls at every kink and two points share a piece iff they
+    share c. The sums are of integers, so exact.
+    """
+    sign_a = np.sign(a)
+    a2 = a * a
+
+    def piece(t):
+        s = soft_threshold(dual - t * a, lam)
+        z = np.sign(s)
+        return s, z, float(np.dot(z, sign_a))
+
+    s, z, c = piece(t)
+    for _ in range(_NEWTON_STEPS):
+        slope = float(np.dot(z * z, a2))
+        if slope == 0.0:
+            return None
+        t_new = t - (b - float(np.dot(s, a))) / slope
+        s, z, c_new = piece(t_new)
+        if c_new == c:
+            g_new = b - float(np.dot(s, a))
+            if _ends_at_kinks(a, s, b - g_new, lam, max(abs(t), abs(t_new)), norm2):
+                return None
+            # a correction on the same piece removes the rounding of a long jump
+            return t_new - g_new / slope
+        t, c = t_new, c_new
+    return None
+
+
+def _ends_at_kinks(a, s, total: float, lam: float, reach: float, norm2: float) -> bool:
+    """Every term a_j * s_j of g, which sum to ``total``, lies within rounding of zero.
+
+    Then every entry above the band may be about to leave it, and a plateau
+    where g equals b may start; with b zero up to rounding the root may be
+    anywhere on it. An entry near its kink has |dual_j| <= |t a_j| + lam, so
+    the rounding of its s_j is bounded without reading ``dual``; ``reach``
+    is the largest |t| of the Newton step.
+    """
+    root = math.sqrt(norm2)
+    bound = _KINK_ROUNDING * (2.0 * reach * root + lam) * root
+    # terms that small sum to at most a.size * bound
+    if abs(total) > a.size * bound:
+        return False
+    return float(np.abs(s * a).max()) <= bound
 
 
 def _breakpoints(dual: np.ndarray, a: np.ndarray, lam: float) -> np.ndarray:
@@ -112,6 +218,39 @@ def _breakpoints(dual: np.ndarray, a: np.ndarray, lam: float) -> np.ndarray:
     d, an = dual[nz], a[nz]
     bp = np.concatenate(((d - lam) / an, (d + lam) / an))
     return bp[np.isfinite(bp)]
+
+
+def _bisection_root(dual, a, b: float, lam: float, center: float, norm2: float) -> float:
+    """Root of g by bisection over the sorted kinks, bracketed around ``center``."""
+    bp = _breakpoints(dual, a, lam)
+    if bp.size == 0:
+        raise NumericalFailureError("no breakpoints found; row is numerically zero")
+
+    def g(t):
+        return b - float(np.dot(soft_threshold(dual - t * a, lam), a))
+
+    width = 1.0 + abs(center)
+    lo, hi = center - width, center + width
+    g_lo, g_hi = g(lo), g(hi)
+    for _ in range(80):
+        if g_lo < 0.0 < g_hi:
+            break
+        width *= 2.0
+        if g_lo >= 0.0:
+            lo = center - width
+            g_lo = g(lo)
+        if g_hi <= 0.0:
+            hi = center + width
+            g_hi = g(hi)
+    if not g_lo < 0.0 < g_hi:
+        # 80 doublings did not close the bracket (kinks far out, from tiny
+        # row entries): search all breakpoints, with the rays beyond them
+        ts = np.sort(bp)
+        return _root_by_bisection(g, ts, -1, ts.size, -np.inf, np.inf, norm2)
+    # the bracket ends lie strictly inside linear pieces, so interpolating
+    # between them and the kinks they enclose is exact
+    ts = np.concatenate(([lo], np.sort(bp[(bp > lo) & (bp < hi)]), [hi]))
+    return _root_by_bisection(g, ts, 0, ts.size - 1, g_lo, g_hi, norm2)
 
 
 def _root_by_bisection(g, ts, lo: int, hi: int, g_lo: float, g_hi: float, slope_outside: float) -> float:
@@ -149,70 +288,20 @@ def _root_by_bisection(g, ts, lo: int, hi: int, g_lo: float, g_hi: float, slope_
     return float(0.5 * (ts[first_zero] + ts[lo]))
 
 
-def exact_step(dual, a_i, b_i: float, lam: float) -> float:
-    """Minimizer of t -> f*(dual - t*a_i) + t*b_i.
-
-    The derivative g(t) = b_i - <a_i, soft_threshold(dual - t*a_i, lam)> is a
-    nondecreasing piecewise-linear function of t whose kinks are the up-to-2n
-    points where a component of dual - t*a_i hits the threshold band. The
-    root always exists for a_i != 0. It is bracketed around the row
-    residual; only the kinks inside the bracket are sorted, and bisection
-    over them, with g evaluated directly at each probe, finds the linear
-    piece that holds the root, which is then interpolated exactly. If the
-    derivative vanishes on a whole segment, the segment midpoint is returned.
-    """
-    dual = np.asarray(dual, dtype=float)
-    a = np.asarray(a_i, dtype=float)
-    norm2 = float(np.dot(a, a))
-    if norm2 == 0.0:
-        raise NumericalFailureError("exact_step requires a nonzero row")
-    bp = _breakpoints(dual, a, lam)
-    if bp.size == 0:
-        raise NumericalFailureError("no breakpoints found; row is numerically zero")
-
-    def g(t):
-        v = dual - t * a
-        # v minus its clip to the band is soft_threshold(v, lam)
-        return b_i - float(np.dot(v - np.minimum(np.maximum(v, -lam), lam), a))
-
-    # cheap bracket around the inexact step before touching the breakpoints
-    center = inexact_step(soft_threshold(dual, lam), a, b_i)
-    width = 1.0 + abs(center)
-    lo, hi = center - width, center + width
-    g_lo, g_hi = g(lo), g(hi)
-    for _ in range(80):
-        if g_lo < 0.0 < g_hi:
-            break
-        width *= 2.0
-        if g_lo >= 0.0:
-            lo = center - width
-            g_lo = g(lo)
-        if g_hi <= 0.0:
-            hi = center + width
-            g_hi = g(hi)
-    if not g_lo < 0.0 < g_hi:
-        # 80 doublings did not close the bracket (kinks far out, from tiny
-        # row entries): search all breakpoints, with the rays beyond them
-        ts = np.sort(bp)
-        return _root_by_bisection(g, ts, -1, ts.size, -np.inf, np.inf, norm2)
-    # the bracket ends lie strictly inside linear pieces, so interpolating
-    # between them and the kinks they enclose is exact
-    ts = np.concatenate(([lo], np.sort(bp[(bp > lo) & (bp < hi)]), [hi]))
-    return _root_by_bisection(g, ts, 0, ts.size - 1, g_lo, g_hi, norm2)
-
-
 def bregman_step(dual, primal, a, b: float, lam: float, mode: StepMode):
     """One iteration of every method: dual step along the row ``a``, then threshold.
 
-    ``primal`` must equal soft_threshold(dual, lam). Returns ``(t, new_dual,
-    new_primal)`` with t from :func:`inexact_step` or :func:`exact_step` per
-    ``mode``, new_dual = dual - t*a and new_primal its soft threshold. No
-    checks: callers validate the row and the step value.
+    ``primal`` must equal soft_threshold(dual, lam); the exact step starts
+    from it rather than thresholding ``dual`` again, and so takes the same
+    value as :func:`exact_step`. Returns ``(t, new_dual, new_primal)`` with t
+    from :func:`inexact_step` or :func:`exact_step` per ``mode``, new_dual =
+    dual - t*a and new_primal its soft threshold. No checks: callers validate
+    the row and the step value.
     """
     if mode is StepMode.INEXACT:
         t = inexact_step(primal, a, b)
     else:
-        t = exact_step(dual, a, b, lam)
+        t = _exact_step(dual, primal, a, b, lam)
     new_dual = dual - t * a
     return t, new_dual, soft_threshold(new_dual, lam)
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bregman import DualPair, StepMode, bregman_distance
+from .bregman import DualPair, StepMode, _bregman_gap, soft_threshold
 from .errors import (
     AllZeroError,
     InvalidGammaError,
@@ -55,10 +55,14 @@ def smallest_nonzero_singular_value(system: LinearSystem | np.ndarray) -> Singul
     """Singular value summary via a dense SVD.
 
     ``smallest_nonzero`` excludes values below 1e-10 times the largest;
-    ``smallest`` may be zero for rank-deficient matrices.
+    ``smallest`` may be zero for rank-deficient matrices. A
+    :class:`LinearSystem` keeps its singular values, so the SVD runs once per
+    system.
     """
-    a = system.rows if isinstance(system, LinearSystem) else np.asarray(system, dtype=float)
-    svals = np.linalg.svd(a, compute_uv=False)
+    if isinstance(system, LinearSystem):
+        svals = system.singular_values
+    else:
+        svals = np.linalg.svd(np.asarray(system, dtype=float), compute_uv=False)
     largest = float(svals[0]) if svals.size else 0.0
     if largest == 0.0:
         raise ZeroMatrixError("matrix is identically zero")
@@ -153,13 +157,18 @@ def error_bound_margin(
     column rank.
     """
     r = residual(system, pair.primal)
-    res2 = float(np.dot(r, r))
+    x_hat = np.asarray(x_hat, dtype=float)
+    xmin = min_abs_nonzero(x_hat) if lam > 0 else 0.0
+    return _margin(float(np.dot(r, r)), pair.primal, pair.dual, x_hat, lam, sigma_min, xmin)
+
+
+def _margin(res2: float, x, dual, x_hat, lam: float, sigma_min: float, xmin: float) -> float:
+    """:func:`error_bound_margin` from the squared residual of x = soft_threshold(dual, lam)."""
     if lam > 0:
-        xmin = min_abs_nonzero(x_hat)
         rhs = res2 / sigma_min**2 * (xmin + 2.0 * lam) / xmin
     else:
         rhs = res2 / (2.0 * sigma_min**2)
-    return rhs - bregman_distance(pair, np.asarray(x_hat, dtype=float), lam)
+    return rhs - _bregman_gap(x, dual, x_hat, lam)
 
 
 def one_two_norm(system: LinearSystem) -> float:
@@ -244,8 +253,6 @@ def build_theory_report(
     deduplicated, and the report's arrays follow that order; each must lie
     in [0, trace.iterations), else ValueError.
     """
-    from .bregman import DualPair, soft_threshold  # local import to avoid a cycle
-
     x_hat = np.asarray(x_hat, dtype=float)
     sv = smallest_nonzero_singular_value(system)
     xmin = min_abs_nonzero(x_hat)
@@ -271,9 +278,7 @@ def build_theory_report(
         if np.any(r != 0.0):
             gammas[pos] = gamma = gamma_from_residuals(r, beta)
             qs[pos] = contraction_factor(sv.smallest_nonzero, lam, xmin, beta, gamma, system.m).value
-        margins[pos] = error_bound_margin(
-            DualPair.from_dual(dual, lam), system, x_hat, lam, sv.smallest_nonzero
-        )
+        margins[pos] = _margin(float(np.dot(r, r)), x, dual, x_hat, lam, sv.smallest_nonzero, xmin)
         pos += 1
     return TheoryReport(
         sigma_min_tilde=sv.smallest_nonzero,

@@ -9,6 +9,7 @@ point that constructs a :class:`LinearSystem` from raw data.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ class LinearSystem:
     side, ``row_scales`` the original row norms (1.0 everywhere if the input
     was already normalized). The solution set equals that of the raw system.
     Instances are immutable and safe to share across concurrent readers.
+    The singular values of ``rows`` are computed on first use and kept.
     """
 
     rows: np.ndarray
@@ -69,6 +71,13 @@ class LinearSystem:
     @property
     def shape(self) -> tuple[int, int]:
         return self.rows.shape
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of ``rows`` in descending order, by one dense SVD (read-only)."""
+        svals = np.linalg.svd(self.rows, compute_uv=False)
+        svals.setflags(write=False)
+        return svals
 
     def with_rhs(self, new_rhs) -> "LinearSystem":
         """Same rows, different right-hand side (used for noise injection)."""

@@ -15,6 +15,7 @@ from sparsekaczmarz import (
     project_hyperplane,
     soft_threshold,
 )
+from sparsekaczmarz import bregman
 from sparsekaczmarz.errors import NumericalFailureError
 
 from oracles import (
@@ -91,6 +92,25 @@ def test_soft_threshold_is_1_lipschitz_entrywise(uv, lam):
     # up to the rounding of the three subtractions involved
     slack = 4 * np.finfo(float).eps * (np.abs(u) + np.abs(v) + lam)
     assert np.all(gap <= np.abs(u - v) + slack)
+
+
+_EDGE_VECTORS = hnp.arrays(
+    np.float64,
+    st.integers(1, 30),
+    elements=st.one_of(st.floats(allow_nan=False), st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -0.0])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=_EDGE_VECTORS, lam=st.sampled_from([0.0, 0.05, 1.0, 3.0]))
+def test_soft_threshold_clip_form_equals_sign_form(v, lam):
+    # v minus its clip to [-lam, lam] against sign(v) * max(|v| - lam, 0), for
+    # finite values, +-inf and NaN; equal under ==, so only a zero's sign may differ
+    out = soft_threshold(v, lam)
+    ref = np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
+    assert np.array_equal(np.isnan(out), np.isnan(ref))
+    keep = ~np.isnan(ref)
+    assert np.all(out[keep] == ref[keep])
 
 
 # ---------------------------------------------------------------- objective
@@ -294,6 +314,47 @@ def test_exact_step_root_beyond_the_bracket_is_found_on_a_ray(side):
     dual, a = np.array([0.0]), np.array([1e-30])
     for step in (exact_step, breakpoint_scan_exact_step):
         assert step(dual, a, -side * 0.5e-30, 1.0) == pytest.approx(side * 1.5e30, rel=1e-15)
+
+
+def test_exact_step_newton_reaching_a_plateau_end_returns_the_plateau_midpoint():
+    # g(t) = -<a, soft_threshold(dual - t a, 1)>. From the row residual t = 0.78
+    # only entry 0 lies above the band, and Newton's jump lands on
+    # t = (2.3 - 1) / 0.6 = 13/6, where entry 0 enters the band. Entry 1 stays in
+    # it up to t = 1.75 / 0.8 = 35/16, so g is zero on [13/6, 35/16], whose
+    # midpoint the oracle returns; the root of the jump's piece is its left end
+    dual, a = np.array([2.3, 0.75]), np.array([0.6, 0.8])
+    assert inexact_step(soft_threshold(dual, 1.0), a, 0.0) == pytest.approx(0.78, abs=1e-15)
+    t = exact_step(dual, a, 0.0, 1.0)
+    assert t == breakpoint_scan_exact_step(dual, a, 0.0, 1.0)
+    assert t == pytest.approx(0.5 * (13 / 6 + 35 / 16), rel=1e-15)
+
+
+def test_exact_step_after_a_long_newton_jump_is_accurate():
+    # at the row residual (about -21.2) entry 0 lies in the band and a_1 = 0, so
+    # the slope is a_2^2 = 2.6e-8, and the first jump goes out to about -2.3e7.
+    # The jump back lands on the root's piece with a rounding error of about
+    # 2.3e7 * eps, which one more step on that piece removes
+    dual = np.array([-21.6, -5.2, 18.8])
+    a = np.array([1.0, 0.0, 1.6e-4])
+    a /= np.linalg.norm(a)
+    t = exact_step(dual, a, 0.6, 1.0)
+    t_ref = breakpoint_scan_exact_step(dual, a, 0.6, 1.0)
+    assert t == pytest.approx(-23.2, abs=0.01)
+    assert abs(t - t_ref) <= 1e-12 * abs(t_ref)
+
+
+def test_exact_step_bisection_alone_matches_the_breakpoint_scan(monkeypatch):
+    # with no Newton step every call takes the bisection that Newton hands off to
+    monkeypatch.setattr(bregman, "_NEWTON_STEPS", 0)
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        dual = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+        a = random_unit_row(rng, n)
+        b = float(rng.choice([0.0, rng.standard_normal()]))
+        lam = float(rng.choice([0.0, 0.05, 1.0, 3.0]))
+        t_ref = breakpoint_scan_exact_step(dual, a, b, lam)
+        assert abs(exact_step(dual, a, b, lam) - t_ref) <= 1e-12 * abs(t_ref) + 1e-15
 
 
 def test_exact_step_rejects_zero_row():

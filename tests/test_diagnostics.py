@@ -368,6 +368,42 @@ def test_build_theory_report_checkpoints_keep_their_labels():
             build_theory_report(system, x_hat, trace, lam=1.0, beta=7, checkpoints=bad)
 
 
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_theory_reports_take_one_svd_and_equal_the_validated_pair_path(monkeypatch, lam):
+    from sparsekaczmarz import SolverSpec, StoppingRule, build_theory_report, replay_duals, residual, run
+
+    system, x_hat, _ = gaussian_instance(30, 20, 3, np.random.default_rng(13))
+    beta = 10
+    spec = SolverSpec.sskm(lam, beta, StepMode.EXACT, seed=3, stop=StoppingRule(max_iters=40))
+    _, trace = run(system, spec, ground_truth=x_hat)
+    checkpoints = np.arange(trace.iterations)
+    svd = np.linalg.svd
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    reports = [build_theory_report(system, x_hat, trace, lam, beta, checkpoints=checkpoints) for _ in range(2)]
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    # the reference takes a fresh SVD and, at every checkpoint, a validated
+    # pair, its residual and error_bound_margin
+    sv = smallest_nonzero_singular_value(system.rows)
+    xmin = min_abs_nonzero(x_hat)
+    gamma, q, margins = (np.full(trace.iterations, np.nan) for _ in range(3))
+    for k, dual in enumerate(replay_duals(system, trace)):
+        pair = DualPair.from_dual(dual, lam)
+        r = residual(system, pair.primal)
+        if np.any(r != 0.0):
+            gamma[k] = gamma_from_residuals(r, beta)
+            q[k] = contraction_factor(sv.smallest_nonzero, lam, xmin, beta, gamma[k], system.m).value
+        margins[k] = error_bound_margin(pair, system, x_hat, lam, sv.smallest_nonzero)
+    for report in reports:
+        assert (report.sigma_min_tilde, report.sigma_min, report.sigma_max) == sv
+        assert report.x_min_abs == xmin
+        assert np.array_equal(report.gamma, gamma, equal_nan=True)
+        assert np.array_equal(report.q, q, equal_nan=True)
+        assert np.array_equal(report.bound_margins, margins)
+
+
 # --------------------------------------------------------------- density
 
 

@@ -21,6 +21,7 @@ from sparsekaczmarz import (
     inexact_step,
     next_index,
     normalize_rows,
+    objective_value,
     replay_duals,
     residual,
     run,
@@ -265,6 +266,55 @@ def test_run_raises_on_non_finite_iterate():
     with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(NonFiniteIterateError, match="iteration 3"):
             run(system, spec)
+
+
+def test_run_finite_iterate_whose_square_overflows_does_not_raise():
+    # x = 1e200 is finite, but ||x||^2 overflows to inf (numpy warns of it): the
+    # finiteness test must look at the entries before calling the iterate non-finite
+    system = LinearSystem(rows=np.array([[1.0]]), rhs=np.array([1e200]), row_scales=np.ones(1))
+    for spec in (
+        SolverSpec.rk(seed=0, stop=StoppingRule(max_iters=3)),
+        SolverSpec.srk(1.0, step_mode=StepMode.INEXACT, seed=0, stop=StoppingRule(max_iters=3)),
+        SolverSpec.srk(1.0, step_mode=StepMode.EXACT, seed=0, stop=StoppingRule(max_iters=3)),
+    ):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            pair, trace = run(system, spec)
+        assert trace.iterations == 3
+        assert np.isfinite(pair.primal).all() and pair.primal[0] > 1e199
+
+
+_BREGMAN_VARIANTS = [
+    ("rk", 0.0, StepMode.INEXACT),
+    ("srk", 1.0, StepMode.INEXACT),
+    ("srk", 1.0, StepMode.EXACT),
+    ("sskm", 1.0, StepMode.INEXACT),
+    ("sskm", 1.0, StepMode.EXACT),
+]
+
+
+@pytest.mark.parametrize("shape", [(40, 30), (600, 500)])
+@pytest.mark.parametrize("method,lam,mode", _BREGMAN_VARIANTS)
+def test_run_bregman_record_equals_the_distance_of_the_replayed_pair(shape, method, lam, mode):
+    # run records f(x_hat) - <x*, x_hat> + ||x||^2 / 2, which equals the Bregman
+    # distance of the pair (x, x*) because x = soft_threshold(x*, lam); 600 x 500
+    # lies above the size gate
+    m, n = shape
+    system, x_hat, _ = gaussian_instance(m, n, 5, child_rng(9, m, n, 0))
+    assert (system.rows.size >= solvers._BLOCK_MIN_ENTRIES) == (m == 600)
+    stop = StoppingRule(max_iters=60)
+    if method == "rk":
+        spec = SolverSpec.rk(seed=2, stop=stop)
+    elif method == "srk":
+        spec = SolverSpec.srk(lam, step_mode=mode, seed=2, stop=stop)
+    else:
+        spec = SolverSpec.sskm(lam, m // 2, step_mode=mode, seed=2, stop=stop)
+    pair, trace = run(system, spec, ground_truth=x_hat)
+    tol = 1e-12 * (1.0 + objective_value(x_hat, lam))
+    duals = list(replay_duals(system, trace))[1:] + [pair.dual]
+    assert len(duals) == trace.iterations == 60
+    for k, dual in enumerate(duals):
+        expected = bregman_distance(DualPair.from_dual(dual, lam), x_hat)
+        assert abs(trace.bregman_to_truth[k] - expected) <= tol, k
 
 
 def _iterates(system, trace, lam):
