@@ -34,7 +34,7 @@ for j in range(25):
     q = sk.contraction_factor(sv.smallest_nonzero, lam, xmin, beta, gamma, m)
     subset = sk.sample_subset(m, beta, rng)
     chosen = int(subset[int(np.argmax(r[subset] ** 2))])
-    pair = sk.step_once(pair, system, sk.Selection(subset=subset, chosen=chosen), sk.StepMode.EXACT)
+    pair = sk.step_once(pair, system, chosen, sk.StepMode.EXACT)
     d_next = sk.bregman_distance(pair, x_hat)
     margin = sk.error_bound_margin(pair, system, x_hat, lam, sv.smallest_nonzero)
     print(f"{j:4d} {gamma:7.3f} {q.value:8.5f} {d_next / d_cur:9.5f} {margin:13.4e}")

@@ -97,15 +97,13 @@ class DualPair:
         return self.primal.shape[0]
 
 
-def bregman_distance(pair: DualPair, y, lam: float | None = None) -> float:
+def bregman_distance(pair: DualPair, y) -> float:
     """f(y) - f(x) - <x*, y - x> for x = pair.primal, x* = pair.dual.
 
     Nonnegative, and zero iff pair.primal equals y (up to floating rounding
     when the two are extremely close).
     """
-    if lam is None:
-        lam = pair.lam
-    return _bregman_gap(pair.primal, pair.dual, np.asarray(y, dtype=float), lam)
+    return _bregman_gap(pair.primal, pair.dual, np.asarray(y, dtype=float), pair.lam)
 
 
 def _bregman_gap(x, dual, y, lam: float) -> float:

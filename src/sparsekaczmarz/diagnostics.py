@@ -221,7 +221,6 @@ class TheoryReport:
     q: np.ndarray
     bound_margins: np.ndarray
     a_one_two_norm: float
-    delta: float = 0.0
 
 
 def replay_duals(system: LinearSystem, trace):
@@ -243,7 +242,6 @@ def build_theory_report(
     lam: float,
     beta: int,
     checkpoints=None,
-    delta: float = 0.0,
 ) -> TheoryReport:
     """Evaluate the theory quantities along a finished solver trace.
 
@@ -290,5 +288,4 @@ def build_theory_report(
         q=qs,
         bound_margins=margins,
         a_one_two_norm=one_two_norm(system),
-        delta=delta,
     )

@@ -1,4 +1,4 @@
-"""Row selection rules: cyclic, uniform random, and greedy subset sampling.
+"""Row selection rules: uniform random and greedy subset sampling.
 
 The greedy rule draws a uniform size-beta subset of the rows, with one
 C-level numpy draw, and acts on the member with the largest squared residual.
@@ -20,7 +20,6 @@ from .linsys import LinearSystem
 
 
 class SelectionRule(enum.Enum):
-    CYCLIC = "cyclic"
     UNIFORM_RANDOM = "uniform"
     SKM_GREEDY = "skm-greedy"
 
@@ -30,7 +29,7 @@ class SamplerConfig:
     """Selection rule, subset size, and RNG seed for one solver run.
 
     ``beta`` is the greedy rule's subset size, the same at every iteration;
-    the other rules ignore it.
+    the uniform rule ignores it.
     """
 
     rule: SelectionRule
@@ -77,38 +76,19 @@ def select_motzkin(subset, residuals) -> Selection:
     return Selection(subset=subset, chosen=int(subset[int(np.argmax(vals))]))
 
 
-def pick_index(
-    config: SamplerConfig,
-    k: int,
-    system: LinearSystem,
-    x,
-    rng: np.random.Generator,
-    residuals=None,
-) -> int:
-    """Row chosen at iteration ``k``: one :func:`sample_subset` or ``rng.integers(m)`` call.
+def pick_index(config: SamplerConfig, system: LinearSystem, rng: np.random.Generator, residuals) -> int:
+    """Row chosen by one :func:`sample_subset` or ``rng.integers(m)`` call.
 
-    ``residuals`` may pass the full residual vector at ``x`` when the caller
-    already has it; otherwise only the sampled rows are evaluated.
+    ``residuals`` is the residual vector A x - b at the current iterate x;
+    only the greedy rule reads it.
     """
     m = system.m
-    if config.rule is SelectionRule.CYCLIC:
-        return k % m
     if config.rule is SelectionRule.UNIFORM_RANDOM:
         # unit rows make squared-norm weighting uniform
         return int(rng.integers(m))
-    subset = sample_subset(m, config.beta_at(k), rng)
-    if residuals is None:
-        sub_res = system.rows[subset] @ np.asarray(x, dtype=float) - system.rhs[subset]
-    else:
-        sub_res = residuals[subset]
+    subset = sample_subset(m, config.beta, rng)
     # the subset is sorted and argmax takes the first maximum: ties go to the smallest index
-    return int(subset[(sub_res**2).argmax()])
-
-
-def next_index(config: SamplerConfig, k: int, system: LinearSystem, x, rng, residuals=None) -> Selection:
-    """:func:`pick_index` as a :class:`Selection`, whose ``subset`` is the chosen row alone."""
-    i = pick_index(config, k, system, x, rng, residuals)
-    return Selection(subset=np.array([i]), chosen=i)
+    return int(subset[(residuals[subset] ** 2).argmax()])
 
 
 def _max_rank_sums(values, beta: int, scales) -> tuple[list[int], int, list[int]]:

@@ -20,7 +20,7 @@ import numpy as np
 from .bregman import DualPair, StepMode, bregman_step, objective_value, project_hyperplane
 from .errors import NonFiniteIterateError
 from .linsys import LinearSystem
-from .sampling import SamplerConfig, Selection, SelectionRule, pick_index
+from .sampling import SamplerConfig, SelectionRule, pick_index
 
 
 class Method(enum.Enum):
@@ -143,8 +143,8 @@ class IterationTrace:
 
 _FIRST_RECORDS = 1024
 
-# run takes the residual A x - b from the columns of A on supp(x) when A has
-# at least this many entries; on smaller systems one dense product costs less
+# the residual A x - b comes from the columns of A on supp(x) when A has at
+# least this many entries; on smaller systems one dense product costs less
 # than the block's bookkeeping
 _BLOCK_MIN_ENTRIES = 2**18
 # ... and while supp(x) holds at most this share of the columns. Wider
@@ -154,8 +154,8 @@ _BLOCK_MIN_ENTRIES = 2**18
 _BLOCK_MAX_SHARE = 0.25
 _FIRST_COLUMNS = 64
 _GATHER_ROWS = 512
-# above the size gate, uniform row selection (which never reads the residual)
-# records the residuals of up to this many iterates with one matrix product
+# uniform row selection, which never reads the residual, records the
+# residuals of up to this many iterates with one matrix product
 _WINDOW = 32
 
 
@@ -163,7 +163,8 @@ class _SupportColumns:
     """The columns of A on supp(x), kept in one Fortran-order m x cap block.
 
     For a window of iterates (:class:`_ResidualWindow`) supp(x) is the union
-    of their supports.
+    of their supports. On systems below the size gate no support fits, so
+    every product is dense.
 
     ``cols`` lists the held columns in block order and ``held`` marks them.
     An entering column is copied in at the end; a leaving one is overwritten
@@ -177,7 +178,7 @@ class _SupportColumns:
     def __init__(self, rows: np.ndarray):
         m, n = rows.shape
         self.rows = rows
-        self.limit = int(_BLOCK_MAX_SHARE * n)
+        self.limit = int(_BLOCK_MAX_SHARE * n) if rows.size >= _BLOCK_MIN_ENTRIES else 0
         self.block = np.empty((m, min(_FIRST_COLUMNS, self.limit)), order="F")
         self.cols = np.empty(self.limit, dtype=np.intp)
         self.held = np.zeros(n, dtype=bool)
@@ -189,18 +190,26 @@ class _SupportColumns:
         From the block when the support of x (the union of the columns'
         supports) fits in the share limit, else dense.
         """
+        a, xs = (self.block[:, : self.size], x[self.cols[: self.size]]) if self._hold(x) else (self.rows, x)
+        return a @ xs if x.ndim == 1 else _window_product(a, xs)
+
+    def _hold(self, x: np.ndarray) -> bool:
+        """Makes the block hold supp(x); False, with the block empty, when it does not fit.
+
+        Below the size gate the limit is 0 and nothing is held.
+        """
+        if not self.limit:
+            return False
         # nonzero where a column is in the support: x itself, or a row-wise any
         marks = x if x.ndim == 1 else x.any(axis=1)
         support = np.flatnonzero(marks)
         if support.size > self.limit:
             self.held[self.cols[: self.size]] = False
             self.size = 0
-            return self.rows @ x if x.ndim == 1 else _window_product(self.rows, x)
+            return False
         self._remove_zeros(marks)
         self._append(support[~self.held[support]])
-        s = self.size
-        block, xs = self.block[:, :s], x[self.cols[:s]]
-        return block @ xs if x.ndim == 1 else _window_product(block, xs)
+        return True
 
     def _remove_zeros(self, marks: np.ndarray) -> None:
         s = self.size
@@ -305,18 +314,12 @@ def init_state(n: int, lam: float) -> DualPair:
     return DualPair.from_dual(np.zeros(n), lam)
 
 
-def step_once(
-    state: DualPair,
-    system: LinearSystem,
-    selection: Selection,
-    step_mode: StepMode,
-) -> DualPair:
-    """One iteration of :func:`run` on the selected row: a hyperplane projection.
+def step_once(state: DualPair, system: LinearSystem, i: int, step_mode: StepMode) -> DualPair:
+    """One iteration of :func:`run` on row ``i``: a hyperplane projection.
 
     With lam = 0 in inexact mode this is exactly the classical Kaczmarz
     orthogonal projection onto the selected hyperplane.
     """
-    i = selection.chosen
     return project_hyperplane(state, system.rows[i], float(system.rhs[i]), step_mode)
 
 
@@ -340,22 +343,22 @@ def run(
     f(x_hat) - f(x) - <x*, x_hat - x> exactly, because x = soft_threshold(x*,
     lam) gives <x*, x> = ||x||^2 + lam ||x||_1.
 
-    The residual at each iterate x is computed from the columns of A on
-    supp(x) alone (:class:`_SupportColumns`), at a cost of m*|supp(x)|. It
-    falls back to the dense product ``rows @ x`` on systems with fewer than
-    2**18 entries, and at iterates whose support holds more than a quarter of
-    the columns (RK's, for one).
+    The row rule alone decides how residuals are computed. Greedy selection
+    (SSKM) reads the residual at every iterate, so it takes one product per
+    iterate. Uniform selection (RK and SRK) never reads it, so the residuals
+    of up to 32 iterates are computed together, with one matrix product
+    (:class:`_ResidualWindow`). The window is flushed when it is full, when
+    the MSE stop fires, at the last budgeted iteration and before a
+    non-finite iterate raises. The epsilon stop is tested at each flush;
+    when it fires, the trace ends at the first iterate that met it, and that
+    iterate is returned. Only ``residual_norm2`` can differ from one product
+    per iterate, in its rounding, and so the epsilon stop when a residual
+    lies within that rounding of epsilon.
 
-    Above that size, uniform row selection (RK and SRK) does not read the
-    residual, so the residuals of up to 32 iterates are computed together,
-    with one matrix product (:class:`_ResidualWindow`). The window is flushed
-    when it is full, when the MSE stop fires, at the last budgeted iteration
-    and before a non-finite iterate raises. The epsilon stop is tested at each flush; when it fires, the
-    trace ends at the first iterate that met it, and that iterate is
-    returned. Greedy selection reads the residual at every iterate, so SSKM
-    keeps one product per iterate. Only ``residual_norm2`` can differ from
-    one product per iterate, in its rounding, and so the epsilon stop when a
-    residual lies within that rounding of epsilon.
+    Either product is taken by :class:`_SupportColumns`: on systems with at
+    least 2**18 entries from the columns of A on supp(x) alone, at a cost of
+    m*|supp(x)|, and densely on smaller systems and at iterates whose
+    support holds more than a quarter of the columns (RK's, for one).
     """
     n = system.n
     lam = spec.lam
@@ -385,10 +388,10 @@ def run(
     x = np.zeros(n)
     rows, rhs = system.rows, system.rhs
     r = -rhs  # residual at x_0 = 0
-    support_cols = _SupportColumns(rows) if rows.size >= _BLOCK_MIN_ENTRIES else None
+    columns = _SupportColumns(rows)
     window = None
-    if _WINDOW > 1 and support_cols is not None and sampler.rule is not SelectionRule.SKM_GREEDY:
-        window = _ResidualWindow(n, min(_WINDOW, max_iters), support_cols, rhs, eps2)
+    if sampler.rule is not SelectionRule.SKM_GREEDY:
+        window = _ResidualWindow(n, min(_WINDOW, max_iters), columns, rhs, eps2)
 
     status = RunStatus.MAX_ITERS
     hit = None  # (iterations, primal, dual) where a flushed window met the epsilon stop
@@ -399,7 +402,7 @@ def run(
             chosen_rec, step_rec, resid_rec, mse_rec, breg_rec = (
                 _resized(a, cap) for a in (chosen_rec, step_rec, resid_rec, mse_rec, breg_rec)
             )
-        i = pick_index(sampler, k, system, x, rng, r)
+        i = pick_index(sampler, system, rng, r)
         t, dual, x = bregman_step(dual, x, rows[i], float(rhs[i]), lam, spec.step_mode)
         x_norm2 = float(np.dot(x, x))
         # an infinite ||x||^2 from finite entries (a square that overflows) is no failure
@@ -423,7 +426,7 @@ def run(
 
         # --- residual record and stopping at x_{k+1} ---
         if window is None:
-            r = (rows @ x if support_cols is None else support_cols.product(x)) - rhs
+            r = columns.product(x) - rhs
             resid2 = float(np.dot(r, r))
             resid_rec[k] = resid2
         elif window.push(x, dual):

@@ -1,11 +1,12 @@
 """Independent reference implementations used to check the library.
 
 Every oracle here deliberately takes a different computational route than
-the code under test: brute-force loops, grid searches, bisection, and
-order-statistics identities.
+the code under test: brute-force loops, grid searches, bisection,
+order-statistics identities, and exact rational arithmetic.
 """
 
 import itertools
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -233,10 +234,12 @@ def _root_on_grid(ts, gs, slope_outside):
 def breakpoint_scan_exact_step(dual, a, b_i, lam):
     """Exact step by evaluating the derivative at every bracketed breakpoint.
 
-    The library's earlier implementation, kept as the reference for its
-    bisection: the same bracket around the row residual, then the derivative
-    at every deduplicated breakpoint inside it, as one matrix product, and
-    :func:`_root_on_grid` on the result.
+    The library's earlier implementation, kept as a floating-point reference
+    for its exact step: the bracket around the row residual that the
+    bisection fallback also uses, then the derivative at every deduplicated
+    breakpoint inside it, as one matrix product, and :func:`_root_on_grid` on
+    the result. Its derivative values are rounded too, so it is itself
+    checked against :func:`rational_step_roots`.
     """
     dual = np.asarray(dual, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -266,3 +269,79 @@ def breakpoint_scan_exact_step(dual, a, b_i, lam):
     ts = np.concatenate(([lo], inside, [hi]))
     gs = np.concatenate(([g_lo], _step_derivative(inside, dual, a, b_i, lam), [g_hi]))
     return _root_on_grid(ts, gs, norm2)
+
+
+def _rational_derivative(t, dual, a, b_i, lam):
+    """b_i - <a, soft_threshold(dual - t a, lam)> in exact rational arithmetic."""
+    g = b_i
+    for d, aj in zip(dual, a):
+        v = d - t * aj
+        if v > lam:
+            g -= aj * (v - lam)
+        elif v < -lam:
+            g -= aj * (v + lam)
+    return g
+
+
+def rational_step_roots(dual, a, b_i, lam):
+    """The exact step's roots, with no rounding: the interval ``(lo, hi)`` of
+    :class:`fractions.Fraction` ends where the derivative is zero.
+
+    The floats given are read as the rationals they are; ``b_i`` may also be
+    a :class:`fractions.Fraction`. The derivative is nondecreasing and linear
+    between its kinks (dual_j -+ lam) / a_j, with slope ||a||^2 on the two
+    rays, so two binary searches over the sorted kinks find the piece that
+    holds the root and the root is solved on it; then lo == hi. On a flat
+    zero segment the ends are kinks, and any point of it minimizes the line
+    search: :func:`exact_step` returns its midpoint, but a kink that its
+    floating-point derivative misses by one rounding moves that midpoint.
+    ``a`` must have a nonzero entry.
+    """
+    dual = [Fraction(float(v)) for v in dual]
+    a = [Fraction(float(v)) for v in a]
+    b_i, lam = Fraction(b_i), Fraction(float(lam))
+    kinks = sorted({(d + side * lam) / aj for d, aj in zip(dual, a) if aj for side in (-1, 1)})
+
+    def g(t):
+        return _rational_derivative(t, dual, a, b_i, lam)
+
+    def first(pred):
+        lo, hi = 0, len(kinks)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if pred(g(kinks[mid])):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    # g < 0 at kinks[:i], g == 0 at kinks[i:j], g > 0 at kinks[j:]
+    i = first(lambda v: v >= 0)
+    j = first(lambda v: v > 0)
+    norm2 = sum(aj * aj for aj in a)
+    if i == len(kinks):
+        t = kinks[-1] - g(kinks[-1]) / norm2
+    elif j == 0:
+        t = kinks[0] - g(kinks[0]) / norm2
+    elif i < j:
+        return kinks[i], kinks[j - 1]
+    else:
+        lo, hi = kinks[i - 1], kinks[i]
+        g_lo, g_hi = g(lo), g(hi)
+        t = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+    return t, t
+
+
+def derivative_rounding_bound(dual, a, lam, t) -> float:
+    """A bound on the rounding of b_i - <a, soft_threshold(dual - t a, lam)> in floats.
+
+    eps (n sum_j |a_j s_j| + 2 sum_j |a_j| (|dual_j| + |t a_j|)), for s the
+    thresholded shift: the dot product <a, s> rounds by up to n eps sum_j
+    |a_j s_j|, and forming dual_j - t a_j rounds by up to 2 eps (|dual_j| +
+    |t a_j|), which also covers an entry that rounding moves across a kink.
+    """
+    dual = np.asarray(dual, dtype=float)
+    a = np.asarray(a, dtype=float)
+    s = soft_threshold(dual - t * a, lam)
+    shift = np.abs(dual) + abs(t) * np.abs(a)
+    return float(np.finfo(float).eps * np.dot(np.abs(a), a.size * np.abs(s) + 2 * shift))

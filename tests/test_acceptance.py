@@ -18,7 +18,6 @@ import sparsekaczmarz as sk
 from sparsekaczmarz import (
     DualPair,
     SamplerConfig,
-    Selection,
     SelectionRule,
     SolverSpec,
     StepMode,
@@ -45,6 +44,7 @@ from sparsekaczmarz import (
     step_once,
     write_matrix_market,
 )
+from sparsekaczmarz.sampling import pick_index
 
 from oracles import bisection_exact_step, conjugate_sup_oracle, gamma_sorted, max_rank_weights
 
@@ -73,7 +73,7 @@ def test_c01_bregman_monotonicity():
                 r = residual(system, pair.primal)
                 subset = sample_subset(m, beta, rng)
                 i = int(subset[int(np.argmax(r[subset] ** 2))])
-                pair = step_once(pair, system, Selection(subset=subset, chosen=i), mode)
+                pair = step_once(pair, system, i, mode)
                 d_next = bregman_distance(pair, x_hat)
                 worst = min(worst, d_cur - 0.5 * r[i] ** 2 + 1e-10 - d_next)
                 d_cur = d_next
@@ -188,7 +188,7 @@ def contraction_study():
             q = contraction_factor(sv.smallest_nonzero, lam, xmin, beta, gamma, m).value
             subset = sample_subset(m, beta, rng)
             i = int(subset[int(np.argmax(r[subset] ** 2))])
-            pair = step_once(pair, system, Selection(subset=subset, chosen=i), StepMode.EXACT)
+            pair = step_once(pair, system, i, StepMode.EXACT)
             d_next = bregman_distance(pair, x_hat)
             if d_cur > floor:
                 ratios[t, j] = d_next / d_cur
@@ -279,9 +279,9 @@ def test_c08_beta_one_equals_uniform():
     config = SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=1)
     draw_rng = np.random.default_rng(99)
     counts = np.zeros(m, dtype=int)
-    x0 = np.zeros(n)
+    r0 = residual(system, np.zeros(n))
     for _ in range(100_000):
-        counts[sk.next_index(config, 0, system, x0, draw_rng).chosen] += 1
+        counts[pick_index(config, system, draw_rng, r0)] += 1
     p_chi = float(stats.chisquare(counts).pvalue)
 
     finals_greedy, finals_uniform = [], []

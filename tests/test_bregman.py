@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -23,7 +25,9 @@ from oracles import (
     breakpoint_scan_exact_step,
     bregman_distance_alt,
     conjugate_sup_oracle,
+    derivative_rounding_bound,
     orthogonal_projection,
+    rational_step_roots,
 )
 
 
@@ -278,15 +282,26 @@ def test_exact_step_matches_bisection_oracle():
     b=st.floats(-5.0, 5.0),
     db=st.floats(1e-6, 3.0),
 )
+# roots near 0, where a fixed absolute floor of 1e-15 lay below the rounding of g
+@example(n=27, seed=1131293769, scale=18.32511842971436, lam=0.0, zeros=0.02836239653240653, b=1.2553091101963867, db=1.0)
+@example(n=12, seed=600953618, scale=17.77929442671998, lam=0.05, zeros=0.08425741189716593, b=-3.4587588200112176, db=1.0)
+@example(n=28, seed=3592085030, scale=16.748468278918484, lam=1.0, zeros=0.43464058094913927, b=-4.265215601987561, db=1.0)
 def test_exact_step_bisection_matches_breakpoint_scan(n, seed, scale, lam, zeros, b, db):
     rng = np.random.default_rng(seed)
     dual = rng.standard_normal(n) * scale
     a = rng.standard_normal(n)
     a[1:][rng.random(n - 1) < zeros] = 0.0  # zero entries have no kinks; a[0] stays nonzero
     a /= np.linalg.norm(a)
+    # both steps round g, so each is held to the exact roots of g shifted by
+    # at most that rounding either way, to within 1e-12 relative
+    for step in (exact_step, breakpoint_scan_exact_step):
+        t = step(dual, a, b, lam)
+        delta = Fraction(derivative_rounding_bound(dual, a, lam, t))
+        lo, _ = rational_step_roots(dual, a, b + delta, lam)
+        _, hi = rational_step_roots(dual, a, b - delta, lam)
+        err = float(max(lo - Fraction(t), Fraction(t) - hi, 0))
+        assert err <= 1e-12 * abs(t), step.__name__
     t = exact_step(dual, a, b, lam)
-    t_ref = breakpoint_scan_exact_step(dual, a, b, lam)
-    assert abs(t - t_ref) <= 1e-12 * abs(t_ref) + 1e-15
     deriv = b - float(np.dot(a, soft_threshold(dual - t * a, lam)))
     assert abs(deriv) <= 1e-12 * (1.0 + abs(b) + abs(t))
     # the derivative falls as b rises, so the root moves down: t is nonincreasing in b

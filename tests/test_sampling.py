@@ -10,7 +10,6 @@ from scipy import stats
 from sparsekaczmarz import (
     SamplerConfig,
     SelectionRule,
-    next_index,
     normalize_rows,
     residual,
     sample_subset,
@@ -221,47 +220,27 @@ def test_theoretical_probability_property_matches_bruteforce(case):
     assert sum(probs.values()) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_next_index_cyclic():
-    rng = np.random.default_rng(9)
-    system = normalize_rows(np.eye(3), np.ones(3))
-    config = SamplerConfig(rule=SelectionRule.CYCLIC)
-    sel = next_index(config, 7, system, np.zeros(3), rng)
-    assert sel.chosen == 1
-
-
-def test_next_index_greedy_full_subset_is_global_argmax():
+def test_pick_index_greedy_full_subset_is_global_argmax():
     rng = np.random.default_rng(10)
     system = normalize_rows(rng.standard_normal((12, 5)), rng.standard_normal(12))
     x = rng.standard_normal(5)
     config = SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=12)
-    sel = next_index(config, 0, system, x, rng)
     r = residual(system, x)
-    assert sel.chosen == int(np.argmax(r**2))
+    assert pick_index(config, system, rng, r) == int(np.argmax(r**2))
 
 
-def test_next_index_greedy_beta_one_matches_uniform_frequencies():
+def test_pick_index_greedy_beta_one_matches_uniform_frequencies():
     # beta=1 greedy sampling is distributionally uniform row choice
     rng = np.random.default_rng(11)
     m = 10
     system = normalize_rows(rng.standard_normal((m, 4)), rng.standard_normal(m))
-    x = rng.standard_normal(4)
+    r = residual(system, rng.standard_normal(4))
     config = SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=1)
     draws = 100_000
     counts = np.zeros(m, dtype=int)
     for _ in range(draws):
-        counts[next_index(config, 0, system, x, rng).chosen] += 1
+        counts[pick_index(config, system, rng, r)] += 1
     assert stats.chisquare(counts).pvalue > 0.01
-
-
-def test_next_index_uses_passed_residuals():
-    rng = np.random.default_rng(12)
-    system = normalize_rows(rng.standard_normal((8, 4)), rng.standard_normal(8))
-    x = rng.standard_normal(4)
-    config = SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=8)
-    r = residual(system, x)
-    sel_a = next_index(config, 0, system, x, np.random.default_rng(1), residuals=r)
-    sel_b = next_index(config, 0, system, x, np.random.default_rng(1))
-    assert sel_a.chosen == sel_b.chosen
 
 
 def test_pick_index_breaks_ties_like_select_motzkin():
@@ -269,11 +248,11 @@ def test_pick_index_breaks_ties_like_select_motzkin():
     system = normalize_rows(np.eye(8), np.zeros(8))
     r = np.array([0.5, -1.0, 3.0, 0.0, 2.0, -3.0, 1.0, 3.0])
     full = SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=8)
-    assert pick_index(full, 0, system, np.zeros(8), np.random.default_rng(0), r) == 2
+    assert pick_index(full, system, np.random.default_rng(0), r) == 2
     assert select_motzkin(np.arange(8)[::-1], r).chosen == 2
     config = SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=4)
     for seed in range(200):
-        i = pick_index(config, 0, system, np.zeros(8), np.random.default_rng(seed), r)
+        i = pick_index(config, system, np.random.default_rng(seed), r)
         subset = sample_subset(8, 4, np.random.default_rng(seed))
         assert i == select_motzkin(subset, r).chosen, seed
 
@@ -282,15 +261,6 @@ def test_pick_index_uniform_consumes_one_integer_draw():
     system = normalize_rows(np.eye(6), np.ones(6))
     config = SamplerConfig(rule=SelectionRule.UNIFORM_RANDOM)
     rng, ref = np.random.default_rng(14), np.random.default_rng(14)
-    picks = [pick_index(config, k, system, np.zeros(6), rng) for k in range(50)]
+    r = residual(system, np.zeros(6))
+    picks = [pick_index(config, system, rng, r) for _ in range(50)]
     assert picks == [int(ref.integers(6)) for _ in range(50)]
-
-
-def test_next_index_wraps_pick_index():
-    rng = np.random.default_rng(15)
-    system = normalize_rows(rng.standard_normal((12, 5)), rng.standard_normal(12))
-    x = rng.standard_normal(5)
-    config = SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=5)
-    sel = next_index(config, 0, system, x, np.random.default_rng(2))
-    assert sel.chosen == pick_index(config, 0, system, x, np.random.default_rng(2))
-    assert sel.subset.tolist() == [sel.chosen]

@@ -9,7 +9,6 @@ from sparsekaczmarz import (
     Method,
     RunStatus,
     SamplerConfig,
-    Selection,
     SelectionRule,
     SolverSpec,
     StepMode,
@@ -19,7 +18,6 @@ from sparsekaczmarz import (
     gaussian_instance,
     init_state,
     inexact_step,
-    next_index,
     normalize_rows,
     objective_value,
     replay_duals,
@@ -30,6 +28,7 @@ from sparsekaczmarz import (
 )
 from sparsekaczmarz import solvers
 from sparsekaczmarz.errors import NonFiniteIterateError
+from sparsekaczmarz.sampling import pick_index
 
 from oracles import orthogonal_projection
 
@@ -54,8 +53,7 @@ def test_init_state_rejects_bad_n():
 def test_step_once_is_kaczmarz_projection_at_lam_zero():
     system = normalize_rows([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
     state = DualPair.from_dual(np.array([3.0, 4.0]), 0.0)
-    sel = Selection(subset=np.array([0]), chosen=0)
-    moved = step_once(state, system, sel, StepMode.INEXACT)
+    moved = step_once(state, system, 0, StepMode.INEXACT)
     assert np.array_equal(moved.primal, [1.0, 4.0])
     expected = orthogonal_projection(state.primal, system.rows[0], system.rhs[0])
     assert np.max(np.abs(moved.primal - expected)) < 1e-15
@@ -68,10 +66,9 @@ def test_step_once_noop_on_satisfied_row():
     # build a state already on row 0's hyperplane
     state = DualPair.from_dual(np.zeros(system.n), 1.0)
     b0 = float(system.rhs[0])
-    sel = Selection(subset=np.array([0]), chosen=0)
     # move once onto the hyperplane, then a second exact step must not move
-    on_plane = step_once(state, system, sel, StepMode.EXACT)
-    again = step_once(on_plane, system, sel, StepMode.EXACT)
+    on_plane = step_once(state, system, 0, StepMode.EXACT)
+    again = step_once(on_plane, system, 0, StepMode.EXACT)
     assert np.max(np.abs(again.dual - on_plane.dual)) < 1e-12
     assert abs(np.dot(system.rows[0], on_plane.primal) - b0) < 1e-10
 
@@ -83,8 +80,7 @@ def test_step_once_bregman_decrease_with_lam():
     for mode in (StepMode.EXACT, StepMode.INEXACT):
         r = residual(system, state.primal)
         i = int(np.argmax(r**2))
-        sel = Selection(subset=np.array([i]), chosen=i)
-        moved = step_once(state, system, sel, mode)
+        moved = step_once(state, system, i, mode)
         drop = 0.5 * r[i] ** 2
         assert (
             bregman_distance(moved, x_hat)
@@ -93,18 +89,15 @@ def test_step_once_bregman_decrease_with_lam():
 
 
 def test_run_identity_system_converges_in_one_pass():
+    # every row of the full subset ties until it is projected on, and ties go to
+    # the smallest index: the rows are taken in order, each once
     n = 6
     system = normalize_rows(np.eye(n), np.ones(n))
-    spec = SolverSpec(
-        method=Method.RK,
-        lam=0.0,
-        step_mode=StepMode.INEXACT,
-        sampler=SamplerConfig(rule=SelectionRule.CYCLIC),
-        stop=StoppingRule(epsilon=1e-12, max_iters=100),
-    )
+    spec = SolverSpec.sskm(0.0, n, StepMode.INEXACT, stop=StoppingRule(epsilon=1e-12, max_iters=100))
     pair, trace = run(system, spec)
     assert trace.status is RunStatus.CONVERGED
     assert trace.iterations == n
+    assert trace.chosen.tolist() == list(range(n))
     assert np.max(np.abs(pair.primal - 1.0)) < 1e-12
 
 
@@ -120,7 +113,7 @@ def test_run_deterministic_given_seed():
 
 
 def test_run_matches_composed_single_steps():
-    """``run`` equals init_state -> next_index (full residual) -> step_once, for every variant."""
+    """``run`` equals init_state -> pick_index (full residual) -> step_once, for every variant."""
     system, x_hat, _ = small_instance(seed=5)
     stop = StoppingRule(max_iters=40)
     specs = {
@@ -136,13 +129,21 @@ def test_run_matches_composed_single_steps():
         state = init_state(system.n, spec.lam)
         for k in range(trace.iterations):
             r = residual(system, state.primal)
-            sel = next_index(spec.sampler, k, system, state.primal, rng, residuals=r)
-            assert sel.chosen == trace.chosen[k], (name, k)
-            new_state = step_once(state, system, sel, spec.step_mode)
+            i = pick_index(spec.sampler, system, rng, r)
+            assert i == trace.chosen[k], (name, k)
+            new_state = step_once(state, system, i, spec.step_mode)
             # the recorded step value reproduces this step's dual bit for bit
-            stepped = state.dual - trace.step[k] * system.rows[sel.chosen]
+            stepped = state.dual - trace.step[k] * system.rows[i]
             assert np.array_equal(stepped, new_state.dual), (name, k)
             state = new_state
+            # greedy rows read one dense product per iterate below the size gate,
+            # bit for bit; uniform rows record a window's product, up to rounding
+            r = residual(system, state.primal)
+            expected = float(np.dot(r, r))
+            if spec.method is Method.SSKM:
+                assert trace.residual_norm2[k] == expected, (name, k)
+            else:
+                assert trace.residual_norm2[k] == pytest.approx(expected, rel=1e-12), (name, k)
         assert np.array_equal(state.primal, pair.primal), name
         assert np.array_equal(state.dual, pair.dual), name
 
@@ -243,7 +244,8 @@ def test_run_record_memory_follows_iterations_not_budget():
 
 def test_run_records_grow_past_the_first_chunk():
     # 3000 iterations cross two doublings of the records; the trace must equal
-    # the single steps it records
+    # the single steps it records. RK's residuals come from one product per
+    # window of iterates, so they equal one product per iterate up to rounding
     system, x_hat, _ = small_instance(seed=8, m=30, n=20, k=3)
     spec = SolverSpec.rk(seed=4, stop=StoppingRule(max_iters=3000))
     pair, trace = run(system, spec, ground_truth=x_hat)
@@ -253,7 +255,7 @@ def test_run_records_grow_past_the_first_chunk():
         i = int(trace.chosen[k])
         x = x - trace.step[k] * system.rows[i]
         r = residual(system, x)
-        assert trace.residual_norm2[k] == float(np.dot(r, r)), k
+        assert trace.residual_norm2[k] == pytest.approx(float(np.dot(r, r)), rel=1e-12), k
     assert np.array_equal(x, pair.primal)
     assert trace.mse[-1] == trace.final_mse
 
@@ -323,14 +325,19 @@ def _iterates(system, trace, lam):
         yield soft_threshold(dual - trace.step[k] * system.rows[trace.chosen[k]], lam)
 
 
-@pytest.mark.parametrize("method", ["sskm", "rk"])
-def test_run_residual_from_support_columns_equals_dense(monkeypatch, method):
+@pytest.mark.parametrize(
+    "method,shape",
+    [pytest.param("sskm", (600, 500), id="sskm"), pytest.param("rk", (600, 500), id="rk"),
+     pytest.param("rk", (300, 200), id="rk-below-gate")],
+)
+def test_run_residual_from_support_columns_equals_dense(monkeypatch, method, shape):
     # 600 x 500 is above the size gate. SSKM-exact's support grows and shrinks,
     # so columns enter and leave the block, one product per iteration; RK's
     # support is full, so its products, one per window of iterates, take the
-    # dense fallback
-    system, x_hat, _ = gaussian_instance(600, 500, 10, child_rng(5, 600, 500, 0))
-    assert system.rows.size >= solvers._BLOCK_MIN_ENTRIES
+    # dense fallback. Below the gate RK takes one product per window too
+    m, n = shape
+    system, x_hat, _ = gaussian_instance(m, n, 10, child_rng(5, m, n, 0))
+    assert (system.rows.size >= solvers._BLOCK_MIN_ENTRIES) == (m == 600)
     block_sizes = []
     product = solvers._SupportColumns.product
 
@@ -375,6 +382,22 @@ def test_support_columns_product_through_dense_and_back():
         assert cols.size == (size if size <= cols.limit else 0)
 
 
+def test_support_columns_below_the_size_gate_take_the_dense_product():
+    # below the gate no support is held, so every product, of one iterate or
+    # of a window of them, is the dense one bit for bit
+    rng = np.random.default_rng(13)
+    rows = rng.standard_normal((300, 200))
+    assert rows.size < solvers._BLOCK_MIN_ENTRIES
+    cols = solvers._SupportColumns(rows)
+    for size in (0, 3, 40, 200):
+        x = np.zeros(200)
+        x[rng.choice(200, size, replace=False)] = rng.standard_normal(size)
+        assert np.array_equal(cols.product(x), rows @ x), size
+        xs = np.asfortranarray(np.stack([x, 2.0 * x], axis=1))
+        assert np.array_equal(cols.product(xs), solvers._window_product(rows, xs)), size
+        assert cols.size == 0
+
+
 def test_run_support_block_memory_follows_support_not_n():
     m, n = 600, 4000
     system, x_hat, _ = gaussian_instance(m, n, 10, child_rng(3, m, n, 0))
@@ -412,8 +435,9 @@ def test_support_columns_product_of_a_window():
         assert cols.size == (union if union <= cols.limit else 0), sizes
 
 
-# (variant, lam) on the 600 x 500 instance above the size gate: RK's products
-# are dense, SRK-exact's come from the support block
+# (variant, lam): on the 600 x 500 instance above the size gate RK's products
+# are dense and SRK-exact's come from the support block; on the 300 x 200
+# reference shape below it every product is dense
 _WINDOWED = [("rk", 0.0), ("srk-inexact", 0.05), ("srk-exact", 1.0)]
 
 
@@ -435,10 +459,12 @@ def _first_new_low(values, after, window):
 
 @pytest.mark.parametrize("case", ["budget-20", "budget-75", "mse-stop", "epsilon-stop", "epsilon-stop-last-window"])
 @pytest.mark.parametrize("variant,lam", _WINDOWED)
-def test_run_window_matches_one_product_per_iterate(monkeypatch, variant, lam, case):
-    system, x_hat, _ = gaussian_instance(600, 500, 10, child_rng(5, 600, 500, 0))
+@pytest.mark.parametrize("shape", [(600, 500), (300, 200)])
+def test_run_window_matches_one_product_per_iterate(monkeypatch, shape, variant, lam, case):
+    m, n = shape
+    system, x_hat, _ = gaussian_instance(m, n, 10, child_rng(5, m, n, 0))
     window = solvers._WINDOW
-    assert system.rows.size >= solvers._BLOCK_MIN_ENTRIES and window > 1
+    assert (system.rows.size >= solvers._BLOCK_MIN_ENTRIES) == (m == 600) and window > 1
 
     def solve(stop, size):
         monkeypatch.setattr(solvers, "_WINDOW", size)
@@ -485,7 +511,6 @@ def _overflowing_system():
 
 @pytest.mark.parametrize("window", [32, 1])
 def test_run_window_raises_at_the_same_non_finite_iteration(monkeypatch, window):
-    monkeypatch.setattr(solvers, "_BLOCK_MIN_ENTRIES", 1)
     monkeypatch.setattr(solvers, "_WINDOW", window)
     spec = SolverSpec.rk(seed=0, stop=StoppingRule(max_iters=100))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -498,7 +523,6 @@ def test_run_window_stop_before_a_non_finite_iterate_does_not_raise(monkeypatch,
     # every residual meets an infinite epsilon, so the run stops after its first
     # iterate, whether or not iterates 2 and 3 were held in a window when
     # iteration 3 overflowed
-    monkeypatch.setattr(solvers, "_BLOCK_MIN_ENTRIES", 1)
     monkeypatch.setattr(solvers, "_WINDOW", window)
     system = _overflowing_system()
     spec = SolverSpec.rk(seed=0, stop=StoppingRule(max_iters=100, epsilon=np.inf))
