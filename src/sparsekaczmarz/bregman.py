@@ -11,7 +11,8 @@ The dual derivative is nondecreasing and piecewise linear in the step size,
 so the exact step, the Bregman projection of Lorenz et al. (2014), is its
 root. It is found by an active-set Newton iteration from the cheap step: on
 the linear piece that holds the current point the root is one division
-away, and it is accepted once the piece is unchanged. When Newton fails to
+away, and it is accepted once the piece is unchanged; a flat piece is left
+by a jump to the kink that ends it toward the root. When Newton fails to
 settle, the root is found by bisection over the sorted breakpoints inside a
 bracket with the derivative evaluated directly at O(log n) of them, then
 interpolated on the linear piece that holds it: the search of l1-ball
@@ -137,14 +138,17 @@ def exact_step(dual, a_i, b_i: float, lam: float) -> float:
     jumps to the root of the current piece's line, and the jump is accepted
     when the sign pattern of the thresholded dual is the same there, so that
     both points lie on one piece and the jump is its exact root; one more
-    step on that piece removes the rounding of the jump. Newton hands off to
-    a bracketed bisection over the sorted kinks when a piece is flat, when
-    the pattern still changes after ``_NEWTON_STEPS`` steps, or when every
-    term of g at the root lies within rounding of zero (so b_i is zero up to
-    rounding): the root may then end a piece where g is zero, and the
-    midpoint of that plateau is the answer. The bisection evaluates g
-    directly at O(log n) kinks and interpolates the root on its piece, or
-    returns the midpoint of a segment where g vanishes.
+    step on that piece removes the rounding of the jump. A flat piece, where
+    g equals b (every entry with a_j != 0 in its band, as at x* = 0), is
+    left by a jump to the kink that ends it toward the root. Newton hands off
+    to a bracketed bisection over the sorted kinks when b is zero on the
+    flat piece or Newton comes back to it, when the pattern still changes
+    after ``_NEWTON_STEPS`` steps, or when every term of g at the root lies
+    within rounding of zero (so b_i is zero up to rounding): the root may
+    then end a piece where g is zero, and the midpoint of that plateau is
+    the answer. The bisection evaluates g directly at O(log n) kinks and
+    interpolates the root on its piece, or returns the midpoint of a segment
+    where g vanishes.
     """
     dual = np.asarray(dual, dtype=float)
     return _exact_step(dual, soft_threshold(dual, lam), np.asarray(a_i, dtype=float), b_i, lam)
@@ -166,7 +170,9 @@ def _newton_root(dual, a, b: float, lam: float, t: float, norm2: float) -> float
     The pattern of a piece is counted as c = sum_j sign(a_j) sign(s_j) with
     s = soft_threshold(dual - t*a, lam): each entry's sign moves one way as t
     grows, so c falls at every kink and two points share a piece iff they
-    share c. The sums are of integers, so exact.
+    share c. The sums are of integers, so exact. On a flat piece, where g
+    equals b, Newton first jumps to the kink that ends it toward the root
+    (:func:`_flat_piece_exit`) and steps on along the piece beyond it.
     """
     sign_a = np.sign(a)
     a2 = a * a
@@ -177,20 +183,52 @@ def _newton_root(dual, a, b: float, lam: float, t: float, norm2: float) -> float
         return s, z, float(np.dot(z, sign_a))
 
     s, z, c = piece(t)
+    g = b - float(np.dot(s, a))
+    slope = float(np.dot(z * z, a2))
+    jumped = False
     for _ in range(_NEWTON_STEPS):
-        slope = float(np.dot(z * z, a2))
         if slope == 0.0:
-            return None
-        t_new = t - (b - float(np.dot(s, a))) / slope
+            # g = b on the flat piece; with b = 0 the root may be anywhere on it
+            if jumped or g == 0.0:
+                return None
+            t, c, slope = _flat_piece_exit(dual, a, lam, g > 0.0)
+            if not math.isfinite(t):
+                return None
+            jumped = True
+        t_new = t - g / slope
         s, z, c_new = piece(t_new)
+        g_new = b - float(np.dot(s, a))
         if c_new == c:
-            g_new = b - float(np.dot(s, a))
             if _ends_at_kinks(a, s, b - g_new, lam, max(abs(t), abs(t_new)), norm2):
                 return None
             # a correction on the same piece removes the rounding of a long jump
             return t_new - g_new / slope
-        t, c = t_new, c_new
+        t, c, g = t_new, c_new, g_new
+        slope = float(np.dot(z * z, a2))
     return None
+
+
+def _flat_piece_exit(dual, a, lam: float, leftward: bool) -> tuple[float, float, float]:
+    """The kink that ends the flat piece of g, and the pattern count c and slope
+    of the piece beyond it.
+
+    On the flat piece every entry with a_j != 0 lies in its band, t in
+    [(dual_j - lam)/a_j, (dual_j + lam)/a_j] (ends swapped for a_j < 0).
+    Leftward the piece ends at the largest lower end, and each entry whose
+    band ends there leaves it with sign(s_j) = sign(a_j); rightward at the
+    smallest upper end, with sign(s_j) = -sign(a_j).
+    """
+    nz = a != 0.0
+    an, d = a[nz], dual[nz]
+    lo, hi = (d - lam) / an, (d + lam) / an
+    if leftward:
+        ends = np.minimum(lo, hi)
+        kink = ends.max()
+    else:
+        ends = np.maximum(lo, hi)
+        kink = ends.min()
+    leaving = an[ends == kink]
+    return float(kink), float(leaving.size if leftward else -leaving.size), float(np.dot(leaving, leaving))
 
 
 def _ends_at_kinks(a, s, total: float, lam: float, reach: float, norm2: float) -> bool:
@@ -296,12 +334,31 @@ def bregman_step(dual, primal, a, b: float, lam: float, mode: StepMode):
     dual - t*a and new_primal its soft threshold. No checks: callers validate
     the row and the step value.
     """
-    if mode is StepMode.INEXACT:
-        t = inexact_step(primal, a, b)
-    else:
-        t = _exact_step(dual, primal, a, b, lam)
+    t = _step_size(dual, primal, a, b, lam, mode)
     new_dual = dual - t * a
     return t, new_dual, soft_threshold(new_dual, lam)
+
+
+def _step_into(dual, primal, a, b: float, lam: float, mode: StepMode, new_dual, new_primal) -> float:
+    """:func:`bregman_step` that writes the new pair into the given arrays and
+    returns t; the same values bit for bit.
+
+    ``new_dual`` may be ``dual`` and ``new_primal`` may be ``primal``: both
+    are read only to find t.
+    """
+    t = _step_size(dual, primal, a, b, lam, mode)
+    np.subtract(dual, t * a, out=new_dual)
+    # soft_threshold's three passes
+    np.maximum(new_dual, -lam, out=new_primal)
+    np.minimum(new_primal, lam, out=new_primal)
+    np.subtract(new_dual, new_primal, out=new_primal)
+    return t
+
+
+def _step_size(dual, primal, a, b: float, lam: float, mode: StepMode) -> float:
+    if mode is StepMode.INEXACT:
+        return inexact_step(primal, a, b)
+    return _exact_step(dual, primal, a, b, lam)
 
 
 def project_hyperplane(pair: DualPair, a_i, b_i: float, mode: StepMode) -> DualPair:

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import os
 import sys
 import time
@@ -58,7 +60,12 @@ _MODE_IDS = {"inexact": 0, "exact": 1}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs for one experiment; mirrored one-to-one by the JSON config file."""
+    """Knobs for one experiment; mirrored one-to-one by the JSON config file.
+
+    Every numeric field is checked for its type (an integer field takes no
+    float, no field takes a bool or a string) and its range, every k of
+    ``k_grid`` against n too; a bad value raises :class:`ConfigError`.
+    """
 
     m: int = 300
     n: int = 200
@@ -78,12 +85,28 @@ class ExperimentConfig:
     k_grid: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.k > self.n or self.k < 1:
-            raise ConfigError(f"sparsity k={self.k} outside [1, n={self.n}]")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if not (np.isfinite(self.noise_level) and self.noise_level >= 0):
-            raise ConfigError(f"noise_level must be finite and nonnegative, got {self.noise_level}")
+        for name in ("m", "n", "k", "trials", "max_iters"):
+            _check_integer(name, getattr(self, name), 1)
+        _check_integer("master_seed", self.master_seed, 0)
+        for name in ("m_grid", "k_grid"):
+            for value in getattr(self, name) or ():
+                _check_integer(name, value, 1)
+        for name in ("lam", "noise_level", "mse_target", "epsilon"):
+            value = getattr(self, name)
+            if value is None and name in ("mse_target", "epsilon"):
+                continue
+            key = "lambda" if name == "lam" else name  # as the config file spells it
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{key} must be a number, got {value!r}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{key} must be finite and nonnegative, got {value}")
+        for k in (self.k, *(self.k_grid or ())):
+            if k > self.n:
+                raise ConfigError(f"sparsity k={k} outside [1, n={self.n}]")
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ConfigError(f"out_dir must be a path, got {self.out_dir!r}")
+        if isinstance(self.beta, bool) or not isinstance(self.beta, (numbers.Integral, str)):
+            raise ConfigError(f"beta must be an integer or a spec string, got {self.beta!r}")
         if self.step_mode not in ("exact", "inexact", "both"):
             raise ConfigError(f"step_mode must be exact/inexact/both, got {self.step_mode!r}")
         for name in self.methods:
@@ -97,6 +120,13 @@ class ExperimentConfig:
             tuple(self.m_grid) if self.m_grid else DEFAULT_M_GRID,
             tuple(self.k_grid) if self.k_grid else DEFAULT_K_GRID,
         )
+
+
+def _check_integer(name: str, value, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -121,6 +151,8 @@ def load_config(path) -> ExperimentConfig:
         if key == "lam" or name not in names:
             raise ConfigError(f"unknown config key {key!r}")
         if name in ("methods", "m_grid", "k_grid") and value is not None:
+            if not isinstance(value, list):
+                raise ConfigError(f"{key} must be a list, got {value!r}")
             value = tuple(value)
         kwargs[name] = value
     try:

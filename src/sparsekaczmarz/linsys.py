@@ -8,7 +8,7 @@ point that constructs a :class:`LinearSystem` from raw data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -80,8 +80,25 @@ class LinearSystem:
         return svals
 
     def with_rhs(self, new_rhs) -> "LinearSystem":
-        """Same rows, different right-hand side (used for noise injection)."""
-        return replace(self, rhs=np.array(new_rhs, dtype=float))
+        """Same rows, different right-hand side (used for noise injection).
+
+        Only the new rhs is checked: the rows and row scales, checked when
+        this system was built, are shared, and so are its singular values if
+        they have been computed.
+        """
+        rhs = np.array(new_rhs, dtype=float).reshape(-1)
+        if rhs.shape[0] != self.m:
+            raise DimensionMismatchError(f"rhs length must equal m={self.m}, got {rhs.shape[0]}")
+        bad = np.flatnonzero(~np.isfinite(rhs))
+        if bad.size:
+            raise NonFiniteDataError(f"rhs entry {int(bad[0])} is not finite")
+        rhs.setflags(write=False)
+        copy = object.__new__(LinearSystem)
+        for name, arr in (("rows", self.rows), ("rhs", rhs), ("row_scales", self.row_scales)):
+            object.__setattr__(copy, name, arr)
+        if "singular_values" in self.__dict__:
+            copy.__dict__["singular_values"] = self.singular_values
+        return copy
 
 
 def normalize_rows(raw_rows, raw_rhs) -> LinearSystem:

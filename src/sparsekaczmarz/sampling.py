@@ -80,7 +80,9 @@ def pick_index(config: SamplerConfig, system: LinearSystem, rng: np.random.Gener
     """Row chosen by one :func:`sample_subset` or ``rng.integers(m)`` call.
 
     ``residuals`` is the residual vector A x - b at the current iterate x;
-    only the greedy rule reads it.
+    only the greedy rule reads it. :func:`~sparsekaczmarz.solvers.run` draws
+    uniform rows a window at a time, with ``rng.integers(m, size=w)``: the
+    same stream.
     """
     m = system.m
     if config.rule is SelectionRule.UNIFORM_RANDOM:

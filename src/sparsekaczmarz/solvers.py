@@ -1,7 +1,8 @@
 """Iteration drivers for the RK, SRK, and SSKM methods.
 
-All three methods share one iteration kernel: :func:`pick_index` selects a
-row, and :func:`bregman_step` moves the dual iterate along that row and
+All three methods share one iteration kernel: a row is selected (by
+:func:`pick_index`, or from a window's draw of uniform rows), and
+:func:`bregman_step` moves the dual iterate along that row and
 soft-thresholds back to the primal. :func:`run` loops over the kernel, and
 :func:`step_once` applies its step once. RK is the lam=0 / uniform-row /
 inexact special case (a plain orthogonal projection per step), SRK adds the
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import DualPair, StepMode, bregman_step, objective_value, project_hyperplane
+from .bregman import DualPair, StepMode, _step_into, bregman_step, objective_value, project_hyperplane
 from .errors import NonFiniteIterateError
 from .linsys import LinearSystem
 from .sampling import SamplerConfig, SelectionRule, pick_index
@@ -39,8 +40,11 @@ class StoppingRule:
     """Stop on residual norm, on relative error to a known truth, or on budget.
 
     When a ground truth is supplied to :func:`run` and ``mse_target`` is set,
-    the relative-error test replaces the residual test. Both tests run after
-    every iteration.
+    the relative-error test replaces the residual test. With greedy rows
+    (SSKM) the test runs after every iteration; with uniform rows (RK, SRK)
+    it runs once per window of up to 32 iterations, on every iterate of the
+    window, and the run ends at the first iterate that met it, as if it had
+    been tested after every iteration.
     """
 
     epsilon: float | None = None
@@ -154,8 +158,8 @@ _BLOCK_MIN_ENTRIES = 2**18
 _BLOCK_MAX_SHARE = 0.25
 _FIRST_COLUMNS = 64
 _GATHER_ROWS = 512
-# uniform row selection, which never reads the residual, records the
-# residuals of up to this many iterates with one matrix product
+# uniform row selection, which never reads the residual, draws the rows,
+# records the errors and tests the stop of up to this many iterations at once
 _WINDOW = 32
 
 
@@ -251,50 +255,99 @@ def _window_product(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 class _ResidualWindow:
-    """Iterates held back so that their residuals take one matrix product.
+    """A uniform rule's iterates, held back so that each window of them takes
+    one draw, one record pass and one stop test.
 
-    ``push`` copies x_{k+1} into a column of an n x size Fortran-order
-    buffer, and ``flush`` records ||A x - b||^2 for every held iterate from
-    one product with it: ``rows @ X`` or, on the support columns, ``block @
-    X[cols]``. When the epsilon stop is active the duals are held too, so
-    that a stop found inside the window returns the iterate that met it.
+    At the first slot of a window, :meth:`step` draws the rows of every slot
+    with one ``rng.integers(m, size=w)`` call, which yields the same stream
+    as w scalar draws. Each step writes its dual and primal straight into a
+    column of two n x w Fortran-order buffers, and :meth:`hold` keeps the
+    iterate's ||x||^2. :meth:`flush` then records, for every held iterate,
+    ||A x - b||^2 from one product (``rows @ X`` or, on the support columns,
+    ``block @ X[cols]``) and, given a ground truth, the relative error and
+    the Bregman distance from one per-column dot product each, and tests
+    the stop on them.
     """
 
-    def __init__(self, n: int, size: int, columns: _SupportColumns, rhs: np.ndarray, eps2: float | None):
+    def __init__(self, system: LinearSystem, spec: SolverSpec, rng: np.random.Generator, columns: _SupportColumns,
+                 truth, mse_target: float | None, eps2: float | None):
+        self.rows, self.rhs = system.rows, system.rhs
+        self.lam, self.step_mode = spec.lam, spec.step_mode
+        self.rng = rng
         self.columns = columns
-        self.rhs = rhs[:, None]
-        self.eps2 = eps2
-        self.xs = np.empty((n, size), order="F")
-        self.duals = np.empty((n, size), order="F") if eps2 is not None else None
+        # (x_hat, ||x_hat||^2, f(x_hat)), or None
+        self.truth = truth
+        self.mse_target, self.eps2 = mse_target, eps2
+        self.size = size = min(_WINDOW, spec.stop.max_iters)
+        self.xs = np.empty((system.n, size), order="F")
+        self.duals = np.empty((system.n, size), order="F")
+        self.x_cols = [self.xs[:, j] for j in range(size)]
+        self.dual_cols = [self.duals[:, j] for j in range(size)]
+        self.x_norm2 = np.empty(size)
+        self.picks = self.picked_rhs = None  # the rows of the window and their rhs entries
         self.held = 0
 
-    def push(self, x: np.ndarray, dual: np.ndarray) -> bool:
-        """Holds an iterate and its dual; True when the window is full."""
-        self.xs[:, self.held] = x
-        if self.duals is not None:
-            self.duals[:, self.held] = dual
+    def step(self, dual: np.ndarray, x: np.ndarray):
+        """One iteration from (dual, x) into the next slot; returns ``(i, t, dual, x)``.
+
+        The new pair is a view of the slot's columns; it is held only once
+        :meth:`hold` is called.
+        """
+        j = self.held
+        if j == 0:
+            picks = self.rng.integers(self.rows.shape[0], size=self.size)
+            self.picks, self.picked_rhs = picks.tolist(), self.rhs[picks].tolist()
+        i = self.picks[j]
+        new_dual, new_x = self.dual_cols[j], self.x_cols[j]
+        t = _step_into(dual, x, self.rows[i], self.picked_rhs[j], self.lam, self.step_mode, new_dual, new_x)
+        return i, t, new_dual, new_x
+
+    def hold(self, x_norm2: float) -> bool:
+        """Holds the last stepped iterate, whose ||x||^2 is given; True when the window is full."""
+        self.x_norm2[self.held] = x_norm2
         self.held += 1
-        return self.held == self.xs.shape[1]
+        return self.held == self.size
 
-    def flush(self, resid_rec: np.ndarray, end: int):
-        """Writes the held iterates' ||A x - b||^2 to records end - held .. end - 1.
+    def flush(self, end: int, resid_rec: np.ndarray, mse_rec: np.ndarray | None, breg_rec: np.ndarray | None):
+        """Writes the held iterates' records end - held .. end - 1 and tests the stop.
 
-        Returns ``(iterations, primal, dual)`` at the first of them that meets
-        the epsilon stop, or ``None``.
+        The MSE stop, or else the epsilon stop, is tested on every held
+        iterate. Returns ``(iterations, primal, dual)`` at the first of them
+        that meets it, or ``None``.
         """
         held, self.held = self.held, 0
         start = end - held
-        r = self.columns.product(self.xs[:, :held])
-        r -= self.rhs
-        norms = np.einsum("ij,ij->j", r, r)
-        resid_rec[start:end] = norms
-        if self.eps2 is None:
+        xs = self.xs[:, :held]
+        # the errors first, while the window is in cache: the product streams all of A
+        if self.truth is not None:
+            x_hat, x_hat_norm2, f_hat = self.truth
+            diff = xs - x_hat[:, None]
+            mse = _column_dots(diff, diff) / x_hat_norm2
+            mse_rec[start:end] = mse
+            dots = _column_dots(self.duals[:, :held], x_hat[:, None])
+            breg_rec[start:end] = f_hat - dots + 0.5 * self.x_norm2[:held]
+        r = self.columns.product(xs)
+        r -= self.rhs[:, None]
+        resid = np.einsum("ij,ij->j", r, r)
+        resid_rec[start:end] = resid
+        if self.mse_target is not None:
+            met = mse <= self.mse_target
+        elif self.eps2 is not None:
+            met = resid <= self.eps2
+        else:
             return None
-        hits = np.flatnonzero(norms <= self.eps2)
+        hits = np.flatnonzero(met)
         if hits.size == 0:
             return None
         j = int(hits[0])
         return start + j + 1, self.xs[:, j].copy(), self.duals[:, j].copy()
+
+
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a[:, j], b[:, j]> for every column j (b may be one column), each with
+    the bits of ``np.dot``: matmul takes a (1, n) @ (n, 1) product per column
+    to the same dot kernel."""
+    return np.matmul(a.T[:, None, :], b.T[:, :, None])[:, 0, 0]
 
 
 def _resized(a: np.ndarray | None, size: int) -> np.ndarray | None:
@@ -343,17 +396,24 @@ def run(
     f(x_hat) - f(x) - <x*, x_hat - x> exactly, because x = soft_threshold(x*,
     lam) gives <x*, x> = ||x||^2 + lam ||x||_1.
 
-    The row rule alone decides how residuals are computed. Greedy selection
-    (SSKM) reads the residual at every iterate, so it takes one product per
-    iterate. Uniform selection (RK and SRK) never reads it, so the residuals
-    of up to 32 iterates are computed together, with one matrix product
-    (:class:`_ResidualWindow`). The window is flushed when it is full, when
-    the MSE stop fires, at the last budgeted iteration and before a
-    non-finite iterate raises. The epsilon stop is tested at each flush;
-    when it fires, the trace ends at the first iterate that met it, and that
-    iterate is returned. Only ``residual_norm2`` can differ from one product
-    per iterate, in its rounding, and so the epsilon stop when a residual
-    lies within that rounding of epsilon.
+    The row rule alone decides how an iteration's bookkeeping is done.
+    Greedy selection (SSKM) reads the residual at every iterate, so it takes
+    one product per iterate, records the errors and tests the stop after
+    each iteration. Uniform selection (RK and SRK) never reads it, so a
+    window of up to 32 iterations shares the work (:class:`_ResidualWindow`):
+    one draw of its rows, one matrix product for its residuals, one
+    per-column dot product each for its relative errors and Bregman
+    distances, and one test of the MSE or epsilon stop. An iteration keeps
+    only its step, the finiteness test and the chosen-row and step records.
+    The window is flushed when it is full, at the last budgeted iteration
+    and before a non-finite iterate raises; when a flushed iterate met the
+    stop, the trace ends at the first that did, and that iterate is
+    returned. Up to 31 iterations past the stop are computed and dropped.
+    Every record, the status, the iteration count and the final pair are
+    those of a test after every iteration, bit for bit, except
+    ``residual_norm2``, which can differ from one product per iterate in
+    its rounding, and so the epsilon stop when a residual lies within that
+    rounding of epsilon.
 
     Either product is taken by :class:`_SupportColumns`: on systems with at
     least 2**18 entries from the columns of A on supp(x) alone, at a cost of
@@ -366,14 +426,14 @@ def run(
     sampler = spec.sampler
     rng = np.random.default_rng(sampler.seed)
 
-    x_hat = None
-    x_hat_norm2 = 0.0
+    truth = None
     if ground_truth is not None:
         x_hat = np.asarray(ground_truth, dtype=float)
         x_hat_norm2 = float(np.dot(x_hat, x_hat))
         f_hat = objective_value(x_hat, lam)
-    use_mse_stop = x_hat is not None and stop.mse_target is not None
-    eps2 = stop.epsilon**2 if stop.epsilon is not None and not use_mse_stop else None
+        truth = (x_hat, x_hat_norm2, f_hat)
+    mse_target = stop.mse_target if truth is not None else None
+    eps2 = stop.epsilon**2 if stop.epsilon is not None and mse_target is None else None
 
     # records start small and double when full, so their memory follows the work done
     max_iters = stop.max_iters
@@ -381,8 +441,8 @@ def run(
     chosen_rec = np.empty(cap, dtype=np.int64)
     step_rec = np.empty(cap)
     resid_rec = np.empty(cap)
-    mse_rec = np.empty(cap) if x_hat is not None else None
-    breg_rec = np.empty(cap) if x_hat is not None else None
+    mse_rec = np.empty(cap) if truth is not None else None
+    breg_rec = np.empty(cap) if truth is not None else None
 
     dual = np.zeros(n)
     x = np.zeros(n)
@@ -391,10 +451,10 @@ def run(
     columns = _SupportColumns(rows)
     window = None
     if sampler.rule is not SelectionRule.SKM_GREEDY:
-        window = _ResidualWindow(n, min(_WINDOW, max_iters), columns, rhs, eps2)
+        window = _ResidualWindow(system, spec, rng, columns, truth, mse_target, eps2)
 
     status = RunStatus.MAX_ITERS
-    hit = None  # (iterations, primal, dual) where a flushed window met the epsilon stop
+    hit = None  # (iterations, primal, dual) where a flushed window met the stop
     k = 0
     for k in range(max_iters):
         if k == cap:
@@ -402,14 +462,17 @@ def run(
             chosen_rec, step_rec, resid_rec, mse_rec, breg_rec = (
                 _resized(a, cap) for a in (chosen_rec, step_rec, resid_rec, mse_rec, breg_rec)
             )
-        i = pick_index(sampler, system, rng, r)
-        t, dual, x = bregman_step(dual, x, rows[i], float(rhs[i]), lam, spec.step_mode)
+        if window is None:
+            i = pick_index(sampler, system, rng, r)
+            t, dual, x = bregman_step(dual, x, rows[i], float(rhs[i]), lam, spec.step_mode)
+        else:
+            i, t, dual, x = window.step(dual, x)
         x_norm2 = float(np.dot(x, x))
         # an infinite ||x||^2 from finite entries (a square that overflows) is no failure
         if not (math.isfinite(t) and (math.isfinite(x_norm2) or np.isfinite(x).all())):
-            # a held iterate that met the epsilon stop ends the run before this one
+            # a held iterate that met the stop ends the run before this one
             if window is not None and window.held:
-                hit = window.flush(resid_rec, k)
+                hit = window.flush(k, resid_rec, mse_rec, breg_rec)
             if hit is None:
                 what = "step value" if not math.isfinite(t) else "iterate"
                 raise NonFiniteIterateError(f"{what} became non-finite at iteration {k}")
@@ -417,36 +480,38 @@ def run(
 
         chosen_rec[k] = i
         step_rec[k] = t
+        if window is not None:
+            if window.hold(x_norm2):
+                hit = window.flush(k + 1, resid_rec, mse_rec, breg_rec)
+                if hit is not None:
+                    break
+            continue
 
-        if x_hat is not None:
+        # --- greedy rows: records and stopping at x_{k+1} ---
+        if truth is not None:
             diff = x - x_hat
             mse_val = float(np.dot(diff, diff)) / x_hat_norm2
             mse_rec[k] = mse_val
             breg_rec[k] = f_hat - float(np.dot(dual, x_hat)) + 0.5 * x_norm2
-
-        # --- residual record and stopping at x_{k+1} ---
-        if window is None:
-            r = columns.product(x) - rhs
-            resid2 = float(np.dot(r, r))
-            resid_rec[k] = resid2
-        elif window.push(x, dual):
-            hit = window.flush(resid_rec, k + 1)
-            if hit is not None:
-                break
-
-        if use_mse_stop:
-            if mse_val <= stop.mse_target:
+        r = columns.product(x) - rhs
+        resid2 = float(np.dot(r, r))
+        resid_rec[k] = resid2
+        if mse_target is not None:
+            if mse_val <= mse_target:
                 status = RunStatus.CONVERGED
                 k += 1
                 break
-        elif eps2 is not None and window is None and resid2 <= eps2:
+        elif eps2 is not None and resid2 <= eps2:
             status = RunStatus.CONVERGED
             k += 1
             break
     else:
         k = max_iters
-    if window is not None and window.held:  # the MSE stop or the budget ended a window early
-        hit = window.flush(resid_rec, k)
+    if window is not None:
+        if window.held:  # the budget ended a window early
+            hit = window.flush(k, resid_rec, mse_rec, breg_rec)
+        # the final pair is a copy, not a view of the window's buffers
+        x, dual = x.copy(), dual.copy()
     if hit is not None:
         k, x, dual = hit
         status = RunStatus.CONVERGED

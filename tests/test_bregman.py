@@ -358,6 +358,49 @@ def test_exact_step_after_a_long_newton_jump_is_accurate():
     assert abs(t - t_ref) <= 1e-12 * abs(t_ref)
 
 
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_exact_step_first_step_from_zero_takes_no_bisection(monkeypatch, sign):
+    # at x* = 0 with |b a_j| <= lam for every j, the row residual -b puts every
+    # entry in its band: Newton starts on the flat piece where g = b, jumps to
+    # the kink that ends it toward the root (left for b > 0, right for b < 0)
+    # and steps on from there, with no bisection
+    calls = []
+    bisection = bregman._bisection_root
+    monkeypatch.setattr(bregman, "_bisection_root", lambda *args: calls.append(args) or bisection(*args))
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        n = int(rng.integers(2, 300))
+        a = random_unit_row(rng, n)
+        lam = float(rng.choice([0.1, 1.0, 3.0]))
+        b = sign * lam / np.abs(a).max() * rng.uniform(0.05, 1.0)
+        assert np.all(np.abs(b * a) <= lam)
+        dual = np.zeros(n)
+        t = exact_step(dual, a, b, lam)
+        t_ref = breakpoint_scan_exact_step(dual, a, b, lam)
+        assert abs(t - t_ref) <= 1e-12 * abs(t_ref)
+        assert np.sign(t) == -sign
+    assert calls == []
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_exact_step_from_a_flat_piece_takes_one_evaluation_past_its_end(monkeypatch, sign):
+    # dual = 0, a = (0.8, 0.6), lam = 1, b = 0.1: at the row residual t = -0.1
+    # both entries lie in their bands, so g = b > 0 and the root lies left. The
+    # flat piece ends at t = -1 / 0.8 = -1.25, where entry 0 leaves its band
+    # upward; beyond it g = 0.1 - 0.8 (-0.8 t - 1), with root -1.40625, where
+    # entry 1 is still in its band. So one evaluation of g there accepts the
+    # jump: with the threshold of the dual and the one at the row residual,
+    # three thresholds in all. b = -0.1 mirrors it to the right
+    dual, a, b = np.zeros(2), np.array([0.8, 0.6]), sign * 0.1
+    calls = []
+    threshold = bregman.soft_threshold
+    monkeypatch.setattr(bregman, "soft_threshold", lambda v, lam: calls.append(lam) or threshold(v, lam))
+    t = exact_step(dual, a, b, 1.0)
+    assert len(calls) == 3
+    assert t == pytest.approx(-sign * 1.40625, rel=1e-15)
+    assert t == pytest.approx(breakpoint_scan_exact_step(dual, a, b, 1.0), rel=1e-15)
+
+
 def test_exact_step_bisection_alone_matches_the_breakpoint_scan(monkeypatch):
     # with no Newton step every call takes the bisection that Newton hands off to
     monkeypatch.setattr(bregman, "_NEWTON_STEPS", 0)

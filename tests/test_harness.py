@@ -170,9 +170,21 @@ def test_config_validation():
     for noise in (-0.1, float("inf"), float("nan")):
         with pytest.raises(ConfigError):
             ExperimentConfig(noise_level=noise)
-    for beta in ("m/3", 0):
+    for beta in ("m/3", 0, 2.5, True):
         with pytest.raises(ConfigError):
             ExperimentConfig(beta=beta)
+    bad = {
+        "m": (12.0, 0, True, "12"), "k": (2.0, 0), "trials": (2.5, 0), "max_iters": (1e3, 0),
+        "master_seed": (-1, 1.0), "lam": (-1.0, float("nan"), "1", None), "mse_target": ("1e-6", -1e-6, float("inf")),
+        "epsilon": (-1.0, float("nan")), "m_grid": ((20, 0), (20.0,)), "k_grid": ((0,), (5, 201)),
+        "out_dir": (5,),
+    }
+    for name, values in bad.items():
+        for value in values:
+            with pytest.raises(ConfigError, match={"lam": "lambda", "k_grid": "k"}.get(name, name)):
+                ExperimentConfig(**{name: value})
+    # integers where a float is expected, numpy integers, and None for the optional stops
+    ExperimentConfig(lam=1, mse_target=None, epsilon=0, m=np.int64(30), master_seed=np.int32(4))
 
 
 # --------------------------------------------------------------- sweeps
@@ -451,6 +463,33 @@ def test_cli_unknown_config_key_exit_code(tmp_path):
     config.write_text(json.dumps({"definitely_not_a_key": 1}))
     proc = run_cli("compare", "--config", str(config))
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"max_iters": 1e3},
+        {"m": 12.0},
+        {"mse_target": "1e-6"},
+        {"lambda": -1},
+        {"max_iters": 0},
+        {"trials": 2.5},
+    ],
+    ids=lambda entry: json.dumps(entry),
+)
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_cli_malformed_config_value_exit_code(tmp_path, command, entry):
+    # a value of the wrong type or range is refused before any solve, with
+    # exit 2 and one line, not a traceback
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m": 20, "n": 12, "k": 2, "trials": 1, "max_iters": 50, **entry}))
+    proc = run_cli(command, "--config", str(config), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), proc.stderr
+    name = next(iter(entry))
+    assert name in lines[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_matrix_file_exit_code(tmp_path):

@@ -52,6 +52,26 @@ def test_with_rhs_rejects_non_finite_rhs():
         system.with_rhs([1.0, np.nan])
 
 
+def test_with_rhs_shares_rows_and_computed_singular_values(monkeypatch):
+    # the copy shares the checked rows and scales, and one SVD serves both systems
+    rng = np.random.default_rng(3)
+    system = normalize_rows(rng.standard_normal((6, 4)), rng.standard_normal(6))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(args) or svd(*args, **kwargs))
+    early = system.with_rhs(system.rhs)
+    svals = system.singular_values
+    noisy = system.with_rhs(system.rhs + 0.1)
+    assert noisy.singular_values is svals and len(calls) == 1
+    assert noisy.rows is system.rows and noisy.row_scales is system.row_scales
+    assert np.array_equal(noisy.rhs, system.rhs + 0.1) and not noisy.rhs.flags.writeable
+    # a copy made before the SVD computes its own on first use
+    assert "singular_values" not in early.__dict__
+    assert np.array_equal(early.singular_values, svals) and len(calls) == 2
+    with pytest.raises(DimensionMismatchError):
+        system.with_rhs(np.ones(5))
+
+
 def test_normalize_rejects_mismatched_rhs():
     with pytest.raises(DimensionMismatchError):
         normalize_rows([[1.0, 0.0]], [1.0, 2.0])

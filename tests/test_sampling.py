@@ -264,3 +264,15 @@ def test_pick_index_uniform_consumes_one_integer_draw():
     r = residual(system, np.zeros(6))
     picks = [pick_index(config, system, rng, r) for _ in range(50)]
     assert picks == [int(ref.integers(6)) for _ in range(50)]
+
+
+@pytest.mark.parametrize("m", [7, 300, 2000, 2**31 + 5])
+@pytest.mark.parametrize("w", [1, 31, 32])
+def test_uniform_window_draw_equals_scalar_draws(m, w):
+    # run draws a window's rows with one rng.integers(m, size=w) call: the
+    # same stream as one scalar draw per iteration, window after window, for
+    # ranges below and above 2**32 and for odd w
+    for seed in range(10):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        windows = [rng.integers(m, size=w).tolist() for _ in range(3)]
+        assert windows == [[int(ref.integers(m)) for _ in range(w)] for _ in range(3)], seed

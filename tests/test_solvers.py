@@ -448,16 +448,22 @@ def _windowed_spec(variant, lam, stop):
     return SolverSpec.srk(lam, step_mode=mode, seed=3, stop=stop)
 
 
-def _first_new_low(values, after, window):
+def _first_new_low(values, after, window, slot=None):
     """The first index past ``after`` whose value is clearly below every earlier one
-    and which does not end a window: a stop at it fires inside a window."""
+    and which sits in slot ``slot`` of its window or, with ``slot`` None, does
+    not end a window: a stop at it fires inside a window."""
     for j in range(after, values.size):
-        if values[j] < values[:j].min() * (1 - 1e-6) and (j + 1) % window:
+        at = (j + 1) % window != 0 if slot is None else j % window == slot
+        if values[j] < values[:j].min() * (1 - 1e-6) and at:
             return j
     raise AssertionError("no new low")
 
 
-@pytest.mark.parametrize("case", ["budget-20", "budget-75", "mse-stop", "epsilon-stop", "epsilon-stop-last-window"])
+@pytest.mark.parametrize(
+    "case",
+    ["budget-20", "budget-75", "mse-stop", "mse-stop-first-slot", "mse-stop-last-slot",
+     "epsilon-stop", "epsilon-stop-last-window", "epsilon-stop-no-truth"],
+)
 @pytest.mark.parametrize("variant,lam", _WINDOWED)
 @pytest.mark.parametrize("shape", [(600, 500), (300, 200)])
 def test_run_window_matches_one_product_per_iterate(monkeypatch, shape, variant, lam, case):
@@ -465,18 +471,21 @@ def test_run_window_matches_one_product_per_iterate(monkeypatch, shape, variant,
     system, x_hat, _ = gaussian_instance(m, n, 10, child_rng(5, m, n, 0))
     window = solvers._WINDOW
     assert (system.rows.size >= solvers._BLOCK_MIN_ENTRIES) == (m == 600) and window > 1
+    truth = None if case.endswith("no-truth") else x_hat
 
     def solve(stop, size):
         monkeypatch.setattr(solvers, "_WINDOW", size)
-        return run(system, _windowed_spec(variant, lam, stop), ground_truth=x_hat)
+        return run(system, _windowed_spec(variant, lam, stop), ground_truth=truth)
 
     if case.startswith("budget"):
         # a budget below the window, and one that is not a multiple of it
         stop = StoppingRule(max_iters=int(case.split("-")[1]))
     else:
         _, probe = solve(StoppingRule(max_iters=200), 1)
-        if case == "mse-stop":
-            j = _first_new_low(probe.mse, 40, window)
+        # the stop on a window's first or last slot, or inside it
+        slot = {"first-slot": 0, "last-slot": window - 1}.get(case.split("-stop-")[-1])
+        if case.startswith("mse-stop"):
+            j = _first_new_low(probe.mse, 40, window, slot)
             stop = StoppingRule(max_iters=200, mse_target=float(probe.mse[j]))
         else:
             j = _first_new_low(probe.residual_norm2, 40, window)
@@ -494,7 +503,10 @@ def test_run_window_matches_one_product_per_iterate(monkeypatch, shape, variant,
     else:
         assert ref.status is RunStatus.CONVERGED and ref.iterations == j + 1
     for name in ("chosen", "step", "mse", "bregman_to_truth"):
-        assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
+        if truth is None and name in ("mse", "bregman_to_truth"):
+            assert getattr(trace, name) is None and getattr(ref, name) is None
+        else:
+            assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
     assert (trace.status, trace.iterations) == (ref.status, ref.iterations)
     assert np.array_equal(pair.primal, ref_pair.primal)
     assert np.array_equal(pair.dual, ref_pair.dual)
@@ -529,6 +541,22 @@ def test_run_window_stop_before_a_non_finite_iterate_does_not_raise(monkeypatch,
     with np.errstate(over="ignore", invalid="ignore"):
         pair, trace = run(system, spec)
     assert trace.status is RunStatus.CONVERGED and trace.iterations == 1
+    i = int(trace.chosen[0])
+    assert np.array_equal(pair.primal, system.rhs[i : i + 1])
+
+
+@pytest.mark.parametrize("window", [32, 1])
+def test_run_window_mse_stop_before_a_non_finite_iterate_does_not_raise(monkeypatch, window):
+    # every relative error meets an infinite MSE target, so the run stops after
+    # its first iterate; with a window of 32 the stop is tested only when
+    # iteration 3 overflows, and the held iterate that met it is returned
+    monkeypatch.setattr(solvers, "_WINDOW", window)
+    system = _overflowing_system()
+    spec = SolverSpec.rk(seed=0, stop=StoppingRule(max_iters=100, mse_target=np.inf))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair, trace = run(system, spec, ground_truth=np.ones(1))
+    assert trace.status is RunStatus.CONVERGED and trace.iterations == 1
+    assert trace.mse.shape == trace.bregman_to_truth.shape == (1,)
     i = int(trace.chosen[0])
     assert np.array_equal(pair.primal, system.rhs[i : i + 1])
 
