@@ -13,10 +13,12 @@ root. It is found by an active-set Newton iteration from the cheap step: on
 the linear piece that holds the current point the root is one division
 away, and it is accepted once the piece is unchanged; a flat piece is left
 by a jump to the kink that ends it toward the root. When Newton fails to
-settle, the root is found by bisection over the sorted breakpoints inside a
-bracket with the derivative evaluated directly at O(log n) of them, then
-interpolated on the linear piece that holds it: the search of l1-ball
-projection (Duchi et al. 2008).
+settle, the root is found by bisection over all the sorted breakpoints with
+the derivative evaluated directly at O(log n) of them, then interpolated on
+the linear piece that holds it, or on a ray beyond the outermost one: the
+search of l1-ball projection (Duchi et al. 2008). One step kernel,
+``_step_into``, takes the step and thresholds into arrays it is given; every
+method's iteration and :func:`project_hyperplane` go through it.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def exact_step(dual, a_i, b_i: float, lam: float) -> float:
     step on that piece removes the rounding of the jump. A flat piece, where
     g equals b (every entry with a_j != 0 in its band, as at x* = 0), is
     left by a jump to the kink that ends it toward the root. Newton hands off
-    to a bracketed bisection over the sorted kinks when b is zero on the
+    to a bisection over all the sorted kinks when b is zero on the
     flat piece or Newton comes back to it, when the pattern still changes
     after ``_NEWTON_STEPS`` steps, or when every term of g at the root lies
     within rounding of zero (so b_i is zero up to rounding): the root may
@@ -159,9 +161,8 @@ def _exact_step(dual: np.ndarray, primal: np.ndarray, a: np.ndarray, b: float, l
     norm2 = float(np.dot(a, a))
     if norm2 == 0.0:
         raise NumericalFailureError("exact_step requires a nonzero row")
-    center = inexact_step(primal, a, b)
-    t = _newton_root(dual, a, b, lam, center, norm2)
-    return _bisection_root(dual, a, b, lam, center, norm2) if t is None else t
+    t = _newton_root(dual, a, b, lam, inexact_step(primal, a, b), norm2)
+    return _bisection_root(dual, a, b, lam, norm2) if t is None else t
 
 
 def _newton_root(dual, a, b: float, lam: float, t: float, norm2: float) -> float | None:
@@ -256,8 +257,9 @@ def _breakpoints(dual: np.ndarray, a: np.ndarray, lam: float) -> np.ndarray:
     return bp[np.isfinite(bp)]
 
 
-def _bisection_root(dual, a, b: float, lam: float, center: float, norm2: float) -> float:
-    """Root of g by bisection over the sorted kinks, bracketed around ``center``."""
+def _bisection_root(dual, a, b: float, lam: float, norm2: float) -> float:
+    """Root of g by bisection over all its sorted kinks, with the rays of
+    slope ``norm2`` beyond the outermost ones (:func:`_root_by_bisection`)."""
     bp = _breakpoints(dual, a, lam)
     if bp.size == 0:
         raise NumericalFailureError("no breakpoints found; row is numerically zero")
@@ -265,40 +267,21 @@ def _bisection_root(dual, a, b: float, lam: float, center: float, norm2: float) 
     def g(t):
         return b - float(np.dot(soft_threshold(dual - t * a, lam), a))
 
-    width = 1.0 + abs(center)
-    lo, hi = center - width, center + width
-    g_lo, g_hi = g(lo), g(hi)
-    for _ in range(80):
-        if g_lo < 0.0 < g_hi:
-            break
-        width *= 2.0
-        if g_lo >= 0.0:
-            lo = center - width
-            g_lo = g(lo)
-        if g_hi <= 0.0:
-            hi = center + width
-            g_hi = g(hi)
-    if not g_lo < 0.0 < g_hi:
-        # 80 doublings did not close the bracket (kinks far out, from tiny
-        # row entries): search all breakpoints, with the rays beyond them
-        ts = np.sort(bp)
-        return _root_by_bisection(g, ts, -1, ts.size, -np.inf, np.inf, norm2)
-    # the bracket ends lie strictly inside linear pieces, so interpolating
-    # between them and the kinks they enclose is exact
-    ts = np.concatenate(([lo], np.sort(bp[(bp > lo) & (bp < hi)]), [hi]))
-    return _root_by_bisection(g, ts, 0, ts.size - 1, g_lo, g_hi, norm2)
+    return _root_by_bisection(g, np.sort(bp), norm2)
 
 
-def _root_by_bisection(g, ts, lo: int, hi: int, g_lo: float, g_hi: float, slope_outside: float) -> float:
+def _root_by_bisection(g, ts, slope_outside: float) -> float:
     """Root of a nondecreasing piecewise-linear ``g`` whose kinks are the sorted ``ts``.
 
-    Requires g_lo < 0 < g_hi at grid indices ``lo`` < ``hi``; index -1 and
-    ``ts.size`` stand for the rays beyond the grid, of slope
-    ``slope_outside``. Bisection on the grid finds the adjacent kinks around
-    the sign change, evaluating ``g`` at O(log |ts|) of them, and the root is
-    interpolated from the two exact end values. If g is exactly zero on
-    [ts[p], ts[q]], the midpoint is returned; a lone zero kink is returned as is.
+    g is linear of slope ``slope_outside`` on the rays beyond the kinks, so
+    it is negative far left and positive far right: index -1 and ``ts.size``
+    stand for those rays. Bisection on the kinks finds the adjacent pair
+    around the sign change, evaluating ``g`` at O(log |ts|) of them, and the
+    root is interpolated from the two exact end values, or along a ray from
+    the outermost kink. If g is exactly zero on [ts[p], ts[q]], the midpoint
+    is returned; a lone zero kink is returned as is.
     """
+    lo, hi, g_lo, g_hi = -1, ts.size, -np.inf, np.inf
     while hi - lo > 1:
         mid = (lo + hi) // 2
         g_mid = g(ts[mid])
@@ -324,29 +307,19 @@ def _root_by_bisection(g, ts, lo: int, hi: int, g_lo: float, g_hi: float, slope_
     return float(0.5 * (ts[first_zero] + ts[lo]))
 
 
-def bregman_step(dual, primal, a, b: float, lam: float, mode: StepMode):
-    """One iteration of every method: dual step along the row ``a``, then threshold.
+def _step_into(dual, primal, a, b: float, lam: float, mode: StepMode, new_dual, new_primal) -> float:
+    """One iteration of every method: the dual steps along the row ``a``, then
+    is thresholded. Writes the new pair into the given arrays and returns t.
 
     ``primal`` must equal soft_threshold(dual, lam); the exact step starts
     from it rather than thresholding ``dual`` again, and so takes the same
-    value as :func:`exact_step`. Returns ``(t, new_dual, new_primal)`` with t
-    from :func:`inexact_step` or :func:`exact_step` per ``mode``, new_dual =
-    dual - t*a and new_primal its soft threshold. No checks: callers validate
-    the row and the step value.
+    value as :func:`exact_step`. t comes from :func:`inexact_step` or
+    :func:`exact_step` per ``mode``, ``new_dual`` = dual - t*a and
+    ``new_primal`` its soft threshold. ``new_dual`` may be ``dual`` and
+    ``new_primal`` may be ``primal``: both are read only to find t. No
+    checks: callers validate the row and the step value.
     """
-    t = _step_size(dual, primal, a, b, lam, mode)
-    new_dual = dual - t * a
-    return t, new_dual, soft_threshold(new_dual, lam)
-
-
-def _step_into(dual, primal, a, b: float, lam: float, mode: StepMode, new_dual, new_primal) -> float:
-    """:func:`bregman_step` that writes the new pair into the given arrays and
-    returns t; the same values bit for bit.
-
-    ``new_dual`` may be ``dual`` and ``new_primal`` may be ``primal``: both
-    are read only to find t.
-    """
-    t = _step_size(dual, primal, a, b, lam, mode)
+    t = inexact_step(primal, a, b) if mode is StepMode.INEXACT else _exact_step(dual, primal, a, b, lam)
     np.subtract(dual, t * a, out=new_dual)
     # soft_threshold's three passes
     np.maximum(new_dual, -lam, out=new_primal)
@@ -355,24 +328,19 @@ def _step_into(dual, primal, a, b: float, lam: float, mode: StepMode, new_dual, 
     return t
 
 
-def _step_size(dual, primal, a, b: float, lam: float, mode: StepMode) -> float:
-    if mode is StepMode.INEXACT:
-        return inexact_step(primal, a, b)
-    return _exact_step(dual, primal, a, b, lam)
-
-
 def project_hyperplane(pair: DualPair, a_i, b_i: float, mode: StepMode) -> DualPair:
     """Bregman projection of the pair onto the hyperplane <a_i, x> = b_i.
 
     The dual moves by -t*a_i with t chosen per ``mode``; the primal is the
-    soft threshold of the new dual (:func:`bregman_step`). In exact mode the
-    new primal satisfies the hyperplane; in both modes the Bregman distance
-    to any point of the hyperplane decreases by at least half the squared
-    row residual.
+    soft threshold of the new dual (:func:`_step_into`, into two fresh
+    arrays). In exact mode the new primal satisfies the hyperplane; in both
+    modes the Bregman distance to any point of the hyperplane decreases by
+    at least half the squared row residual.
     """
     a = np.asarray(a_i, dtype=float)
     norm = float(np.linalg.norm(a))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"project_hyperplane expects a unit row, got norm {norm!r}")
-    _, dual, primal = bregman_step(pair.dual, pair.primal, a, b_i, pair.lam, mode)
+    dual, primal = np.empty_like(pair.dual), np.empty_like(pair.primal)
+    _step_into(pair.dual, pair.primal, a, b_i, pair.lam, mode, dual, primal)
     return DualPair(primal=primal, dual=dual, lam=pair.lam)

@@ -22,7 +22,7 @@ class IndexOutOfRangeError(IndexError):
 
 
 class NumericalFailureError(RuntimeError):
-    """A numerical procedure could not locate its solution (e.g. root bracketing failed)."""
+    """A numerical procedure could not locate its solution (e.g. the step along a zero row)."""
 
 
 class InvalidBetaError(ValueError):

@@ -100,26 +100,29 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be a number, got {value!r}")
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{key} must be finite and nonnegative, got {value}")
-        for k in (self.k, *(self.k_grid or ())):
-            if k > self.n:
-                raise ConfigError(f"sparsity k={k} outside [1, n={self.n}]")
+        _check_sparsity("k", (self.k,), self.n)
+        _check_sparsity("k_grid", self.k_grid or (), self.n)
         if not isinstance(self.out_dir, (str, os.PathLike)):
             raise ConfigError(f"out_dir must be a path, got {self.out_dir!r}")
         if isinstance(self.beta, bool) or not isinstance(self.beta, (numbers.Integral, str)):
             raise ConfigError(f"beta must be an integer or a spec string, got {self.beta!r}")
         if self.step_mode not in ("exact", "inexact", "both"):
             raise ConfigError(f"step_mode must be exact/inexact/both, got {self.step_mode!r}")
+        if not self.methods:
+            raise ConfigError("methods must name at least one method")
         for name in self.methods:
-            if name not in _METHOD_IDS:
-                raise ConfigError(f"unknown method {name!r}")
+            if not isinstance(name, str) or name not in _METHOD_IDS:
+                raise ConfigError(f"unknown method {name!r} in methods")
         # the spec's form here; its range is checked against each system's m
         resolve_beta(self.beta, sys.maxsize)
 
     def grid(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (
-            tuple(self.m_grid) if self.m_grid else DEFAULT_M_GRID,
-            tuple(self.k_grid) if self.k_grid else DEFAULT_K_GRID,
-        )
+        """The (m, k) grid, its k grid checked against n: a given one is also
+        checked at construction, the default one only here, as only the grid
+        drivers read it."""
+        k_grid = tuple(self.k_grid) if self.k_grid else DEFAULT_K_GRID
+        _check_sparsity("k_grid" if self.k_grid else f"the default k_grid {DEFAULT_K_GRID}", k_grid, self.n)
+        return tuple(self.m_grid) if self.m_grid else DEFAULT_M_GRID, k_grid
 
 
 def _check_integer(name: str, value, low: int) -> None:
@@ -127,6 +130,12 @@ def _check_integer(name: str, value, low: int) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
+
+
+def _check_sparsity(name: str, ks, n: int) -> None:
+    for k in ks:
+        if k > n:
+            raise ConfigError(f"{name}: sparsity k={k} outside [1, n={n}]")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -1,13 +1,14 @@
 """Iteration drivers for the RK, SRK, and SSKM methods.
 
 All three methods share one iteration kernel: a row is selected (by
-:func:`pick_index`, or from a window's draw of uniform rows), and
-:func:`bregman_step` moves the dual iterate along that row and
-soft-thresholds back to the primal. :func:`run` loops over the kernel, and
-:func:`step_once` applies its step once. RK is the lam=0 / uniform-row /
-inexact special case (a plain orthogonal projection per step), SRK adds the
-threshold with uniform rows, and SSKM drives the same update with greedy
-subset sampling. Runs are deterministic given the sampler seed.
+:func:`pick_index`, or from a window's draw of uniform rows), and one
+Bregman projection (``bregman._step_into``) moves the dual iterate along
+that row and soft-thresholds back to the primal, writing the new pair in
+place. :func:`run` loops over the kernel, and :func:`step_once` applies its
+step once. RK is the lam=0 / uniform-row / inexact special case (a plain
+orthogonal projection per step), SRK adds the threshold with uniform rows,
+and SSKM drives the same update with greedy subset sampling. Runs are
+deterministic given the sampler seed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import DualPair, StepMode, _step_into, bregman_step, objective_value, project_hyperplane
+from .bregman import DualPair, StepMode, _step_into, objective_value, project_hyperplane
 from .errors import NonFiniteIterateError
 from .linsys import LinearSystem
 from .sampling import SamplerConfig, SelectionRule, pick_index
@@ -313,7 +314,7 @@ class _ResidualWindow:
 
         The MSE stop, or else the epsilon stop, is tested on every held
         iterate. Returns ``(iterations, primal, dual)`` at the first of them
-        that meets it, or ``None``.
+        that meets it, as views of the window's columns, or ``None``.
         """
         held, self.held = self.held, 0
         start = end - held
@@ -340,7 +341,7 @@ class _ResidualWindow:
         if hits.size == 0:
             return None
         j = int(hits[0])
-        return start + j + 1, self.xs[:, j].copy(), self.duals[:, j].copy()
+        return start + j + 1, self.xs[:, j], self.duals[:, j]
 
 
 def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -464,7 +465,7 @@ def run(
             )
         if window is None:
             i = pick_index(sampler, system, rng, r)
-            t, dual, x = bregman_step(dual, x, rows[i], float(rhs[i]), lam, spec.step_mode)
+            t = _step_into(dual, x, rows[i], float(rhs[i]), lam, spec.step_mode, dual, x)
         else:
             i, t, dual, x = window.step(dual, x)
         x_norm2 = float(np.dot(x, x))
@@ -507,11 +508,8 @@ def run(
             break
     else:
         k = max_iters
-    if window is not None:
-        if window.held:  # the budget ended a window early
-            hit = window.flush(k, resid_rec, mse_rec, breg_rec)
-        # the final pair is a copy, not a view of the window's buffers
-        x, dual = x.copy(), dual.copy()
+    if window is not None and window.held:  # the budget ended a window early
+        hit = window.flush(k, resid_rec, mse_rec, breg_rec)
     if hit is not None:
         k, x, dual = hit
         status = RunStatus.CONVERGED
@@ -525,4 +523,5 @@ def run(
         status=status,
         iterations=k,
     )
-    return DualPair(primal=x, dual=dual, lam=lam), trace
+    # a copy: the steps wrote into ``x`` and ``dual``, or into the window's buffers
+    return DualPair(primal=x.copy(), dual=dual.copy(), lam=lam), trace

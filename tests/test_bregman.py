@@ -324,8 +324,8 @@ def test_exact_step_zero_at_a_kink_returns_the_kink():
 
 @pytest.mark.parametrize("side", [-1.0, 1.0])
 def test_exact_step_root_beyond_the_bracket_is_found_on_a_ray(side):
-    # the root, +-1.5e30, lies past every doubling of the bracket; the search
-    # over all breakpoints extrapolates along the ray beyond the outermost kink
+    # the root, +-1.5e30, lies far past the one pair of kinks, +-1e30; the
+    # search over all kinks extrapolates along the ray beyond the outermost one
     dual, a = np.array([0.0]), np.array([1e-30])
     for step in (exact_step, breakpoint_scan_exact_step):
         assert step(dual, a, -side * 0.5e-30, 1.0) == pytest.approx(side * 1.5e30, rel=1e-15)
@@ -402,17 +402,27 @@ def test_exact_step_from_a_flat_piece_takes_one_evaluation_past_its_end(monkeypa
 
 
 def test_exact_step_bisection_alone_matches_the_breakpoint_scan(monkeypatch):
-    # with no Newton step every call takes the bisection that Newton hands off to
+    # with no Newton step every call takes the bisection that Newton hands off
+    # to, one search over all sorted kinks; the oracle brackets the root first.
+    # Beside dense rows it gets what Matrix Market rows off the truth's support
+    # hand it: sparse rows, most a_j = 0, and b = 0 at dual = 0, where g is zero
+    # on the flat piece around 0
     monkeypatch.setattr(bregman, "_NEWTON_STEPS", 0)
     rng = np.random.default_rng(15)
-    for _ in range(300):
-        n = int(rng.integers(1, 30))
-        dual = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
-        a = random_unit_row(rng, n)
-        b = float(rng.choice([0.0, rng.standard_normal()]))
-        lam = float(rng.choice([0.0, 0.05, 1.0, 3.0]))
-        t_ref = breakpoint_scan_exact_step(dual, a, b, lam)
-        assert abs(exact_step(dual, a, b, lam) - t_ref) <= 1e-12 * abs(t_ref) + 1e-15
+    for kind in ("dense", "sparse", "zero"):
+        for _ in range(300):
+            n = int(rng.integers(1, 30)) if kind == "dense" else int(rng.integers(10, 80))
+            dual = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+            a = random_unit_row(rng, n)
+            b = float(rng.choice([0.0, rng.standard_normal()]))
+            lam = float(rng.choice([0.0, 0.05, 1.0, 3.0]))
+            if kind == "sparse":
+                a[rng.permutation(n)[int(rng.integers(1, 4)) :]] = 0.0
+                a /= np.linalg.norm(a)
+            elif kind == "zero":
+                dual[:], b = 0.0, 0.0
+            t_ref = breakpoint_scan_exact_step(dual, a, b, lam)
+            assert abs(exact_step(dual, a, b, lam) - t_ref) <= 1e-12 * abs(t_ref) + 1e-15, kind
 
 
 def test_exact_step_rejects_zero_row():

@@ -165,8 +165,12 @@ def test_config_validation():
         ExperimentConfig(k=50, n=20)
     with pytest.raises(ConfigError):
         ExperimentConfig(step_mode="sometimes")
-    with pytest.raises(ConfigError):
-        ExperimentConfig(methods=("srk", "newton"))
+    for methods in (("srk", "newton"), ("srk", ["sskm"]), ("srk", 1), ()):
+        with pytest.raises(ConfigError, match="methods"):
+            ExperimentConfig(methods=methods)
+    with pytest.raises(ConfigError, match="k_grid"):
+        ExperimentConfig(n=8).grid()
+    assert ExperimentConfig(n=8, k_grid=(2, 8)).grid()[1] == (2, 8)
     for noise in (-0.1, float("inf"), float("nan")):
         with pytest.raises(ConfigError):
             ExperimentConfig(noise_level=noise)
@@ -490,6 +494,38 @@ def test_cli_malformed_config_value_exit_code(tmp_path, command, entry):
     name = next(iter(entry))
     assert name in lines[0]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, entry, key",
+    [
+        ("solve", {"methods": [[1]]}, "methods"),
+        ("solve", {"methods": []}, "methods"),
+        ("compare", {"m": 12, "n": 8, "k": 2}, "k_grid"),
+        ("sweep-lambda", {"m": 12, "n": 8, "k": 2}, "k_grid"),
+    ],
+    ids=lambda value: json.dumps(value) if isinstance(value, dict) else value,
+)
+def test_cli_bad_methods_or_k_grid_exit_code(tmp_path, command, entry, key):
+    # a methods entry that is no string, an empty methods, and a default k grid
+    # (5..30) with entries above n are each refused before any solve, with
+    # exit 2 and one line that names the key
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"trials": 1, "max_iters": 50, **entry}))
+    proc = run_cli(command, "--config", str(config), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ") and key in lines[0], proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_solve_ignores_the_default_k_grid(tmp_path):
+    # solve reads k alone, so a default k grid above n is no error for it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m": 12, "n": 8, "k": 2, "trials": 1, "max_iters": 50}))
+    proc = run_cli("solve", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "trace.csv").exists()
 
 
 def test_cli_missing_matrix_file_exit_code(tmp_path):
