@@ -1,9 +1,12 @@
 """Row selection rules: uniform random and greedy subset sampling.
 
-The greedy rule draws a uniform size-beta subset of the rows, with one
-C-level numpy draw, and acts on the member with the largest squared residual.
-With unit rows this uniform subset law coincides with the norm-weighted law
-that the selection analysis uses. That law is exposed separately as a
+The greedy rule draws a uniform size-beta subset of the rows by random keys
+(Efraimidis and Spirakis, 2006, with equal weights): m uniform keys, of which
+the beta smallest name the subset. It acts on the member with the largest
+squared residual. A window of iterations draws its keys with one call, which
+is the same stream as one draw of m keys per iteration. With unit rows this
+uniform subset law coincides with the norm-weighted law that the selection
+analysis uses. That law is exposed separately as a
 diagnostic, in closed form: ranked by residual, the row at rank p is the
 greedy pick of exactly C(m-1-p, beta-1) of the C(m, beta) subsets.
 """
@@ -49,17 +52,36 @@ class Selection:
     chosen: int
 
 
-def sample_subset(m: int, beta: int, rng: np.random.Generator, _buffer=None) -> np.ndarray:
-    """Uniform size-beta subset of {0..m-1} without replacement, sorted.
+def _draw_subsets(m: int, beta: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Uniform size-beta subsets of {0..m-1} for ``count`` iterations: one sorted row each.
 
-    One ``rng.choice(m, beta, replace=False, shuffle=False)`` call: O(beta),
-    unless m > 10000 and beta > m/50, where numpy shuffles arange(m). The
-    ``_buffer`` argument is accepted and ignored, so callers that still pass
-    one keep working; it is neither read nor modified.
+    One ``rng.random((count, m))`` call; row j's subset holds the beta rows
+    with the smallest keys in row j, exactly beta of them even when keys tie
+    (``np.argpartition``). The draw is row-major, so ``count`` rows are the
+    same stream as ``count`` draws of one row.
     """
     if beta < 1 or beta > m:
         raise InvalidBetaError(f"beta={beta} outside [1, m={m}]")
-    return np.sort(rng.choice(m, beta, replace=False, shuffle=False))
+    keys = rng.random((count, m))
+    return np.sort(np.argpartition(keys, beta - 1, axis=1)[:, :beta], axis=1)
+
+
+def _largest_residual(subset: np.ndarray, residuals: np.ndarray) -> int:
+    """The member of the sorted ``subset`` with the largest squared residual."""
+    # argmax takes the first maximum, so on a sorted subset ties go to the smallest index
+    return int(subset[(residuals[subset] ** 2).argmax()])
+
+
+def sample_subset(m: int, beta: int, rng: np.random.Generator, _buffer=None) -> np.ndarray:
+    """Uniform size-beta subset of {0..m-1} without replacement, sorted.
+
+    Draws ``rng.random(m)`` and takes the beta smallest keys: one row of
+    the window :func:`~sparsekaczmarz.solvers.run` draws, so a loop of calls
+    yields the subsets of ``run``. The ``_buffer`` argument is accepted and
+    ignored, so callers that still pass one keep working; it is neither read
+    nor modified.
+    """
+    return _draw_subsets(m, beta, rng, 1)[0]
 
 
 def select_motzkin(subset, residuals) -> Selection:
@@ -80,17 +102,17 @@ def pick_index(config: SamplerConfig, system: LinearSystem, rng: np.random.Gener
     """Row chosen by one :func:`sample_subset` or ``rng.integers(m)`` call.
 
     ``residuals`` is the residual vector A x - b at the current iterate x;
-    only the greedy rule reads it. :func:`~sparsekaczmarz.solvers.run` draws
-    uniform rows a window at a time, with ``rng.integers(m, size=w)``: the
-    same stream.
+    only the greedy rule reads it, and picks the subset's member with the
+    largest squared residual, ties to the smallest index.
+    :func:`~sparsekaczmarz.solvers.run` draws a window of rows at a time,
+    with ``rng.integers(m, size=w)`` or ``rng.random((w, m))``: the same
+    stream.
     """
     m = system.m
     if config.rule is SelectionRule.UNIFORM_RANDOM:
         # unit rows make squared-norm weighting uniform
         return int(rng.integers(m))
-    subset = sample_subset(m, config.beta, rng)
-    # the subset is sorted and argmax takes the first maximum: ties go to the smallest index
-    return int(subset[(residuals[subset] ** 2).argmax()])
+    return _largest_residual(sample_subset(m, config.beta, rng), residuals)
 
 
 def _max_rank_sums(values, beta: int, scales) -> tuple[list[int], int, list[int]]:

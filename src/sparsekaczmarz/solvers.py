@@ -1,7 +1,7 @@
 """Iteration drivers for the RK, SRK, and SSKM methods.
 
 All three methods share one iteration kernel: a row is selected (by
-:func:`pick_index`, or from a window's draw of uniform rows), and one
+:func:`pick_index`, or from a window's draw of rows or subsets), and one
 Bregman projection (``bregman._step_into``) moves the dual iterate along
 that row and soft-thresholds back to the primal, writing the new pair in
 place. :func:`run` loops over the kernel, and :func:`step_once` applies its
@@ -22,7 +22,7 @@ import numpy as np
 from .bregman import DualPair, StepMode, _step_into, objective_value, project_hyperplane
 from .errors import NonFiniteIterateError
 from .linsys import LinearSystem
-from .sampling import SamplerConfig, SelectionRule, pick_index
+from .sampling import SamplerConfig, SelectionRule, _draw_subsets, _largest_residual
 
 
 class Method(enum.Enum):
@@ -42,10 +42,11 @@ class StoppingRule:
 
     When a ground truth is supplied to :func:`run` and ``mse_target`` is set,
     the relative-error test replaces the residual test. With greedy rows
-    (SSKM) the test runs after every iteration; with uniform rows (RK, SRK)
-    it runs once per window of up to 32 iterations, on every iterate of the
-    window, and the run ends at the first iterate that met it, as if it had
-    been tested after every iteration.
+    (SSKM) the test runs after every iteration, though the subsets of up to
+    32 iterations are drawn at once and those past the stop go unused; with
+    uniform rows (RK, SRK) it runs once per window of up to 32 iterations,
+    on every iterate of the window, and the run ends at the first iterate
+    that met it, as if it had been tested after every iteration.
     """
 
     epsilon: float | None = None
@@ -160,8 +161,13 @@ _BLOCK_MAX_SHARE = 0.25
 _FIRST_COLUMNS = 64
 _GATHER_ROWS = 512
 # uniform row selection, which never reads the residual, draws the rows,
-# records the errors and tests the stop of up to this many iterations at once
+# records the errors and tests the stop of up to this many iterations at
+# once; greedy selection draws the subsets of this many iterations at once
 _WINDOW = 32
+# ... while a window of greedy subsets draws at most this many keys (128 KB).
+# Larger draws cost more per row: at m=2000, beta=1000 a row of a 32-row
+# window (64k keys) took 37 us against 21 us in an 8-row one
+_WINDOW_KEYS = 2**14
 
 
 class _SupportColumns:
@@ -400,21 +406,27 @@ def run(
     The row rule alone decides how an iteration's bookkeeping is done.
     Greedy selection (SSKM) reads the residual at every iterate, so it takes
     one product per iterate, records the errors and tests the stop after
-    each iteration. Uniform selection (RK and SRK) never reads it, so a
-    window of up to 32 iterations shares the work (:class:`_ResidualWindow`):
-    one draw of its rows, one matrix product for its residuals, one
-    per-column dot product each for its relative errors and Bregman
-    distances, and one test of the MSE or epsilon stop. An iteration keeps
-    only its step, the finiteness test and the chosen-row and step records.
-    The window is flushed when it is full, at the last budgeted iteration
-    and before a non-finite iterate raises; when a flushed iterate met the
-    stop, the trace ends at the first that did, and that iterate is
-    returned. Up to 31 iterations past the stop are computed and dropped.
-    Every record, the status, the iteration count and the final pair are
-    those of a test after every iteration, bit for bit, except
-    ``residual_norm2``, which can differ from one product per iterate in
-    its rounding, and so the epsilon stop when a residual lies within that
-    rounding of epsilon.
+    each iteration. Only its subsets, which never read x, are drawn ahead:
+    at the first slot of a window of up to 32 iterations, one
+    ``rng.random((w, m))`` call gives each slot its keys, and the slot's
+    subset is the beta rows with the smallest of them (fewer slots where
+    that draw would exceed 2**14 keys). The draw is row-major, so the rows
+    are those of one :func:`pick_index` per iteration, and a solve cut short
+    by ``max_iters`` repeats the full solve's rows. Uniform selection (RK
+    and SRK) never reads the residual, so a window of up to 32 iterations
+    shares the work (:class:`_ResidualWindow`): one draw of its rows, one
+    matrix product for its residuals, one per-column dot product each for
+    its relative errors and Bregman distances, and one test of the MSE or
+    epsilon stop. An iteration keeps only its step, the finiteness test and
+    the chosen-row and step records. The window is flushed when it is full,
+    at the last budgeted iteration and before a non-finite iterate raises;
+    when a flushed iterate met the stop, the trace ends at the first that
+    did, and that iterate is returned. Up to 31 iterations past the stop
+    are computed and dropped. Every record, the status, the iteration
+    count and the final pair are those of a test after every iteration, bit
+    for bit, except ``residual_norm2``, which can differ from one product
+    per iterate in its rounding, and so the epsilon stop when a residual
+    lies within that rounding of epsilon.
 
     Either product is taken by :class:`_SupportColumns`: on systems with at
     least 2**18 entries from the columns of A on supp(x) alone, at a cost of
@@ -451,7 +463,9 @@ def run(
     r = -rhs  # residual at x_0 = 0
     columns = _SupportColumns(rows)
     window = None
-    if sampler.rule is not SelectionRule.SKM_GREEDY:
+    if sampler.rule is SelectionRule.SKM_GREEDY:
+        w = min(_WINDOW, max_iters, max(1, _WINDOW_KEYS // system.m))
+    else:
         window = _ResidualWindow(system, spec, rng, columns, truth, mse_target, eps2)
 
     status = RunStatus.MAX_ITERS
@@ -464,7 +478,10 @@ def run(
                 _resized(a, cap) for a in (chosen_rec, step_rec, resid_rec, mse_rec, breg_rec)
             )
         if window is None:
-            i = pick_index(sampler, system, rng, r)
+            j = k % w
+            if j == 0:
+                subsets = _draw_subsets(system.m, sampler.beta, rng, min(w, max_iters - k))
+            i = _largest_residual(subsets[j], r)
             t = _step_into(dual, x, rows[i], float(rhs[i]), lam, spec.step_mode, dual, x)
         else:
             i, t, dual, x = window.step(dual, x)

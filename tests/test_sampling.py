@@ -17,7 +17,7 @@ from sparsekaczmarz import (
     theoretical_subset_probability,
 )
 from sparsekaczmarz.errors import EmptySubsetError, InvalidBetaError, NonFiniteDataError
-from sparsekaczmarz.sampling import pick_index
+from sparsekaczmarz.sampling import _draw_subsets, pick_index
 
 from oracles import subset_probability_bruteforce
 
@@ -81,9 +81,65 @@ def test_sample_subset_ignores_buffer():
     assert np.array_equal(buffer, np.arange(50))
 
 
+class _TiedKeys:
+    """A generator stand-in whose keys tie: every key is one of two values."""
+
+    def random(self, shape):
+        return np.resize([0.5, 0.25, 0.5], shape)
+
+
+@pytest.mark.parametrize("beta", [1, 2, 3, 4, 6, 7])
+def test_sample_subset_holds_beta_rows_when_keys_tie(beta):
+    subset = sample_subset(7, beta, _TiedKeys())
+    assert subset.shape == (beta,)
+    assert np.all(np.diff(subset) > 0)
+    # the rows keyed 0.25 come first, then the ties at 0.5
+    members, low = set(subset.tolist()), {1, 4}
+    assert members >= low if beta >= 2 else members < low
+    assert np.array_equal(_draw_subsets(7, beta, _TiedKeys(), 3)[0], subset)
+
+
+def test_sample_subset_membership_chi_square():
+    # each row is in a subset with probability beta/m; the counts of a uniform
+    # beta-subset have covariance N q (1 - q) m/(m - 1) (I - 11^T/m), q = beta/m,
+    # so sum (c - Nq)^2 / (N q (1 - q) m/(m - 1)) is chi-square with m - 1 dof
+    m, beta, draws = 23, 9, 20_000
+    rng = np.random.default_rng(15)
+    counts = np.zeros(m)
+    for _ in range(draws):
+        counts[sample_subset(m, beta, rng)] += 1
+    q = beta / m
+    stat = np.sum((counts - draws * q) ** 2) / (draws * q * (1 - q) * m / (m - 1))
+    assert stats.chi2.sf(stat, m - 1) > 0.01
+
+
+def test_pick_index_frequencies_chi_square_against_theoretical_law():
+    # unit rows, so the uniform subset law is the norm-weighted one; rows 3 and
+    # 6 tie in |r| for the largest residual, so row 6 is picked only without row 3
+    m, beta, draws = 8, 3, 40_000
+    system = normalize_rows(np.eye(m), np.zeros(m))
+    x = np.array([0.3, -1.2, 0.7, 2.0, -0.1, 1.5, -2.0, 0.9])
+    r = residual(system, x)
+    expected = np.zeros(m)
+    for tau in itertools.combinations(range(m), beta):
+        pick = max(tau, key=lambda i: (r[i] ** 2, -i))
+        expected[pick] += theoretical_subset_probability(system, x, beta, tau)
+    assert expected.sum() == pytest.approx(1.0, rel=1e-12)
+    config = SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=beta)
+    rng = np.random.default_rng(16)
+    counts = np.zeros(m)
+    for _ in range(draws):
+        counts[pick_index(config, system, rng, r)] += 1
+    never = expected == 0.0  # the beta - 1 lowest-ranked rows
+    assert never.sum() == beta - 1
+    assert np.all(counts[never] == 0)
+    assert stats.chisquare(counts[~never], draws * expected[~never]).pvalue > 0.01
+
+
 @pytest.mark.parametrize("m, beta", [(300, 150), (2000, 1000), (12_000, 100), (12_000, 3000), (12_000, 12_000)])
 def test_sample_subset_sorted_distinct_either_side_of_m_10000(m, beta):
-    # numpy draws by Floyd's algorithm unless m > 10000 and beta > m/50, then by a tail shuffle
+    # the benchmark's sizes, and sizes on either side of m = 10000, where
+    # numpy's choice switched from Floyd's algorithm to a shuffle
     out = sample_subset(m, beta, np.random.default_rng(m + beta))
     assert out.shape == (beta,)
     assert np.all(np.diff(out) > 0)

@@ -27,7 +27,7 @@ from sparsekaczmarz import (
     step_once,
 )
 from sparsekaczmarz import solvers
-from sparsekaczmarz.errors import NonFiniteIterateError
+from sparsekaczmarz.errors import InvalidBetaError, NonFiniteIterateError
 from sparsekaczmarz.sampling import pick_index
 
 from oracles import orthogonal_projection
@@ -582,3 +582,58 @@ def test_run_window_memory_follows_iterations_not_budget():
     bound = 8 * solvers._WINDOW * (2 * n + 3 * m) + 5 * 8 * 1024 + 32 * 8 * (m + n)
     assert peaks[1] <= peaks[0] + 4096
     assert max(peaks) < bound
+
+
+@pytest.mark.parametrize("mode", [StepMode.INEXACT, StepMode.EXACT])
+def test_run_sskm_windows_are_the_pick_index_stream(mode):
+    # run draws the subsets of 32 iterations with one rng.random((32, m))
+    # call; pick_index draws one rng.random(m) a step: one stream, over
+    # several full windows and a partial one
+    system, x_hat, _ = small_instance(seed=6, m=40, n=20, k=3)
+    spec = SolverSpec.sskm(1.0, 13, step_mode=mode, seed=21, stop=StoppingRule(max_iters=100))
+    pair, trace = run(system, spec, ground_truth=x_hat)
+    assert trace.iterations == 100
+    rng = np.random.default_rng(spec.sampler.seed)
+    state = init_state(system.n, spec.lam)
+    for k in range(trace.iterations):
+        i = pick_index(spec.sampler, system, rng, residual(system, state.primal))
+        assert i == trace.chosen[k], k
+        state = step_once(state, system, i, mode)
+    assert np.array_equal(state.primal, pair.primal)
+    assert np.array_equal(state.dual, pair.dual)
+
+
+@pytest.mark.parametrize("budget", [1, 25, 33, 65])
+def test_run_sskm_budget_repeats_the_full_solve_rows(budget):
+    # a shorter budget draws shorter windows, which must not change the stream
+    system, x_hat, _ = small_instance(seed=7, m=30, n=20, k=3)
+    full_spec = SolverSpec.sskm(1.0, 15, StepMode.INEXACT, seed=5, stop=StoppingRule(max_iters=100))
+    _, full = run(system, full_spec, ground_truth=x_hat)
+    spec = SolverSpec.sskm(1.0, 15, StepMode.INEXACT, seed=5, stop=StoppingRule(max_iters=budget))
+    _, short = run(system, spec, ground_truth=x_hat)
+    assert short.iterations == budget
+    for name in ("chosen", "step", "residual_norm2", "mse", "bregman_to_truth"):
+        assert np.array_equal(getattr(short, name), getattr(full, name)[:budget]), name
+
+
+def test_run_sskm_window_size_leaves_the_stream_alone(monkeypatch):
+    # on systems with many rows a window draws fewer subsets, by the same stream
+    system, x_hat, _ = small_instance(seed=8, m=50, n=20, k=3)
+    spec = SolverSpec.sskm(1.0, 20, StepMode.EXACT, seed=2, stop=StoppingRule(max_iters=70))
+    _, ref = run(system, spec, ground_truth=x_hat)
+    monkeypatch.setattr(solvers, "_WINDOW_KEYS", 3 * system.m)
+    _, small = run(system, spec, ground_truth=x_hat)
+    assert np.array_equal(small.chosen, ref.chosen)
+    assert np.array_equal(small.step, ref.step)
+
+
+@pytest.mark.parametrize("beta", [0, 21])
+def test_run_sskm_rejects_beta_outside_one_to_m(monkeypatch, beta):
+    system, _, _ = small_instance(seed=9, m=20)
+
+    def no_step(*args):
+        raise AssertionError("stepped before the beta check")
+
+    monkeypatch.setattr(solvers, "_step_into", no_step)
+    with pytest.raises(InvalidBetaError):
+        run(system, SolverSpec.sskm(1.0, beta, seed=1, stop=StoppingRule(max_iters=50)))
