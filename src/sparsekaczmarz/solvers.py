@@ -15,12 +15,19 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bregman import DualPair, StepMode, _step_into, objective_value, project_hyperplane
-from .errors import NonFiniteIterateError
+from .errors import (
+    DimensionMismatchError,
+    InvalidBetaError,
+    NonFiniteDataError,
+    NonFiniteIterateError,
+    ZeroTruthError,
+)
 from .linsys import LinearSystem
 from .sampling import SamplerConfig, SelectionRule, _draw_subsets, _largest_residual
 
@@ -34,6 +41,11 @@ class Method(enum.Enum):
 class RunStatus(enum.Enum):
     CONVERGED = "converged"
     MAX_ITERS = "max-iters"
+
+
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is no count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -54,10 +66,15 @@ class StoppingRule:
     mse_target: float | None = None
 
     def __post_init__(self):
+        if not _is_integer(self.max_iters):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        # NaN fails every comparison, so a NaN tolerance would never stop a run
+        for name in ("epsilon", "mse_target"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,12 +88,14 @@ class SolverSpec:
     stop: StoppingRule
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam!r}")
         if self.method is Method.RK and self.lam != 0.0:
             raise ValueError("RK requires lam = 0")
         if self.method is Method.SSKM and self.sampler.rule is not SelectionRule.SKM_GREEDY:
             raise ValueError("SSKM requires the greedy subset rule")
+        if self.sampler.rule is SelectionRule.SKM_GREEDY and not _is_integer(self.sampler.beta):
+            raise InvalidBetaError(f"beta must be an integer, got {self.sampler.beta!r}")
 
     @classmethod
     def rk(cls, seed: int = 0, stop: StoppingRule | None = None) -> "SolverSpec":
@@ -149,9 +168,12 @@ class IterationTrace:
 
 _FIRST_RECORDS = 1024
 
-# the residual A x - b comes from the columns of A on supp(x) when A has at
-# least this many entries; on smaller systems one dense product costs less
-# than the block's bookkeeping
+# the residual A x - b comes from the columns of A on supp(x) when the dense
+# product it replaces has at least this many entries: m*n per column of x,
+# one column for a greedy iterate and a window's width for uniform rows. A
+# smaller product costs less than the block's bookkeeping; a window pays that
+# once for all its columns, so on m=300, n=200 a window of 32 takes the block
+# and a single iterate does not
 _BLOCK_MIN_ENTRIES = 2**18
 # ... and while supp(x) holds at most this share of the columns. Wider
 # supports (RK's is full) take the dense product: the block never holds more
@@ -174,8 +196,10 @@ class _SupportColumns:
     """The columns of A on supp(x), kept in one Fortran-order m x cap block.
 
     For a window of iterates (:class:`_ResidualWindow`) supp(x) is the union
-    of their supports. On systems below the size gate no support fits, so
-    every product is dense.
+    of their supports. ``width`` is the number of columns of x a product
+    takes, 1 for a single iterate and the window's size for a window: below
+    the size gate, m*n*width < 2**18, no support fits and every product is
+    dense. So the rule is fixed once per run.
 
     ``cols`` lists the held columns in block order and ``held`` marks them.
     An entering column is copied in at the end; a leaving one is overwritten
@@ -186,10 +210,10 @@ class _SupportColumns:
     dense one only in summation order.
     """
 
-    def __init__(self, rows: np.ndarray):
+    def __init__(self, rows: np.ndarray, width: int):
         m, n = rows.shape
         self.rows = rows
-        self.limit = int(_BLOCK_MAX_SHARE * n) if rows.size >= _BLOCK_MIN_ENTRIES else 0
+        self.limit = int(_BLOCK_MAX_SHARE * n) if rows.size * width >= _BLOCK_MIN_ENTRIES else 0
         self.block = np.empty((m, min(_FIRST_COLUMNS, self.limit)), order="F")
         self.cols = np.empty(self.limit, dtype=np.intp)
         self.held = np.zeros(n, dtype=bool)
@@ -212,15 +236,25 @@ class _SupportColumns:
         if not self.limit:
             return False
         # nonzero where a column is in the support: x itself, or a row-wise any
-        marks = x if x.ndim == 1 else x.any(axis=1)
+        # of a window, unless its newest iterate alone is too wide (RK's is full)
+        if x.ndim == 1:
+            marks = x
+        elif np.count_nonzero(x[:, -1]) <= self.limit:
+            marks = x.any(axis=1)
+        else:
+            return self._release()
         support = np.flatnonzero(marks)
         if support.size > self.limit:
-            self.held[self.cols[: self.size]] = False
-            self.size = 0
-            return False
+            return self._release()
         self._remove_zeros(marks)
         self._append(support[~self.held[support]])
         return True
+
+    def _release(self) -> bool:
+        """Empties the block and returns False: the support does not fit."""
+        self.held[self.cols[: self.size]] = False
+        self.size = 0
+        return False
 
     def _remove_zeros(self, marks: np.ndarray) -> None:
         s = self.size
@@ -273,19 +307,21 @@ class _ResidualWindow:
     ||A x - b||^2 from one product (``rows @ X`` or, on the support columns,
     ``block @ X[cols]``) and, given a ground truth, the relative error and
     the Bregman distance from one per-column dot product each, and tests
-    the stop on them.
+    the stop on them. Its :class:`_SupportColumns` is sized for products of
+    the window's width, so the block serves every system where m*n*w
+    reaches 2**18 (m*n >= 8192 for w = 32).
     """
 
-    def __init__(self, system: LinearSystem, spec: SolverSpec, rng: np.random.Generator, columns: _SupportColumns,
+    def __init__(self, system: LinearSystem, spec: SolverSpec, rng: np.random.Generator,
                  truth, mse_target: float | None, eps2: float | None):
         self.rows, self.rhs = system.rows, system.rhs
         self.lam, self.step_mode = spec.lam, spec.step_mode
         self.rng = rng
-        self.columns = columns
         # (x_hat, ||x_hat||^2, f(x_hat)), or None
         self.truth = truth
         self.mse_target, self.eps2 = mse_target, eps2
         self.size = size = min(_WINDOW, spec.stop.max_iters)
+        self.columns = _SupportColumns(system.rows, size)
         self.xs = np.empty((system.n, size), order="F")
         self.duals = np.empty((system.n, size), order="F")
         self.x_cols = [self.xs[:, j] for j in range(size)]
@@ -392,11 +428,15 @@ def run(
 
     The system should be consistent (b in the range of A) for the sparse
     methods to converge to a solution; inconsistent right-hand sides (e.g.
-    noisy data) are allowed and simply run to the iteration budget. Raises
-    :class:`NonFiniteIterateError` if an iterate stops being finite. The test
-    reads the step t and ||x||^2, the dot product the Bregman record reuses;
-    only when ||x||^2 is not finite does it look at the entries, so an
-    iterate whose square overflows (numpy warns of it) runs on.
+    noisy data) are allowed and simply run to the iteration budget. A
+    ground truth is checked before the first step: it must have length n
+    (:class:`DimensionMismatchError`), finite entries
+    (:class:`NonFiniteDataError`) and a nonzero entry
+    (:class:`ZeroTruthError`). Raises :class:`NonFiniteIterateError` if an
+    iterate stops being finite. The test reads the step t and ||x||^2, the
+    dot product the Bregman record reuses; only when ||x||^2 is not finite
+    does it look at the entries, so an iterate whose square overflows (numpy
+    warns of it) runs on.
 
     The Bregman distance to the ground truth x_hat is recorded as
     f(x_hat) - <x*, x_hat> + ||x||^2 / 2, two dot products. This equals
@@ -428,10 +468,12 @@ def run(
     per iterate in its rounding, and so the epsilon stop when a residual
     lies within that rounding of epsilon.
 
-    Either product is taken by :class:`_SupportColumns`: on systems with at
-    least 2**18 entries from the columns of A on supp(x) alone, at a cost of
-    m*|supp(x)|, and densely on smaller systems and at iterates whose
-    support holds more than a quarter of the columns (RK's, for one).
+    Either product is taken by :class:`_SupportColumns`: from the columns
+    of A on supp(x) alone, at a cost of m*|supp(x)|, when the dense product
+    it replaces has at least 2**18 entries, that is m*n for a greedy
+    iterate and m*n*w for a window of w uniform iterates (m*n >= 8192 at
+    w = 32); densely on smaller products and at iterates whose support
+    holds more than a quarter of the columns (RK's, for one).
     """
     n = system.n
     lam = spec.lam
@@ -442,7 +484,13 @@ def run(
     truth = None
     if ground_truth is not None:
         x_hat = np.asarray(ground_truth, dtype=float)
+        if x_hat.shape != (n,):
+            raise DimensionMismatchError(f"ground truth has shape {x_hat.shape}, expected ({n},)")
+        if not np.isfinite(x_hat).all():
+            raise NonFiniteDataError("ground truth has a NaN or infinite entry")
         x_hat_norm2 = float(np.dot(x_hat, x_hat))
+        if x_hat_norm2 == 0.0:
+            raise ZeroTruthError("ground truth is zero; relative error undefined")
         f_hat = objective_value(x_hat, lam)
         truth = (x_hat, x_hat_norm2, f_hat)
     mse_target = stop.mse_target if truth is not None else None
@@ -461,12 +509,12 @@ def run(
     x = np.zeros(n)
     rows, rhs = system.rows, system.rhs
     r = -rhs  # residual at x_0 = 0
-    columns = _SupportColumns(rows)
     window = None
     if sampler.rule is SelectionRule.SKM_GREEDY:
         w = min(_WINDOW, max_iters, max(1, _WINDOW_KEYS // system.m))
+        columns = _SupportColumns(rows, 1)
     else:
-        window = _ResidualWindow(system, spec, rng, columns, truth, mse_target, eps2)
+        window = _ResidualWindow(system, spec, rng, truth, mse_target, eps2)
 
     status = RunStatus.MAX_ITERS
     hit = None  # (iterations, primal, dual) where a flushed window met the stop

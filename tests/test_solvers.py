@@ -27,7 +27,13 @@ from sparsekaczmarz import (
     step_once,
 )
 from sparsekaczmarz import solvers
-from sparsekaczmarz.errors import InvalidBetaError, NonFiniteIterateError
+from sparsekaczmarz.errors import (
+    DimensionMismatchError,
+    InvalidBetaError,
+    NonFiniteDataError,
+    NonFiniteIterateError,
+    ZeroTruthError,
+)
 from sparsekaczmarz.sampling import pick_index
 
 from oracles import orthogonal_projection
@@ -328,13 +334,14 @@ def _iterates(system, trace, lam):
 @pytest.mark.parametrize(
     "method,shape",
     [pytest.param("sskm", (600, 500), id="sskm"), pytest.param("rk", (600, 500), id="rk"),
-     pytest.param("rk", (300, 200), id="rk-below-gate")],
+     pytest.param("rk", (300, 200), id="rk-ref-shape")],
 )
 def test_run_residual_from_support_columns_equals_dense(monkeypatch, method, shape):
     # 600 x 500 is above the size gate. SSKM-exact's support grows and shrinks,
     # so columns enter and leave the block, one product per iteration; RK's
     # support is full, so its products, one per window of iterates, take the
-    # dense fallback. Below the gate RK takes one product per window too
+    # dense fallback. On the 300 x 200 reference shape a window's product is
+    # above the gate too, and RK's full support takes the dense fallback there
     m, n = shape
     system, x_hat, _ = gaussian_instance(m, n, 10, child_rng(5, m, n, 0))
     assert (system.rows.size >= solvers._BLOCK_MIN_ENTRIES) == (m == 600)
@@ -373,7 +380,7 @@ def test_support_columns_product_through_dense_and_back():
     # and come back under it, where the block is rebuilt from the columns
     rng = np.random.default_rng(11)
     rows = rng.standard_normal((600, 500))
-    cols = solvers._SupportColumns(rows)
+    cols = solvers._SupportColumns(rows, 1)
     for size in (0, 3, 40, 90, 20, 130, 400, 500, 60, 0, 200, 125, 7):
         x = np.zeros(500)
         x[rng.choice(500, size, replace=False)] = rng.standard_normal(size)
@@ -383,12 +390,14 @@ def test_support_columns_product_through_dense_and_back():
 
 
 def test_support_columns_below_the_size_gate_take_the_dense_product():
-    # below the gate no support is held, so every product, of one iterate or
-    # of a window of them, is the dense one bit for bit
+    # the gate counts the entries of the dense product the block replaces:
+    # on 300 x 200 a width of 1 lies below it, so no support is held and
+    # every product, of one iterate or of two, is the dense one bit for bit;
+    # a window of 32 lies above it and holds its support
     rng = np.random.default_rng(13)
     rows = rng.standard_normal((300, 200))
-    assert rows.size < solvers._BLOCK_MIN_ENTRIES
-    cols = solvers._SupportColumns(rows)
+    assert rows.size < solvers._BLOCK_MIN_ENTRIES <= 32 * rows.size
+    cols = solvers._SupportColumns(rows, 1)
     for size in (0, 3, 40, 200):
         x = np.zeros(200)
         x[rng.choice(200, size, replace=False)] = rng.standard_normal(size)
@@ -396,6 +405,17 @@ def test_support_columns_below_the_size_gate_take_the_dense_product():
         xs = np.asfortranarray(np.stack([x, 2.0 * x], axis=1))
         assert np.array_equal(cols.product(xs), solvers._window_product(rows, xs)), size
         assert cols.size == 0
+    window = solvers._SupportColumns(rows, 32)
+    # supports that grow within 12 columns, as a sparse iterate's do
+    pool = rng.choice(200, 12, replace=False)
+    xs = np.zeros((200, 32), order="F")
+    for j in range(32):
+        size = 1 + j * 12 // 32
+        xs[pool[:size], j] = rng.standard_normal(size)
+    union = np.count_nonzero(xs.any(axis=1))
+    assert 0 < union <= window.limit
+    assert np.allclose(window.product(xs), rows @ xs, rtol=0.0, atol=1e-12)
+    assert window.size == union
 
 
 def test_run_support_block_memory_follows_support_not_n():
@@ -423,7 +443,7 @@ def test_support_columns_product_of_a_window():
     # the dense product when that union passes the share limit
     rng = np.random.default_rng(12)
     rows = rng.standard_normal((600, 500))
-    cols = solvers._SupportColumns(rows)
+    cols = solvers._SupportColumns(rows, 1)
     for sizes in ((0, 0), (5, 30), (40, 0, 60), (100, 100), (3,)):
         xs = np.zeros((500, len(sizes)), order="F")
         for j, size in enumerate(sizes):
@@ -435,10 +455,14 @@ def test_support_columns_product_of_a_window():
         assert cols.size == (union if union <= cols.limit else 0), sizes
 
 
-# (variant, lam): on the 600 x 500 instance above the size gate RK's products
-# are dense and SRK-exact's come from the support block; on the 300 x 200
-# reference shape below it every product is dense
-_WINDOWED = [("rk", 0.0), ("srk-inexact", 0.05), ("srk-exact", 1.0)]
+# (variant, lam): a window's product of 32 iterates lies above the size gate
+# on both shapes, the 600 x 500 instance and the 300 x 200 reference shape.
+# RK's full supports take the dense product, and so, over these 200
+# iterations, do SRK-inexact's at lam = 0.05 (past the first window on
+# 600 x 500) and SRK-exact's at lam = 1 on 300 x 200: their supports pass the
+# share limit, a quarter of the columns. SRK-exact's windows at lam = 4 on
+# both shapes, and at lam = 1 on 600 x 500, come from the support block
+_WINDOWED = [("rk", 0.0), ("srk-inexact", 0.05), ("srk-exact", 1.0), ("srk-exact", 4.0)]
 
 
 def _windowed_spec(variant, lam, stop):
@@ -467,6 +491,11 @@ def _first_new_low(values, after, window, slot=None):
 @pytest.mark.parametrize("variant,lam", _WINDOWED)
 @pytest.mark.parametrize("shape", [(600, 500), (300, 200)])
 def test_run_window_matches_one_product_per_iterate(monkeypatch, shape, variant, lam, case):
+    # the reference solve takes a window of one: on 600 x 500 its products
+    # still come from the support block, but on 300 x 200 a single iterate's
+    # product lies below the size gate, so there the windows' products, from
+    # the block where the supports fit (see _WINDOWED), are compared against
+    # dense per-iterate products
     m, n = shape
     system, x_hat, _ = gaussian_instance(m, n, 10, child_rng(5, m, n, 0))
     window = solvers._WINDOW
@@ -513,6 +542,41 @@ def test_run_window_matches_one_product_per_iterate(monkeypatch, shape, variant,
     assert pair.lam == ref_pair.lam
     assert trace.residual_norm2.shape == ref.residual_norm2.shape
     assert trace.residual_norm2 == pytest.approx(ref.residual_norm2, rel=1e-12)
+
+
+def test_run_srk_windows_hold_the_support_block_on_the_reference_shape(monkeypatch):
+    # the 300 x 200 reference shape holds fewer than 2**18 entries, but a
+    # window's product of 32 iterates more: SRK's windows take the support
+    # block, while RK's full supports are rejected on each window's newest
+    # iterate and never gather a column
+    system, x_hat, _ = gaussian_instance(300, 200, 5, child_rng(42, 0, 0))
+    assert system.rows.size < solvers._BLOCK_MIN_ENTRIES <= system.rows.size * solvers._WINDOW
+    product, append = solvers._SupportColumns.product, solvers._SupportColumns._append
+    calls = []
+
+    def spy_product(self, x):
+        out = product(self, x)
+        calls.append(("product", x.shape[1], self.limit, self.size))
+        return out
+
+    def spy_append(self, new):
+        calls.append(("append", new.size))
+        return append(self, new)
+
+    monkeypatch.setattr(solvers._SupportColumns, "product", spy_product)
+    monkeypatch.setattr(solvers._SupportColumns, "_append", spy_append)
+    stop = StoppingRule(max_iters=200)
+    for spec in (SolverSpec.srk(1.0, step_mode=StepMode.INEXACT, seed=1, stop=stop), SolverSpec.rk(seed=1, stop=stop)):
+        calls.clear()
+        run(system, spec, ground_truth=x_hat)
+        flushes = [c for c in calls if c[0] == "product"]
+        assert [c[1] for c in flushes] == [solvers._WINDOW] * (200 // solvers._WINDOW) + [200 % solvers._WINDOW]
+        assert {c[2] for c in flushes} == {system.n // 4}
+        sizes = [c[3] for c in flushes]
+        if spec.method is Method.SRK:
+            assert max(sizes) > 0 and any(c[0] == "append" for c in calls)
+        else:
+            assert set(sizes) == {0} and all(c[0] == "product" for c in calls)
 
 
 def _overflowing_system():
@@ -637,3 +701,71 @@ def test_run_sskm_rejects_beta_outside_one_to_m(monkeypatch, beta):
     monkeypatch.setattr(solvers, "_step_into", no_step)
     with pytest.raises(InvalidBetaError):
         run(system, SolverSpec.sskm(1.0, beta, seed=1, stop=StoppingRule(max_iters=50)))
+
+
+@pytest.mark.parametrize(
+    "truth,error",
+    [pytest.param(np.ones(19), DimensionMismatchError, id="short"),
+     pytest.param(np.ones((20, 1)), DimensionMismatchError, id="column"),
+     pytest.param(np.r_[np.ones(19), np.nan], NonFiniteDataError, id="nan"),
+     pytest.param(np.r_[np.ones(19), -np.inf], NonFiniteDataError, id="inf"),
+     pytest.param(np.zeros(20), ZeroTruthError, id="zero")],
+)
+@pytest.mark.parametrize("method", ["rk", "sskm"])
+def test_run_checks_the_ground_truth_before_the_first_step(monkeypatch, method, truth, error):
+    system, _, _ = small_instance(seed=9, m=30, n=20)
+
+    def no_step(*args):
+        raise AssertionError("stepped before the ground-truth check")
+
+    monkeypatch.setattr(solvers, "_step_into", no_step)
+    stop = StoppingRule(max_iters=50, mse_target=1e-6)
+    spec = SolverSpec.rk(seed=1, stop=stop) if method == "rk" else SolverSpec.sskm(1.0, 10, seed=1, stop=stop)
+    with pytest.raises(error):
+        run(system, spec, ground_truth=truth)
+
+
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [({"epsilon": float("nan")}, "epsilon"),
+     ({"epsilon": -1e-3}, "epsilon"),
+     ({"mse_target": float("nan")}, "mse_target"),
+     ({"mse_target": -1e-6}, "mse_target"),
+     ({"max_iters": 2.5}, "max_iters"),
+     ({"max_iters": 100.0}, "max_iters"),
+     ({"max_iters": True}, "max_iters"),
+     ({"max_iters": np.bool_(True)}, "max_iters"),
+     ({"max_iters": 0}, "max_iters")],
+)
+def test_stopping_rule_refuses_bad_values(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        StoppingRule(**kwargs)
+
+
+def test_stopping_rule_accepts_numpy_integers_and_infinite_tolerances():
+    stop = StoppingRule(epsilon=np.inf, max_iters=np.int64(7), mse_target=np.inf)
+    system, x_hat, _ = small_instance(seed=3)
+    _, trace = run(system, SolverSpec.srk(1.0, seed=1, stop=stop), ground_truth=x_hat)
+    assert trace.status is RunStatus.CONVERGED and trace.iterations == 1
+
+
+@pytest.mark.parametrize(
+    "make,error,field",
+    [(lambda: SolverSpec.srk(float("nan")), ValueError, "lam"),
+     (lambda: SolverSpec.srk(float("inf")), ValueError, "lam"),
+     (lambda: SolverSpec.sskm(-np.inf, 5), ValueError, "lam"),
+     (lambda: SolverSpec.sskm(1.0, 2.5), InvalidBetaError, "beta"),
+     (lambda: SolverSpec.sskm(1.0, 5.0), InvalidBetaError, "beta"),
+     (lambda: SolverSpec.sskm(1.0, True), InvalidBetaError, "beta")],
+)
+def test_solver_spec_refuses_bad_values(make, error, field):
+    with pytest.raises(error, match=field):
+        make()
+
+
+def test_solver_spec_accepts_a_numpy_integer_beta():
+    system, x_hat, _ = small_instance(seed=3)
+    spec = SolverSpec.sskm(1.0, np.int64(10), seed=1, stop=StoppingRule(max_iters=40))
+    _, trace = run(system, spec, ground_truth=x_hat)
+    _, ref = run(system, SolverSpec.sskm(1.0, 10, seed=1, stop=StoppingRule(max_iters=40)), ground_truth=x_hat)
+    assert np.array_equal(trace.chosen, ref.chosen)
