@@ -24,7 +24,7 @@ from .errors import (
     ZeroTruthError,
 )
 from .linsys import LinearSystem, residual
-from .sampling import _max_rank_sums
+from .sampling import _check_beta, _max_rank_sums
 
 NONZERO_ENTRY_TOL = 1e-12
 SINGULAR_VALUE_CUTOFF = 1e-10
@@ -93,12 +93,12 @@ def gamma_from_residuals(residuals, beta: int) -> float:
     sums are Python integers (squared integer mantissas, so finite input
     never overflows) and the ratio is one correctly rounded division. It is
     exactly 1 for a single nonzero entry and exactly beta for constant
-    magnitudes. Raises NonFiniteDataError for a NaN or infinite entry.
+    magnitudes. Raises NonFiniteDataError for a NaN or infinite entry and
+    InvalidBetaError for a beta that is no integer or lies outside [1, m].
     """
     r = np.asarray(residuals, dtype=float)
     m = r.shape[0]
-    if beta < 1 or beta > m:
-        raise InvalidGammaError(f"beta={beta} outside [1, m={m}]")
+    _check_beta(beta, m)
     sq, total, _ = _max_rank_sums(r, beta, r)
     if total == 0:
         raise ZeroResidualError("gamma is undefined at a solution")

@@ -26,7 +26,7 @@ class NumericalFailureError(RuntimeError):
 
 
 class InvalidBetaError(ValueError):
-    """Subset size is outside [1, m]."""
+    """Subset size is no integer (a bool is none) or lies outside [1, m]."""
 
 
 class EmptySubsetError(ValueError):

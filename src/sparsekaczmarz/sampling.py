@@ -14,12 +14,26 @@ greedy pick of exactly C(m-1-p, beta-1) of the C(m, beta) subsets.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptySubsetError, InvalidBetaError, NonFiniteDataError
 from .linsys import LinearSystem
+
+
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is no count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_beta(beta, m: int) -> None:
+    """Refuses a subset size that is no integer (a bool is none) or lies outside [1, m]."""
+    if not _is_integer(beta):
+        raise InvalidBetaError(f"beta must be an integer, got {beta!r}")
+    if not 1 <= beta <= m:
+        raise InvalidBetaError(f"beta={beta} outside [1, m={m}]")
 
 
 class SelectionRule(enum.Enum):
@@ -32,12 +46,18 @@ class SamplerConfig:
     """Selection rule, subset size, and RNG seed for one solver run.
 
     ``beta`` is the greedy rule's subset size, the same at every iteration;
-    the uniform rule ignores it.
+    the uniform rule ignores it. It must be an integer, and not a bool
+    (:class:`InvalidBetaError`); its range is checked against m where the
+    subsets are drawn.
     """
 
     rule: SelectionRule
     beta: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        if not _is_integer(self.beta):
+            raise InvalidBetaError(f"beta must be an integer, got {self.beta!r}")
 
     def beta_at(self, k: int) -> int:
         """Subset size at iteration ``k``; constant."""
@@ -60,8 +80,7 @@ def _draw_subsets(m: int, beta: int, rng: np.random.Generator, count: int) -> np
     (``np.argpartition``). The draw is row-major, so ``count`` rows are the
     same stream as ``count`` draws of one row.
     """
-    if beta < 1 or beta > m:
-        raise InvalidBetaError(f"beta={beta} outside [1, m={m}]")
+    _check_beta(beta, m)
     keys = rng.random((count, m))
     return np.sort(np.argpartition(keys, beta - 1, axis=1)[:, :beta], axis=1)
 
@@ -87,15 +106,14 @@ def sample_subset(m: int, beta: int, rng: np.random.Generator, _buffer=None) -> 
 def select_motzkin(subset, residuals) -> Selection:
     """Index of the largest squared residual within ``subset``.
 
-    Ties break to the smallest index (subset is sorted before the argmax).
+    Ties break to the smallest index: the subset is sorted, then picked
+    from by :func:`_largest_residual`, as in :func:`pick_index`.
     """
     subset = np.asarray(subset)
     if subset.size == 0:
         raise EmptySubsetError("cannot select from an empty subset")
     subset = np.sort(subset)
-    residuals = np.asarray(residuals, dtype=float)
-    vals = residuals[subset] ** 2
-    return Selection(subset=subset, chosen=int(subset[int(np.argmax(vals))]))
+    return Selection(subset=subset, chosen=_largest_residual(subset, np.asarray(residuals, dtype=float)))
 
 
 def pick_index(config: SamplerConfig, system: LinearSystem, rng: np.random.Generator, residuals) -> int:
@@ -153,8 +171,7 @@ def theoretical_subset_probability(system: LinearSystem, x, beta: int, tau) -> f
     ``tau`` must hold beta distinct indices in [0, m), else InvalidBetaError.
     """
     m = system.m
-    if beta < 1 or beta > m:
-        raise InvalidBetaError(f"beta={beta} outside [1, m={m}]")
+    _check_beta(beta, m)
     tau = np.asarray(tau)
     if tau.shape != (beta,) or not np.issubdtype(tau.dtype, np.integer):
         raise InvalidBetaError(f"tau must hold beta={beta} integer indices, got {tau.tolist()}")

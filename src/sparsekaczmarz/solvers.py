@@ -4,18 +4,19 @@ All three methods share one iteration kernel: a row is selected (by
 :func:`pick_index`, or from a window's draw of rows or subsets), and one
 Bregman projection (``bregman._step_into``) moves the dual iterate along
 that row and soft-thresholds back to the primal, writing the new pair in
-place. :func:`run` loops over the kernel, and :func:`step_once` applies its
-step once. RK is the lam=0 / uniform-row / inexact special case (a plain
-orthogonal projection per step), SRK adds the threshold with uniform rows,
-and SSKM drives the same update with greedy subset sampling. Runs are
-deterministic given the sampler seed.
+place. :func:`run` takes every method through one loop over windows of
+iterations, in which the row rule alone decides how the residual records
+and the stop test are done, and :func:`step_once` applies its step once.
+RK is the lam=0 / uniform-row / inexact special case (a plain orthogonal
+projection per step), SRK adds the threshold with uniform rows, and SSKM,
+the only method with the greedy rule, drives the same update with greedy
+subset sampling. Runs are deterministic given the sampler seed.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +24,12 @@ import numpy as np
 from .bregman import DualPair, StepMode, _step_into, objective_value, project_hyperplane
 from .errors import (
     DimensionMismatchError,
-    InvalidBetaError,
     NonFiniteDataError,
     NonFiniteIterateError,
     ZeroTruthError,
 )
 from .linsys import LinearSystem
-from .sampling import SamplerConfig, SelectionRule, _draw_subsets, _largest_residual
+from .sampling import SamplerConfig, SelectionRule, _draw_subsets, _is_integer, _largest_residual
 
 
 class Method(enum.Enum):
@@ -43,20 +43,15 @@ class RunStatus(enum.Enum):
     MAX_ITERS = "max-iters"
 
 
-def _is_integer(value) -> bool:
-    """An int or a numpy integer; a bool is no count."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class StoppingRule:
     """Stop on residual norm, on relative error to a known truth, or on budget.
 
     When a ground truth is supplied to :func:`run` and ``mse_target`` is set,
-    the relative-error test replaces the residual test. With greedy rows
-    (SSKM) the test runs after every iteration, though the subsets of up to
-    32 iterations are drawn at once and those past the stop go unused; with
-    uniform rows (RK, SRK) it runs once per window of up to 32 iterations,
+    the relative-error test replaces the residual test. :func:`run` steps
+    through windows of up to 32 iterations. With greedy rows (SSKM) the test
+    runs after every iteration, and the subsets drawn for the rest of the
+    window go unused; with uniform rows (RK, SRK) it runs once per window,
     on every iterate of the window, and the run ends at the first iterate
     that met it, as if it had been tested after every iteration.
     """
@@ -92,10 +87,9 @@ class SolverSpec:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam!r}")
         if self.method is Method.RK and self.lam != 0.0:
             raise ValueError("RK requires lam = 0")
-        if self.method is Method.SSKM and self.sampler.rule is not SelectionRule.SKM_GREEDY:
-            raise ValueError("SSKM requires the greedy subset rule")
-        if self.sampler.rule is SelectionRule.SKM_GREEDY and not _is_integer(self.sampler.beta):
-            raise InvalidBetaError(f"beta must be an integer, got {self.sampler.beta!r}")
+        # run reads only the rule, so a greedy RK or SRK would run SSKM's rows under its label
+        if (self.method is Method.SSKM) != (self.sampler.rule is SelectionRule.SKM_GREEDY):
+            raise ValueError("SSKM, and only SSKM, takes the greedy subset rule")
 
     @classmethod
     def rk(cls, seed: int = 0, stop: StoppingRule | None = None) -> "SolverSpec":
@@ -195,8 +189,8 @@ _WINDOW_KEYS = 2**14
 class _SupportColumns:
     """The columns of A on supp(x), kept in one Fortran-order m x cap block.
 
-    For a window of iterates (:class:`_ResidualWindow`) supp(x) is the union
-    of their supports. ``width`` is the number of columns of x a product
+    For a window of uniform iterates (:func:`_flush_window`) supp(x) is the
+    union of their supports. ``width`` is the number of columns of x a product
     takes, 1 for a single iterate and the window's size for a window: below
     the size gate, m*n*width < 2**18, no support fits and every product is
     dense. So the rule is fixed once per run.
@@ -295,102 +289,43 @@ def _window_product(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return (xs.T @ a.T).T
 
 
-class _ResidualWindow:
-    """A uniform rule's iterates, held back so that each window of them takes
-    one draw, one record pass and one stop test.
+def _flush_window(start: int, xs: np.ndarray, duals: np.ndarray, x_norm2: np.ndarray,
+                  columns: _SupportColumns, rhs: np.ndarray, truth, mse_target: float | None,
+                  eps2: float | None, resid_rec: np.ndarray, mse_rec: np.ndarray | None,
+                  breg_rec: np.ndarray | None):
+    """Records a uniform window's iterates and tests the stop on each.
 
-    At the first slot of a window, :meth:`step` draws the rows of every slot
-    with one ``rng.integers(m, size=w)`` call, which yields the same stream
-    as w scalar draws. Each step writes its dual and primal straight into a
-    column of two n x w Fortran-order buffers, and :meth:`hold` keeps the
-    iterate's ||x||^2. :meth:`flush` then records, for every held iterate,
-    ||A x - b||^2 from one product (``rows @ X`` or, on the support columns,
-    ``block @ X[cols]``) and, given a ground truth, the relative error and
-    the Bregman distance from one per-column dot product each, and tests
-    the stop on them. Its :class:`_SupportColumns` is sized for products of
-    the window's width, so the block serves every system where m*n*w
-    reaches 2**18 (m*n >= 8192 for w = 32).
+    The w columns of ``xs`` and ``duals`` are the pairs of iterations
+    ``start`` .. ``start + w - 1``, and ``x_norm2`` their ||x||^2. One
+    product gives their residual norms; given a ground truth, one
+    per-column dot product each gives their relative errors and Bregman
+    distances. The MSE stop, or else the epsilon stop, is tested on every
+    iterate. Returns ``(iterations, primal, dual)`` at the first that meets
+    it, as views of the window's columns, or ``None``.
     """
-
-    def __init__(self, system: LinearSystem, spec: SolverSpec, rng: np.random.Generator,
-                 truth, mse_target: float | None, eps2: float | None):
-        self.rows, self.rhs = system.rows, system.rhs
-        self.lam, self.step_mode = spec.lam, spec.step_mode
-        self.rng = rng
-        # (x_hat, ||x_hat||^2, f(x_hat)), or None
-        self.truth = truth
-        self.mse_target, self.eps2 = mse_target, eps2
-        self.size = size = min(_WINDOW, spec.stop.max_iters)
-        self.columns = _SupportColumns(system.rows, size)
-        self.xs = np.empty((system.n, size), order="F")
-        self.duals = np.empty((system.n, size), order="F")
-        self.x_cols = [self.xs[:, j] for j in range(size)]
-        self.dual_cols = [self.duals[:, j] for j in range(size)]
-        self.x_norm2 = np.empty(size)
-        self.picks = self.picked_rhs = None  # the rows of the window and their rhs entries
-        self.held = 0
-
-    def step(self, dual: np.ndarray, x: np.ndarray):
-        """One iteration from (dual, x) into the next slot; returns ``(i, t, dual, x)``.
-
-        The new pair is a view of the slot's columns; it is held only once
-        :meth:`hold` is called.
-        """
-        j = self.held
-        if j == 0:
-            picks = self.rng.integers(self.rows.shape[0], size=self.size)
-            self.picks, self.picked_rhs = picks.tolist(), self.rhs[picks].tolist()
-        i = self.picks[j]
-        new_dual, new_x = self.dual_cols[j], self.x_cols[j]
-        t = _step_into(dual, x, self.rows[i], self.picked_rhs[j], self.lam, self.step_mode, new_dual, new_x)
-        return i, t, new_dual, new_x
-
-    def hold(self, x_norm2: float) -> bool:
-        """Holds the last stepped iterate, whose ||x||^2 is given; True when the window is full."""
-        self.x_norm2[self.held] = x_norm2
-        self.held += 1
-        return self.held == self.size
-
-    def flush(self, end: int, resid_rec: np.ndarray, mse_rec: np.ndarray | None, breg_rec: np.ndarray | None):
-        """Writes the held iterates' records end - held .. end - 1 and tests the stop.
-
-        The MSE stop, or else the epsilon stop, is tested on every held
-        iterate. Returns ``(iterations, primal, dual)`` at the first of them
-        that meets it, as views of the window's columns, or ``None``.
-        """
-        held, self.held = self.held, 0
-        start = end - held
-        xs = self.xs[:, :held]
-        # the errors first, while the window is in cache: the product streams all of A
-        if self.truth is not None:
-            x_hat, x_hat_norm2, f_hat = self.truth
-            diff = xs - x_hat[:, None]
-            mse = _column_dots(diff, diff) / x_hat_norm2
-            mse_rec[start:end] = mse
-            dots = _column_dots(self.duals[:, :held], x_hat[:, None])
-            breg_rec[start:end] = f_hat - dots + 0.5 * self.x_norm2[:held]
-        r = self.columns.product(xs)
-        r -= self.rhs[:, None]
-        resid = np.einsum("ij,ij->j", r, r)
-        resid_rec[start:end] = resid
-        if self.mse_target is not None:
-            met = mse <= self.mse_target
-        elif self.eps2 is not None:
-            met = resid <= self.eps2
-        else:
-            return None
-        hits = np.flatnonzero(met)
-        if hits.size == 0:
-            return None
-        j = int(hits[0])
-        return start + j + 1, self.xs[:, j], self.duals[:, j]
-
-
-def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a[:, j], b[:, j]> for every column j (b may be one column), each with
-    the bits of ``np.dot``: matmul takes a (1, n) @ (n, 1) product per column
-    to the same dot kernel."""
-    return np.matmul(a.T[:, None, :], b.T[:, :, None])[:, 0, 0]
+    end = start + xs.shape[1]
+    # the errors first, while the window is in cache: the product streams all of A
+    if truth is not None:
+        x_hat, x_hat_norm2, f_hat = truth
+        diff = xs - x_hat[:, None]
+        mse = np.vecdot(diff, diff, axis=0) / x_hat_norm2
+        mse_rec[start:end] = mse
+        breg_rec[start:end] = f_hat - np.vecdot(duals, x_hat[:, None], axis=0) + 0.5 * x_norm2
+    r = columns.product(xs)
+    r -= rhs[:, None]
+    resid = np.einsum("ij,ij->j", r, r)
+    resid_rec[start:end] = resid
+    if mse_target is not None:
+        met = mse <= mse_target
+    elif eps2 is not None:
+        met = resid <= eps2
+    else:
+        return None
+    hits = np.flatnonzero(met)
+    if hits.size == 0:
+        return None
+    j = int(hits[0])
+    return start + j + 1, xs[:, j], duals[:, j]
 
 
 def _resized(a: np.ndarray | None, size: int) -> np.ndarray | None:
@@ -443,30 +378,34 @@ def run(
     f(x_hat) - f(x) - <x*, x_hat - x> exactly, because x = soft_threshold(x*,
     lam) gives <x*, x> = ||x||^2 + lam ||x||_1.
 
-    The row rule alone decides how an iteration's bookkeeping is done.
-    Greedy selection (SSKM) reads the residual at every iterate, so it takes
-    one product per iterate, records the errors and tests the stop after
-    each iteration. Only its subsets, which never read x, are drawn ahead:
-    at the first slot of a window of up to 32 iterations, one
-    ``rng.random((w, m))`` call gives each slot its keys, and the slot's
-    subset is the beta rows with the smallest of them (fewer slots where
-    that draw would exceed 2**14 keys). The draw is row-major, so the rows
-    are those of one :func:`pick_index` per iteration, and a solve cut short
-    by ``max_iters`` repeats the full solve's rows. Uniform selection (RK
-    and SRK) never reads the residual, so a window of up to 32 iterations
-    shares the work (:class:`_ResidualWindow`): one draw of its rows, one
-    matrix product for its residuals, one per-column dot product each for
-    its relative errors and Bregman distances, and one test of the MSE or
-    epsilon stop. An iteration keeps only its step, the finiteness test and
-    the chosen-row and step records. The window is flushed when it is full,
-    at the last budgeted iteration and before a non-finite iterate raises;
-    when a flushed iterate met the stop, the trace ends at the first that
-    did, and that iterate is returned. Up to 31 iterations past the stop
-    are computed and dropped. Every record, the status, the iteration
-    count and the final pair are those of a test after every iteration, bit
-    for bit, except ``residual_norm2``, which can differ from one product
-    per iterate in its rounding, and so the epsilon stop when a residual
-    lies within that rounding of epsilon.
+    Every method runs through one loop over windows of w = min(32,
+    ``max_iters``) iterations; the row rule alone decides how a window's
+    bookkeeping is done. A window starts with one draw of its rows: one
+    ``rng.integers(m, size=w)`` call for uniform rows (RK, SRK), or for
+    greedy subsets (SSKM) one ``rng.random((w, m))`` call whose row j's beta
+    smallest keys name slot j's subset (fewer slots where that draw would
+    exceed 2**14 keys). Either draw is the stream of one :func:`pick_index`
+    per iteration, so a solve cut short by ``max_iters`` repeats the full
+    solve's rows. Each iteration then picks its row, steps into its slot's
+    columns of two n x w Fortran-order buffers, tests finiteness and writes
+    its chosen-row and step records.
+
+    Greedy rows read the residual to pick, so they have one slot and step in
+    place; each iteration takes one product for its residual, records its
+    errors and tests the stop. Uniform rows never read the residual, so a
+    window shares that work (:func:`_flush_window`) once its last slot has
+    stepped: one matrix product for the residuals of all its iterates, one
+    per-column dot product each for their relative errors and Bregman
+    distances, and one test of the MSE or epsilon stop. The same function
+    runs on the slots before a non-finite iterate, before that raises. When
+    an iterate met the stop, the trace ends at the first that did, and that
+    iterate is returned; up to 31 iterations past the stop are computed and
+    dropped. Every record, the status, the iteration count and the final
+    pair are those of a test after every iteration, bit for bit, except
+    ``residual_norm2``, which can differ from one product per iterate in its
+    rounding, and so the epsilon stop when a residual lies within that
+    rounding of epsilon. The records start at 1024 entries and double at a
+    window's start when full.
 
     Either product is taken by :class:`_SupportColumns`: from the columns
     of A on supp(x) alone, at a cost of m*|supp(x)|, when the dense product
@@ -475,8 +414,8 @@ def run(
     w = 32); densely on smaller products and at iterates whose support
     holds more than a quarter of the columns (RK's, for one).
     """
-    n = system.n
-    lam = spec.lam
+    n, m = system.n, system.m
+    lam, mode = spec.lam, spec.step_mode
     stop = spec.stop
     sampler = spec.sampler
     rng = np.random.default_rng(sampler.seed)
@@ -505,80 +444,81 @@ def run(
     mse_rec = np.empty(cap) if truth is not None else None
     breg_rec = np.empty(cap) if truth is not None else None
 
-    dual = np.zeros(n)
-    x = np.zeros(n)
     rows, rhs = system.rows, system.rhs
-    r = -rhs  # residual at x_0 = 0
-    window = None
-    if sampler.rule is SelectionRule.SKM_GREEDY:
-        w = min(_WINDOW, max_iters, max(1, _WINDOW_KEYS // system.m))
-        columns = _SupportColumns(rows, 1)
-    else:
-        window = _ResidualWindow(system, spec, rng, truth, mse_target, eps2)
+    greedy = sampler.rule is SelectionRule.SKM_GREEDY
+    w = min(_WINDOW, max_iters)
+    if greedy:
+        w = min(w, max(1, _WINDOW_KEYS // m))
+    # greedy rows have one slot, which every iteration steps in place through
+    # one view: numpy checks the overlap of an output with another view of its input
+    slots = 1 if greedy else w
+    columns = _SupportColumns(rows, slots)
+    xs = np.zeros((n, slots), order="F")
+    duals = np.zeros((n, slots), order="F")
+    x_cols = [xs[:, j] for j in range(slots)] * (w // slots)
+    dual_cols = [duals[:, j] for j in range(slots)] * (w // slots)
+    x_norm2s = np.empty(slots)
+    dual, x = dual_cols[-1], x_cols[-1]  # x_0 = 0
+    r = -rhs  # residual at x_0, which the first greedy pick reads
 
-    status = RunStatus.MAX_ITERS
-    hit = None  # (iterations, primal, dual) where a flushed window met the stop
+    hit = None  # (iterations, primal, dual) at the first iterate that met the stop
     k = 0
-    for k in range(max_iters):
-        if k == cap:
+    while hit is None and k < max_iters:
+        count = min(w, max_iters - k)
+        if k + count > cap:
             cap = min(2 * cap, max_iters)
             chosen_rec, step_rec, resid_rec, mse_rec, breg_rec = (
                 _resized(a, cap) for a in (chosen_rec, step_rec, resid_rec, mse_rec, breg_rec)
             )
-        if window is None:
-            j = k % w
-            if j == 0:
-                subsets = _draw_subsets(system.m, sampler.beta, rng, min(w, max_iters - k))
-            i = _largest_residual(subsets[j], r)
-            t = _step_into(dual, x, rows[i], float(rhs[i]), lam, spec.step_mode, dual, x)
+        if greedy:
+            subsets = _draw_subsets(m, sampler.beta, rng, count)
         else:
-            i, t, dual, x = window.step(dual, x)
-        x_norm2 = float(np.dot(x, x))
-        # an infinite ||x||^2 from finite entries (a square that overflows) is no failure
-        if not (math.isfinite(t) and (math.isfinite(x_norm2) or np.isfinite(x).all())):
-            # a held iterate that met the stop ends the run before this one
-            if window is not None and window.held:
-                hit = window.flush(k, resid_rec, mse_rec, breg_rec)
-            if hit is None:
-                what = "step value" if not math.isfinite(t) else "iterate"
-                raise NonFiniteIterateError(f"{what} became non-finite at iteration {k}")
-            break
-
-        chosen_rec[k] = i
-        step_rec[k] = t
-        if window is not None:
-            if window.hold(x_norm2):
-                hit = window.flush(k + 1, resid_rec, mse_rec, breg_rec)
-                if hit is not None:
-                    break
-            continue
-
-        # --- greedy rows: records and stopping at x_{k+1} ---
-        if truth is not None:
-            diff = x - x_hat
-            mse_val = float(np.dot(diff, diff)) / x_hat_norm2
-            mse_rec[k] = mse_val
-            breg_rec[k] = f_hat - float(np.dot(dual, x_hat)) + 0.5 * x_norm2
-        r = columns.product(x) - rhs
-        resid2 = float(np.dot(r, r))
-        resid_rec[k] = resid2
-        if mse_target is not None:
-            if mse_val <= mse_target:
-                status = RunStatus.CONVERGED
-                k += 1
+            picks = rng.integers(m, size=count)
+            picks, picked_rhs = picks.tolist(), rhs[picks].tolist()
+        failed = None
+        for j in range(count):
+            if greedy:
+                i = _largest_residual(subsets[j], r)
+                b = float(rhs[i])
+            else:
+                i, b = picks[j], picked_rhs[j]
+            t = _step_into(dual, x, rows[i], b, lam, mode, dual_cols[j], x_cols[j])
+            dual, x = dual_cols[j], x_cols[j]
+            x_norm2 = float(np.dot(x, x))
+            # an infinite ||x||^2 from finite entries (a square that overflows) is no failure
+            if not (math.isfinite(t) and (math.isfinite(x_norm2) or np.isfinite(x).all())):
+                failed = "step value" if not math.isfinite(t) else "iterate"
                 break
-        elif eps2 is not None and resid2 <= eps2:
-            status = RunStatus.CONVERGED
-            k += 1
-            break
-    else:
-        k = max_iters
-    if window is not None and window.held:  # the budget ended a window early
-        hit = window.flush(k, resid_rec, mse_rec, breg_rec)
+            chosen_rec[k + j] = i
+            step_rec[k + j] = t
+            if not greedy:
+                x_norm2s[j] = x_norm2
+                continue
+            # greedy rows: records and stopping at x_{k+j+1}, whose residual picks the next row
+            if truth is not None:
+                diff = x - x_hat
+                mse_val = float(np.dot(diff, diff)) / x_hat_norm2
+                mse_rec[k + j] = mse_val
+                breg_rec[k + j] = f_hat - float(np.dot(dual, x_hat)) + 0.5 * x_norm2
+            r = columns.product(x) - rhs
+            resid2 = float(np.dot(r, r))
+            resid_rec[k + j] = resid2
+            if mse_val <= mse_target if mse_target is not None else eps2 is not None and resid2 <= eps2:
+                hit = (k + j + 1, x, dual)
+                break
+        held = j if failed else j + 1
+        # a uniform window's records and stop, also on the iterates held before a non-finite one
+        if not greedy and held:
+            hit = _flush_window(k, xs[:, :held], duals[:, :held], x_norm2s[:held], columns, rhs,
+                                truth, mse_target, eps2, resid_rec, mse_rec, breg_rec)
+        if failed and hit is None:
+            raise NonFiniteIterateError(f"{failed} became non-finite at iteration {k + j}")
+        k += count
+
+    status = RunStatus.MAX_ITERS
     if hit is not None:
         k, x, dual = hit
         status = RunStatus.CONVERGED
-
     trace = IterationTrace(
         chosen=_resized(chosen_rec, k),
         step=_resized(step_rec, k),
@@ -588,5 +528,5 @@ def run(
         status=status,
         iterations=k,
     )
-    # a copy: the steps wrote into ``x`` and ``dual``, or into the window's buffers
+    # a copy: the steps wrote into the window's buffers
     return DualPair(primal=x.copy(), dual=dual.copy(), lam=lam), trace

@@ -21,6 +21,7 @@ from sparsekaczmarz import (
 )
 from sparsekaczmarz.errors import (
     AllZeroError,
+    InvalidBetaError,
     InvalidGammaError,
     NonFiniteDataError,
     ZeroMatrixError,
@@ -137,6 +138,13 @@ def test_gamma_range():
         m = int(rng.integers(2, 12))
         beta = int(rng.integers(1, m + 1))
         assert 1.0 <= gamma_from_residuals(rng.standard_normal(m), beta) <= beta + 1e-12
+
+
+@pytest.mark.parametrize("beta", [True, 2.5, 0, 5])
+def test_gamma_refuses_a_bad_beta(beta):
+    # m = 4: a bool is no count, 2.5 no integer, and 0 and 5 lie outside [1, m]
+    with pytest.raises(InvalidBetaError, match="beta"):
+        gamma_from_residuals(np.array([1.0, -2.0, 0.5, 3.0]), beta)
 
 
 def test_gamma_zero_residual():

@@ -54,6 +54,31 @@ def test_sample_subset_rejects_bad_beta():
         sample_subset(4, 5, rng)
 
 
+@pytest.mark.parametrize("beta", [True, 2.5, 0, 5])
+def test_sampling_entry_points_refuse_a_bad_beta(beta):
+    # m = 4: a bool is no count, 2.5 no integer, and 0 and 5 lie outside [1, m]
+    system = normalize_rows(np.eye(4), np.ones(4))
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidBetaError, match="beta"):
+        sample_subset(4, beta, rng)
+    with pytest.raises(InvalidBetaError, match="beta"):
+        pick_index(SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=beta), system, rng, np.ones(4))
+    with pytest.raises(InvalidBetaError, match="beta"):
+        _draw_subsets(4, beta, rng, 8)
+    with pytest.raises(InvalidBetaError, match="beta"):
+        theoretical_subset_probability(system, np.zeros(4), beta, [0])
+    # refused before a key is drawn
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("beta", [True, 2.5, 5.0, np.float64(3.0)])
+def test_sampler_config_refuses_a_beta_that_is_no_integer(beta):
+    for rule in SelectionRule:
+        with pytest.raises(InvalidBetaError, match="beta"):
+            SamplerConfig(rule=rule, beta=beta)
+
+
 def test_sample_subset_uniform_over_subsets():
     # all C(4,2)=6 subsets should appear with frequency 1/6 within 3 sigma
     rng = np.random.default_rng(4)

@@ -228,6 +228,16 @@ def test_spec_invariants():
             sampler=SamplerConfig(rule=SelectionRule.UNIFORM_RANDOM),
             stop=StoppingRule(),
         )
+    # run reads only the rule, so a greedy RK or SRK would run SSKM's rows under its label
+    for method, lam in ((Method.RK, 0.0), (Method.SRK, 1.0)):
+        with pytest.raises(ValueError, match="greedy"):
+            SolverSpec(
+                method=method,
+                lam=lam,
+                step_mode=StepMode.INEXACT,
+                sampler=SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=10),
+                stop=StoppingRule(),
+            )
 
 
 def test_run_record_memory_follows_iterations_not_budget():
@@ -251,19 +261,22 @@ def test_run_record_memory_follows_iterations_not_budget():
 def test_run_records_grow_past_the_first_chunk():
     # 3000 iterations cross two doublings of the records; the trace must equal
     # the single steps it records. RK's residuals come from one product per
-    # window of iterates, so they equal one product per iterate up to rounding
+    # window of iterates, so they equal one product per iterate up to rounding.
+    # SSKM-inexact at lam = 0 takes the same plain projections, and its records
+    # grow at the start of a window of greedy iterations
     system, x_hat, _ = small_instance(seed=8, m=30, n=20, k=3)
-    spec = SolverSpec.rk(seed=4, stop=StoppingRule(max_iters=3000))
-    pair, trace = run(system, spec, ground_truth=x_hat)
-    assert trace.iterations == 3000
-    x = np.zeros(system.n)
-    for k in range(trace.iterations):
-        i = int(trace.chosen[k])
-        x = x - trace.step[k] * system.rows[i]
-        r = residual(system, x)
-        assert trace.residual_norm2[k] == pytest.approx(float(np.dot(r, r)), rel=1e-12), k
-    assert np.array_equal(x, pair.primal)
-    assert trace.mse[-1] == trace.final_mse
+    stop = StoppingRule(max_iters=3000)
+    for spec in (SolverSpec.rk(seed=4, stop=stop), SolverSpec.sskm(0.0, 10, StepMode.INEXACT, seed=4, stop=stop)):
+        pair, trace = run(system, spec, ground_truth=x_hat)
+        assert trace.iterations == 3000
+        x = np.zeros(system.n)
+        for k in range(trace.iterations):
+            i = int(trace.chosen[k])
+            x = x - trace.step[k] * system.rows[i]
+            r = residual(system, x)
+            assert trace.residual_norm2[k] == pytest.approx(float(np.dot(r, r)), rel=1e-12), k
+        assert np.array_equal(x, pair.primal)
+        assert trace.mse[-1] == trace.final_mse
 
 
 def test_run_raises_on_non_finite_iterate():
@@ -585,13 +598,21 @@ def _overflowing_system():
     return LinearSystem(rows=np.array([[1.0], [1.0]]), rhs=np.array([1e308, -1e308]), row_scales=np.ones(2))
 
 
+def _overflow_specs(stop):
+    """RK, and SSKM with beta = 2, whose greedy pick takes the overflowing row
+    at its second iteration; both exit through run's one loop."""
+    return SolverSpec.rk(seed=0, stop=stop), SolverSpec.sskm(0.0, 2, StepMode.INEXACT, seed=0, stop=stop)
+
+
 @pytest.mark.parametrize("window", [32, 1])
 def test_run_window_raises_at_the_same_non_finite_iteration(monkeypatch, window):
     monkeypatch.setattr(solvers, "_WINDOW", window)
-    spec = SolverSpec.rk(seed=0, stop=StoppingRule(max_iters=100))
+    rk, sskm = _overflow_specs(StoppingRule(max_iters=100))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteIterateError, match="iteration 3"):
-            run(_overflowing_system(), spec)
+            run(_overflowing_system(), rk)
+        with pytest.raises(NonFiniteIterateError, match="step value became non-finite at iteration 1"):
+            run(_overflowing_system(), sskm)
 
 
 @pytest.mark.parametrize("window", [32, 1])
@@ -601,12 +622,12 @@ def test_run_window_stop_before_a_non_finite_iterate_does_not_raise(monkeypatch,
     # iteration 3 overflowed
     monkeypatch.setattr(solvers, "_WINDOW", window)
     system = _overflowing_system()
-    spec = SolverSpec.rk(seed=0, stop=StoppingRule(max_iters=100, epsilon=np.inf))
-    with np.errstate(over="ignore", invalid="ignore"):
-        pair, trace = run(system, spec)
-    assert trace.status is RunStatus.CONVERGED and trace.iterations == 1
-    i = int(trace.chosen[0])
-    assert np.array_equal(pair.primal, system.rhs[i : i + 1])
+    for spec in _overflow_specs(StoppingRule(max_iters=100, epsilon=np.inf)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            pair, trace = run(system, spec)
+        assert trace.status is RunStatus.CONVERGED and trace.iterations == 1
+        i = int(trace.chosen[0])
+        assert np.array_equal(pair.primal, system.rhs[i : i + 1])
 
 
 @pytest.mark.parametrize("window", [32, 1])
@@ -616,13 +637,13 @@ def test_run_window_mse_stop_before_a_non_finite_iterate_does_not_raise(monkeypa
     # iteration 3 overflows, and the held iterate that met it is returned
     monkeypatch.setattr(solvers, "_WINDOW", window)
     system = _overflowing_system()
-    spec = SolverSpec.rk(seed=0, stop=StoppingRule(max_iters=100, mse_target=np.inf))
-    with np.errstate(over="ignore", invalid="ignore"):
-        pair, trace = run(system, spec, ground_truth=np.ones(1))
-    assert trace.status is RunStatus.CONVERGED and trace.iterations == 1
-    assert trace.mse.shape == trace.bregman_to_truth.shape == (1,)
-    i = int(trace.chosen[0])
-    assert np.array_equal(pair.primal, system.rhs[i : i + 1])
+    for spec in _overflow_specs(StoppingRule(max_iters=100, mse_target=np.inf)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            pair, trace = run(system, spec, ground_truth=np.ones(1))
+        assert trace.status is RunStatus.CONVERGED and trace.iterations == 1
+        assert trace.mse.shape == trace.bregman_to_truth.shape == (1,)
+        i = int(trace.chosen[0])
+        assert np.array_equal(pair.primal, system.rhs[i : i + 1])
 
 
 def test_run_window_memory_follows_iterations_not_budget():
@@ -691,7 +712,20 @@ def test_run_sskm_window_size_leaves_the_stream_alone(monkeypatch):
     assert np.array_equal(small.step, ref.step)
 
 
-@pytest.mark.parametrize("beta", [0, 21])
+def test_run_greedy_records_grow_inside_a_window(monkeypatch):
+    # with windows of 3 greedy iterations the window at 1023 straddles the
+    # first 1024 records, which must grow at its start
+    system, x_hat, _ = small_instance(seed=8, m=30, n=20, k=3)
+    spec = SolverSpec.sskm(1.0, 10, StepMode.INEXACT, seed=4, stop=StoppingRule(max_iters=1100))
+    _, ref = run(system, spec, ground_truth=x_hat)
+    monkeypatch.setattr(solvers, "_WINDOW_KEYS", 3 * system.m)
+    _, trace = run(system, spec, ground_truth=x_hat)
+    assert trace.iterations == ref.iterations == 1100
+    for name in ("chosen", "step", "residual_norm2", "mse", "bregman_to_truth"):
+        assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("beta", [0, 21, True, 2.5])
 def test_run_sskm_rejects_beta_outside_one_to_m(monkeypatch, beta):
     system, _, _ = small_instance(seed=9, m=20)
 
