@@ -57,7 +57,6 @@ from .diagnostics import (
 )
 from .harness import (
     ExperimentConfig,
-    TrialResult,
     add_noise,
     child_rng,
     child_seed,
@@ -66,7 +65,6 @@ from .harness import (
     load_config,
     real_matrix_bench,
     resolve_beta,
-    run_trial,
     solve_single,
     sweep_beta,
     sweep_lambda,
@@ -91,7 +89,6 @@ __all__ = [
     "StepMode",
     "StoppingRule",
     "TheoryReport",
-    "TrialResult",
     "add_noise",
     "bregman_distance",
     "build_theory_report",
@@ -123,7 +120,6 @@ __all__ = [
     "resolve_beta",
     "row_residual",
     "run",
-    "run_trial",
     "sample_subset",
     "select_motzkin",
     "smallest_nonzero_singular_value",

@@ -68,7 +68,8 @@ class DualPair:
     """Primal iterate x and dual iterate x* linked by x = soft_threshold(x*, lam).
 
     The link is the admissibility condition x* in the subdifferential of the
-    objective at x; it is enforced at construction. Use :meth:`from_dual` to
+    objective at x; it is enforced at construction, after ``lam`` is checked to
+    be finite and nonnegative (``ValueError``). Use :meth:`from_dual` to
     build a pair from a dual vector.
     """
 
@@ -81,8 +82,8 @@ class DualPair:
         dual = np.asarray(self.dual, dtype=float)
         if primal.shape != dual.shape or primal.ndim != 1:
             raise ValueError(f"primal/dual must be equal-length vectors, got {primal.shape}/{dual.shape}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam!r}")
         if not np.array_equal(primal, soft_threshold(dual, self.lam)):
             raise ValueError("primal must equal soft_threshold(dual, lam) exactly")
         primal.setflags(write=False)

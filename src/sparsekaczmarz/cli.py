@@ -97,11 +97,10 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         if args.command == "solve":
             out = solve_single(config, method=args.method)
-            result = out["result"]
-            status = "converged" if result.converged else "max-iters"
+            trace = out["trace"]
             print(
-                f"{out['experiment_id']}: {status} after {result.iterations} iterations, "
-                f"final MSE {result.final_mse:.3e}; trace at {out['path']}"
+                f"{out['experiment_id']}: {trace.status.value} after {trace.iterations} iterations, "
+                f"final MSE {trace.final_mse:.3e}; trace at {out['path']}"
             )
         elif args.command == "sweep-lambda":
             out = sweep_lambda(config)

@@ -129,11 +129,12 @@ def contraction_factor(
     For lam = 0: 1 - beta * sigma_min^2 / (gamma * m); pass the smallest
     (possibly zero) singular value in that case, the smallest nonzero one
     otherwise. Values outside (0, 1) are reported with the flag cleared.
+    A beta that is no integer or lies outside [1, m] raises
+    :class:`InvalidBetaError`, before gamma is checked against [1, beta].
     """
+    _check_beta(beta, m)
     if not (1.0 - 1e-9 <= gamma <= beta + 1e-9):
         raise InvalidGammaError(f"gamma={gamma} outside [1, beta={beta}]")
-    if m < beta or beta < 1:
-        raise InvalidGammaError(f"need 1 <= beta <= m, got beta={beta}, m={m}")
     if lam > 0:
         q = 1.0 - (beta * sigma_min**2) / (2.0 * gamma * m) * (x_min_abs / (x_min_abs + 2.0 * lam))
     else:

@@ -18,6 +18,12 @@ RK always takes the inexact step, so a single RK solve is ``rk-inexact``.
 Matrix Market files that cannot be read or parsed, hold an identically zero
 matrix, or have fewer rows than an integer beta, are skipped and reported.
 The two sweeps run on noiseless data and refuse a positive noise level.
+
+Every solve goes through ``_solve``, which returns ``run``'s trace with its
+MSE and Bregman records. A driver reduces each trace to what its CSV needs as
+soon as the solve returns (final MSE, iteration count, the curve at the
+checkpoints), so no driver holds a trace past that; ``solve_single`` returns
+its one trace. ``real_matrix_bench`` times each ``_solve`` call.
 """
 
 from __future__ import annotations
@@ -242,38 +248,6 @@ def add_noise(b, level: float, rng: np.random.Generator) -> tuple[np.ndarray, fl
     return b + e, float(np.linalg.norm(e)), float(np.abs(e).max())
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    trial: int
-    seed: int
-    final_mse: float
-    iterations: int
-    wall_time: float
-    converged: bool
-    trace: IterationTrace
-
-
-def run_trial(
-    system: LinearSystem,
-    x_hat: np.ndarray,
-    spec: SolverSpec,
-    trial: int,
-) -> TrialResult:
-    """One timed solve; the clock covers the iteration loop only."""
-    start = time.perf_counter()
-    _, trace = run(system, spec, ground_truth=x_hat)
-    elapsed = time.perf_counter() - start
-    return TrialResult(
-        trial=trial,
-        seed=spec.sampler.seed,
-        final_mse=trace.final_mse,
-        iterations=trace.iterations,
-        wall_time=elapsed,
-        converged=trace.status is RunStatus.CONVERGED,
-        trace=trace,
-    )
-
-
 def _variants(config: ExperimentConfig) -> list[tuple[str, str]]:
     modes = ("exact", "inexact") if config.step_mode == "both" else (config.step_mode,)
     out = []
@@ -314,9 +288,12 @@ def _solve(
     variant: tuple[str, str],
     beta: int,
     seed: int,
-    trial: int,
-) -> TrialResult:
-    """One timed solve of ``(method, mode)`` with the config's lambda and stopping rule."""
+) -> IterationTrace:
+    """One solve of ``(method, mode)`` with the config's lambda and stopping rule.
+
+    Returns ``run``'s trace. Every solve passes its ground truth, so the trace
+    has its MSE and Bregman records, and ``run`` takes at least one iteration.
+    """
     method, mode = variant
     stop = StoppingRule(
         epsilon=config.epsilon, max_iters=config.max_iters, mse_target=config.mse_target
@@ -329,7 +306,7 @@ def _solve(
         spec = SolverSpec.sskm(
             lam=config.lam, beta=beta, step_mode=StepMode(mode), seed=seed, stop=stop
         )
-    return run_trial(system, x_hat, spec, trial)
+    return run(system, spec, ground_truth=x_hat)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -363,23 +340,10 @@ TRACE_HEADER = ("experiment_id", "trial", "k_iter", "mse", "residual2", "bregman
 
 
 def trace_rows(experiment_id: str, trial: int, trace: IterationTrace):
-    mse_col = trace.mse if trace.mse is not None else np.full(trace.iterations, np.nan)
-    breg_col = (
-        trace.bregman_to_truth
-        if trace.bregman_to_truth is not None
-        else np.full(trace.iterations, np.nan)
-    )
-    for k in range(trace.iterations):
-        yield (
-            experiment_id,
-            trial,
-            k,
-            float(mse_col[k]),
-            float(trace.residual_norm2[k]),
-            float(breg_col[k]),
-            int(trace.chosen[k]),
-            float(trace.step[k]),
-        )
+    """The rows of ``TRACE_HEADER``, one per iteration of a trace with a ground truth."""
+    columns = (trace.mse, trace.residual_norm2, trace.bregman_to_truth, trace.chosen, trace.step)
+    for k, record in enumerate(zip(*(column.tolist() for column in columns))):
+        yield (experiment_id, trial, k, *record)
 
 
 def _checkpoint_iterates(max_iters: int, limit: int = 2000) -> np.ndarray:
@@ -388,14 +352,6 @@ def _checkpoint_iterates(max_iters: int, limit: int = 2000) -> np.ndarray:
         return np.arange(1, max_iters + 1)
     pts = np.unique(np.round(np.logspace(0, np.log10(max_iters), limit)).astype(int))
     return pts[pts >= 1]
-
-
-def _mse_at(trace: IterationTrace, iterate: int) -> float:
-    """MSE at iterate ``iterate`` (1-based), padding past the end of a run."""
-    if trace.iterations == 0:
-        return float("nan")
-    idx = min(iterate, trace.iterations) - 1
-    return float(trace.mse[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +383,8 @@ def sweep_lambda(config: ExperimentConfig) -> dict:
                 system, x_hat, _, _ = _instance(config, m, k, trial)
                 for lam_idx, lam_config in enumerate(lam_configs):
                     seed = child_seed(config.master_seed, m, k, trial, 2, lam_idx)
-                    result = _solve(lam_config, system, x_hat, variant, beta, seed, trial)
-                    finals[lam_idx].append(result.final_mse)
+                    trace = _solve(lam_config, system, x_hat, variant, beta, seed)
+                    finals[lam_idx].append(trace.final_mse)
             means = [float(np.mean(values)) for values in finals]
             for lam, mean_mse in zip(LAMBDA_CANDIDATES, means):
                 rows.append((m, k, f"mean_mse[lambda={lam:g}]", mean_mse))
@@ -453,8 +409,8 @@ def sweep_beta(config: ExperimentConfig) -> dict:
         system, x_hat, _, _ = _instance(config, m, k, trial)
         for mode, beta_idx in finals:
             seed = child_seed(config.master_seed, m, k, trial, 2, _MODE_IDS[mode], beta_idx)
-            result = _solve(config, system, x_hat, ("sskm", mode), betas[beta_idx], seed, trial)
-            finals[mode, beta_idx].append(result.final_mse)
+            trace = _solve(config, system, x_hat, ("sskm", mode), betas[beta_idx], seed)
+            finals[mode, beta_idx].append(trace.final_mse)
     rows = []
     for (mode, beta_idx), values in finals.items():
         beta = betas[beta_idx]
@@ -470,7 +426,8 @@ def compare_methods(config: ExperimentConfig) -> dict:
     Grid cells cover the configured (m, k) grid; instances are paired across
     method variants within each trial. Convergence curves (median and
     quartile bands across trials, at deterministic checkpoints) are recorded
-    for the primary cell (config.m, config.k) on noiseless data.
+    for the primary cell (config.m, config.k) on noiseless data; a solve that
+    stopped before a checkpoint counts there with its final MSE.
     """
     m_grid, k_grid = config.grid()
     variants = _variants(config)
@@ -483,6 +440,7 @@ def compare_methods(config: ExperimentConfig) -> dict:
     for m in m_grid:
         beta = resolve_beta(config.beta, m)
         for k in k_grid:
+            primary = (m, k) == (config.m, config.k)
             finals = {v: [] for v in variants}
             finals_noisy = {v: [] for v in variants}
             iters = {v: [] for v in variants}
@@ -491,17 +449,15 @@ def compare_methods(config: ExperimentConfig) -> dict:
                 system, x_hat, noisy_system, _ = _instance(config, m, k, trial)
                 for variant in variants:
                     seed = child_seed(config.master_seed, m, k, trial, 2, *_variant_ids(variant))
-                    result = _solve(config, system, x_hat, variant, beta, seed, trial)
-                    finals[variant].append(result.final_mse)
-                    iters[variant].append(result.iterations)
-                    if (m, k) == (config.m, config.k):
-                        curves[variant].append([_mse_at(result.trace, int(c)) for c in checkpoints])
-                        breg = result.trace.bregman_to_truth
-                        if breg is not None and np.any(np.diff(breg) > 1e-10):
-                            breg_ok = False
+                    trace = _solve(config, system, x_hat, variant, beta, seed)
+                    finals[variant].append(trace.final_mse)
+                    iters[variant].append(trace.iterations)
+                    if primary:
+                        curves[variant].append(trace.mse[np.minimum(checkpoints, trace.iterations) - 1])
+                        breg_ok = breg_ok and not np.any(np.diff(trace.bregman_to_truth) > 1e-10)
                     if config.noise_level > 0:
-                        noisy_result = _solve(config, noisy_system, x_hat, variant, beta, seed, trial)
-                        finals_noisy[variant].append(noisy_result.final_mse)
+                        noisy_trace = _solve(config, noisy_system, x_hat, variant, beta, seed)
+                        finals_noisy[variant].append(noisy_trace.final_mse)
             for (method, mode), values in finals.items():
                 arr = np.asarray(values)
                 grid_rows.append((m, k, method, mode, "mean_mse", float(arr.mean())))
@@ -512,23 +468,19 @@ def compare_methods(config: ExperimentConfig) -> dict:
                     arr = np.asarray(values)
                     noisy_rows.append((m, k, method, mode, "mean_mse", float(arr.mean())))
                     noisy_rows.append((m, k, method, mode, "median_mse", float(np.median(arr))))
-            if (m, k) == (config.m, config.k):
+            if primary:
                 for (method, mode), per_trial in curves.items():
+                    # trials along axis 0, one column per checkpoint
                     mat = np.asarray(per_trial)
-                    for col, iterate in enumerate(checkpoints):
-                        vals = mat[:, col]
-                        curve_rows.append(
-                            (
-                                method,
-                                mode,
-                                int(iterate),
-                                float(np.median(vals)),
-                                float(np.quantile(vals, 0.25)),
-                                float(np.quantile(vals, 0.75)),
-                                float(vals.min()),
-                                float(vals.max()),
-                            )
-                        )
+                    stats = (
+                        np.median(mat, axis=0),
+                        np.quantile(mat, 0.25, axis=0),
+                        np.quantile(mat, 0.75, axis=0),
+                        mat.min(axis=0),
+                        mat.max(axis=0),
+                    )
+                    for iterate, *values in zip(checkpoints.tolist(), *(stat.tolist() for stat in stats)):
+                        curve_rows.append((method, mode, iterate, *values))
 
     grid_header = ("m", "k", "method", "step", "stat", "value")
     paths = {"grid": _write(config, "mse_grid_noiseless.csv", grid_header, grid_rows)}
@@ -587,9 +539,11 @@ def real_matrix_bench(paths: Sequence[str], config: ExperimentConfig) -> dict:
             system = normalize_rows(kept, kept @ x_hat)
             for variant in variants:
                 seed = child_seed(config.master_seed, name_id, trial, 2, *_variant_ids(variant))
-                result = _solve(config, system, x_hat, variant, beta, seed, trial)
-                if result.converged:
-                    converged[variant].append((result.iterations, result.wall_time))
+                start = time.perf_counter()
+                trace = _solve(config, system, x_hat, variant, beta, seed)
+                elapsed = time.perf_counter() - start
+                if trace.status is RunStatus.CONVERGED:
+                    converged[variant].append((trace.iterations, elapsed))
         for (method, mode), done in converged.items():
             label = f"{method}-{mode}"
             mean_iters = mean_cpu = "--"
@@ -606,18 +560,19 @@ def real_matrix_bench(paths: Sequence[str], config: ExperimentConfig) -> dict:
 def solve_single(config: ExperimentConfig, method: str | None = None) -> dict:
     """One seeded run of one method, on trial 0 of cell (config.m, config.k).
 
-    Writes the full iteration trace. The step mode is the first that
-    ``compare_methods`` runs for the method, so RK is always ``rk-inexact``.
+    Writes the full iteration trace and returns ``run``'s trace under
+    ``"trace"``. The step mode is the first that ``compare_methods`` runs for
+    the method, so RK is always ``rk-inexact``.
     """
     variant = _variants(replace(config, methods=(method or config.methods[0],)))[0]
     m, k = config.m, config.k
     _, x_hat, system, delta_inf = _instance(config, m, k, 0)
     seed = child_seed(config.master_seed, m, k, 0, 2, *_variant_ids(variant))
-    result = _solve(config, system, x_hat, variant, resolve_beta(config.beta, m), seed, 0)
+    trace = _solve(config, system, x_hat, variant, resolve_beta(config.beta, m), seed)
     experiment_id = f"solve-{'-'.join(variant)}-m{m}-n{config.n}-k{k}"
-    path = _write(config, "trace.csv", TRACE_HEADER, trace_rows(experiment_id, 0, result.trace))
+    path = _write(config, "trace.csv", TRACE_HEADER, trace_rows(experiment_id, 0, trace))
     return {
-        "result": result,
+        "trace": trace,
         "path": path,
         "experiment_id": experiment_id,
         "delta_inf": delta_inf,

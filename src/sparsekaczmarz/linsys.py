@@ -133,10 +133,14 @@ def residual(system: LinearSystem, x) -> np.ndarray:
     return system.rows @ x - system.rhs
 
 
-def row_residual(system: LinearSystem, i: int, x) -> float:
-    """<a_i, x> - b_i for a single row."""
+def _check_row(system: LinearSystem, i: int) -> None:
     if not 0 <= i < system.m:
         raise IndexOutOfRangeError(f"row index {i} outside [0, {system.m})")
+
+
+def row_residual(system: LinearSystem, i: int, x) -> float:
+    """<a_i, x> - b_i for a single row."""
+    _check_row(system, i)
     x = np.asarray(x, dtype=float)
     if x.shape != (system.n,):
         raise DimensionMismatchError(f"x has shape {x.shape}, expected ({system.n},)")

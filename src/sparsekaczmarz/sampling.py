@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySubsetError, InvalidBetaError, NonFiniteDataError
-from .linsys import LinearSystem
+from .linsys import LinearSystem, residual
 
 
 def _is_integer(value) -> bool:
@@ -168,7 +168,8 @@ def theoretical_subset_probability(system: LinearSystem, x, beta: int, tau) -> f
     the pre-normalization data via the stored row scales, ties to the smaller
     index. With unit row scales this is 1 / C(m, beta) for every subset.
     Exact for every (m, beta), with no enumeration: see :func:`_max_rank_sums`.
-    ``tau`` must hold beta distinct indices in [0, m), else InvalidBetaError.
+    ``tau`` must hold beta distinct indices in [0, m), else InvalidBetaError;
+    ``x`` must have length n, else DimensionMismatchError.
     """
     m = system.m
     _check_beta(beta, m)
@@ -178,7 +179,7 @@ def theoretical_subset_probability(system: LinearSystem, x, beta: int, tau) -> f
     if tau.min() < 0 or tau.max() >= m or np.unique(tau).size != beta:
         raise InvalidBetaError(f"tau must hold distinct indices in [0, {m}), got {tau.tolist()}")
 
-    raw_res = (system.rows @ np.asarray(x, dtype=float) - system.rhs) * system.row_scales
+    raw_res = residual(system, x) * system.row_scales
     sq, total, order = _max_rank_sums(raw_res, beta, system.row_scales)
     rank = np.empty(m, dtype=int)
     rank[order] = np.arange(m)

@@ -28,7 +28,7 @@ from .errors import (
     NonFiniteIterateError,
     ZeroTruthError,
 )
-from .linsys import LinearSystem
+from .linsys import LinearSystem, _check_row
 from .sampling import SamplerConfig, SelectionRule, _draw_subsets, _is_integer, _largest_residual
 
 
@@ -349,8 +349,10 @@ def step_once(state: DualPair, system: LinearSystem, i: int, step_mode: StepMode
     """One iteration of :func:`run` on row ``i``: a hyperplane projection.
 
     With lam = 0 in inexact mode this is exactly the classical Kaczmarz
-    orthogonal projection onto the selected hyperplane.
+    orthogonal projection onto the selected hyperplane. A row index outside
+    [0, m) raises :class:`IndexOutOfRangeError`, as :func:`row_residual` does.
     """
+    _check_row(system, i)
     return project_hyperplane(state, system.rows[i], float(system.rhs[i]), step_mode)
 
 

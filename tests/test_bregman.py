@@ -172,6 +172,15 @@ def test_dual_pair_enforces_link():
         DualPair(primal=np.array([2.0]), dual=np.array([2.0]), lam=1.0)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+def test_dual_pair_refuses_a_lam_that_is_not_finite_and_nonnegative(lam):
+    # NaN had failed as a broken link, and inf was taken with an all-zero primal
+    with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+        DualPair(primal=np.zeros(2), dual=np.array([1.0, -2.0]), lam=lam)
+    with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+        DualPair.from_dual(np.array([1.0, -2.0]), lam)
+
+
 def test_dual_pair_from_dual():
     pair = DualPair.from_dual(np.array([2.0, -0.5]), 1.0)
     assert np.array_equal(pair.primal, [1.0, 0.0])

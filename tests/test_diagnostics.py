@@ -246,6 +246,13 @@ def test_contraction_rejects_bad_gamma():
         contraction_factor(0.5, 1.0, 1.0, 2, 0.5, 10)
 
 
+@pytest.mark.parametrize("beta", [True, 2.5, 0, 11])
+def test_contraction_refuses_a_bad_beta(beta):
+    # beta is checked before gamma: gamma = 1 is in range for any beta >= 1
+    with pytest.raises(InvalidBetaError, match="beta"):
+        contraction_factor(0.5, 1.0, 1.0, beta, 1.0, 10)
+
+
 # --------------------------------------------------------- error bound
 
 

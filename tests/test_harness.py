@@ -7,6 +7,7 @@ import pytest
 
 from sparsekaczmarz import (
     ExperimentConfig,
+    RunStatus,
     SolverSpec,
     StepMode,
     StoppingRule,
@@ -287,6 +288,60 @@ def test_compare_csv_bodies_reproducible(tmp_path):
         assert body_a == body_b
 
 
+def _tiny_compare_trace(method, mode, trial, max_iters):
+    """The trace of compare's solve of (method, mode) on trial ``trial`` of
+    ``tiny_config``'s cell (20, 2), rebuilt from the stream contract: instance
+    child_rng(seed, m, k, t, 0), solver child_seed(seed, m, k, t, 2, method
+    id, step-mode id)."""
+    system, x_hat, _ = gaussian_instance(20, 12, 2, child_rng(7, 20, 2, trial, 0))
+    stop = StoppingRule(max_iters=max_iters, mse_target=1e-6)
+    method_ids = {"rk": 0, "srk": 1, "sskm": 2}
+    mode_ids = {"inexact": 0, "exact": 1}
+    seed = child_seed(7, 20, 2, trial, 2, method_ids[method], mode_ids[mode])
+    if method == "rk":
+        spec = SolverSpec.rk(seed=seed, stop=stop)
+    elif method == "srk":
+        spec = SolverSpec.srk(lam=1.0, step_mode=StepMode(mode), seed=seed, stop=stop)
+    else:
+        spec = SolverSpec.sskm(lam=1.0, beta=10, step_mode=StepMode(mode), seed=seed, stop=stop)
+    return run(system, spec, ground_truth=x_hat)[1]
+
+
+@pytest.mark.parametrize("trials", [1, 4])
+def test_compare_curves_match_a_per_checkpoint_loop(tmp_path, trials):
+    # the curve rows rebuilt one checkpoint at a time from the same seeded
+    # solves; a solve that stopped before a checkpoint counts with its final MSE
+    config = tiny_config(tmp_path, trials=trials, methods=("rk", "srk", "sskm"), max_iters=2500)
+    out = compare_methods(config)
+    checkpoints = harness._checkpoint_iterates(config.max_iters)
+    assert checkpoints[-1] == config.max_iters and len(checkpoints) < config.max_iters
+    expected, stopped = [], []
+    for method, mode in harness._variants(config):
+        per_trial = []
+        for trial in range(trials):
+            trace = _tiny_compare_trace(method, mode, trial, config.max_iters)
+            stopped.append(trace.iterations < config.max_iters)
+            per_trial.append(
+                [float(trace.mse[c - 1]) if c <= trace.iterations else trace.final_mse for c in checkpoints]
+            )
+        for col, iterate in enumerate(checkpoints):
+            vals = np.array([curve[col] for curve in per_trial])
+            expected.append(
+                (
+                    method,
+                    mode,
+                    int(iterate),
+                    float(np.median(vals)),
+                    float(np.quantile(vals, 0.25)),
+                    float(np.quantile(vals, 0.75)),
+                    float(vals.min()),
+                    float(vals.max()),
+                )
+            )
+    assert any(stopped)
+    assert out["curve_rows"] == expected
+
+
 def test_compare_seeds_follow_the_stream_contract(tmp_path):
     # trial t of cell (m, k): instance child_rng(seed, m, k, t, 0), solver
     # child_seed(seed, m, k, t, 2, method id, step-mode id); benchmarks rely on it
@@ -294,19 +349,8 @@ def test_compare_seeds_follow_the_stream_contract(tmp_path):
     out = compare_methods(config)
     iters = {(r[2], r[3]): r[5] for r in out["grid_rows"] if r[4] == "mean_iters"}
     assert len(iters) == 5
-    system, x_hat, _ = gaussian_instance(20, 12, 2, child_rng(7, 20, 2, 0, 0))
-    stop = StoppingRule(max_iters=3000, mse_target=1e-6)
-    method_ids = {"rk": 0, "srk": 1, "sskm": 2}
-    mode_ids = {"inexact": 0, "exact": 1}
     for (method, mode), mean_iters in iters.items():
-        seed = child_seed(7, 20, 2, 0, 2, method_ids[method], mode_ids[mode])
-        if method == "rk":
-            spec = SolverSpec.rk(seed=seed, stop=stop)
-        elif method == "srk":
-            spec = SolverSpec.srk(lam=1.0, step_mode=StepMode(mode), seed=seed, stop=stop)
-        else:
-            spec = SolverSpec.sskm(lam=1.0, beta=10, step_mode=StepMode(mode), seed=seed, stop=stop)
-        _, trace = run(system, spec, ground_truth=x_hat)
+        trace = _tiny_compare_trace(method, mode, 0, 3000)
         assert mean_iters == trace.iterations, (method, mode)
 
 
@@ -337,8 +381,8 @@ def test_solve_rk_matches_compare_rk_variant(tmp_path):
     out = compare_methods(config)
     (mean_iters,) = [r[5] for r in out["grid_rows"] if r[4] == "mean_iters"]
     single = solve_single(config, "rk")
-    assert single["result"].converged
-    assert single["result"].iterations == mean_iters
+    assert single["trace"].status is RunStatus.CONVERGED
+    assert single["trace"].iterations == mean_iters
     assert single["experiment_id"] == "solve-rk-inexact-m20-n12-k2"
 
 

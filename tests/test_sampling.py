@@ -16,7 +16,7 @@ from sparsekaczmarz import (
     select_motzkin,
     theoretical_subset_probability,
 )
-from sparsekaczmarz.errors import EmptySubsetError, InvalidBetaError, NonFiniteDataError
+from sparsekaczmarz.errors import DimensionMismatchError, EmptySubsetError, InvalidBetaError, NonFiniteDataError
 from sparsekaczmarz.sampling import _draw_subsets, pick_index
 
 from oracles import subset_probability_bruteforce
@@ -228,6 +228,13 @@ def test_theoretical_probability_weighted_rows():
     x = np.array([2.0, 2.0])
     assert theoretical_subset_probability(system, x, 1, [0]) == pytest.approx(0.1, rel=1e-12)
     assert theoretical_subset_probability(system, x, 1, [1]) == pytest.approx(0.9, rel=1e-12)
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_theoretical_probability_refuses_an_x_of_the_wrong_length(length):
+    system = normalize_rows(np.eye(3), np.ones(3))
+    with pytest.raises(DimensionMismatchError):
+        theoretical_subset_probability(system, np.zeros(length), 2, [0, 1])
 
 
 def test_theoretical_probability_sums_to_one():

@@ -29,6 +29,7 @@ from sparsekaczmarz import (
 from sparsekaczmarz import solvers
 from sparsekaczmarz.errors import (
     DimensionMismatchError,
+    IndexOutOfRangeError,
     InvalidBetaError,
     NonFiniteDataError,
     NonFiniteIterateError,
@@ -56,6 +57,12 @@ def test_init_state_rejects_bad_n():
         init_state(0, 1.0)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_init_state_refuses_a_lam_that_is_not_finite(lam):
+    with pytest.raises(ValueError, match="lam must be finite"):
+        init_state(3, lam)
+
+
 def test_step_once_is_kaczmarz_projection_at_lam_zero():
     system = normalize_rows([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
     state = DualPair.from_dual(np.array([3.0, 4.0]), 0.0)
@@ -63,6 +70,15 @@ def test_step_once_is_kaczmarz_projection_at_lam_zero():
     assert np.array_equal(moved.primal, [1.0, 4.0])
     expected = orthogonal_projection(state.primal, system.rows[0], system.rhs[0])
     assert np.max(np.abs(moved.primal - expected)) < 1e-15
+
+
+@pytest.mark.parametrize("i", [-1, 2])
+def test_step_once_refuses_a_row_outside_the_system(i):
+    # -1 would step on the last row and m would raise numpy's own IndexError
+    system = normalize_rows([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
+    state = DualPair.from_dual(np.array([3.0, 4.0]), 0.0)
+    with pytest.raises(IndexOutOfRangeError, match=rf"row index {i} outside \[0, 2\)"):
+        step_once(state, system, i, StepMode.INEXACT)
 
 
 def test_step_once_noop_on_satisfied_row():
