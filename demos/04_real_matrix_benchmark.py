@@ -18,9 +18,6 @@ import numpy as np
 
 import sparsekaczmarz as sk
 
-tmp = tempfile.mkdtemp(prefix="skz-demo-")
-path = os.path.join(tmp, "banded.mtx")
-
 # a banded 80x60 matrix at ~5% density
 rng = np.random.default_rng(21)
 a = np.zeros((80, 60))
@@ -28,26 +25,30 @@ for i in range(80):
     for j in range(60):
         if abs(i - j) <= 1 and rng.random() < 0.9:
             a[i, j] = rng.standard_normal()
-sk.write_matrix_market(path, a, comment="banded demo matrix")
 
-loaded = sk.read_matrix_market(path)
-assert np.array_equal(loaded, a)
-sv = sk.smallest_nonzero_singular_value(loaded)
-print(f"matrix: {loaded.shape[0]}x{loaded.shape[1]}")
-print(f"density: {sk.density(loaded):.2%}")
-print(f"cond: {sv.cond:.1f}  (sigma_min~ {sv.smallest_nonzero:.3f})\n")
+# the matrix file and the report live in a directory that is removed on exit
+with tempfile.TemporaryDirectory(prefix="skz-demo-") as tmp:
+    path = os.path.join(tmp, "banded.mtx")
+    sk.write_matrix_market(path, a, comment="banded demo matrix")
 
-config = sk.ExperimentConfig(
-    m=80, n=60, k=10, lam=1.0, beta="m/2",
-    methods=("rk", "srk", "sskm"), step_mode="exact",
-    trials=10, master_seed=5, mse_target=1e-6, max_iters=100_000,
-    out_dir=tmp,
-)
-report = sk.real_matrix_bench([path], config)
+    loaded = sk.read_matrix_market(path)
+    assert np.array_equal(loaded, a)
+    sv = sk.smallest_nonzero_singular_value(loaded)
+    print(f"matrix: {loaded.shape[0]}x{loaded.shape[1]}")
+    print(f"density: {sk.density(loaded):.2%}")
+    print(f"cond: {sv.cond:.1f}  (sigma_min~ {sv.smallest_nonzero:.3f})\n")
 
-print(f"{'stat':28s} value")
-for _, _, _, stat, value in report["rows"]:
-    if stat.startswith(("mean_iters", "converged")):
-        val = f"{value:.1f}" if isinstance(value, float) else str(value)
-        print(f"{stat:28s} {val}")
-print(f"\nfull report: {report['path']}")
+    config = sk.ExperimentConfig(
+        m=80, n=60, k=10, lam=1.0, beta="m/2",
+        methods=("rk", "srk", "sskm"), step_mode="exact",
+        trials=10, master_seed=5, mse_target=1e-6, max_iters=100_000,
+        out_dir=tmp,
+    )
+    report = sk.real_matrix_bench([path], config)
+
+    print(f"{'stat':28s} value")
+    for _, _, _, stat, value in report["rows"]:
+        if stat.startswith(("mean_iters", "converged")):
+            val = f"{value:.1f}" if isinstance(value, float) else str(value)
+            print(f"{stat:28s} {val}")
+    print(f"\nfull report: {report['path']}")

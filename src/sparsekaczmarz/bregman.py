@@ -11,12 +11,13 @@ The dual derivative is nondecreasing and piecewise linear in the step size,
 so the exact step, the Bregman projection of Lorenz et al. (2014), is its
 root. It is found by an active-set Newton iteration from the cheap step: on
 the linear piece that holds the current point the root is one division
-away, and it is accepted once the piece is unchanged; a flat piece is left
-by a jump to the kink that ends it toward the root. When Newton fails to
-settle, the root is found by bisection over all the sorted breakpoints with
-the derivative evaluated directly at O(log n) of them, then interpolated on
-the linear piece that holds it, or on a ray beyond the outermost one: the
-search of l1-ball projection (Duchi et al. 2008). One step kernel,
+away, and it is accepted once the piece is unchanged. On a flat piece,
+where every entry lies in its band, the root has a closed form from the
+kinks on its side, sorted once: the threshold search of l1-ball projection
+(Duchi et al. 2008). When Newton fails to settle, the root is found by
+bisection over all the sorted breakpoints with the derivative evaluated
+directly at O(log n) of them, then interpolated on the linear piece that
+holds it, or on a ray beyond the outermost one. One step kernel,
 ``_step_into``, takes the step and thresholds into arrays it is given; every
 method's iteration and :func:`project_hyperplane` go through it.
 """
@@ -141,17 +142,17 @@ def exact_step(dual, a_i, b_i: float, lam: float) -> float:
     jumps to the root of the current piece's line, and the jump is accepted
     when the sign pattern of the thresholded dual is the same there, so that
     both points lie on one piece and the jump is its exact root; one more
-    step on that piece removes the rounding of the jump. A flat piece, where
-    g equals b (every entry with a_j != 0 in its band, as at x* = 0), is
-    left by a jump to the kink that ends it toward the root. Newton hands off
-    to a bisection over all the sorted kinks when b is zero on the
-    flat piece or Newton comes back to it, when the pattern still changes
-    after ``_NEWTON_STEPS`` steps, or when every term of g at the root lies
-    within rounding of zero (so b_i is zero up to rounding): the root may
-    then end a piece where g is zero, and the midpoint of that plateau is
-    the answer. The bisection evaluates g directly at O(log n) kinks and
-    interpolates the root on its piece, or returns the midpoint of a segment
-    where g vanishes.
+    step on that piece removes the rounding of the jump. On a flat piece,
+    where g equals b (every entry with a_j != 0 in its band, as at x* = 0),
+    the root is taken in closed form (:func:`_flat_piece_root`); with b zero
+    it is the midpoint of that piece. Newton hands off to a bisection over
+    all the sorted kinks when the pattern still changes after
+    ``_NEWTON_STEPS`` steps, when the closed form is not finite, or when
+    every term of g at the root lies within rounding of zero (so b_i is zero
+    up to rounding): the root may then end a piece where g is zero, and the
+    midpoint of that plateau is the answer. The bisection evaluates g
+    directly at O(log n) kinks and interpolates the root on its piece, or
+    returns the midpoint of a segment where g vanishes.
     """
     dual = np.asarray(dual, dtype=float)
     return _exact_step(dual, soft_threshold(dual, lam), np.asarray(a_i, dtype=float), b_i, lam)
@@ -172,9 +173,8 @@ def _newton_root(dual, a, b: float, lam: float, t: float, norm2: float) -> float
     The pattern of a piece is counted as c = sum_j sign(a_j) sign(s_j) with
     s = soft_threshold(dual - t*a, lam): each entry's sign moves one way as t
     grows, so c falls at every kink and two points share a piece iff they
-    share c. The sums are of integers, so exact. On a flat piece, where g
-    equals b, Newton first jumps to the kink that ends it toward the root
-    (:func:`_flat_piece_exit`) and steps on along the piece beyond it.
+    share c. The sums are of integers, so exact. A flat piece, where g
+    equals b, ends the walk with its closed-form root (:func:`_flat_piece_root`).
     """
     sign_a = np.sign(a)
     a2 = a * a
@@ -187,16 +187,10 @@ def _newton_root(dual, a, b: float, lam: float, t: float, norm2: float) -> float
     s, z, c = piece(t)
     g = b - float(np.dot(s, a))
     slope = float(np.dot(z * z, a2))
-    jumped = False
     for _ in range(_NEWTON_STEPS):
         if slope == 0.0:
-            # g = b on the flat piece; with b = 0 the root may be anywhere on it
-            if jumped or g == 0.0:
-                return None
-            t, c, slope = _flat_piece_exit(dual, a, lam, g > 0.0)
-            if not math.isfinite(t):
-                return None
-            jumped = True
+            t = _flat_piece_root(dual, a, lam, b)
+            return t if math.isfinite(t) else None
         t_new = t - g / slope
         s, z, c_new = piece(t_new)
         g_new = b - float(np.dot(s, a))
@@ -210,27 +204,32 @@ def _newton_root(dual, a, b: float, lam: float, t: float, norm2: float) -> float
     return None
 
 
-def _flat_piece_exit(dual, a, lam: float, leftward: bool) -> tuple[float, float, float]:
-    """The kink that ends the flat piece of g, and the pattern count c and slope
-    of the piece beyond it.
+def _flat_piece_root(dual, a, lam: float, b: float) -> float:
+    """Root of g from its flat piece, where g equals b.
 
     On the flat piece every entry with a_j != 0 lies in its band, t in
-    [(dual_j - lam)/a_j, (dual_j + lam)/a_j] (ends swapped for a_j < 0).
-    Leftward the piece ends at the largest lower end, and each entry whose
-    band ends there leaves it with sign(s_j) = sign(a_j); rightward at the
-    smallest upper end, with sign(s_j) = -sign(a_j).
+    [(dual_j - lam)/a_j, (dual_j + lam)/a_j] (ends swapped for a_j < 0). With
+    b = 0, g is zero on exactly that piece, and its midpoint is the root.
+    Otherwise the root lies left (b > 0) or right (b < 0), and each entry
+    leaves its band once on that side, at the end k_j of its band there. For
+    b > 0, g(t) = b - sum_j a_j^2 (k_j - t)_+ is then the least of the lines
+    b - K_r + A_r t, where A_r and K_r sum a_j^2 and a_j^2 k_j over the first
+    r entries to leave; each line lies on or above g, so the root is the
+    largest of their roots (K_r - b)/A_r. For b < 0 the mirror image holds,
+    and the root is the smallest.
     """
     nz = a != 0.0
     an, d = a[nz], dual[nz]
     lo, hi = (d - lam) / an, (d + lam) / an
-    if leftward:
-        ends = np.minimum(lo, hi)
-        kink = ends.max()
-    else:
-        ends = np.maximum(lo, hi)
-        kink = ends.min()
-    leaving = an[ends == kink]
-    return float(kink), float(leaving.size if leftward else -leaving.size), float(np.dot(leaving, leaving))
+    left, right = np.minimum(lo, hi), np.maximum(lo, hi)
+    if b == 0.0:
+        return float(0.5 * (left.max() + right.min()))
+    ends = left if b > 0.0 else right
+    # the order in which the entries leave: largest left end or smallest right end first
+    order = np.argsort(-ends if b > 0.0 else ends)
+    an2 = an[order] ** 2
+    roots = (np.cumsum(an2 * ends[order]) - b) / np.cumsum(an2)
+    return float(roots.max() if b > 0.0 else roots.min())
 
 
 def _ends_at_kinks(a, s, total: float, lam: float, reach: float, norm2: float) -> bool:
@@ -250,18 +249,13 @@ def _ends_at_kinks(a, s, total: float, lam: float, reach: float, norm2: float) -
     return float(np.abs(s * a).max()) <= bound
 
 
-def _breakpoints(dual: np.ndarray, a: np.ndarray, lam: float) -> np.ndarray:
-    """Unsorted t values where a component of dual - t*a crosses the threshold band."""
-    nz = a != 0.0
-    d, an = dual[nz], a[nz]
-    bp = np.concatenate(((d - lam) / an, (d + lam) / an))
-    return bp[np.isfinite(bp)]
-
-
 def _bisection_root(dual, a, b: float, lam: float, norm2: float) -> float:
     """Root of g by bisection over all its sorted kinks, with the rays of
     slope ``norm2`` beyond the outermost ones (:func:`_root_by_bisection`)."""
-    bp = _breakpoints(dual, a, lam)
+    nz = a != 0.0
+    d, an = dual[nz], a[nz]
+    bp = np.concatenate(((d - lam) / an, (d + lam) / an))
+    bp = bp[np.isfinite(bp)]
     if bp.size == 0:
         raise NumericalFailureError("no breakpoints found; row is numerically zero")
 

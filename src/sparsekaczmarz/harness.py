@@ -265,20 +265,18 @@ def _variant_ids(variant: tuple[str, str]) -> tuple[int, int]:
     return _METHOD_IDS[method], _MODE_IDS[mode]
 
 
-def _instance(
-    config: ExperimentConfig, m: int, k: int, trial: int
-) -> tuple[LinearSystem, np.ndarray, LinearSystem, float]:
-    """Trial ``trial`` of cell (m, k): system, truth, noisy system, ``||e||_inf``.
+def _instance(config: ExperimentConfig, m: int, k: int, trial: int) -> tuple[LinearSystem, np.ndarray, LinearSystem]:
+    """Trial ``trial`` of cell (m, k): system, truth, noisy system.
 
     Without noise the noisy system is the system itself.
     """
     rng = child_rng(config.master_seed, m, k, trial, 0)
     system, x_hat, _ = gaussian_instance(m, config.n, k, rng)
     if config.noise_level == 0:
-        return system, x_hat, system, 0.0
+        return system, x_hat, system
     noise_rng = child_rng(config.master_seed, m, k, trial, 1)
-    b_noisy, _, delta_inf = add_noise(system.rhs, config.noise_level, noise_rng)
-    return system, x_hat, system.with_rhs(b_noisy), delta_inf
+    b_noisy, _, _ = add_noise(system.rhs, config.noise_level, noise_rng)
+    return system, x_hat, system.with_rhs(b_noisy)
 
 
 def _solve(
@@ -346,11 +344,11 @@ def trace_rows(experiment_id: str, trial: int, trace: IterationTrace):
         yield (experiment_id, trial, k, *record)
 
 
-def _checkpoint_iterates(max_iters: int, limit: int = 2000) -> np.ndarray:
-    """Deterministic 1-based iterate checkpoints, log-spaced once runs get long."""
-    if max_iters <= limit:
+def _checkpoint_iterates(max_iters: int) -> np.ndarray:
+    """Deterministic 1-based iterate checkpoints, log-spaced past 2000 iterations."""
+    if max_iters <= 2000:
         return np.arange(1, max_iters + 1)
-    pts = np.unique(np.round(np.logspace(0, np.log10(max_iters), limit)).astype(int))
+    pts = np.unique(np.round(np.logspace(0, np.log10(max_iters), 2000)).astype(int))
     return pts[pts >= 1]
 
 
@@ -380,7 +378,7 @@ def sweep_lambda(config: ExperimentConfig) -> dict:
         for k in k_grid:
             finals = [[] for _ in lam_configs]
             for trial in range(config.trials):
-                system, x_hat, _, _ = _instance(config, m, k, trial)
+                system, x_hat, _ = _instance(config, m, k, trial)
                 for lam_idx, lam_config in enumerate(lam_configs):
                     seed = child_seed(config.master_seed, m, k, trial, 2, lam_idx)
                     trace = _solve(lam_config, system, x_hat, variant, beta, seed)
@@ -406,7 +404,7 @@ def sweep_beta(config: ExperimentConfig) -> dict:
     # keyed by beta index: two fractions can resolve to the same beta
     finals = {(mode, beta_idx): [] for mode in modes for beta_idx in range(len(betas))}
     for trial in range(config.trials):
-        system, x_hat, _, _ = _instance(config, m, k, trial)
+        system, x_hat, _ = _instance(config, m, k, trial)
         for mode, beta_idx in finals:
             seed = child_seed(config.master_seed, m, k, trial, 2, _MODE_IDS[mode], beta_idx)
             trace = _solve(config, system, x_hat, ("sskm", mode), betas[beta_idx], seed)
@@ -446,7 +444,7 @@ def compare_methods(config: ExperimentConfig) -> dict:
             iters = {v: [] for v in variants}
             curves = {v: [] for v in variants}
             for trial in range(config.trials):
-                system, x_hat, noisy_system, _ = _instance(config, m, k, trial)
+                system, x_hat, noisy_system = _instance(config, m, k, trial)
                 for variant in variants:
                     seed = child_seed(config.master_seed, m, k, trial, 2, *_variant_ids(variant))
                     trace = _solve(config, system, x_hat, variant, beta, seed)
@@ -566,14 +564,9 @@ def solve_single(config: ExperimentConfig, method: str | None = None) -> dict:
     """
     variant = _variants(replace(config, methods=(method or config.methods[0],)))[0]
     m, k = config.m, config.k
-    _, x_hat, system, delta_inf = _instance(config, m, k, 0)
+    _, x_hat, system = _instance(config, m, k, 0)
     seed = child_seed(config.master_seed, m, k, 0, 2, *_variant_ids(variant))
     trace = _solve(config, system, x_hat, variant, resolve_beta(config.beta, m), seed)
     experiment_id = f"solve-{'-'.join(variant)}-m{m}-n{config.n}-k{k}"
     path = _write(config, "trace.csv", TRACE_HEADER, trace_rows(experiment_id, 0, trace))
-    return {
-        "trace": trace,
-        "path": path,
-        "experiment_id": experiment_id,
-        "delta_inf": delta_inf,
-    }
+    return {"trace": trace, "path": path, "experiment_id": experiment_id}

@@ -48,7 +48,9 @@ class SamplerConfig:
     ``beta`` is the greedy rule's subset size, the same at every iteration;
     the uniform rule ignores it. It must be an integer, and not a bool
     (:class:`InvalidBetaError`); its range is checked against m where the
-    subsets are drawn.
+    subsets are drawn. ``seed`` must be a nonnegative integer (``ValueError``):
+    ``None`` would draw a fresh stream from the OS, so a run could not be
+    repeated.
     """
 
     rule: SelectionRule
@@ -58,6 +60,8 @@ class SamplerConfig:
     def __post_init__(self):
         if not _is_integer(self.beta):
             raise InvalidBetaError(f"beta must be an integer, got {self.beta!r}")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def beta_at(self, k: int) -> int:
         """Subset size at iteration ``k``; constant."""

@@ -392,22 +392,61 @@ def test_exact_step_first_step_from_zero_takes_no_bisection(monkeypatch, sign):
 
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
-def test_exact_step_from_a_flat_piece_takes_one_evaluation_past_its_end(monkeypatch, sign):
+def test_exact_step_from_a_flat_piece_takes_no_evaluation_past_the_row_residual(monkeypatch, sign):
     # dual = 0, a = (0.8, 0.6), lam = 1, b = 0.1: at the row residual t = -0.1
     # both entries lie in their bands, so g = b > 0 and the root lies left. The
     # flat piece ends at t = -1 / 0.8 = -1.25, where entry 0 leaves its band
     # upward; beyond it g = 0.1 - 0.8 (-0.8 t - 1), with root -1.40625, where
-    # entry 1 is still in its band. So one evaluation of g there accepts the
-    # jump: with the threshold of the dual and the one at the row residual,
-    # three thresholds in all. b = -0.1 mirrors it to the right
+    # entry 1 is still in its band. The closed form of the flat piece gives that
+    # root with no evaluation of g: the threshold of the dual and the one at the
+    # row residual are the only two. b = -0.1 mirrors it to the right
     dual, a, b = np.zeros(2), np.array([0.8, 0.6]), sign * 0.1
     calls = []
     threshold = bregman.soft_threshold
     monkeypatch.setattr(bregman, "soft_threshold", lambda v, lam: calls.append(lam) or threshold(v, lam))
     t = exact_step(dual, a, b, 1.0)
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert t == pytest.approx(-sign * 1.40625, rel=1e-15)
     assert t == pytest.approx(breakpoint_scan_exact_step(dual, a, b, 1.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+@pytest.mark.parametrize("sign", [-1.0, 0.0, 1.0])
+def test_exact_step_on_a_flat_piece_takes_its_closed_form(monkeypatch, kind, sign):
+    # the row residual lies on the flat piece: every entry with a_j != 0 has
+    # |dual_j| <= lam / 2 and |b a_j| <= lam / 2, so it stays in its band.
+    # Entries with a_j = 0 carry any dual. Half the duals are zero (x* = 0)
+    def no_bisection(*args):
+        raise AssertionError("a step from a flat piece took the bisection")
+
+    monkeypatch.setattr(bregman, "_bisection_root", no_bisection)
+    rng = np.random.default_rng(16)
+    for trial in range(200):
+        n = int(rng.integers(1, 40)) if kind == "dense" else int(rng.integers(10, 80))
+        a = random_unit_row(rng, n)
+        if kind == "sparse":
+            a[rng.permutation(n)[int(rng.integers(1, 4)) :]] = 0.0
+            a /= np.linalg.norm(a)
+        lam = float(rng.choice([0.05, 1.0, 3.0]))
+        nz = a != 0.0
+        dual = np.where(nz, rng.uniform(-0.5, 0.5, n) * lam, rng.standard_normal(n) * 10.0)
+        if trial % 2:
+            dual[nz] = 0.0
+        b = sign * 0.5 * lam / np.abs(a).max() * rng.uniform(0.05, 1.0)
+        t0 = inexact_step(soft_threshold(dual, lam), a, b)
+        assert np.all(soft_threshold(dual - t0 * a, lam)[nz] == 0.0)
+        t = exact_step(dual, a, b, lam)
+        t_ref = breakpoint_scan_exact_step(dual, a, b, lam)
+        if b != 0.0:
+            assert abs(t - t_ref) <= 1e-12 * abs(t_ref)
+            continue
+        # g is zero on exactly the flat piece, and the step is its midpoint.
+        # The oracle may round to any point of it, so their primals are compared
+        lo, hi = (dual[nz] - lam) / a[nz], (dual[nz] + lam) / a[nz]
+        assert t == 0.5 * (np.minimum(lo, hi).max() + np.maximum(lo, hi).min())
+        primal = soft_threshold(dual - t * a, lam)
+        assert float(np.dot(a, primal)) == 0.0
+        assert np.array_equal(primal, soft_threshold(dual - t_ref * a, lam))
 
 
 def test_exact_step_bisection_alone_matches_the_breakpoint_scan(monkeypatch):

@@ -79,6 +79,18 @@ def test_sampler_config_refuses_a_beta_that_is_no_integer(beta):
             SamplerConfig(rule=rule, beta=beta)
 
 
+@pytest.mark.parametrize("seed", [None, True, 1.5, -1, np.float64(2.0), "3"])
+def test_sampler_config_refuses_a_seed_that_is_no_nonnegative_integer(seed):
+    for rule in SelectionRule:
+        with pytest.raises(ValueError, match="seed"):
+            SamplerConfig(rule=rule, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint64(2**63)])
+def test_sampler_config_accepts_integer_seeds(seed):
+    assert SamplerConfig(rule=SelectionRule.UNIFORM_RANDOM, seed=seed).seed == seed
+
+
 def test_sample_subset_uniform_over_subsets():
     # all C(4,2)=6 subsets should appear with frequency 1/6 within 3 sigma
     rng = np.random.default_rng(4)
