@@ -214,9 +214,9 @@ def _flat_piece_root(dual, a, lam: float, b: float) -> float:
     leaves its band once on that side, at the end k_j of its band there. For
     b > 0, g(t) = b - sum_j a_j^2 (k_j - t)_+ is then the least of the lines
     b - K_r + A_r t, where A_r and K_r sum a_j^2 and a_j^2 k_j over the first
-    r entries to leave; each line lies on or above g, so the root is the
-    largest of their roots (K_r - b)/A_r. For b < 0 the mirror image holds,
-    and the root is the smallest.
+    r entries to leave; each line with A_r > 0 lies on or above g, so the
+    root is the largest of their roots (K_r - b)/A_r. For b < 0 the mirror
+    image holds, and the root is the smallest.
     """
     nz = a != 0.0
     an, d = a[nz], dual[nz]
@@ -228,7 +228,11 @@ def _flat_piece_root(dual, a, lam: float, b: float) -> float:
     # the order in which the entries leave: largest left end or smallest right end first
     order = np.argsort(-ends if b > 0.0 else ends)
     an2 = an[order] ** 2
-    roots = (np.cumsum(an2 * ends[order]) - b) / np.cumsum(an2)
+    weight = np.cumsum(an2)
+    # A_r = 0 where every square so far underflows; the sums never fall, so
+    # the lines with A_r > 0 are a suffix
+    first = np.count_nonzero(weight == 0.0)
+    roots = (np.cumsum(an2 * ends[order])[first:] - b) / weight[first:]
     return float(roots.max() if b > 0.0 else roots.min())
 
 

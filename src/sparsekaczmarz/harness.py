@@ -70,7 +70,9 @@ class ExperimentConfig:
 
     Every numeric field is checked for its type (an integer field takes no
     float, no field takes a bool or a string) and its range, every k of
-    ``k_grid`` against n too; a bad value raises :class:`ConfigError`.
+    ``k_grid`` against n too; a bad value raises :class:`ConfigError`. So
+    does ``epsilon`` with a ``mse_target``: every solve passes its ground
+    truth, and ``run``'s MSE stop would replace the epsilon stop.
     """
 
     m: int = 300
@@ -106,6 +108,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be a number, got {value!r}")
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{key} must be finite and nonnegative, got {value}")
+        if self.epsilon is not None and self.mse_target is not None:
+            raise ConfigError(
+                f"epsilon={self.epsilon} needs mse_target null, got mse_target={self.mse_target}: "
+                "with both set the MSE stop rules"
+            )
         _check_sparsity("k", (self.k,), self.n)
         _check_sparsity("k_grid", self.k_grid or (), self.n)
         if not isinstance(self.out_dir, (str, os.PathLike)):
@@ -425,9 +432,15 @@ def compare_methods(config: ExperimentConfig) -> dict:
     method variants within each trial. Convergence curves (median and
     quartile bands across trials, at deterministic checkpoints) are recorded
     for the primary cell (config.m, config.k) on noiseless data; a solve that
-    stopped before a checkpoint counts there with its final MSE.
+    stopped before a checkpoint counts there with its final MSE. A grid
+    without that cell raises :class:`ConfigError` before the first solve.
     """
     m_grid, k_grid = config.grid()
+    if config.m not in m_grid or config.k not in k_grid:
+        raise ConfigError(
+            f"compare records its curves at (m, k) = ({config.m}, {config.k}), "
+            f"a cell outside m_grid {list(m_grid)} x k_grid {list(k_grid)}"
+        )
     variants = _variants(config)
     grid_rows = []
     noisy_rows = []

@@ -2,11 +2,14 @@
 
 Supports the two layouts the benchmark matrices use: ``coordinate`` and
 ``array``, field ``real`` (or ``integer``), symmetry ``general`` or
-``symmetric``. Symmetric files store one triangle and are expanded to the
-full matrix; duplicate coordinate entries are summed; indices are 1-based on
-disk and 0-based in memory. NaN and infinite values, files that are not
-UTF-8 text, and size lines that declare a negative size or more than
-``MAX_DENSE_ENTRIES`` entries, raise ``ParseError``.
+``symmetric``. After the banner, blank lines are skipped, and so is every
+comment, a line whose first non-blank character is ``%`` (indented or not);
+the first other line is the size line. Symmetric files must be square; they
+store one triangle and are expanded to the full matrix. Duplicate coordinate
+entries are summed in file order; indices are 1-based on disk and 0-based in
+memory. NaN and infinite values, files that are not UTF-8 text, and size
+lines that declare a negative size, more than ``MAX_DENSE_ENTRIES`` entries,
+or a symmetric matrix that is not square, raise ``ParseError``.
 """
 
 from __future__ import annotations
@@ -46,97 +49,69 @@ def read_matrix_market(path) -> np.ndarray:
     if symmetry not in ("general", "symmetric"):
         raise UnsupportedFieldError(f"unsupported symmetry {symmetry!r}")
 
-    pos = 1
-    while pos < len(lines) and (lines[pos].startswith("%") or not lines[pos].strip()):
-        pos += 1
-    if pos == len(lines):
-        raise ParseError(len(lines), "missing size line")
-
-    size_parts = lines[pos].split()
-    if layout == "coordinate":
-        if len(size_parts) != 3:
-            raise ParseError(pos + 1, "coordinate size line needs 'm n nnz'")
-        try:
-            m, n, nnz = (int(p) for p in size_parts)
-        except ValueError:
-            raise ParseError(pos + 1, f"bad size line {lines[pos]!r}") from None
-        _check_size(pos + 1, m, n)
-        return _read_coordinate(lines, pos + 1, m, n, nnz, symmetry)
-    if len(size_parts) != 2:
-        raise ParseError(pos + 1, "array size line needs 'm n'")
+    coordinate, symmetric = layout == "coordinate", symmetry == "symmetric"
+    # one pass: the first line that is neither blank nor a comment is the
+    # size line, every later one an entry
+    content = ((number, text) for number, line in enumerate(lines[1:], 2)
+               if (text := line.strip()) and not text.startswith("%"))
+    number, text = next(content, (len(lines), None))
+    if text is None:
+        raise ParseError(number, "missing size line")
+    size = text.split()
+    if len(size) != (3 if coordinate else 2):
+        raise ParseError(number, f"{layout} size line needs {'m n nnz' if coordinate else 'm n'!r}")
     try:
-        m, n = (int(p) for p in size_parts)
+        m, n, *nnz = (int(p) for p in size)
     except ValueError:
-        raise ParseError(pos + 1, f"bad size line {lines[pos]!r}") from None
-    _check_size(pos + 1, m, n)
-    return _read_array(lines, pos + 1, m, n, symmetry)
-
-
-def _check_size(line_number: int, m: int, n: int) -> None:
+        raise ParseError(number, f"bad size line {lines[number - 1]!r}") from None
     if m < 0 or n < 0:
-        raise ParseError(line_number, f"negative size {m}x{n}")
+        raise ParseError(number, f"negative size {m}x{n}")
     if m * n > MAX_DENSE_ENTRIES:
-        raise ParseError(line_number, f"size {m}x{n} exceeds the cap of {MAX_DENSE_ENTRIES} dense entries")
+        raise ParseError(number, f"size {m}x{n} exceeds the cap of {MAX_DENSE_ENTRIES} dense entries")
+    if symmetric and m != n:
+        raise ParseError(number, f"symmetric matrix must be square, got {m}x{n}")
 
-
-def _read_coordinate(lines, start, m, n, nnz, symmetry) -> np.ndarray:
-    out = np.zeros((m, n))
-    seen = 0
-    for pos in range(start, len(lines)):
-        text = lines[pos].strip()
-        if not text or text.startswith("%"):
-            continue
-        parts = text.split()
-        if len(parts) != 3:
-            raise ParseError(pos + 1, f"entry needs 'i j value', got {text!r}")
+    rows, cols, values = [], [], []
+    for number, text in content:
+        parts = text.split() if coordinate else (text,)  # an array line is one value
+        if coordinate and len(parts) != 3:
+            raise ParseError(number, f"entry needs 'i j value', got {text!r}")
         try:
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+            if coordinate:
+                i, j, value = int(parts[0]), int(parts[1]), float(parts[2])
+            else:
+                value = float(text)
         except ValueError:
-            raise ParseError(pos + 1, f"bad entry {text!r}") from None
-        if not math.isfinite(v):
-            raise ParseError(pos + 1, f"non-finite value {parts[2]!r}")
-        if not (1 <= i <= m and 1 <= j <= n):
-            raise ParseError(pos + 1, f"index ({i},{j}) outside {m}x{n}")
-        out[i - 1, j - 1] += v
-        if symmetry == "symmetric" and i != j:
-            out[j - 1, i - 1] += v
-        seen += 1
-    if seen != nnz:
-        raise ParseError(len(lines), f"expected {nnz} entries, found {seen}")
-    return out
-
-
-def _read_array(lines, start, m, n, symmetry) -> np.ndarray:
-    values = []
-    for pos in range(start, len(lines)):
-        text = lines[pos].strip()
-        if not text or text.startswith("%"):
-            continue
-        try:
-            v = float(text)
-        except ValueError:
-            raise ParseError(pos + 1, f"bad value {text!r}") from None
-        if not math.isfinite(v):
-            raise ParseError(pos + 1, f"non-finite value {text!r}")
-        values.append(v)
-    out = np.zeros((m, n))
-    if symmetry == "general":
-        if len(values) != m * n:
-            raise ParseError(len(lines), f"expected {m * n} values, found {len(values)}")
-        # column-major per the format
-        out[:] = np.asarray(values).reshape((n, m)).T
-        return out
-    if m != n:
-        raise ParseError(len(lines), "symmetric array matrix must be square")
-    expected = n * (n + 1) // 2
+            raise ParseError(number, f"bad {'entry' if coordinate else 'value'} {text!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(number, f"non-finite value {parts[-1]!r}")
+        if coordinate:
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise ParseError(number, f"index ({i},{j}) outside {m}x{n}")
+            rows.append(i)
+            cols.append(j)
+        values.append(value)
+    expected = nnz[0] if coordinate else n * (n + 1) // 2 if symmetric else m * n
     if len(values) != expected:
-        raise ParseError(len(lines), f"expected {expected} values, found {len(values)}")
-    k = 0
-    for j in range(n):
-        for i in range(j, n):
-            out[i, j] = values[k]
-            out[j, i] = values[k]
-            k += 1
+        noun = "entries" if coordinate else "values"
+        raise ParseError(len(lines), f"expected {expected} {noun}, found {len(values)}")
+
+    out = np.zeros((m, n))
+    if coordinate:
+        i, j = np.array([rows, cols], dtype=np.intp) - 1  # 0-based in memory
+        if symmetric:
+            # an entry above the diagonal folds onto its mirror, so each cell
+            # of the lower triangle sums its entries in file order
+            i, j = np.maximum(i, j), np.minimum(i, j)
+        np.add.at(out, (i, j), np.array(values))
+    elif symmetric:
+        j, i = np.triu_indices(n)  # the lower triangle, column by column
+        out[i, j] = values
+    else:
+        out[:] = np.reshape(values, (n, m)).T  # column-major per the format
+    if symmetric:
+        i, j = np.triu_indices(n, 1)
+        out[i, j] = out[j, i]
     return out
 
 

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -447,6 +448,16 @@ def test_exact_step_on_a_flat_piece_takes_its_closed_form(monkeypatch, kind, sig
         primal = soft_threshold(dual - t * a, lam)
         assert float(np.dot(a, primal)) == 0.0
         assert np.array_equal(primal, soft_threshold(dual - t_ref * a, lam))
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_exact_step_on_a_flat_piece_skips_a_square_that_underflows(sign):
+    # (1e-170)^2 underflows to 0, so the first entry to leave its band adds no
+    # line: the root is the next entry's, found with no division by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = exact_step([sign, 0.0], [1e-170, 1.0], sign * 0.5, 1.0)
+    assert t == -sign * 1.5
 
 
 def test_exact_step_bisection_alone_matches_the_breakpoint_scan(monkeypatch):

@@ -192,6 +192,15 @@ def test_config_validation():
     ExperimentConfig(lam=1, mse_target=None, epsilon=0, m=np.int64(30), master_seed=np.int32(4))
 
 
+def test_config_refuses_epsilon_with_an_mse_target():
+    # every harness solve passes its truth, so run's MSE stop would silently
+    # replace the epsilon stop: the pair is refused, naming both keys
+    for extra in ({}, {"mse_target": 1e-3}, {"mse_target": 0.0}):
+        with pytest.raises(ConfigError, match="epsilon.*mse_target"):
+            ExperimentConfig(epsilon=1e3, **extra)
+    assert ExperimentConfig(epsilon=1e3, mse_target=None).epsilon == 1e3
+
+
 # --------------------------------------------------------------- sweeps
 
 
@@ -262,6 +271,21 @@ def test_compare_emits_grids_and_curves(tmp_path):
     # curves cover every variant
     variants = {(r[0], r[1]) for r in out["curve_rows"]}
     assert ("sskm", "exact") in variants and ("srk", "inexact") in variants
+
+
+def test_compare_refuses_a_grid_without_its_curve_cell(tmp_path, monkeypatch):
+    # the curves are recorded at (m, k) alone, so a grid without that cell
+    # would write a header-only curves file; sweep_lambda takes such a grid
+    sweep_lambda(tiny_config(tmp_path / "sweep", m_grid=(24,), k_grid=(3,), trials=1, max_iters=50))
+
+    def no_solve(*args):
+        raise AssertionError("compare solved before refusing its grid")
+
+    monkeypatch.setattr(harness, "_solve", no_solve)
+    for grids in ({"m_grid": (24,)}, {"k_grid": (3,)}, {"m_grid": (24,), "k_grid": (3,)}):
+        with pytest.raises(ConfigError, match=r"\(20, 2\).*m_grid.*k_grid"):
+            compare_methods(tiny_config(tmp_path, **grids))
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_greedy_beats_uniform_cellwise(tmp_path):
@@ -556,6 +580,37 @@ def test_cli_bad_methods_or_k_grid_exit_code(tmp_path, command, entry, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, entry, keys",
+    [
+        ("solve", {"epsilon": 1000.0}, ("epsilon", "mse_target")),
+        ("compare", {"m_grid": [20], "k_grid": [2]}, ("(40, 3)", "m_grid", "k_grid")),
+    ],
+    ids=["epsilon-with-mse_target", "compare-grid-without-m-k"],
+)
+def test_cli_conflicting_config_keys_exit_code(tmp_path, command, entry, keys):
+    # keys that are each valid but conflict are refused before any solve, with
+    # exit 2 and one line that names them
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m": 40, "n": 30, "k": 3, "trials": 2, "max_iters": 300, **entry}))
+    proc = run_cli(command, "--config", str(config), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), proc.stderr
+    assert all(key in lines[0] for key in keys), proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_solve_stops_on_epsilon_with_the_mse_stop_off(tmp_path):
+    # a loose epsilon stops the run after its first iteration once mse_target is null
+    config = tmp_path / "config.json"
+    entry = {"m": 40, "n": 30, "k": 3, "trials": 1, "max_iters": 3000, "epsilon": 1000.0, "mse_target": None}
+    config.write_text(json.dumps(entry))
+    proc = run_cli("solve", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "out" / "trace.csv").read_text().splitlines()) == 2
+
+
 def test_cli_solve_ignores_the_default_k_grid(tmp_path):
     # solve reads k alone, so a default k grid above n is no error for it
     config = tmp_path / "config.json"
@@ -593,6 +648,23 @@ def test_cli_zero_matrix_file_exit_code(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "skipped" in proc.stderr and "identically zero" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_real_skips_a_non_square_symmetric_file(tmp_path):
+    # the size line 3 x 2 cannot hold the mirror of entry (3, 1): the file is
+    # skipped with its line, and the good file's rows are written
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m": 10, "n": 8, "k": 2, "trials": 1, "max_iters": 50}))
+    bad = tmp_path / "nonsquare.mtx"
+    bad.write_text("%%MatrixMarket matrix coordinate real symmetric\n3 2 2\n1 1 1.0\n3 1 2.0\n")
+    good = tmp_path / "good.mtx"
+    write_matrix_market(good, np.random.default_rng(8).standard_normal((10, 6)))
+    proc = run_cli("real", "--config", str(config), "--out", str(tmp_path / "out"), str(bad), str(good))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"skipped {bad}: line 2"), proc.stderr
+    rows = (tmp_path / "out" / "real_bench.csv").read_text().splitlines()[1:]
+    assert rows and all(row.startswith("good,") for row in rows)
 
 
 def test_cli_oversized_matrix_file_exit_code(tmp_path):

@@ -273,3 +273,63 @@ def test_non_utf8_file_is_parse_error(tmp_path):
     path.write_bytes(np.random.default_rng(0).bytes(200))
     with pytest.raises(ParseError):
         read_matrix_market(path)
+
+
+@pytest.mark.parametrize(
+    "layout, body",
+    [("coordinate", ["3 2 2", "1 1 1.0", "3 1 2.0"]), ("array", ["3 2", "1.0", "2.0", "3.0", "4.0", "5.0", "6.0"])],
+)
+def test_non_square_symmetric_is_refused_at_the_size_line(tmp_path, layout, body):
+    # a symmetric file mirrors every entry, which a non-square size cannot hold
+    path = tmp_path / "nonsquare.mtx"
+    write_lines(path, [f"%%MatrixMarket matrix {layout} real symmetric", "% comment", *body])
+    with pytest.raises(ParseError, match="must be square") as exc:
+        read_matrix_market(path)
+    assert exc.value.line_number == 3
+
+
+def test_indented_comment_before_the_size_line_is_a_comment(tmp_path):
+    path = tmp_path / "indented.mtx"
+    write_lines(path, ["%%MatrixMarket matrix coordinate real general", "  % indented", "\t%", "1 2 1", "1 2 8.0"])
+    assert np.array_equal(read_matrix_market(path), [[0.0, 8.0]])
+
+
+def test_symmetric_entries_of_one_cell_sum_in_file_order(tmp_path):
+    # (2,1) and its mirror (1,2) name one cell: its entries sum in file order,
+    # (1 - 1) + 1e-20, where another order would give (1 + 1e-20) - 1 = 0
+    path = tmp_path / "both_triangles.mtx"
+    write_lines(
+        path,
+        ["%%MatrixMarket matrix coordinate real symmetric", "2 2 3", "2 1 1.0", "1 2 -1.0", "2 1 1e-20"],
+    )
+    assert np.array_equal(read_matrix_market(path), [[0.0, 1e-20], [1e-20, 0.0]])
+
+
+_COMMENTS = st.sampled_from(["", "   ", "%", "% a comment", "%%MatrixMarket in a comment", "  % indented", "\t%"])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6), elements=_FINITE),
+    symmetric=st.booleans(),
+    data=st.data(),
+)
+def test_array_layout_reads_back_bit_for_bit(tmp_path, a, symmetric, data):
+    # array files written by hand, as write_matrix_market writes coordinate
+    # files only: a general one column by column, a symmetric one its lower
+    # triangle column by column, with comments and blank lines anywhere after
+    # the banner. Values are assigned, not summed, so -0.0 stays -0.0
+    if symmetric:
+        a = a[: min(a.shape), : min(a.shape)]
+        a = np.where(np.tri(a.shape[0], dtype=bool), a, a.T)
+    m, n = a.shape
+    values = [a[i, j] for j in range(n) for i in range(j if symmetric else 0, m)]
+    lines = [f"{m} {n}", *(repr(float(v)) for v in values)]
+    for _ in range(data.draw(st.integers(0, 6))):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(_COMMENTS))
+    banner = f"%%MatrixMarket matrix array real {'symmetric' if symmetric else 'general'}"
+    path = tmp_path / "array.mtx"
+    write_lines(path, [banner, *lines])
+    back = read_matrix_market(path)
+    assert back.shape == a.shape and back.dtype == np.float64
+    assert np.array_equal(back.view(np.int64), a.view(np.int64))
