@@ -19,6 +19,7 @@ from .bregman import DualPair, StepMode, _bregman_gap, soft_threshold
 from .errors import (
     AllZeroError,
     InvalidGammaError,
+    NonFiniteDataError,
     ZeroMatrixError,
     ZeroResidualError,
     ZeroTruthError,
@@ -57,12 +58,16 @@ def smallest_nonzero_singular_value(system: LinearSystem | np.ndarray) -> Singul
     ``smallest_nonzero`` excludes values below 1e-10 times the largest;
     ``smallest`` may be zero for rank-deficient matrices. A
     :class:`LinearSystem` keeps its singular values, so the SVD runs once per
-    system.
+    system. An array with a NaN or infinite entry raises
+    :class:`NonFiniteDataError`.
     """
     if isinstance(system, LinearSystem):
         svals = system.singular_values
     else:
-        svals = np.linalg.svd(np.asarray(system, dtype=float), compute_uv=False)
+        a = np.asarray(system, dtype=float)
+        if not np.isfinite(a).all():
+            raise NonFiniteDataError("matrix has a NaN or infinite entry")
+        svals = np.linalg.svd(a, compute_uv=False)
     largest = float(svals[0]) if svals.size else 0.0
     if largest == 0.0:
         raise ZeroMatrixError("matrix is identically zero")

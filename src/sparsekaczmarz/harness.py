@@ -20,10 +20,11 @@ matrix, or have fewer rows than an integer beta, are skipped and reported.
 The two sweeps run on noiseless data and refuse a positive noise level.
 
 Every solve goes through ``_solve``, which returns ``run``'s trace with its
-MSE and Bregman records. A driver reduces each trace to what its CSV needs as
-soon as the solve returns (final MSE, iteration count, the curve at the
-checkpoints), so no driver holds a trace past that; ``solve_single`` returns
-its one trace. ``real_matrix_bench`` times each ``_solve`` call.
+MSE and Bregman records; only ``solve_single``, whose ``trace.csv`` writes
+them, asks for its residual norms as well. A driver reduces each trace to
+what its CSV needs as soon as the solve returns (final MSE, iteration count,
+the curve at the checkpoints), so no driver holds a trace past that;
+``solve_single`` returns its one trace. ``real_matrix_bench`` times each ``_solve`` call.
 """
 
 from __future__ import annotations
@@ -293,11 +294,15 @@ def _solve(
     variant: tuple[str, str],
     beta: int,
     seed: int,
+    *,
+    residuals: bool = False,
 ) -> IterationTrace:
     """One solve of ``(method, mode)`` with the config's lambda and stopping rule.
 
     Returns ``run``'s trace. Every solve passes its ground truth, so the trace
     has its MSE and Bregman records, and ``run`` takes at least one iteration.
+    ``residuals`` is passed to ``run``: only with it does the trace hold
+    residual norms.
     """
     method, mode = variant
     stop = StoppingRule(
@@ -311,7 +316,7 @@ def _solve(
         spec = SolverSpec.sskm(
             lam=config.lam, beta=beta, step_mode=StepMode(mode), seed=seed, stop=stop
         )
-    return run(system, spec, ground_truth=x_hat)[1]
+    return run(system, spec, ground_truth=x_hat, residuals=residuals)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +350,8 @@ TRACE_HEADER = ("experiment_id", "trial", "k_iter", "mse", "residual2", "bregman
 
 
 def trace_rows(experiment_id: str, trial: int, trace: IterationTrace):
-    """The rows of ``TRACE_HEADER``, one per iteration of a trace with a ground truth."""
+    """The rows of ``TRACE_HEADER``, one per iteration of a trace with a ground truth
+    and residual norms."""
     columns = (trace.mse, trace.residual_norm2, trace.bregman_to_truth, trace.chosen, trace.step)
     for k, record in enumerate(zip(*(column.tolist() for column in columns))):
         yield (experiment_id, trial, k, *record)
@@ -579,7 +585,7 @@ def solve_single(config: ExperimentConfig, method: str | None = None) -> dict:
     m, k = config.m, config.k
     _, x_hat, system = _instance(config, m, k, 0)
     seed = child_seed(config.master_seed, m, k, 0, 2, *_variant_ids(variant))
-    trace = _solve(config, system, x_hat, variant, resolve_beta(config.beta, m), seed)
+    trace = _solve(config, system, x_hat, variant, resolve_beta(config.beta, m), seed, residuals=True)
     experiment_id = f"solve-{'-'.join(variant)}-m{m}-n{config.n}-k{k}"
     path = _write(config, "trace.csv", TRACE_HEADER, trace_rows(experiment_id, 0, trace))
     return {"trace": trace, "path": path, "experiment_id": experiment_id}

@@ -7,9 +7,10 @@ comment, a line whose first non-blank character is ``%`` (indented or not);
 the first other line is the size line. Symmetric files must be square; they
 store one triangle and are expanded to the full matrix. Duplicate coordinate
 entries are summed in file order; indices are 1-based on disk and 0-based in
-memory. NaN and infinite values, files that are not UTF-8 text, and size
-lines that declare a negative size, more than ``MAX_DENSE_ENTRIES`` entries,
-or a symmetric matrix that is not square, raise ``ParseError``.
+memory. NaN and infinite values, duplicate entries whose sum overflows to an
+infinite value, files that are not UTF-8 text, and size lines that declare
+a negative size, more than ``MAX_DENSE_ENTRIES`` entries, or a symmetric
+matrix that is not square, raise ``ParseError``.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def read_matrix_market(path) -> np.ndarray:
     if symmetric and m != n:
         raise ParseError(number, f"symmetric matrix must be square, got {m}x{n}")
 
-    rows, cols, values = [], [], []
+    rows, cols, values, numbers = [], [], [], []
     for number, text in content:
         parts = text.split() if coordinate else (text,)  # an array line is one value
         if coordinate and len(parts) != 3:
@@ -90,6 +91,7 @@ def read_matrix_market(path) -> np.ndarray:
                 raise ParseError(number, f"index ({i},{j}) outside {m}x{n}")
             rows.append(i)
             cols.append(j)
+            numbers.append(number)
         values.append(value)
     expected = nnz[0] if coordinate else n * (n + 1) // 2 if symmetric else m * n
     if len(values) != expected:
@@ -103,7 +105,17 @@ def read_matrix_market(path) -> np.ndarray:
             # an entry above the diagonal folds onto its mirror, so each cell
             # of the lower triangle sums its entries in file order
             i, j = np.maximum(i, j), np.minimum(i, j)
-        np.add.at(out, (i, j), np.array(values))
+        values = np.array(values)
+        with np.errstate(over="ignore"):
+            np.add.at(out, (i, j), values)
+        overflowed = np.flatnonzero(np.isinf(out[i, j]))
+        if overflowed.size:
+            # the error names the entry whose term took its cell's file-order sum past the range
+            e = overflowed[0]
+            cell = np.flatnonzero((i == i[e]) & (j == j[e]))
+            with np.errstate(over="ignore"):
+                last = cell[np.argmax(np.isinf(np.cumsum(values[cell])))]
+            raise ParseError(numbers[last], f"entries of cell ({i[e] + 1},{j[e] + 1}) sum to a non-finite value")
     elif symmetric:
         j, i = np.triu_indices(n)  # the lower triangle, column by column
         out[i, j] = values

@@ -48,7 +48,9 @@ class StoppingRule:
     """Stop on residual norm, on relative error to a known truth, or on budget.
 
     When a ground truth is supplied to :func:`run` and ``mse_target`` is set,
-    the relative-error test replaces the residual test. :func:`run` steps
+    the relative-error test replaces the residual test, and :func:`run`
+    computes residual norms only for its ``residuals`` record. Without that
+    test, ``epsilon`` makes every run compute them. :func:`run` steps
     through windows of up to 32 iterations. With greedy rows (SSKM) the test
     runs after every iteration, and the subsets drawn for the rest of the
     window go unused; with uniform rows (RK, SRK) it runs once per window,
@@ -140,14 +142,16 @@ class IterationTrace:
     """Per-iteration records of one solver run.
 
     Record k describes iteration k, which produced the iterate x_{k+1}:
-    the chosen row, the step value, the residual norm squared at x_{k+1},
-    and, when a ground truth was supplied, the relative squared error and the
-    Bregman distance to it.
+    the chosen row, the step value, the residual norm squared at x_{k+1}
+    when :func:`run` was asked for it (``residuals=True``), and, when a
+    ground truth was supplied, the relative squared error and the Bregman
+    distance to it. A record that was not asked for, or that has no truth,
+    is ``None``.
     """
 
     chosen: np.ndarray
     step: np.ndarray
-    residual_norm2: np.ndarray
+    residual_norm2: np.ndarray | None
     mse: np.ndarray | None
     bregman_to_truth: np.ndarray | None
     status: RunStatus = RunStatus.MAX_ITERS
@@ -290,18 +294,21 @@ def _window_product(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def _flush_window(start: int, xs: np.ndarray, duals: np.ndarray, x_norm2: np.ndarray,
-                  columns: _SupportColumns, rhs: np.ndarray, truth, mse_target: float | None,
-                  eps2: float | None, resid_rec: np.ndarray, mse_rec: np.ndarray | None,
+                  columns: _SupportColumns | None, rhs: np.ndarray, truth, mse_target: float | None,
+                  eps2: float | None, resid_rec: np.ndarray | None, mse_rec: np.ndarray | None,
                   breg_rec: np.ndarray | None):
     """Records a uniform window's iterates and tests the stop on each.
 
     The w columns of ``xs`` and ``duals`` are the pairs of iterations
-    ``start`` .. ``start + w - 1``, and ``x_norm2`` their ||x||^2. One
-    product gives their residual norms; given a ground truth, one
-    per-column dot product each gives their relative errors and Bregman
-    distances. The MSE stop, or else the epsilon stop, is tested on every
-    iterate. Returns ``(iterations, primal, dual)`` at the first that meets
-    it, as views of the window's columns, or ``None``.
+    ``start`` .. ``start + w - 1``, and ``x_norm2`` their ||x||^2. Given a
+    ground truth, one per-column dot product each gives their relative
+    errors and Bregman distances. Given ``columns``, which :func:`run`
+    passes only when the residual record or the epsilon stop reads them,
+    one product gives their residual norms; without it, under the MSE stop
+    or no stop, A is not read at all. The MSE stop, or else the epsilon
+    stop, is tested on every iterate. Returns ``(iterations, primal, dual)``
+    at the first that meets it, as views of the window's columns, or
+    ``None``.
     """
     end = start + xs.shape[1]
     # the errors first, while the window is in cache: the product streams all of A
@@ -311,10 +318,12 @@ def _flush_window(start: int, xs: np.ndarray, duals: np.ndarray, x_norm2: np.nda
         mse = np.vecdot(diff, diff, axis=0) / x_hat_norm2
         mse_rec[start:end] = mse
         breg_rec[start:end] = f_hat - np.vecdot(duals, x_hat[:, None], axis=0) + 0.5 * x_norm2
-    r = columns.product(xs)
-    r -= rhs[:, None]
-    resid = np.einsum("ij,ij->j", r, r)
-    resid_rec[start:end] = resid
+    if columns is not None:
+        r = columns.product(xs)
+        r -= rhs[:, None]
+        resid = np.einsum("ij,ij->j", r, r)
+        if resid_rec is not None:
+            resid_rec[start:end] = resid
     if mse_target is not None:
         met = mse <= mse_target
     elif eps2 is not None:
@@ -360,6 +369,8 @@ def run(
     system: LinearSystem,
     spec: SolverSpec,
     ground_truth=None,
+    *,
+    residuals: bool = False,
 ) -> tuple[DualPair, IterationTrace]:
     """Iterate until the stopping rule fires; returns the final pair and trace.
 
@@ -392,13 +403,19 @@ def run(
     columns of two n x w Fortran-order buffers, tests finiteness and writes
     its chosen-row and step records.
 
-    Greedy rows read the residual to pick, so they have one slot and step in
-    place; each iteration takes one product for its residual, records its
-    errors and tests the stop. Uniform rows never read the residual, so a
-    window shares that work (:func:`_flush_window`) once its last slot has
-    stepped: one matrix product for the residuals of all its iterates, one
-    per-column dot product each for their relative errors and Bregman
-    distances, and one test of the MSE or epsilon stop. The same function
+    Residual norms are computed only where something reads them: the
+    ``residual_norm2`` record, which is ``None`` unless ``residuals`` is
+    true, and the epsilon stop, which computes them whatever ``residuals``
+    says. Greedy rows read the residual to pick, so they have one slot and
+    step in place; each iteration records its errors, takes one product for
+    the residual that picks the next row and tests the stop. Its norm is
+    taken only where it is read, and no product is taken after the last
+    iterate (the MSE stop met, or ``max_iters`` spent) unless it is. Uniform
+    rows never read the residual, so a window shares that work
+    (:func:`_flush_window`) once its last slot has stepped: one per-column
+    dot product each for the relative errors and Bregman distances of all
+    its iterates, one matrix product for their residuals where they are
+    read, and one test of the MSE or epsilon stop. The same function
     runs on the slots before a non-finite iterate, before that raises. When
     an iterate met the stop, the trace ends at the first that did, and that
     iterate is returned; up to 31 iterations past the stop are computed and
@@ -436,13 +453,14 @@ def run(
         truth = (x_hat, x_hat_norm2, f_hat)
     mse_target = stop.mse_target if truth is not None else None
     eps2 = stop.epsilon**2 if stop.epsilon is not None and mse_target is None else None
+    norms = residuals or eps2 is not None
 
     # records start small and double when full, so their memory follows the work done
     max_iters = stop.max_iters
     cap = min(max_iters, _FIRST_RECORDS)
     chosen_rec = np.empty(cap, dtype=np.int64)
     step_rec = np.empty(cap)
-    resid_rec = np.empty(cap)
+    resid_rec = np.empty(cap) if residuals else None
     mse_rec = np.empty(cap) if truth is not None else None
     breg_rec = np.empty(cap) if truth is not None else None
 
@@ -454,7 +472,7 @@ def run(
     # greedy rows have one slot, which every iteration steps in place through
     # one view: numpy checks the overlap of an output with another view of its input
     slots = 1 if greedy else w
-    columns = _SupportColumns(rows, slots)
+    columns = _SupportColumns(rows, slots) if greedy or norms else None
     xs = np.zeros((n, slots), order="F")
     duals = np.zeros((n, slots), order="F")
     x_cols = [xs[:, j] for j in range(slots)] * (w // slots)
@@ -497,15 +515,22 @@ def run(
                 x_norm2s[j] = x_norm2
                 continue
             # greedy rows: records and stopping at x_{k+j+1}, whose residual picks the next row
+            met = False
             if truth is not None:
                 diff = x - x_hat
                 mse_val = float(np.dot(diff, diff)) / x_hat_norm2
                 mse_rec[k + j] = mse_val
                 breg_rec[k + j] = f_hat - float(np.dot(dual, x_hat)) + 0.5 * x_norm2
-            r = columns.product(x) - rhs
-            resid2 = float(np.dot(r, r))
-            resid_rec[k + j] = resid2
-            if mse_val <= mse_target if mse_target is not None else eps2 is not None and resid2 <= eps2:
+                met = mse_target is not None and mse_val <= mse_target
+            # past the last iterate no pick reads the residual
+            if norms or not (met or k + j + 1 == max_iters):
+                r = columns.product(x) - rhs
+            if norms:
+                resid2 = float(np.dot(r, r))
+                if residuals:
+                    resid_rec[k + j] = resid2
+                met = met or eps2 is not None and resid2 <= eps2
+            if met:
                 hit = (k + j + 1, x, dual)
                 break
         held = j if failed else j + 1

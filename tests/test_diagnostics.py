@@ -84,6 +84,16 @@ def test_singular_values_zero_matrix():
         smallest_nonzero_singular_value(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_singular_values_refuse_a_non_finite_entry(bad):
+    # without the check the SVD's NaN values leave no nonzero singular value:
+    # an IndexError, not the library's error
+    a = np.eye(3)
+    a[1, 2] = bad
+    with pytest.raises(NonFiniteDataError):
+        smallest_nonzero_singular_value(a)
+
+
 # ------------------------------------------------------- min abs nonzero
 
 
@@ -285,7 +295,7 @@ def test_error_bound_margin_nonnegative_along_runs():
     system, x_hat, _ = gaussian_instance(15, 8, 2, rng)
     sv = smallest_nonzero_singular_value(system)
     spec = SolverSpec.sskm(1.0, 7, seed=3, stop=StoppingRule(max_iters=150))
-    pair, trace = run(system, spec, ground_truth=x_hat)
+    pair, trace = run(system, spec, ground_truth=x_hat, residuals=True)
     # reconstruct margins from trace columns: rhs_coef * ||r||^2 - D
     xmin = min_abs_nonzero(x_hat)
     coef = (xmin + 2.0) / (xmin * sv.smallest_nonzero**2)

@@ -667,6 +667,23 @@ def test_cli_real_skips_a_non_square_symmetric_file(tmp_path):
     assert rows and all(row.startswith("good,") for row in rows)
 
 
+def test_cli_real_skips_a_file_whose_duplicate_entries_overflow(tmp_path):
+    # two finite entries of cell (1, 1) sum to inf: the file is skipped with the
+    # line of the second, not ended by a traceback, and the good file's rows are written
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m": 10, "n": 8, "k": 2, "trials": 1, "max_iters": 50}))
+    bad = tmp_path / "overflow.mtx"
+    bad.write_text("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.5e308\n2 2 1.0\n1 1 1.5e308\n")
+    good = tmp_path / "good.mtx"
+    write_matrix_market(good, np.random.default_rng(8).standard_normal((10, 6)))
+    proc = run_cli("real", "--config", str(config), "--out", str(tmp_path / "out"), str(bad), str(good))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines == [f"skipped {bad}: line 5: entries of cell (1,1) sum to a non-finite value"], proc.stderr
+    rows = (tmp_path / "out" / "real_bench.csv").read_text().splitlines()[1:]
+    assert rows and all(row.startswith("good,") for row in rows)
+
+
 def test_cli_oversized_matrix_file_exit_code(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"m": 10, "n": 8, "k": 2, "trials": 1, "max_iters": 50}))
@@ -702,7 +719,7 @@ def test_cli_noisy_sweep_exit_code(tmp_path, command):
 
 def test_cli_solver_error_exit_code(tmp_path, monkeypatch, capsys):
     # a non-finite iterate ends the command with exit 4 and one line on stderr
-    def diverging(system, spec, ground_truth=None):
+    def diverging(system, spec, ground_truth=None, residuals=False):
         raise NonFiniteIterateError("iterate became non-finite at iteration 7")
 
     monkeypatch.setattr(harness, "run", diverging)

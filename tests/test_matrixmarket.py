@@ -305,6 +305,32 @@ def test_symmetric_entries_of_one_cell_sum_in_file_order(tmp_path):
     assert np.array_equal(read_matrix_market(path), [[0.0, 1e-20], [1e-20, 0.0]])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "symmetry,entries,line,cell",
+    [
+        ("general", ["1 1 1.5e308", "2 2 1.0", "1 1 1.5e308", "1 1 -1.0"], 5, "(1,1)"),
+        ("general", ["2 1 -1e308", "2 1 -1e308", "1 1 1.0", "2 2 1.0"], 4, "(2,1)"),
+        # an entry above the diagonal folds onto its mirror's cell
+        ("symmetric", ["1 1 1.0", "2 1 1.5e308", "1 2 1.5e308", "2 2 1.0"], 5, "(2,1)"),
+    ],
+)
+def test_duplicate_entries_that_sum_past_the_float_range_are_refused(tmp_path, symmetry, entries, line, cell):
+    # each value is finite; the error names the entry whose term takes its
+    # cell's sum to infinity, and numpy's overflow warning is not raised
+    path = tmp_path / "overflow.mtx"
+    write_lines(path, [f"%%MatrixMarket matrix coordinate real {symmetry}", "2 2 4", *entries])
+    with pytest.raises(ParseError, match=rf"cell \({cell[1]},{cell[3]}\) sum to a non-finite value") as exc:
+        read_matrix_market(path)
+    assert exc.value.line_number == line
+
+
+def test_duplicate_entries_near_the_float_range_still_read(tmp_path):
+    path = tmp_path / "large.mtx"
+    write_lines(path, ["%%MatrixMarket matrix coordinate real general", "1 1 2", "1 1 8e307", "1 1 8e307"])
+    assert read_matrix_market(path)[0, 0] == 8e307 + 8e307
+
+
 _COMMENTS = st.sampled_from(["", "   ", "%", "% a comment", "%%MatrixMarket in a comment", "  % indented", "\t%"])
 
 

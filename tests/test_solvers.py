@@ -126,8 +126,8 @@ def test_run_identity_system_converges_in_one_pass():
 def test_run_deterministic_given_seed():
     system, x_hat, _ = small_instance(seed=4)
     spec = SolverSpec.sskm(1.0, 10, seed=11, stop=StoppingRule(max_iters=300, mse_target=1e-10))
-    pair_a, trace_a = run(system, spec, ground_truth=x_hat)
-    pair_b, trace_b = run(system, spec, ground_truth=x_hat)
+    pair_a, trace_a = run(system, spec, ground_truth=x_hat, residuals=True)
+    pair_b, trace_b = run(system, spec, ground_truth=x_hat, residuals=True)
     assert np.array_equal(pair_a.primal, pair_b.primal)
     assert np.array_equal(trace_a.step, trace_b.step)
     assert np.array_equal(trace_a.chosen, trace_b.chosen)
@@ -146,7 +146,7 @@ def test_run_matches_composed_single_steps():
         "sskm-exact": SolverSpec.sskm(1.0, 8, step_mode=StepMode.EXACT, seed=3, stop=stop),
     }
     for name, spec in specs.items():
-        pair, trace = run(system, spec, ground_truth=x_hat)
+        pair, trace = run(system, spec, ground_truth=x_hat, residuals=True)
         rng = np.random.default_rng(spec.sampler.seed)
         state = init_state(system.n, spec.lam)
         for k in range(trace.iterations):
@@ -184,7 +184,7 @@ def test_run_rk_is_orthogonal_projection_sequence():
 def test_run_trace_shape_and_monotone_k():
     system, x_hat, _ = small_instance(seed=7)
     spec = SolverSpec.srk(1.0, seed=2, stop=StoppingRule(max_iters=50))
-    _, trace = run(system, spec, ground_truth=x_hat)
+    _, trace = run(system, spec, ground_truth=x_hat, residuals=True)
     assert trace.iterations == 50
     for arr in (trace.chosen, trace.step, trace.residual_norm2, trace.mse, trace.bregman_to_truth):
         assert arr.shape == (50,)
@@ -264,7 +264,7 @@ def test_run_record_memory_follows_iterations_not_budget():
     spec = SolverSpec.sskm(1.0, 150, StepMode.EXACT, seed=1, stop=stop)
     tracemalloc.start()
     try:
-        _, trace = run(system, spec, ground_truth=x_hat)
+        _, trace = run(system, spec, ground_truth=x_hat, residuals=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -283,7 +283,7 @@ def test_run_records_grow_past_the_first_chunk():
     system, x_hat, _ = small_instance(seed=8, m=30, n=20, k=3)
     stop = StoppingRule(max_iters=3000)
     for spec in (SolverSpec.rk(seed=4, stop=stop), SolverSpec.sskm(0.0, 10, StepMode.INEXACT, seed=4, stop=stop)):
-        pair, trace = run(system, spec, ground_truth=x_hat)
+        pair, trace = run(system, spec, ground_truth=x_hat, residuals=True)
         assert trace.iterations == 3000
         x = np.zeros(system.n)
         for k in range(trace.iterations):
@@ -388,7 +388,7 @@ def test_run_residual_from_support_columns_equals_dense(monkeypatch, method, sha
         lam, spec = 1.0, SolverSpec.sskm(1.0, 300, StepMode.EXACT, seed=3, stop=stop)
     else:
         lam, spec = 0.0, SolverSpec.rk(seed=3, stop=stop)
-    _, trace = run(system, spec, ground_truth=x_hat)
+    _, trace = run(system, spec, ground_truth=x_hat, residuals=True)
     supports = []
     for k, x in enumerate(_iterates(system, trace, lam)):
         r = system.rows @ x - system.rhs
@@ -533,7 +533,7 @@ def test_run_window_matches_one_product_per_iterate(monkeypatch, shape, variant,
 
     def solve(stop, size):
         monkeypatch.setattr(solvers, "_WINDOW", size)
-        return run(system, _windowed_spec(variant, lam, stop), ground_truth=truth)
+        return run(system, _windowed_spec(variant, lam, stop), ground_truth=truth, residuals=True)
 
     if case.startswith("budget"):
         # a budget below the window, and one that is not a multiple of it
@@ -597,7 +597,7 @@ def test_run_srk_windows_hold_the_support_block_on_the_reference_shape(monkeypat
     stop = StoppingRule(max_iters=200)
     for spec in (SolverSpec.srk(1.0, step_mode=StepMode.INEXACT, seed=1, stop=stop), SolverSpec.rk(seed=1, stop=stop)):
         calls.clear()
-        run(system, spec, ground_truth=x_hat)
+        run(system, spec, ground_truth=x_hat, residuals=True)
         flushes = [c for c in calls if c[0] == "product"]
         assert [c[1] for c in flushes] == [solvers._WINDOW] * (200 // solvers._WINDOW) + [200 % solvers._WINDOW]
         assert {c[2] for c in flushes} == {system.n // 4}
@@ -606,6 +606,88 @@ def test_run_srk_windows_hold_the_support_block_on_the_reference_shape(monkeypat
             assert max(sizes) > 0 and any(c[0] == "append" for c in calls)
         else:
             assert set(sizes) == {0} and all(c[0] == "product" for c in calls)
+
+
+def _spy_residual_products(monkeypatch):
+    """Counts the support blocks run builds and the residual products it takes."""
+    calls = {"block": 0, "product": 0, "window_product": 0}
+
+    def counted(name, f):
+        def spy(*args):
+            calls[name] += 1
+            return f(*args)
+        return spy
+
+    columns = solvers._SupportColumns
+    monkeypatch.setattr(columns, "__init__", counted("block", columns.__init__))
+    monkeypatch.setattr(columns, "product", counted("product", columns.product))
+    monkeypatch.setattr(solvers, "_window_product", counted("window_product", solvers._window_product))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["mse-stop", "budget", "epsilon-stop", "epsilon-budget"])
+@pytest.mark.parametrize("variant", ["rk", "srk-inexact", "srk-exact", "sskm-inexact", "sskm-exact"])
+@pytest.mark.parametrize("shape", [(600, 500), (300, 200)])
+def test_run_takes_residual_products_only_where_they_are_read(monkeypatch, shape, variant, case):
+    # 600 x 500 lies above the size gate of the support block for a single
+    # iterate, 300 x 200 only for a window. Without the residual record,
+    # uniform rows under the MSE stop or a bare budget read no residual at all,
+    # and greedy rows take the product that picks the next row but none after
+    # the last iterate; the epsilon stop takes every product it tests. The
+    # record aside, the run is the one with the record, bit for bit
+    m, n = shape
+    system, x_hat, _ = gaussian_instance(m, n, 10, child_rng(5, m, n, 0))
+    assert (system.rows.size >= solvers._BLOCK_MIN_ENTRIES) == (m == 600)
+    method, _, mode = variant.partition("-")
+
+    def spec(stop):
+        if method == "rk":
+            return SolverSpec.rk(seed=3, stop=stop)
+        if method == "srk":
+            return SolverSpec.srk(1.0, step_mode=StepMode(mode), seed=3, stop=stop)
+        return SolverSpec.sskm(1.0, m // 2, step_mode=StepMode(mode), seed=3, stop=stop)
+
+    # an MSE stop, or an epsilon stop, that the 200-iteration budget ends
+    stop = StoppingRule(max_iters=200, mse_target=0.0)
+    if case == "epsilon-budget":
+        stop = StoppingRule(max_iters=200, epsilon=0.0)
+    elif case != "budget":
+        # a stop met inside the 200-iteration budget, and inside a window of 32
+        _, probe = run(system, spec(stop), ground_truth=x_hat, residuals=True)
+        if case == "mse-stop":
+            stop = StoppingRule(max_iters=200, mse_target=float(probe.mse[60]))
+        else:
+            stop = StoppingRule(max_iters=200, epsilon=float(np.sqrt(probe.residual_norm2[60] * (1 + 1e-9))))
+    calls = _spy_residual_products(monkeypatch)
+    counts = {}
+    runs = {}
+    for residuals in (True, False):
+        for name in calls:
+            calls[name] = 0
+        runs[residuals] = run(system, spec(stop), ground_truth=x_hat, residuals=residuals)
+        counts[residuals] = dict(calls)
+    (pair_on, on), (pair_off, off) = runs[True], runs[False]
+
+    iterations = on.iterations
+    assert on.status is (RunStatus.MAX_ITERS if case.endswith("budget") else RunStatus.CONVERGED)
+    assert on.residual_norm2.shape == (iterations,) and off.residual_norm2 is None
+    for name in ("chosen", "step", "mse", "bregman_to_truth"):
+        assert np.array_equal(getattr(off, name), getattr(on, name)), name
+    assert (off.status, off.iterations) == (on.status, iterations)
+    assert np.array_equal(pair_off.primal, pair_on.primal)
+    assert np.array_equal(pair_off.dual, pair_on.dual)
+
+    if method == "sskm":
+        assert counts[True] == {"block": 1, "product": iterations, "window_product": 0}
+        taken = iterations if case.startswith("epsilon") else iterations - 1
+        assert counts[False] == {"block": 1, "product": taken, "window_product": 0}
+    else:
+        windows = -(-iterations // solvers._WINDOW)
+        assert counts[True] == {"block": 1, "product": windows, "window_product": windows}
+        if case.startswith("epsilon"):
+            assert counts[False] == counts[True]
+        else:
+            assert counts[False] == {"block": 0, "product": 0, "window_product": 0}
 
 
 def _overflowing_system():
@@ -709,9 +791,9 @@ def test_run_sskm_budget_repeats_the_full_solve_rows(budget):
     # a shorter budget draws shorter windows, which must not change the stream
     system, x_hat, _ = small_instance(seed=7, m=30, n=20, k=3)
     full_spec = SolverSpec.sskm(1.0, 15, StepMode.INEXACT, seed=5, stop=StoppingRule(max_iters=100))
-    _, full = run(system, full_spec, ground_truth=x_hat)
+    _, full = run(system, full_spec, ground_truth=x_hat, residuals=True)
     spec = SolverSpec.sskm(1.0, 15, StepMode.INEXACT, seed=5, stop=StoppingRule(max_iters=budget))
-    _, short = run(system, spec, ground_truth=x_hat)
+    _, short = run(system, spec, ground_truth=x_hat, residuals=True)
     assert short.iterations == budget
     for name in ("chosen", "step", "residual_norm2", "mse", "bregman_to_truth"):
         assert np.array_equal(getattr(short, name), getattr(full, name)[:budget]), name
@@ -733,9 +815,9 @@ def test_run_greedy_records_grow_inside_a_window(monkeypatch):
     # first 1024 records, which must grow at its start
     system, x_hat, _ = small_instance(seed=8, m=30, n=20, k=3)
     spec = SolverSpec.sskm(1.0, 10, StepMode.INEXACT, seed=4, stop=StoppingRule(max_iters=1100))
-    _, ref = run(system, spec, ground_truth=x_hat)
+    _, ref = run(system, spec, ground_truth=x_hat, residuals=True)
     monkeypatch.setattr(solvers, "_WINDOW_KEYS", 3 * system.m)
-    _, trace = run(system, spec, ground_truth=x_hat)
+    _, trace = run(system, spec, ground_truth=x_hat, residuals=True)
     assert trace.iterations == ref.iterations == 1100
     for name in ("chosen", "step", "residual_norm2", "mse", "bregman_to_truth"):
         assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
