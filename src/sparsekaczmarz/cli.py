@@ -36,15 +36,16 @@ EXIT_SOLVER_ERROR = 4
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
+    # each override's dest is the ExperimentConfig field it sets
     sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--seed", type=int, dest="seed", help="master seed override")
+    sub.add_argument("--seed", type=int, dest="master_seed", help="master seed override")
     sub.add_argument("--trials", type=int, help="trials per cell override")
-    sub.add_argument("--out", dest="out", help="output directory override")
-    sub.add_argument("--method", choices=("rk", "srk", "sskm"), help="method override")
-    sub.add_argument("--step", choices=("exact", "inexact"), help="step mode override")
+    sub.add_argument("--out", dest="out_dir", help="output directory override")
+    sub.add_argument("--method", choices=("rk", "srk", "sskm"), dest="methods", help="method override")
+    sub.add_argument("--step", choices=("exact", "inexact"), dest="step_mode", help="step mode override")
     sub.add_argument("--lambda", type=float, dest="lam", help="regularization weight override")
     sub.add_argument("--beta", help="subset size: an integer or one of m, m/2, m/4")
-    sub.add_argument("--noise", type=float, help="relative noise level override")
+    sub.add_argument("--noise", type=float, dest="noise_level", help="relative noise level override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,27 +69,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    """The config file (or the defaults), with every override flag that was given
+    written into the field of its ``dest``; ``--method`` names the only method."""
     config = load_config(args.config) if args.config else ExperimentConfig()
-    updates = {}
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.method is not None:
-        updates["methods"] = (args.method,)
-    if args.step is not None:
-        updates["step_mode"] = args.step
-    if args.lam is not None:
-        updates["lam"] = args.lam
-    if args.beta is not None:
-        updates["beta"] = args.beta
-    if args.noise is not None:
-        updates["noise_level"] = args.noise
-    if updates:
-        config = dataclasses.replace(config, **updates)
-    return config
+    names = {field.name for field in dataclasses.fields(ExperimentConfig)}
+    updates = {name: value for name, value in vars(args).items() if name in names and value is not None}
+    if "methods" in updates:
+        updates["methods"] = (updates["methods"],)
+    return dataclasses.replace(config, **updates)
 
 
 def main(argv=None) -> int:
@@ -96,7 +84,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         if args.command == "solve":
-            out = solve_single(config, method=args.method)
+            out = solve_single(config)
             trace = out["trace"]
             print(
                 f"{out['experiment_id']}: {trace.status.value} after {trace.iterations} iterations, "

@@ -17,7 +17,9 @@ index in ``sweep_lambda`` and (step-mode id, beta index) in ``sweep_beta``;
 RK always takes the inexact step, so a single RK solve is ``rk-inexact``.
 Matrix Market files that cannot be read or parsed, hold an identically zero
 matrix, or have fewer rows than an integer beta, are skipped and reported.
-The two sweeps run on noiseless data and refuse a positive noise level.
+The two sweeps and ``real_matrix_bench`` run on noiseless data and refuse a
+positive noise level. ``compare_methods`` and ``sweep_lambda`` resolve beta
+for every m of their grid before the first solve.
 
 Every solve goes through ``_solve``, which returns ``run``'s trace with its
 MSE and Bregman records; only ``solve_single``, whose ``trace.csv`` writes
@@ -53,6 +55,7 @@ from .errors import (
 )
 from .linsys import LinearSystem, normalize_rows
 from .matrixmarket import read_matrix_market
+from .sampling import _is_integer
 from .solvers import IterationTrace, RunStatus, SolverSpec, StoppingRule, run
 
 # grid and candidate values for the standard sweep protocols
@@ -72,8 +75,11 @@ class ExperimentConfig:
     Every numeric field is checked for its type (an integer field takes no
     float, no field takes a bool or a string) and its range, every k of
     ``k_grid`` against n too; a bad value raises :class:`ConfigError`. So
-    does ``epsilon`` with a ``mse_target``: every solve passes its ground
-    truth, and ``run``'s MSE stop would replace the epsilon stop.
+    does a repeated entry in ``methods``, ``m_grid`` or ``k_grid``, which
+    would solve or write the same cell twice, and ``epsilon`` with a
+    ``mse_target``: every solve passes its ground truth, and ``run``'s MSE
+    stop would replace the epsilon stop. The CLI's override flags write the
+    fields they name, ``--method`` as the one entry of ``methods``.
     """
 
     m: int = 300
@@ -127,6 +133,10 @@ class ExperimentConfig:
         for name in self.methods:
             if not isinstance(name, str) or name not in _METHOD_IDS:
                 raise ConfigError(f"unknown method {name!r} in methods")
+        for name in ("methods", "m_grid", "k_grid"):
+            values = getattr(self, name) or ()
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} repeats an entry: {list(values)}")
         # the spec's form here; its range is checked against each system's m
         resolve_beta(self.beta, sys.maxsize)
 
@@ -140,7 +150,7 @@ class ExperimentConfig:
 
 
 def _check_integer(name: str, value, low: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_integer(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
@@ -371,23 +381,25 @@ def _checkpoint_iterates(max_iters: int) -> np.ndarray:
 
 
 def _noiseless_only(config: ExperimentConfig, name: str) -> None:
-    """The sweeps solve noiseless systems; refuse a noise level rather than ignore it."""
+    """The sweeps and ``real_matrix_bench`` solve noiseless systems; refuse a
+    noise level rather than ignore it."""
     if config.noise_level > 0:
-        raise ConfigError(f"{name} sweeps noiseless systems only, got noise_level={config.noise_level}")
+        raise ConfigError(f"{name} solves noiseless systems only, got noise_level={config.noise_level}")
 
 
 def sweep_lambda(config: ExperimentConfig) -> dict:
     """Best regularization weight per (m, k) grid cell, by mean final MSE.
 
-    Noiseless data only: a positive ``noise_level`` is a :class:`ConfigError`.
+    Noiseless data only: a positive ``noise_level`` is a :class:`ConfigError`,
+    and so is an m of the grid below an integer beta, both before the first solve.
     """
     _noiseless_only(config, "sweep_lambda")
     m_grid, k_grid = config.grid()
+    betas = {m: resolve_beta(config.beta, m) for m in m_grid}
     variant = _variants(replace(config, methods=("sskm",)))[0]
     lam_configs = [replace(config, lam=lam) for lam in LAMBDA_CANDIDATES]
     rows = []
-    for m in m_grid:
-        beta = resolve_beta(config.beta, m)
+    for m, beta in betas.items():
         for k in k_grid:
             finals = [[] for _ in lam_configs]
             for trial in range(config.trials):
@@ -439,7 +451,8 @@ def compare_methods(config: ExperimentConfig) -> dict:
     quartile bands across trials, at deterministic checkpoints) are recorded
     for the primary cell (config.m, config.k) on noiseless data; a solve that
     stopped before a checkpoint counts there with its final MSE. A grid
-    without that cell raises :class:`ConfigError` before the first solve.
+    without that cell, or with an m below an integer beta, raises
+    :class:`ConfigError` before the first solve.
     """
     m_grid, k_grid = config.grid()
     if config.m not in m_grid or config.k not in k_grid:
@@ -447,6 +460,7 @@ def compare_methods(config: ExperimentConfig) -> dict:
             f"compare records its curves at (m, k) = ({config.m}, {config.k}), "
             f"a cell outside m_grid {list(m_grid)} x k_grid {list(k_grid)}"
         )
+    betas = {m: resolve_beta(config.beta, m) for m in m_grid}
     variants = _variants(config)
     grid_rows = []
     noisy_rows = []
@@ -454,8 +468,7 @@ def compare_methods(config: ExperimentConfig) -> dict:
     checkpoints = _checkpoint_iterates(config.max_iters)
     breg_ok = True
 
-    for m in m_grid:
-        beta = resolve_beta(config.beta, m)
+    for m, beta in betas.items():
         for k in k_grid:
             primary = (m, k) == (config.m, config.k)
             finals = {v: [] for v in variants}
@@ -526,8 +539,10 @@ def real_matrix_bench(paths: Sequence[str], config: ExperimentConfig) -> dict:
     skipped. Rows with numerically zero norm are dropped (and counted) before
     normalization. Ground truths are synthetic k-sparse vectors, one per
     trial; means are over converged trials and '--' marks methods for which
-    no trial converged within the budget.
+    no trial converged within the budget. The systems are noiseless: a
+    positive ``noise_level`` is a :class:`ConfigError`, before any file is read.
     """
+    _noiseless_only(config, "real_matrix_bench")
     variants = _variants(config)
     rows = []
     errors = {}
@@ -574,14 +589,15 @@ def real_matrix_bench(paths: Sequence[str], config: ExperimentConfig) -> dict:
     return {"rows": rows, "path": out_path, "errors": errors}
 
 
-def solve_single(config: ExperimentConfig, method: str | None = None) -> dict:
-    """One seeded run of one method, on trial 0 of cell (config.m, config.k).
+def solve_single(config: ExperimentConfig) -> dict:
+    """One seeded run of the first method of ``config.methods``, on trial 0 of
+    cell (config.m, config.k).
 
     Writes the full iteration trace and returns ``run``'s trace under
-    ``"trace"``. The step mode is the first that ``compare_methods`` runs for
-    the method, so RK is always ``rk-inexact``.
+    ``"trace"``. The variant is the first that ``compare_methods`` runs, so
+    RK is always ``rk-inexact``.
     """
-    variant = _variants(replace(config, methods=(method or config.methods[0],)))[0]
+    variant = _variants(config)[0]
     m, k = config.m, config.k
     _, x_hat, system = _instance(config, m, k, 0)
     seed = child_seed(config.master_seed, m, k, 0, 2, *_variant_ids(variant))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -201,6 +202,19 @@ def test_config_refuses_epsilon_with_an_mse_target():
     assert ExperimentConfig(epsilon=1e3, mse_target=None).epsilon == 1e3
 
 
+@pytest.mark.parametrize("name", ["methods", "m_grid", "k_grid"])
+def test_config_refuses_a_repeated_entry(tmp_path, name):
+    # a repeated method would solve every trial twice, a repeated m or k
+    # would write its grid rows twice
+    value = {"methods": ("srk", "sskm", "srk"), "m_grid": (20, 20), "k_grid": (2, 3, 2)}[name]
+    with pytest.raises(ConfigError, match=f"^{name} repeats"):
+        tiny_config(tmp_path, **{name: value})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({name: list(value)}))
+    with pytest.raises(ConfigError, match=name):
+        load_config(config)
+
+
 # --------------------------------------------------------------- sweeps
 
 
@@ -285,6 +299,20 @@ def test_compare_refuses_a_grid_without_its_curve_cell(tmp_path, monkeypatch):
     for grids in ({"m_grid": (24,)}, {"k_grid": (3,)}, {"m_grid": (24,), "k_grid": (3,)}):
         with pytest.raises(ConfigError, match=r"\(20, 2\).*m_grid.*k_grid"):
             compare_methods(tiny_config(tmp_path, **grids))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("driver", [compare_methods, sweep_lambda])
+def test_grid_drivers_resolve_beta_for_every_m_before_the_first_solve(tmp_path, monkeypatch, driver):
+    # beta = 8 fits m = 12 but not m = 6: the grid is refused before the
+    # m = 12 cells are solved, not when the loop reaches m = 6
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before resolving beta for the whole grid")
+
+    monkeypatch.setattr(harness, "_solve", no_solve)
+    config = tiny_config(tmp_path, m=12, n=8, beta=8, m_grid=(12, 6), k_grid=(2,), trials=1)
+    with pytest.raises(ConfigError, match=r"beta=8 outside \[1, m=6\]"):
+        driver(config)
     assert not (tmp_path / "out").exists()
 
 
@@ -404,7 +432,7 @@ def test_solve_rk_matches_compare_rk_variant(tmp_path):
     config = tiny_config(tmp_path, trials=1, methods=("rk",), max_iters=20000)
     out = compare_methods(config)
     (mean_iters,) = [r[5] for r in out["grid_rows"] if r[4] == "mean_iters"]
-    single = solve_single(config, "rk")
+    single = solve_single(config)
     assert single["trace"].status is RunStatus.CONVERGED
     assert single["trace"].iterations == mean_iters
     assert single["experiment_id"] == "solve-rk-inexact-m20-n12-k2"
@@ -486,6 +514,18 @@ def test_real_matrix_bench_skips_file_above_the_size_cap(tmp_path):
     assert isinstance(out["errors"][str(huge)], ParseError)
     assert out["errors"][str(huge)].line_number == 2
     assert {row[0] for row in out["rows"]} == {"good"}
+
+
+def test_real_matrix_bench_refuses_noise_before_reading_a_file(tmp_path, monkeypatch):
+    # the systems are built noiseless from each file, so a noise level is
+    # refused, not ignored, and no file is opened
+    def no_read(path):
+        raise AssertionError("read a file before refusing the noise level")
+
+    monkeypatch.setattr(harness, "read_matrix_market", no_read)
+    with pytest.raises(ConfigError, match="noise_level=0.5"):
+        real_matrix_bench([str(tmp_path / "a.mtx")], tiny_config(tmp_path, noise_level=0.5))
+    assert not (tmp_path / "out").exists()
 
 
 def test_real_matrix_bench_propagates_unexpected_errors(tmp_path, monkeypatch):
@@ -705,16 +745,59 @@ def test_cli_non_finite_rhs_exit_code(tmp_path):
         assert "config error" in proc.stderr and "noise_level" in proc.stderr
 
 
-@pytest.mark.parametrize("command", ["sweep-lambda", "sweep-beta"])
+@pytest.mark.parametrize("command", ["sweep-lambda", "sweep-beta", "real"])
 def test_cli_noisy_sweep_exit_code(tmp_path, command):
-    # the sweeps solve noiseless systems, so a noise level is refused, not ignored
+    # the sweeps and real solve noiseless systems, so a noise level is
+    # refused, not ignored; real refuses it with a good file to read
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"m": 20, "n": 12, "k": 2, "trials": 1, "max_iters": 50}))
+    paths = []
+    if command == "real":
+        paths = [str(tmp_path / "good.mtx")]
+        write_matrix_market(paths[0], np.random.default_rng(8).standard_normal((20, 12)))
     out = tmp_path / "out"
-    proc = run_cli(command, "--config", str(config), "--out", str(out), "--noise", "0.05")
+    proc = run_cli(command, "--config", str(config), "--out", str(out), "--noise", "0.05", *paths)
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr and "noise_level=0.05" in proc.stderr
     assert not out.exists()
+
+
+# (flag, its text, the config file's key and value); each is off the defaults
+# and off OVERRIDE_BASE, so each changes what compare solves or where it writes
+OVERRIDE_BASE = {"m": 12, "n": 8, "k": 2, "trials": 2, "max_iters": 200, "m_grid": [12], "k_grid": [2]}
+OVERRIDES = [
+    ("--seed", "3", "master_seed", 3),
+    ("--trials", "3", "trials", 3),
+    ("--out", "elsewhere", "out_dir", "elsewhere"),
+    ("--method", "sskm", "methods", ["sskm"]),
+    ("--step", "inexact", "step_mode", "inexact"),
+    ("--lambda", "0.5", "lambda", 0.5),
+    ("--beta", "m/4", "beta", "m/4"),
+    ("--noise", "0.05", "noise_level", 0.05),
+]
+
+
+@pytest.mark.parametrize("flag, text, key, value", OVERRIDES, ids=[case[0] for case in OVERRIDES])
+def test_cli_override_flag_writes_the_field_it_names(tmp_path, monkeypatch, capsys, flag, text, key, value):
+    field = "lam" if key == "lambda" else key
+    expected = tuple(value) if isinstance(value, list) else value
+    args = cli.build_parser().parse_args(["compare", flag, text])
+    assert cli._config_from_args(args) == dataclasses.replace(ExperimentConfig(), **{field: expected})
+
+    # the flag on top of a config file writes what the file holding its value writes
+    monkeypatch.chdir(tmp_path)
+    bodies = []
+    for entry, argv in (({}, [flag, text]), ({key: value}, [])):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**OVERRIDE_BASE, **entry}))
+        assert cli.main(["compare", "--config", str(config), *argv]) == 0, capsys.readouterr().err
+        out = tmp_path / (value if key == "out_dir" else "out")
+        bodies.append({csv.name: csv.read_text() for csv in sorted(out.glob("*.csv"))})
+        for csv in out.glob("*.csv"):
+            csv.unlink()
+    assert bodies[0] == bodies[1]
+    assert "convergence_curves.csv" in bodies[0]
+    assert ("mse_grid_noisy.csv" in bodies[0]) == (key == "noise_level")
 
 
 def test_cli_solver_error_exit_code(tmp_path, monkeypatch, capsys):
