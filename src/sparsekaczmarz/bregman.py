@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import NonFiniteDataError, NumericalFailureError
 
 class StepMode(enum.Enum):
     INEXACT = "inexact"
@@ -153,9 +153,15 @@ def exact_step(dual, a_i, b_i: float, lam: float) -> float:
     midpoint of that plateau is the answer. The bisection evaluates g
     directly at O(log n) kinks and interpolates the root on its piece, or
     returns the midpoint of a segment where g vanishes.
+
+    A NaN or infinite entry of the dual, the row or b_i raises
+    :class:`NonFiniteDataError` before any step.
     """
     dual = np.asarray(dual, dtype=float)
-    return _exact_step(dual, soft_threshold(dual, lam), np.asarray(a_i, dtype=float), b_i, lam)
+    a = np.asarray(a_i, dtype=float)
+    if not (np.isfinite(dual).all() and np.isfinite(a).all() and np.isfinite(b_i)):
+        raise NonFiniteDataError(f"exact_step needs a finite dual, row and rhs, got rhs {b_i!r}")
+    return _exact_step(dual, soft_threshold(dual, lam), a, b_i, lam)
 
 
 def _exact_step(dual: np.ndarray, primal: np.ndarray, a: np.ndarray, b: float, lam: float) -> float:
@@ -334,9 +340,12 @@ def project_hyperplane(pair: DualPair, a_i, b_i: float, mode: StepMode) -> DualP
     soft threshold of the new dual (:func:`_step_into`, into two fresh
     arrays). In exact mode the new primal satisfies the hyperplane; in both
     modes the Bregman distance to any point of the hyperplane decreases by
-    at least half the squared row residual.
+    at least half the squared row residual. A NaN or infinite entry of the
+    row or b_i raises :class:`NonFiniteDataError` before any step.
     """
     a = np.asarray(a_i, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b_i)):
+        raise NonFiniteDataError(f"project_hyperplane needs a finite row and rhs, got rhs {b_i!r}")
     norm = float(np.linalg.norm(a))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"project_hyperplane expects a unit row, got norm {norm!r}")

@@ -2,8 +2,12 @@
 
 Subcommands: ``solve`` (single run), ``sweep-lambda``, ``sweep-beta``,
 ``compare``, ``real``. Each reads an optional JSON config file and applies
-flag overrides on top. Exit codes: 0 success, 2 configuration error, 3 data
-error, 4 solver error (an iterate became non-finite).
+on top the override flags whose ``ExperimentConfig`` fields its harness
+function reads: ``solve`` takes no ``--trials``, the sweeps no
+``--method``, ``sweep-lambda`` no ``--lambda`` and ``sweep-beta`` no
+``--beta``. A flag a command does not take is a usage error. Exit codes: 0
+success, 2 configuration or usage error, 3 data error, 4 solver error (an
+iterate became non-finite).
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from .errors import (
     ZeroRowError,
 )
 from .harness import (
+    _METHOD_IDS,
+    _MODE_IDS,
     ExperimentConfig,
     compare_methods,
     load_config,
@@ -35,34 +41,37 @@ EXIT_DATA_ERROR = 3
 EXIT_SOLVER_ERROR = 4
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    # each override's dest is the ExperimentConfig field it sets
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--seed", type=int, dest="master_seed", help="master seed override")
-    sub.add_argument("--trials", type=int, help="trials per cell override")
-    sub.add_argument("--out", dest="out_dir", help="output directory override")
-    sub.add_argument("--method", choices=("rk", "srk", "sskm"), dest="methods", help="method override")
-    sub.add_argument("--step", choices=("exact", "inexact"), dest="step_mode", help="step mode override")
-    sub.add_argument("--lambda", type=float, dest="lam", help="regularization weight override")
-    sub.add_argument("--beta", help="subset size: an integer or one of m, m/2, m/4")
-    sub.add_argument("--noise", type=float, dest="noise_level", help="relative noise level override")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparsekaczmarz",
         description="Row-action solvers for sparse solutions of linear systems",
     )
+    # each override's dest is the ExperimentConfig field it writes
+    overrides = {
+        "--seed": dict(type=int, dest="master_seed", help="master seed override"),
+        "--trials": dict(type=int, help="trials per cell override"),
+        "--out": dict(dest="out_dir", help="output directory override"),
+        "--method": dict(choices=tuple(_METHOD_IDS), dest="methods", help="method override"),
+        "--step": dict(choices=tuple(_MODE_IDS), dest="step_mode", help="step mode override"),
+        "--lambda": dict(type=float, dest="lam", help="regularization weight override"),
+        "--beta": dict(help="subset size: an integer or one of m, m/2, m/4"),
+        "--noise": dict(type=float, dest="noise_level", help="relative noise level override"),
+    }
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, descr in (
-        ("solve", "single seeded run with a full iteration trace"),
-        ("sweep-lambda", "best regularization weight per (m, k) cell"),
-        ("sweep-beta", "final error across subset sizes and step modes"),
-        ("compare", "method comparison grids and convergence curves"),
-        ("real", "benchmark methods on Matrix Market files"),
+    # a command takes the overrides whose fields its harness function reads,
+    # --noise included, which the sweeps and real refuse by name
+    for name, descr, unread in (
+        ("solve", "single seeded run with a full iteration trace", {"--trials"}),
+        ("sweep-lambda", "best regularization weight per (m, k) cell", {"--method", "--lambda"}),
+        ("sweep-beta", "final error across subset sizes and step modes", {"--method", "--beta"}),
+        ("compare", "method comparison grids and convergence curves", set()),
+        ("real", "benchmark methods on Matrix Market files", set()),
     ):
         sub = commands.add_parser(name, help=descr)
-        _add_common(sub)
+        sub.add_argument("--config", help="JSON config file")
+        for flag, keywords in overrides.items():
+            if flag not in unread:
+                sub.add_argument(flag, **keywords)
         if name == "real":
             sub.add_argument("paths", nargs="+", help="Matrix Market files")
     return parser

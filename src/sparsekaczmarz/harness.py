@@ -124,8 +124,6 @@ class ExperimentConfig:
         _check_sparsity("k_grid", self.k_grid or (), self.n)
         if not isinstance(self.out_dir, (str, os.PathLike)):
             raise ConfigError(f"out_dir must be a path, got {self.out_dir!r}")
-        if isinstance(self.beta, bool) or not isinstance(self.beta, (numbers.Integral, str)):
-            raise ConfigError(f"beta must be an integer or a spec string, got {self.beta!r}")
         if self.step_mode not in ("exact", "inexact", "both"):
             raise ConfigError(f"step_mode must be exact/inexact/both, got {self.step_mode!r}")
         if not self.methods:
@@ -137,7 +135,7 @@ class ExperimentConfig:
             values = getattr(self, name) or ()
             if len(set(values)) < len(values):
                 raise ConfigError(f"{name} repeats an entry: {list(values)}")
-        # the spec's form here; its range is checked against each system's m
+        # the spec's type and form here; its range is checked against each system's m
         resolve_beta(self.beta, sys.maxsize)
 
     def grid(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -195,7 +193,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def resolve_beta(beta: int | str, m: int) -> int:
-    """Turn a beta spec (int, or one of '1', 'm', 'm/2', 'm/4') into a count."""
+    """Turn a beta spec (an integer, or one of '1', 'm', 'm/2', 'm/4') into a
+    count; a float or a bool is a :class:`ConfigError`, as is a bad string."""
     if isinstance(beta, str):
         spec = beta.strip().lower().replace(" ", "")
         if spec == "m":
@@ -207,8 +206,10 @@ def resolve_beta(beta: int | str, m: int) -> int:
                 value = int(spec)
             except ValueError:
                 raise ConfigError(f"bad beta spec {beta!r}") from None
-    else:
+    elif _is_integer(beta):
         value = int(beta)
+    else:
+        raise ConfigError(f"beta must be an integer or a spec string, got {beta!r}")
     if not 1 <= value <= m:
         raise ConfigError(f"beta={value} outside [1, m={m}]")
     return value
@@ -390,8 +391,11 @@ def _noiseless_only(config: ExperimentConfig, name: str) -> None:
 def sweep_lambda(config: ExperimentConfig) -> dict:
     """Best regularization weight per (m, k) grid cell, by mean final MSE.
 
-    Noiseless data only: a positive ``noise_level`` is a :class:`ConfigError`,
-    and so is an m of the grid below an integer beta, both before the first solve.
+    Every solve is SSKM, whatever ``methods`` holds, over the weights of
+    ``LAMBDA_CANDIDATES`` in place of ``lam``, in one step mode: the one
+    ``step_mode`` names, or exact when it is ``both``. Noiseless data only:
+    a positive ``noise_level`` is a :class:`ConfigError`, and so is an m of
+    the grid below an integer beta, both before the first solve.
     """
     _noiseless_only(config, "sweep_lambda")
     m_grid, k_grid = config.grid()
@@ -418,9 +422,12 @@ def sweep_lambda(config: ExperimentConfig) -> dict:
 
 
 def sweep_beta(config: ExperimentConfig) -> dict:
-    """Mean and spread of the final MSE across subset sizes, both step modes.
+    """Mean and spread of the final MSE across subset sizes, per step mode.
 
-    Noiseless data only: a positive ``noise_level`` is a :class:`ConfigError`.
+    Every solve is SSKM, whatever ``methods`` holds, over the subset sizes of
+    ``BETA_CANDIDATE_FRACTIONS`` in place of ``beta``, in the step modes
+    ``step_mode`` names. Noiseless data only: a positive ``noise_level`` is
+    a :class:`ConfigError`.
     """
     _noiseless_only(config, "sweep_beta")
     m, k = config.m, config.k

@@ -26,7 +26,9 @@ class LinearSystem:
     ``rows`` holds the normalized matrix, ``rhs`` the rescaled right-hand
     side, ``row_scales`` the original row norms (1.0 everywhere if the input
     was already normalized). The solution set equals that of the raw system.
-    Instances are immutable and safe to share across concurrent readers.
+    A system has at least one row. Instances are immutable and safe to share
+    across concurrent readers: ``rhs`` and ``row_scales`` are copied, and
+    ``rows`` is made read-only in place, so a float matrix is held once.
     The singular values of ``rows`` are computed on first use and kept.
     """
 
@@ -36,11 +38,14 @@ class LinearSystem:
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
-        rhs = np.asarray(self.rhs, dtype=float).reshape(-1)
-        scales = np.asarray(self.row_scales, dtype=float).reshape(-1)
+        # copies, so that the caller's arrays stay the caller's
+        rhs = np.array(self.rhs, dtype=float).reshape(-1)
+        scales = np.array(self.row_scales, dtype=float).reshape(-1)
         if rows.ndim != 2:
             raise DimensionMismatchError(f"rows must be 2-D, got ndim={rows.ndim}")
         m = rows.shape[0]
+        if m == 0:
+            raise DimensionMismatchError("a system needs at least one row, got m=0")
         if rhs.shape[0] != m or scales.shape[0] != m:
             raise DimensionMismatchError(
                 f"rhs/row_scales length must equal m={m}, got {rhs.shape[0]}/{scales.shape[0]}"
@@ -49,7 +54,7 @@ class LinearSystem:
         bad = np.flatnonzero(~(np.isfinite(norms) & np.isfinite(rhs)))
         if bad.size:
             raise NonFiniteDataError(f"row {int(bad[0])} or its rhs entry is not finite")
-        if m and np.max(np.abs(norms - 1.0)) > _UNIT_NORM_TOL:
+        if np.max(np.abs(norms - 1.0)) > _UNIT_NORM_TOL:
             worst = int(np.argmax(np.abs(norms - 1.0)))
             raise DimensionMismatchError(
                 f"row {worst} has norm {norms[worst]!r}; rows must be unit (use normalize_rows)"

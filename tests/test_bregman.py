@@ -19,7 +19,7 @@ from sparsekaczmarz import (
     soft_threshold,
 )
 from sparsekaczmarz import bregman
-from sparsekaczmarz.errors import NumericalFailureError
+from sparsekaczmarz.errors import NonFiniteDataError, NumericalFailureError
 
 from oracles import (
     bisection_exact_step,
@@ -487,6 +487,30 @@ def test_exact_step_bisection_alone_matches_the_breakpoint_scan(monkeypatch):
 def test_exact_step_rejects_zero_row():
     with pytest.raises(NumericalFailureError):
         exact_step(np.array([1.0, 2.0]), np.array([0.0, 0.0]), 1.0, 1.0)
+
+
+# (step, the argument made non-finite): exact_step checks its dual, row and
+# rhs; project_hyperplane, whose pair was checked when built, its row and rhs
+NON_FINITE_CASES = [("exact_step", where) for where in ("dual", "row", "rhs")] + [
+    (mode, where) for mode in ("inexact", "exact") for where in ("row", "rhs")
+]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("step, where", NON_FINITE_CASES)
+def test_public_steps_refuse_non_finite_input(step, where, bad):
+    dual, a, b = np.zeros(3), np.array([0.6, 0.8, 0.0]), 1.0
+    if where == "dual":
+        dual[1] = bad
+    elif where == "row":
+        a[2] = bad
+    else:
+        b = bad
+    with pytest.raises(NonFiniteDataError):
+        if step == "exact_step":
+            exact_step(dual, a, b, 1.0)
+        else:
+            project_hyperplane(DualPair.from_dual(dual, 1.0), a, b, StepMode(step))
 
 
 # ------------------------------------------------------------- projection

@@ -160,6 +160,11 @@ def test_resolve_beta():
         resolve_beta("m/3", 200)
     with pytest.raises(ConfigError):
         resolve_beta(0, 200)
+    assert resolve_beta(np.int64(32), 200) == 32
+    # a count is an integer: no float, integral or not, and no bool
+    for beta in (2.7, 2.0, True, None):
+        with pytest.raises(ConfigError, match="beta must be an integer"):
+            resolve_beta(beta, 10)
 
 
 def test_config_validation():
@@ -798,6 +803,77 @@ def test_cli_override_flag_writes_the_field_it_names(tmp_path, monkeypatch, caps
     assert bodies[0] == bodies[1]
     assert "convergence_curves.csv" in bodies[0]
     assert ("mse_grid_noisy.csv" in bodies[0]) == (key == "noise_level")
+
+
+# each command's override flags but --noise, which the sweeps and real refuse
+COMMAND_FLAGS = {
+    "solve": ("--seed", "--out", "--method", "--step", "--lambda", "--beta", "--noise"),
+    "sweep-lambda": ("--seed", "--trials", "--out", "--step", "--beta"),
+    "sweep-beta": ("--seed", "--trials", "--out", "--step", "--lambda"),
+    "compare": tuple(case[0] for case in OVERRIDES),
+    "real": tuple(case[0] for case in OVERRIDES if case[0] != "--noise"),
+}
+COMMAND_OVERRIDES = [(command, *case) for command, flags in COMMAND_FLAGS.items() for case in OVERRIDES if case[0] in flags]
+
+
+def _written_csvs(root):
+    """Every CSV under ``root`` by its path, which is then removed; real's CPU
+    times are left out, as they differ from run to run."""
+    bodies = {}
+    for csv in sorted(root.rglob("*.csv")):
+        lines = csv.read_text().splitlines(keepends=True)
+        bodies[csv.relative_to(root).as_posix()] = "".join(line for line in lines if ",mean_cpu[" not in line)
+        csv.unlink()
+    return bodies
+
+
+@pytest.mark.parametrize(
+    "command, flag, text, key, value", COMMAND_OVERRIDES, ids=[f"{case[0]}{case[1]}" for case in COMMAND_OVERRIDES]
+)
+def test_cli_each_command_reads_the_flags_it_takes(tmp_path, monkeypatch, capsys, command, flag, text, key, value):
+    # every flag a command takes lands in its field, and it changes what the
+    # command writes just as the config file holding its value does
+    paths = []
+    if command == "real":
+        paths = [str(tmp_path / "good.mtx")]
+        write_matrix_market(paths[0], np.random.default_rng(8).standard_normal((12, 8)))
+    field = "lam" if key == "lambda" else key
+    expected = tuple(value) if isinstance(value, list) else value
+    args = cli.build_parser().parse_args([command, flag, text, *paths])
+    assert cli._config_from_args(args) == dataclasses.replace(ExperimentConfig(), **{field: expected})
+
+    # solve reads beta only for SSKM
+    base = {**OVERRIDE_BASE, "methods": ["sskm"]} if (command, flag) == ("solve", "--beta") else OVERRIDE_BASE
+    monkeypatch.chdir(tmp_path)
+    writes = []
+    for entry, argv in (({}, [flag, text]), ({key: value}, []), ({}, [])):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**base, **entry}))
+        assert cli.main([command, "--config", str(config), *argv, *paths]) == 0, capsys.readouterr().err
+        writes.append(_written_csvs(tmp_path))
+    assert writes[0] and writes[0] == writes[1]
+    assert writes[0] != writes[2]
+
+
+REMOVED_FLAGS = [
+    ("solve", "--trials", "3"),
+    ("sweep-lambda", "--method", "rk"),
+    ("sweep-lambda", "--lambda", "0.5"),
+    ("sweep-beta", "--method", "rk"),
+    ("sweep-beta", "--beta", "m/4"),
+]
+
+
+@pytest.mark.parametrize("command, flag, text", REMOVED_FLAGS, ids=[f"{case[0]}{case[1]}" for case in REMOVED_FLAGS])
+def test_cli_refuses_a_flag_its_command_does_not_read(tmp_path, command, flag, text):
+    # solve runs one trial, the sweeps solve SSKM only, sweep-lambda sweeps
+    # its own weights and sweep-beta its own subset sizes
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(OVERRIDE_BASE))
+    proc = run_cli(command, "--config", str(config), "--out", str(tmp_path / "out"), flag, text)
+    assert proc.returncode == 2, proc.stderr
+    assert f"unrecognized arguments: {flag} {text}" in proc.stderr
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_cli_solver_error_exit_code(tmp_path, monkeypatch, capsys):

@@ -72,6 +72,23 @@ def test_with_rhs_shares_rows_and_computed_singular_values(monkeypatch):
         system.with_rhs(np.ones(5))
 
 
+def test_a_system_with_no_rows_is_refused():
+    with pytest.raises(DimensionMismatchError, match="m=0"):
+        normalize_rows(np.empty((0, 5)), np.empty(0))
+    with pytest.raises(DimensionMismatchError, match="m=0"):
+        LinearSystem(rows=np.empty((0, 5)), rhs=np.empty(0), row_scales=np.empty(0))
+
+
+def test_system_keeps_no_view_of_the_callers_rhs_and_scales():
+    rows, rhs, scales = np.array([[0.6, 0.8], [1.0, 0.0]]), np.array([1.0, 2.0]), np.array([5.0, 3.0])
+    system = LinearSystem(rows=rows, rhs=rhs, row_scales=scales)
+    rhs[0] = 7.0
+    scales[1] = -2.0
+    assert np.array_equal(system.rhs, [1.0, 2.0])
+    assert np.array_equal(system.row_scales, [5.0, 3.0])
+    assert not system.rhs.flags.writeable and not system.row_scales.flags.writeable
+
+
 def test_normalize_rejects_mismatched_rhs():
     with pytest.raises(DimensionMismatchError):
         normalize_rows([[1.0, 0.0]], [1.0, 2.0])
