@@ -30,7 +30,6 @@ from .sampling import (
 )
 from .solvers import (
     IterationTrace,
-    Method,
     RunStatus,
     SolverSpec,
     StoppingRule,
@@ -79,7 +78,6 @@ __all__ = [
     "ExperimentConfig",
     "IterationTrace",
     "LinearSystem",
-    "Method",
     "RunStatus",
     "SamplerConfig",
     "Selection",

@@ -37,6 +37,14 @@ class StepMode(enum.Enum):
     EXACT = "exact"
 
 
+def _check_step_mode(mode, name: str) -> None:
+    """Refuses a ``mode`` that is not a :class:`StepMode` (``ValueError``
+    naming ``name``): the steps test it by identity, so a string would take
+    one mode or the other."""
+    if not isinstance(mode, StepMode):
+        raise ValueError(f"{name} must be a StepMode, got {mode!r}")
+
+
 def soft_threshold(v, lam: float) -> np.ndarray:
     """Componentwise shrink toward zero: sign(v) * max(|v| - lam, 0).
 
@@ -70,8 +78,9 @@ class DualPair:
 
     The link is the admissibility condition x* in the subdifferential of the
     objective at x; it is enforced at construction, after ``lam`` is checked to
-    be finite and nonnegative (``ValueError``). Use :meth:`from_dual` to
-    build a pair from a dual vector.
+    be finite and nonnegative (``ValueError``) and the dual to be finite
+    (:class:`NonFiniteDataError`). Use :meth:`from_dual` to build a pair
+    from a dual vector.
     """
 
     primal: np.ndarray
@@ -85,6 +94,9 @@ class DualPair:
             raise ValueError(f"primal/dual must be equal-length vectors, got {primal.shape}/{dual.shape}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam!r}")
+        # an infinite entry thresholds to itself, so the link alone would let it through
+        if not np.isfinite(dual).all():
+            raise NonFiniteDataError("dual has a NaN or infinite entry")
         if not np.array_equal(primal, soft_threshold(dual, self.lam)):
             raise ValueError("primal must equal soft_threshold(dual, lam) exactly")
         primal.setflags(write=False)
@@ -341,8 +353,10 @@ def project_hyperplane(pair: DualPair, a_i, b_i: float, mode: StepMode) -> DualP
     arrays). In exact mode the new primal satisfies the hyperplane; in both
     modes the Bregman distance to any point of the hyperplane decreases by
     at least half the squared row residual. A NaN or infinite entry of the
-    row or b_i raises :class:`NonFiniteDataError` before any step.
+    row or b_i raises :class:`NonFiniteDataError`, and a ``mode`` that is
+    not a :class:`StepMode` ``ValueError``, before any step.
     """
+    _check_step_mode(mode, "mode")
     a = np.asarray(a_i, dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(b_i)):
         raise NonFiniteDataError(f"project_hyperplane needs a finite row and rhs, got rhs {b_i!r}")

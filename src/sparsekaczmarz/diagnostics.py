@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bregman import DualPair, StepMode, _bregman_gap, soft_threshold
+from .bregman import DualPair, StepMode, _bregman_gap, _check_step_mode, soft_threshold
 from .errors import (
     AllZeroError,
     InvalidGammaError,
@@ -196,8 +196,10 @@ def noisy_envelope(
     q_0..q_j: the noiseless term sqrt(prod(q) * (2*lam*||x_hat||_1 +
     ||x_hat||_2^2)) plus a noise term sqrt(sum(q) * delta_inf^2 / 2), the
     latter inflated by (1 + 4*lam*||A||_{1,2}) in exact mode. With
-    delta_inf = 0 this reduces to the noiseless envelope.
+    delta_inf = 0 this reduces to the noiseless envelope. A ``mode`` that is
+    not a :class:`StepMode` raises ``ValueError``.
     """
+    _check_step_mode(mode, "mode")
     q = np.asarray(q_sequence, dtype=float)
     x_hat = np.asarray(x_hat, dtype=float)
     c0 = 2.0 * lam * np.abs(x_hat).sum() + float(np.dot(x_hat, x_hat))

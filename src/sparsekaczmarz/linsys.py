@@ -26,7 +26,9 @@ class LinearSystem:
     ``rows`` holds the normalized matrix, ``rhs`` the rescaled right-hand
     side, ``row_scales`` the original row norms (1.0 everywhere if the input
     was already normalized). The solution set equals that of the raw system.
-    A system has at least one row. Instances are immutable and safe to share
+    A system has at least one row. A NaN or infinite row, rhs entry or row
+    scale raises :class:`NonFiniteDataError`, and a zero or negative scale
+    :class:`ZeroRowError`. Instances are immutable and safe to share
     across concurrent readers: ``rhs`` and ``row_scales`` are copied, and
     ``rows`` is made read-only in place, so a float matrix is held once.
     The singular values of ``rows`` are computed on first use and kept.
@@ -51,9 +53,9 @@ class LinearSystem:
                 f"rhs/row_scales length must equal m={m}, got {rhs.shape[0]}/{scales.shape[0]}"
             )
         norms = np.linalg.norm(rows, axis=1)
-        bad = np.flatnonzero(~(np.isfinite(norms) & np.isfinite(rhs)))
+        bad = np.flatnonzero(~(np.isfinite(norms) & np.isfinite(rhs) & np.isfinite(scales)))
         if bad.size:
-            raise NonFiniteDataError(f"row {int(bad[0])} or its rhs entry is not finite")
+            raise NonFiniteDataError(f"row {int(bad[0])}, its rhs entry or its row scale is not finite")
         if np.max(np.abs(norms - 1.0)) > _UNIT_NORM_TOL:
             worst = int(np.argmax(np.abs(norms - 1.0)))
             raise DimensionMismatchError(

@@ -45,8 +45,10 @@ class SelectionRule(enum.Enum):
 class SamplerConfig:
     """Selection rule, subset size, and RNG seed for one solver run.
 
-    ``beta`` is the greedy rule's subset size, the same at every iteration;
-    the uniform rule ignores it. It must be an integer, and not a bool
+    ``rule`` must be a :class:`SelectionRule` (``ValueError``): the solvers
+    test it by identity, so a string would run uniform rows. ``beta`` is the
+    greedy rule's subset size, the same at every iteration; the uniform rule
+    ignores it. It must be an integer, and not a bool
     (:class:`InvalidBetaError`); its range is checked against m where the
     subsets are drawn. ``seed`` must be a nonnegative integer (``ValueError``):
     ``None`` would draw a fresh stream from the OS, so a run could not be
@@ -58,6 +60,8 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.rule, SelectionRule):
+            raise ValueError(f"rule must be a SelectionRule, got {self.rule!r}")
         if not _is_integer(self.beta):
             raise InvalidBetaError(f"beta must be an integer, got {self.beta!r}")
         if not (_is_integer(self.seed) and self.seed >= 0):

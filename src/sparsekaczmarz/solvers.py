@@ -7,10 +7,11 @@ that row and soft-thresholds back to the primal, writing the new pair in
 place. :func:`run` takes every method through one loop over windows of
 iterations, in which the row rule alone decides how the residual records
 and the stop test are done, and :func:`step_once` applies its step once.
-RK is the lam=0 / uniform-row / inexact special case (a plain orthogonal
+A :class:`SolverSpec` names no method: its row rule, lam and step mode
+place it. RK is the lam=0 / uniform-row / inexact point (a plain orthogonal
 projection per step), SRK adds the threshold with uniform rows, and SSKM,
-the only method with the greedy rule, drives the same update with greedy
-subset sampling. Runs are deterministic given the sampler seed.
+any spec with the greedy rule, drives the same update with greedy subset
+sampling. Runs are deterministic given the sampler seed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import DualPair, StepMode, _step_into, objective_value, project_hyperplane
+from .bregman import DualPair, StepMode, _check_step_mode, _step_into, objective_value, project_hyperplane
 from .errors import (
     DimensionMismatchError,
     NonFiniteDataError,
@@ -30,12 +31,6 @@ from .errors import (
 )
 from .linsys import LinearSystem, _check_row
 from .sampling import SamplerConfig, SelectionRule, _draw_subsets, _is_integer, _largest_residual
-
-
-class Method(enum.Enum):
-    RK = "rk"
-    SRK = "srk"
-    SSKM = "sskm"
 
 
 class RunStatus(enum.Enum):
@@ -76,9 +71,15 @@ class StoppingRule:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """Method, regularization weight, step mode, sampler, and stopping rule."""
+    """Regularization weight, step mode, sampler, and stopping rule of one run.
 
-    method: Method
+    Every combination is a solver :func:`run` runs: the greedy rule at any
+    lam is SSKM, the uniform rule SRK, and the uniform rule at lam = 0 in
+    inexact mode RK. :meth:`rk`, :meth:`srk` and :meth:`sskm` build the
+    paper's three methods. ``lam`` must be finite and nonnegative, and
+    ``step_mode`` a :class:`StepMode` (``ValueError``).
+    """
+
     lam: float
     step_mode: StepMode
     sampler: SamplerConfig
@@ -87,16 +88,11 @@ class SolverSpec:
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam!r}")
-        if self.method is Method.RK and self.lam != 0.0:
-            raise ValueError("RK requires lam = 0")
-        # run reads only the rule, so a greedy RK or SRK would run SSKM's rows under its label
-        if (self.method is Method.SSKM) != (self.sampler.rule is SelectionRule.SKM_GREEDY):
-            raise ValueError("SSKM, and only SSKM, takes the greedy subset rule")
+        _check_step_mode(self.step_mode, "step_mode")
 
     @classmethod
     def rk(cls, seed: int = 0, stop: StoppingRule | None = None) -> "SolverSpec":
         return cls(
-            method=Method.RK,
             lam=0.0,
             step_mode=StepMode.INEXACT,
             sampler=SamplerConfig(rule=SelectionRule.UNIFORM_RANDOM, seed=seed),
@@ -112,7 +108,6 @@ class SolverSpec:
         stop: StoppingRule | None = None,
     ) -> "SolverSpec":
         return cls(
-            method=Method.SRK,
             lam=lam,
             step_mode=step_mode,
             sampler=SamplerConfig(rule=SelectionRule.UNIFORM_RANDOM, seed=seed),
@@ -129,7 +124,6 @@ class SolverSpec:
         stop: StoppingRule | None = None,
     ) -> "SolverSpec":
         return cls(
-            method=Method.SSKM,
             lam=lam,
             step_mode=step_mode,
             sampler=SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=beta, seed=seed),

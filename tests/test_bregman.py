@@ -513,6 +513,16 @@ def test_public_steps_refuse_non_finite_input(step, where, bad):
             project_hyperplane(DualPair.from_dual(dual, 1.0), a, b, StepMode(step))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dual_pair_refuses_a_non_finite_dual(bad):
+    # an infinite entry thresholds to itself, so the link alone would let it through
+    dual = np.array([1.5, bad, 0.0])
+    with pytest.raises(NonFiniteDataError, match="dual"):
+        DualPair.from_dual(dual, 1.0)
+    with pytest.raises(NonFiniteDataError, match="dual"):
+        DualPair(primal=soft_threshold(dual, 1.0), dual=dual, lam=1.0)
+
+
 # ------------------------------------------------------------- projection
 
 

@@ -46,6 +46,16 @@ def test_normalize_rejects_non_finite_data(raw, b):
         normalize_rows(raw, b)
 
 
+@pytest.mark.parametrize(
+    "scale, error",
+    [(np.nan, NonFiniteDataError), (np.inf, NonFiniteDataError), (-np.inf, NonFiniteDataError),
+     (0.0, ZeroRowError), (-1.0, ZeroRowError)],
+)
+def test_system_rejects_a_bad_row_scale(scale, error):
+    with pytest.raises(error, match="row 1"):
+        LinearSystem(rows=np.eye(2), rhs=[1.0, 2.0], row_scales=[1.0, scale])
+
+
 def test_with_rhs_rejects_non_finite_rhs():
     system = normalize_rows([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
     with pytest.raises(NonFiniteDataError):

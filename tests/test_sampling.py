@@ -79,6 +79,13 @@ def test_sampler_config_refuses_a_beta_that_is_no_integer(beta):
             SamplerConfig(rule=rule, beta=beta)
 
 
+@pytest.mark.parametrize("rule", ["skm-greedy", "uniform", None])
+def test_sampler_config_refuses_a_rule_that_is_no_selection_rule(rule):
+    # the solvers test the rule by identity, so a string would run uniform rows
+    with pytest.raises(ValueError, match="^rule must be a SelectionRule"):
+        SamplerConfig(rule=rule, beta=10)
+
+
 @pytest.mark.parametrize("seed", [None, True, 1.5, -1, np.float64(2.0), "3"])
 def test_sampler_config_refuses_a_seed_that_is_no_nonnegative_integer(seed):
     for rule in SelectionRule:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from sparsekaczmarz import (
     DualPair,
     LinearSystem,
-    Method,
     RunStatus,
     SamplerConfig,
     SelectionRule,
@@ -18,8 +18,10 @@ from sparsekaczmarz import (
     gaussian_instance,
     init_state,
     inexact_step,
+    noisy_envelope,
     normalize_rows,
     objective_value,
+    project_hyperplane,
     replay_duals,
     residual,
     run,
@@ -162,7 +164,7 @@ def test_run_matches_composed_single_steps():
             # bit for bit; uniform rows record a window's product, up to rounding
             r = residual(system, state.primal)
             expected = float(np.dot(r, r))
-            if spec.method is Method.SSKM:
+            if spec.sampler.rule is SelectionRule.SKM_GREEDY:
                 assert trace.residual_norm2[k] == expected, (name, k)
             else:
                 assert trace.residual_norm2[k] == pytest.approx(expected, rel=1e-12), (name, k)
@@ -227,33 +229,60 @@ def test_run_exact_mode_satisfies_selected_hyperplanes():
         assert abs(np.dot(system.rows[i], x) - system.rhs[i]) <= 1e-10
 
 
-def test_spec_invariants():
-    with pytest.raises(ValueError):
-        SolverSpec(
-            method=Method.RK,
-            lam=1.0,
-            step_mode=StepMode.INEXACT,
-            sampler=SamplerConfig(rule=SelectionRule.UNIFORM_RANDOM),
-            stop=StoppingRule(),
-        )
-    with pytest.raises(ValueError):
-        SolverSpec(
-            method=Method.SSKM,
-            lam=1.0,
-            step_mode=StepMode.EXACT,
-            sampler=SamplerConfig(rule=SelectionRule.UNIFORM_RANDOM),
-            stop=StoppingRule(),
-        )
-    # run reads only the rule, so a greedy RK or SRK would run SSKM's rows under its label
-    for method, lam in ((Method.RK, 0.0), (Method.SRK, 1.0)):
-        with pytest.raises(ValueError, match="greedy"):
-            SolverSpec(
-                method=method,
-                lam=lam,
-                step_mode=StepMode.INEXACT,
-                sampler=SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=10),
-                stop=StoppingRule(),
-            )
+def test_constructors_are_specs_built_field_by_field():
+    stop = StoppingRule(max_iters=50)
+    uniform = SamplerConfig(rule=SelectionRule.UNIFORM_RANDOM, seed=4)
+    greedy = SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=6, seed=4)
+    assert [f.name for f in dataclasses.fields(SolverSpec)] == ["lam", "step_mode", "sampler", "stop"]
+    assert SolverSpec.rk(seed=4, stop=stop) == SolverSpec(0.0, StepMode.INEXACT, uniform, stop)
+    for mode in StepMode:
+        assert SolverSpec.srk(1.0, mode, seed=4, stop=stop) == SolverSpec(1.0, mode, uniform, stop)
+        assert SolverSpec.sskm(0.5, 6, mode, seed=4, stop=stop) == SolverSpec(0.5, mode, greedy, stop)
+
+
+@pytest.mark.parametrize(
+    "lam, mode, sampler, named",
+    [
+        # once refused as RK with lam > 0: SRK
+        (1.0, StepMode.INEXACT, SamplerConfig(SelectionRule.UNIFORM_RANDOM, seed=2),
+         lambda **kw: SolverSpec.srk(1.0, StepMode.INEXACT, **kw)),
+        # once refused as SSKM with uniform rows: SRK
+        (1.0, StepMode.EXACT, SamplerConfig(SelectionRule.UNIFORM_RANDOM, seed=2),
+         lambda **kw: SolverSpec.srk(1.0, StepMode.EXACT, **kw)),
+        # once refused as a greedy RK or SRK: SSKM
+        (0.0, StepMode.INEXACT, SamplerConfig(SelectionRule.SKM_GREEDY, beta=10, seed=2),
+         lambda **kw: SolverSpec.sskm(0.0, 10, StepMode.INEXACT, **kw)),
+        (1.0, StepMode.INEXACT, SamplerConfig(SelectionRule.SKM_GREEDY, beta=10, seed=2),
+         lambda **kw: SolverSpec.sskm(1.0, 10, StepMode.INEXACT, **kw)),
+    ],
+    ids=["srk-inexact", "srk-exact", "sskm-lam0", "sskm-inexact"],
+)
+def test_any_rule_lam_and_mode_runs_as_the_method_they_place(lam, mode, sampler, named):
+    # the rule, lam and step mode alone place a spec among the methods
+    system, x_hat, _ = small_instance(seed=5)
+    stop = StoppingRule(max_iters=60)
+    spec = SolverSpec(lam, mode, sampler, stop)
+    assert spec == named(seed=2, stop=stop)
+    pair, trace = run(system, spec, ground_truth=x_hat)
+    assert trace.iterations == 60 and np.isfinite(trace.mse).all() and np.isfinite(pair.dual).all()
+
+
+@pytest.mark.parametrize("bad", ["exact", "inexact", None])
+@pytest.mark.parametrize("entry", ["SolverSpec", "project_hyperplane", "step_once", "noisy_envelope"])
+def test_a_step_mode_that_is_no_step_mode_is_refused(entry, bad):
+    # the steps test the mode by identity, so a string would take one mode or the other
+    system, _, _ = small_instance(seed=1)
+    state = init_state(system.n, 1.0)
+    name = "step_mode" if entry == "SolverSpec" else "mode"
+    with pytest.raises(ValueError, match=rf"^{name} must be a StepMode"):
+        if entry == "SolverSpec":
+            SolverSpec(1.0, bad, SamplerConfig(rule=SelectionRule.UNIFORM_RANDOM), StoppingRule())
+        elif entry == "project_hyperplane":
+            project_hyperplane(state, system.rows[0], float(system.rhs[0]), bad)
+        elif entry == "step_once":
+            step_once(state, system, 0, bad)
+        else:
+            noisy_envelope([0.5, 0.5], 1.0, np.ones(3), 0.1, 1.0, bad)
 
 
 def test_run_record_memory_follows_iterations_not_budget():
@@ -602,7 +631,7 @@ def test_run_srk_windows_hold_the_support_block_on_the_reference_shape(monkeypat
         assert [c[1] for c in flushes] == [solvers._WINDOW] * (200 // solvers._WINDOW) + [200 % solvers._WINDOW]
         assert {c[2] for c in flushes} == {system.n // 4}
         sizes = [c[3] for c in flushes]
-        if spec.method is Method.SRK:
+        if spec.lam > 0.0:
             assert max(sizes) > 0 and any(c[0] == "append" for c in calls)
         else:
             assert set(sizes) == {0} and all(c[0] == "product" for c in calls)
