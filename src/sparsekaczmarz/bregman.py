@@ -109,10 +109,6 @@ class DualPair:
         dual = np.asarray(dual, dtype=float)
         return cls(primal=soft_threshold(dual, lam), dual=dual, lam=lam)
 
-    @property
-    def n(self) -> int:
-        return self.primal.shape[0]
-
 
 def bregman_distance(pair: DualPair, y) -> float:
     """f(y) - f(x) - <x*, y - x> for x = pair.primal, x* = pair.dual.

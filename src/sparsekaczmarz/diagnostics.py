@@ -10,6 +10,7 @@ residual, and the expected-error envelopes for noiseless and noisy data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 from typing import NamedTuple
 
@@ -249,43 +250,29 @@ def build_theory_report(
     trace,
     lam: float,
     beta: int,
-    checkpoints=None,
 ) -> TheoryReport:
     """Evaluate the theory quantities along a finished solver trace.
 
-    The iterates come from :func:`replay_duals`, up to the last checkpoint.
-    Default checkpoints are every iteration on tiny systems and
-    every 100th iteration otherwise. Given checkpoints are sorted and
-    deduplicated, and the report's arrays follow that order; each must lie
-    in [0, trace.iterations), else ValueError.
+    The checkpoints are every iteration when m <= 20 and every 100th
+    iteration otherwise, from iteration 0; the iterates come from
+    :func:`replay_duals`.
     """
     x_hat = np.asarray(x_hat, dtype=float)
     sv = smallest_nonzero_singular_value(system)
     xmin = min_abs_nonzero(x_hat)
-    iters = trace.iterations
-    if checkpoints is None:
-        stride = 1 if system.m <= 20 else 100
-        checkpoints = np.arange(0, iters, stride)
-    checkpoints = np.unique(np.asarray(checkpoints, dtype=int))
-    if checkpoints.size and (checkpoints[0] < 0 or checkpoints[-1] >= iters):
-        raise ValueError(f"checkpoints must lie in [0, {iters}), got {checkpoints.tolist()}")
+    stride = 1 if system.m <= 20 else 100
+    checkpoints = np.arange(0, trace.iterations, stride)
 
     gammas = np.full(checkpoints.shape[0], np.nan)
     qs = np.full(checkpoints.shape[0], np.nan)
     margins = np.full(checkpoints.shape[0], np.nan)
-    pos = 0
-    for k, dual in enumerate(replay_duals(system, trace)):
-        if pos == checkpoints.size:
-            break
-        if k < checkpoints[pos]:
-            continue
+    for pos, dual in enumerate(islice(replay_duals(system, trace), 0, None, stride)):
         x = soft_threshold(dual, lam)
         r = system.rows @ x - system.rhs
         if np.any(r != 0.0):
             gammas[pos] = gamma = gamma_from_residuals(r, beta)
             qs[pos] = contraction_factor(sv.smallest_nonzero, lam, xmin, beta, gamma, system.m).value
         margins[pos] = _margin(float(np.dot(r, r)), x, dual, x_hat, lam, sv.smallest_nonzero, xmin)
-        pos += 1
     return TheoryReport(
         sigma_min_tilde=sv.smallest_nonzero,
         sigma_min=sv.smallest,

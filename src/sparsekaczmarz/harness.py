@@ -76,10 +76,10 @@ class ExperimentConfig:
     float, no field takes a bool or a string) and its range, every k of
     ``k_grid`` against n too; a bad value raises :class:`ConfigError`. So
     does a repeated entry in ``methods``, ``m_grid`` or ``k_grid``, which
-    would solve or write the same cell twice, and ``epsilon`` with a
-    ``mse_target``: every solve passes its ground truth, and ``run``'s MSE
-    stop would replace the epsilon stop. The CLI's override flags write the
-    fields they name, ``--method`` as the one entry of ``methods``.
+    would solve or write the same cell twice. Every solve passes its ground
+    truth and stops on ``mse_target`` (none when it is null) or on
+    ``max_iters``. The CLI's override flags write the fields they name,
+    ``--method`` as the one entry of ``methods``.
     """
 
     m: int = 300
@@ -94,7 +94,6 @@ class ExperimentConfig:
     master_seed: int = 0
     mse_target: float | None = 1e-6
     max_iters: int = 200_000
-    epsilon: float | None = None
     out_dir: str = "out"
     m_grid: tuple[int, ...] | None = None
     k_grid: tuple[int, ...] | None = None
@@ -106,20 +105,15 @@ class ExperimentConfig:
         for name in ("m_grid", "k_grid"):
             for value in getattr(self, name) or ():
                 _check_integer(name, value, 1)
-        for name in ("lam", "noise_level", "mse_target", "epsilon"):
+        for name in ("lam", "noise_level", "mse_target"):
             value = getattr(self, name)
-            if value is None and name in ("mse_target", "epsilon"):
+            if value is None and name == "mse_target":
                 continue
             key = "lambda" if name == "lam" else name  # as the config file spells it
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{key} must be a number, got {value!r}")
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{key} must be finite and nonnegative, got {value}")
-        if self.epsilon is not None and self.mse_target is not None:
-            raise ConfigError(
-                f"epsilon={self.epsilon} needs mse_target null, got mse_target={self.mse_target}: "
-                "with both set the MSE stop rules"
-            )
         _check_sparsity("k", (self.k,), self.n)
         _check_sparsity("k_grid", self.k_grid or (), self.n)
         if not isinstance(self.out_dir, (str, os.PathLike)):
@@ -316,9 +310,7 @@ def _solve(
     residual norms.
     """
     method, mode = variant
-    stop = StoppingRule(
-        epsilon=config.epsilon, max_iters=config.max_iters, mse_target=config.mse_target
-    )
+    stop = StoppingRule(max_iters=config.max_iters, mse_target=config.mse_target)
     if method == "rk":
         spec = SolverSpec.rk(seed=seed, stop=stop)
     elif method == "srk":
@@ -360,12 +352,12 @@ def _write(config: ExperimentConfig, name: str, header: Sequence[str], rows) -> 
 TRACE_HEADER = ("experiment_id", "trial", "k_iter", "mse", "residual2", "bregman", "i_k", "t_k")
 
 
-def trace_rows(experiment_id: str, trial: int, trace: IterationTrace):
+def trace_rows(experiment_id: str, trace: IterationTrace):
     """The rows of ``TRACE_HEADER``, one per iteration of a trace with a ground truth
-    and residual norms."""
+    and residual norms. ``solve`` runs one trial, so ``trial`` is 0 in every row."""
     columns = (trace.mse, trace.residual_norm2, trace.bregman_to_truth, trace.chosen, trace.step)
     for k, record in enumerate(zip(*(column.tolist() for column in columns))):
-        yield (experiment_id, trial, k, *record)
+        yield (experiment_id, 0, k, *record)
 
 
 def _checkpoint_iterates(max_iters: int) -> np.ndarray:
@@ -610,5 +602,5 @@ def solve_single(config: ExperimentConfig) -> dict:
     seed = child_seed(config.master_seed, m, k, 0, 2, *_variant_ids(variant))
     trace = _solve(config, system, x_hat, variant, resolve_beta(config.beta, m), seed, residuals=True)
     experiment_id = f"solve-{'-'.join(variant)}-m{m}-n{config.n}-k{k}"
-    path = _write(config, "trace.csv", TRACE_HEADER, trace_rows(experiment_id, 0, trace))
+    path = _write(config, "trace.csv", TRACE_HEADER, trace_rows(experiment_id, trace))
     return {"trace": trace, "path": path, "experiment_id": experiment_id}

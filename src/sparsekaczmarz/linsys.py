@@ -28,10 +28,11 @@ class LinearSystem:
     was already normalized). The solution set equals that of the raw system.
     A system has at least one row. A NaN or infinite row, rhs entry or row
     scale raises :class:`NonFiniteDataError`, and a zero or negative scale
-    :class:`ZeroRowError`. Instances are immutable and safe to share
-    across concurrent readers: ``rhs`` and ``row_scales`` are copied, and
-    ``rows`` is made read-only in place, so a float matrix is held once.
-    The singular values of ``rows`` are computed on first use and kept.
+    :class:`ZeroRowError`, naming the first such row and its scale.
+    Instances are immutable and safe to share across concurrent readers:
+    ``rhs`` and ``row_scales`` are copied, and ``rows`` is made read-only in
+    place, so a float matrix is held once. The singular values of ``rows``
+    are computed on first use and kept.
     """
 
     rows: np.ndarray
@@ -61,8 +62,12 @@ class LinearSystem:
             raise DimensionMismatchError(
                 f"row {worst} has norm {norms[worst]!r}; rows must be unit (use normalize_rows)"
             )
-        if np.any(scales <= 0.0):
-            raise ZeroRowError(int(np.argmin(scales)))
+        bad = np.flatnonzero(scales <= 0.0)
+        if bad.size:
+            # a scale is a row norm: name the scale, not a zero norm
+            error = ZeroRowError(int(bad[0]))
+            error.args = (f"row {bad[0]} has row scale {float(scales[bad[0]])!r}; it must be positive",)
+            raise error
         for arr, name in ((rows, "rows"), (rhs, "rhs"), (scales, "row_scales")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -89,23 +94,10 @@ class LinearSystem:
     def with_rhs(self, new_rhs) -> "LinearSystem":
         """Same rows, different right-hand side (used for noise injection).
 
-        Only the new rhs is checked: the rows and row scales, checked when
-        this system was built, are shared, and so are its singular values if
-        they have been computed.
+        The new system is built and checked as any other; it shares the
+        read-only ``rows`` and computes its own singular values on first use.
         """
-        rhs = np.array(new_rhs, dtype=float).reshape(-1)
-        if rhs.shape[0] != self.m:
-            raise DimensionMismatchError(f"rhs length must equal m={self.m}, got {rhs.shape[0]}")
-        bad = np.flatnonzero(~np.isfinite(rhs))
-        if bad.size:
-            raise NonFiniteDataError(f"rhs entry {int(bad[0])} is not finite")
-        rhs.setflags(write=False)
-        copy = object.__new__(LinearSystem)
-        for name, arr in (("rows", self.rows), ("rhs", rhs), ("row_scales", self.row_scales)):
-            object.__setattr__(copy, name, arr)
-        if "singular_values" in self.__dict__:
-            copy.__dict__["singular_values"] = self.singular_values
-        return copy
+        return LinearSystem(rows=self.rows, rhs=new_rhs, row_scales=self.row_scales)
 
 
 def normalize_rows(raw_rows, raw_rhs) -> LinearSystem:

@@ -128,10 +128,17 @@ def read_matrix_market(path) -> np.ndarray:
 
 
 def write_matrix_market(path, matrix, comment: str | None = None) -> None:
-    """Write a dense array as coordinate/real/general with repr-exact values."""
+    """Write a dense array as coordinate/real/general with repr-exact values.
+
+    ``comment`` is written as one comment line, so a comment that holds a
+    line break (any that ``str.splitlines`` splits at) is a ``ValueError``,
+    raised before the file is opened.
+    """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError("matrix must be 2-D")
+    if comment and comment.splitlines() != [comment]:
+        raise ValueError(f"comment must be one line, got {comment!r}")
     m, n = a.shape
     rows, cols = np.nonzero(a)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -376,36 +376,19 @@ def test_replay_duals_rebuilds_the_run():
     assert not any(np.shares_memory(a, b) for a, b in zip(duals, duals[1:]))
 
 
-def test_build_theory_report_checkpoints_keep_their_labels():
-    from sparsekaczmarz import SolverSpec, StoppingRule, build_theory_report, run
-
-    rng = np.random.default_rng(11)
-    system, x_hat, _ = gaussian_instance(14, 9, 2, rng)
-    spec = SolverSpec.sskm(1.0, 7, seed=2, stop=StoppingRule(max_iters=60))
-    _, trace = run(system, spec, ground_truth=x_hat)
-    full = build_theory_report(system, x_hat, trace, lam=1.0, beta=7)
-    some = build_theory_report(system, x_hat, trace, lam=1.0, beta=7, checkpoints=[50, 5, 20, 5])
-    assert some.checkpoints.tolist() == [5, 20, 50]
-    for name in ("gamma", "q", "bound_margins"):
-        assert np.array_equal(getattr(some, name), getattr(full, name)[[5, 20, 50]], equal_nan=True)
-    for bad in ([60], [-1], [5, 5, 1000]):
-        with pytest.raises(ValueError):
-            build_theory_report(system, x_hat, trace, lam=1.0, beta=7, checkpoints=bad)
-
-
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 def test_theory_reports_take_one_svd_and_equal_the_validated_pair_path(monkeypatch, lam):
     from sparsekaczmarz import SolverSpec, StoppingRule, build_theory_report, replay_duals, residual, run
 
-    system, x_hat, _ = gaussian_instance(30, 20, 3, np.random.default_rng(13))
+    # m <= 20, so every iteration is a checkpoint
+    system, x_hat, _ = gaussian_instance(20, 14, 3, np.random.default_rng(13))
     beta = 10
     spec = SolverSpec.sskm(lam, beta, StepMode.EXACT, seed=3, stop=StoppingRule(max_iters=40))
     _, trace = run(system, spec, ground_truth=x_hat)
-    checkpoints = np.arange(trace.iterations)
     svd = np.linalg.svd
     calls = []
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
-    reports = [build_theory_report(system, x_hat, trace, lam, beta, checkpoints=checkpoints) for _ in range(2)]
+    reports = [build_theory_report(system, x_hat, trace, lam, beta) for _ in range(2)]
     assert len(calls) == 1
     monkeypatch.undo()
 
@@ -422,6 +405,7 @@ def test_theory_reports_take_one_svd_and_equal_the_validated_pair_path(monkeypat
             q[k] = contraction_factor(sv.smallest_nonzero, lam, xmin, beta, gamma[k], system.m).value
         margins[k] = error_bound_margin(pair, system, x_hat, lam, sv.smallest_nonzero)
     for report in reports:
+        assert np.array_equal(report.checkpoints, np.arange(trace.iterations))
         assert (report.sigma_min_tilde, report.sigma_min, report.sigma_max) == sv
         assert report.x_min_abs == xmin
         assert np.array_equal(report.gamma, gamma, equal_nan=True)

@@ -144,10 +144,12 @@ def test_load_config_roundtrip(tmp_path):
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
+    # the config has no residual-norm stop: every solve stops on its truth
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"m": 10, "bogus": 1}))
-    with pytest.raises(ConfigError):
-        load_config(path)
+    for entry, key in (({"m": 10, "bogus": 1}, "bogus"), ({"epsilon": 1e-3, "mse_target": None}, "epsilon")):
+        path.write_text(json.dumps(entry))
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            load_config(path)
 
 
 def test_resolve_beta():
@@ -187,24 +189,15 @@ def test_config_validation():
     bad = {
         "m": (12.0, 0, True, "12"), "k": (2.0, 0), "trials": (2.5, 0), "max_iters": (1e3, 0),
         "master_seed": (-1, 1.0), "lam": (-1.0, float("nan"), "1", None), "mse_target": ("1e-6", -1e-6, float("inf")),
-        "epsilon": (-1.0, float("nan")), "m_grid": ((20, 0), (20.0,)), "k_grid": ((0,), (5, 201)),
+        "m_grid": ((20, 0), (20.0,)), "k_grid": ((0,), (5, 201)),
         "out_dir": (5,),
     }
     for name, values in bad.items():
         for value in values:
             with pytest.raises(ConfigError, match={"lam": "lambda", "k_grid": "k"}.get(name, name)):
                 ExperimentConfig(**{name: value})
-    # integers where a float is expected, numpy integers, and None for the optional stops
-    ExperimentConfig(lam=1, mse_target=None, epsilon=0, m=np.int64(30), master_seed=np.int32(4))
-
-
-def test_config_refuses_epsilon_with_an_mse_target():
-    # every harness solve passes its truth, so run's MSE stop would silently
-    # replace the epsilon stop: the pair is refused, naming both keys
-    for extra in ({}, {"mse_target": 1e-3}, {"mse_target": 0.0}):
-        with pytest.raises(ConfigError, match="epsilon.*mse_target"):
-            ExperimentConfig(epsilon=1e3, **extra)
-    assert ExperimentConfig(epsilon=1e3, mse_target=None).epsilon == 1e3
+    # integers where a float is expected, numpy integers, and None for the MSE stop
+    ExperimentConfig(lam=1, mse_target=None, m=np.int64(30), master_seed=np.int32(4))
 
 
 @pytest.mark.parametrize("name", ["methods", "m_grid", "k_grid"])
@@ -570,9 +563,11 @@ def test_cli_solve_and_trace(tmp_path):
 
 def test_cli_unknown_config_key_exit_code(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"definitely_not_a_key": 1}))
-    proc = run_cli("compare", "--config", str(config))
-    assert proc.returncode == 2
+    for command, entry in (("compare", {"definitely_not_a_key": 1}), ("solve", {"epsilon": 1e-3, "mse_target": None})):
+        config.write_text(json.dumps(entry))
+        proc = run_cli(command, "--config", str(config), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -628,10 +623,9 @@ def test_cli_bad_methods_or_k_grid_exit_code(tmp_path, command, entry, key):
 @pytest.mark.parametrize(
     "command, entry, keys",
     [
-        ("solve", {"epsilon": 1000.0}, ("epsilon", "mse_target")),
         ("compare", {"m_grid": [20], "k_grid": [2]}, ("(40, 3)", "m_grid", "k_grid")),
     ],
-    ids=["epsilon-with-mse_target", "compare-grid-without-m-k"],
+    ids=["compare-grid-without-m-k"],
 )
 def test_cli_conflicting_config_keys_exit_code(tmp_path, command, entry, keys):
     # keys that are each valid but conflict are refused before any solve, with
@@ -644,16 +638,6 @@ def test_cli_conflicting_config_keys_exit_code(tmp_path, command, entry, keys):
     assert len(lines) == 1 and lines[0].startswith("config error: "), proc.stderr
     assert all(key in lines[0] for key in keys), proc.stderr
     assert not (tmp_path / "out").exists()
-
-
-def test_cli_solve_stops_on_epsilon_with_the_mse_stop_off(tmp_path):
-    # a loose epsilon stops the run after its first iteration once mse_target is null
-    config = tmp_path / "config.json"
-    entry = {"m": 40, "n": 30, "k": 3, "trials": 1, "max_iters": 3000, "epsilon": 1000.0, "mse_target": None}
-    config.write_text(json.dumps(entry))
-    proc = run_cli("solve", "--config", str(config), "--out", str(tmp_path / "out"))
-    assert proc.returncode == 0, proc.stderr
-    assert len((tmp_path / "out" / "trace.csv").read_text().splitlines()) == 2
 
 
 def test_cli_solve_ignores_the_default_k_grid(tmp_path):

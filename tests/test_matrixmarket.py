@@ -155,7 +155,11 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6), elements=_FINITE),
-    comment=st.one_of(st.none(), st.text(alphabet=st.characters(blacklist_categories=("Cc", "Cs")), max_size=20)),
+    # line and paragraph separators (Zl, Zp) break a comment line, as the
+    # control characters do; the writer refuses them
+    comment=st.one_of(
+        st.none(), st.text(alphabet=st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=20)
+    ),
 )
 def test_round_trip_is_bitwise_for_finite_arrays(tmp_path, a, comment):
     path = tmp_path / "prop.mtx"
@@ -164,6 +168,15 @@ def test_round_trip_is_bitwise_for_finite_arrays(tmp_path, a, comment):
     assert back.shape == a.shape and back.dtype == np.float64
     # bit for bit; -0.0 is a zero, so it is not written and reads back as +0.0
     assert np.array_equal(back.view(np.int64), (a + 0.0).view(np.int64))
+
+
+@pytest.mark.parametrize("separator", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+def test_a_comment_that_breaks_its_line_is_refused_before_writing(tmp_path, separator):
+    # the reader would take the text after the break as the size line
+    path = tmp_path / "broken.mtx"
+    with pytest.raises(ValueError, match="one line"):
+        write_matrix_market(path, np.eye(2), comment=f"first{separator}3 3 1")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("layout,size", [("coordinate", "1000000 1000000 1"), ("array", "1000000 1000000")])
