@@ -5,11 +5,13 @@ The working objective is f(x) = lam*||x||_1 + 0.5*||x||_2^2, which is
 thresholding map, so a Bregman projection onto a hyperplane reduces to a
 one-dimensional step in the dual variable. Both the cheap step (the row
 residual) and the exact minimizing step are provided. The soft threshold is
-taken as v minus its clip to [-lam, lam], three array passes.
+taken as v minus its clip to [-lam, lam], three array passes into a given
+array (``_threshold_into``); every threshold in the module goes through it.
 
 The dual derivative is nondecreasing and piecewise linear in the step size,
 so the exact step, the Bregman projection of Lorenz et al. (2014), is its
-root. It is found by an active-set Newton iteration from the cheap step: on
+root. It is found by an active-set Newton iteration from t = 0, where the
+current primal gives the piece and the derivative with no evaluation: on
 the linear piece that holds the current point the root is one division
 away, and it is accepted once the piece is unchanged. On a flat piece,
 where every entry lies in its band, the root has a closed form from the
@@ -53,7 +55,18 @@ def soft_threshold(v, lam: float) -> np.ndarray:
     a zero may differ.
     """
     v = np.asarray(v, dtype=float)
-    return v - np.minimum(np.maximum(v, -lam), lam)
+    out = _threshold_into(v, lam, np.empty_like(v))
+    return out if out.ndim else out[()]
+
+
+def _threshold_into(v: np.ndarray, lam: float, out: np.ndarray) -> np.ndarray:
+    """:func:`soft_threshold` of ``v`` written into ``out``, which is returned.
+
+    ``out`` must not share memory with ``v``: the last pass reads ``v``.
+    """
+    np.maximum(v, -lam, out=out)
+    np.minimum(out, lam, out=out)
+    return np.subtract(v, out, out=out)
 
 
 def objective_value(x, lam: float) -> float:
@@ -146,7 +159,8 @@ def exact_step(dual, a_i, b_i: float, lam: float) -> float:
     slope on a piece is the sum of a_j^2 over the entries above the band.
     The root always exists for a_i != 0.
 
-    Newton steps start at the row residual (the inexact step). Each one
+    Newton starts at t = 0, where the thresholded dual is the current
+    primal, so the first piece and g(0) need no evaluation. Each step
     jumps to the root of the current piece's line, and the jump is accepted
     when the sign pattern of the thresholded dual is the same there, so that
     both points lie on one piece and the jump is its exact root; one more
@@ -177,36 +191,42 @@ def _exact_step(dual: np.ndarray, primal: np.ndarray, a: np.ndarray, b: float, l
     norm2 = float(np.dot(a, a))
     if norm2 == 0.0:
         raise NumericalFailureError("exact_step requires a nonzero row")
-    t = _newton_root(dual, a, b, lam, inexact_step(primal, a, b), norm2)
+    t = _newton_root(dual, primal, a, b, lam, norm2)
     return _bisection_root(dual, a, b, lam, norm2) if t is None else t
 
 
-def _newton_root(dual, a, b: float, lam: float, t: float, norm2: float) -> float | None:
-    """Root of g by active-set Newton from ``t``, or ``None`` to hand off.
+def _newton_root(dual, primal, a, b: float, lam: float, norm2: float) -> float | None:
+    """Root of g by active-set Newton from t = 0, or ``None`` to hand off.
 
-    The pattern of a piece is counted as c = sum_j sign(a_j) sign(s_j) with
-    s = soft_threshold(dual - t*a, lam): each entry's sign moves one way as t
+    At t = 0 the thresholded dual is ``primal``, so the first piece and
+    g(0) = b - <a, primal> come without an evaluation of g; on a flat piece
+    there, as at x* = 0, no evaluation is taken at all. Each evaluation
+    writes dual - t*a, its threshold s and the sign of s into three buffers
+    allocated once per step. The pattern of a piece is counted as
+    c = sum_j sign(a_j) sign(s_j): each entry's sign moves one way as t
     grows, so c falls at every kink and two points share a piece iff they
     share c. The sums are of integers, so exact. A flat piece, where g
     equals b, ends the walk with its closed-form root (:func:`_flat_piece_root`).
     """
     sign_a = np.sign(a)
     a2 = a * a
-
-    def piece(t):
-        s = soft_threshold(dual - t * a, lam)
-        z = np.sign(s)
-        return s, z, float(np.dot(z, sign_a))
-
-    s, z, c = piece(t)
-    g = b - float(np.dot(s, a))
-    slope = float(np.dot(z * z, a2))
+    shifted, s, z = np.empty((3, a.size))
+    np.sign(primal, out=z)
+    c = float(np.dot(z, sign_a))
+    g = b - float(np.dot(primal, a))
+    t = 0.0
     for _ in range(_NEWTON_STEPS):
+        # between evaluations ``shifted`` is free to hold z*z
+        slope = float(np.dot(np.multiply(z, z, out=shifted), a2))
         if slope == 0.0:
             t = _flat_piece_root(dual, a, lam, b)
             return t if math.isfinite(t) else None
         t_new = t - g / slope
-        s, z, c_new = piece(t_new)
+        np.multiply(a, t_new, out=shifted)
+        np.subtract(dual, shifted, out=shifted)
+        _threshold_into(shifted, lam, s)
+        np.sign(s, out=z)
+        c_new = float(np.dot(z, sign_a))
         g_new = b - float(np.dot(s, a))
         if c_new == c:
             if _ends_at_kinks(a, s, b - g_new, lam, max(abs(t), abs(t_new)), norm2):
@@ -214,7 +234,6 @@ def _newton_root(dual, a, b: float, lam: float, t: float, norm2: float) -> float
             # a correction on the same piece removes the rounding of a long jump
             return t_new - g_new / slope
         t, c, g = t_new, c_new, g_new
-        slope = float(np.dot(z * z, a2))
     return None
 
 
@@ -334,10 +353,7 @@ def _step_into(dual, primal, a, b: float, lam: float, mode: StepMode, new_dual, 
     """
     t = inexact_step(primal, a, b) if mode is StepMode.INEXACT else _exact_step(dual, primal, a, b, lam)
     np.subtract(dual, t * a, out=new_dual)
-    # soft_threshold's three passes
-    np.maximum(new_dual, -lam, out=new_primal)
-    np.minimum(new_primal, lam, out=new_primal)
-    np.subtract(new_dual, new_primal, out=new_primal)
+    _threshold_into(new_dual, lam, new_primal)
     return t
 
 

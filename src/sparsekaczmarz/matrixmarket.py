@@ -130,15 +130,18 @@ def read_matrix_market(path) -> np.ndarray:
 def write_matrix_market(path, matrix, comment: str | None = None) -> None:
     """Write a dense array as coordinate/real/general with repr-exact values.
 
-    ``comment`` is written as one comment line, so a comment that holds a
-    line break (any that ``str.splitlines`` splits at) is a ``ValueError``,
-    raised before the file is opened.
+    ``comment`` is written as one comment line in UTF-8, so a comment that
+    holds a line break (any that ``str.splitlines`` splits at) or that has
+    no UTF-8 form (a lone surrogate) is a ``ValueError``, raised before the
+    file is opened.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise ValueError("matrix must be 2-D")
-    if comment and comment.splitlines() != [comment]:
-        raise ValueError(f"comment must be one line, got {comment!r}")
+    if comment:
+        if comment.splitlines() != [comment]:
+            raise ValueError(f"comment must be one line, got {comment!r}")
+        comment.encode("utf-8")  # UnicodeEncodeError, a ValueError, for a lone surrogate
     m, n = a.shape
     rows, cols = np.nonzero(a)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

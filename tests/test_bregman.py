@@ -9,16 +9,20 @@ from hypothesis.extra import numpy as hnp
 
 from sparsekaczmarz import (
     DualPair,
+    RunStatus,
+    SolverSpec,
     StepMode,
+    StoppingRule,
     bregman_distance,
     conjugate_value,
     exact_step,
     inexact_step,
     objective_value,
     project_hyperplane,
+    run,
     soft_threshold,
 )
-from sparsekaczmarz import bregman
+from sparsekaczmarz import bregman, harness
 from sparsekaczmarz.errors import NonFiniteDataError, NumericalFailureError
 
 from oracles import (
@@ -35,6 +39,15 @@ from oracles import (
 def random_unit_row(rng, n):
     a = rng.standard_normal(n)
     return a / np.linalg.norm(a)
+
+
+def count_thresholds(monkeypatch):
+    """A list that grows by one at every threshold the bregman module takes:
+    each goes through its one kernel, ``_threshold_into``."""
+    calls = []
+    threshold = bregman._threshold_into
+    monkeypatch.setattr(bregman, "_threshold_into", lambda v, lam, out: calls.append(lam) or threshold(v, lam, out))
+    return calls
 
 
 # ---------------------------------------------------------------- threshold
@@ -342,9 +355,10 @@ def test_exact_step_root_beyond_the_bracket_is_found_on_a_ray(side):
 
 
 def test_exact_step_newton_reaching_a_plateau_end_returns_the_plateau_midpoint():
-    # g(t) = -<a, soft_threshold(dual - t a, 1)>. From the row residual t = 0.78
-    # only entry 0 lies above the band, and Newton's jump lands on
-    # t = (2.3 - 1) / 0.6 = 13/6, where entry 0 enters the band. Entry 1 stays in
+    # g(t) = -<a, soft_threshold(dual - t a, 1)>. At t = 0 only entry 0 lies
+    # above the band, g(0) = -0.78 (minus the row residual) and the slope is
+    # 0.36, so Newton's jump lands on t = 0.78 / 0.36 = (2.3 - 1) / 0.6 = 13/6,
+    # where entry 0 enters the band. Entry 1 stays in
     # it up to t = 1.75 / 0.8 = 35/16, so g is zero on [13/6, 35/16], whose
     # midpoint the oracle returns; the root of the jump's piece is its left end
     dual, a = np.array([2.3, 0.75]), np.array([0.6, 0.8])
@@ -393,22 +407,67 @@ def test_exact_step_first_step_from_zero_takes_no_bisection(monkeypatch, sign):
 
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
-def test_exact_step_from_a_flat_piece_takes_no_evaluation_past_the_row_residual(monkeypatch, sign):
-    # dual = 0, a = (0.8, 0.6), lam = 1, b = 0.1: at the row residual t = -0.1
-    # both entries lie in their bands, so g = b > 0 and the root lies left. The
-    # flat piece ends at t = -1 / 0.8 = -1.25, where entry 0 leaves its band
-    # upward; beyond it g = 0.1 - 0.8 (-0.8 t - 1), with root -1.40625, where
-    # entry 1 is still in its band. The closed form of the flat piece gives that
-    # root with no evaluation of g: the threshold of the dual and the one at the
-    # row residual are the only two. b = -0.1 mirrors it to the right
+def test_exact_step_from_a_flat_piece_takes_no_evaluation_of_g(monkeypatch, sign):
+    # dual = 0, a = (0.8, 0.6), lam = 1, b = 0.1: at t = 0 both entries lie in
+    # their bands, so g = b > 0 and the root lies left. The flat piece ends at
+    # t = -1 / 0.8 = -1.25, where entry 0 leaves its band upward; beyond it
+    # g = 0.1 - 0.8 (-0.8 t - 1), with root -1.40625, where entry 1 is still in
+    # its band. Newton reads the flat piece off the primal and takes its closed
+    # form with no evaluation of g: the threshold of the dual, which
+    # exact_step takes to form the primal, is the only one. b = -0.1 mirrors
+    # it to the right
     dual, a, b = np.zeros(2), np.array([0.8, 0.6]), sign * 0.1
-    calls = []
-    threshold = bregman.soft_threshold
-    monkeypatch.setattr(bregman, "soft_threshold", lambda v, lam: calls.append(lam) or threshold(v, lam))
+    calls = count_thresholds(monkeypatch)
     t = exact_step(dual, a, b, 1.0)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert t == pytest.approx(-sign * 1.40625, rel=1e-15)
     assert t == pytest.approx(breakpoint_scan_exact_step(dual, a, b, 1.0), rel=1e-15)
+
+
+def test_exact_step_with_its_root_on_the_primals_piece_takes_one_evaluation(monkeypatch):
+    # every dual entry lies at least 0.3 from its kinks at +-lam, and the root
+    # t_root is at most 0.25 from 0 along a unit row, so dual - t a keeps the
+    # primal's pattern up to it: b = g's zero there. Newton's first jump from
+    # t = 0 lands on the root's piece, one evaluation of g confirms the piece,
+    # and the correction on it takes none
+    rng = np.random.default_rng(19)
+    calls = count_thresholds(monkeypatch)
+    for _ in range(200):
+        n = int(rng.integers(1, 200))
+        lam = float(rng.choice([0.5, 1.0, 3.0]))
+        above = rng.random(n) < 0.5
+        above[0] = True  # one entry above the band, so the piece has a slope
+        outside = np.sign(rng.standard_normal(n)) * (lam + rng.uniform(0.3, 3.0, n))
+        dual = np.where(above, outside, rng.uniform(-1.0, 1.0, n) * (lam - 0.3))
+        a = random_unit_row(rng, n)
+        t_root = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.25)
+        b = float(np.dot(a, soft_threshold(dual - t_root * a, lam)))
+        primal = soft_threshold(dual, lam)
+        calls.clear()
+        t = bregman._exact_step(dual, primal, a, b, lam)
+        assert len(calls) == 1
+        t_ref = breakpoint_scan_exact_step(dual, a, b, lam)
+        assert abs(t - t_ref) <= 1e-12 * abs(t_ref)
+
+
+def test_exact_step_takes_few_evaluations_per_step_on_the_reference_instance(monkeypatch):
+    # SRK-exact to MSE 1e-6 on instance 0 of the reference protocol (300 x 200,
+    # k = 5, lam = 1), at the seeds the benchmark's ref workload derives for
+    # seeds 1-3. Its steps average 1.8 evaluations of g; a Newton that
+    # started at the row residual and evaluated g there took 2.8
+    system, x_hat, _ = harness.gaussian_instance(300, 200, 5, harness.child_rng(0, 300, 5, 0, 0))
+    thresholds = count_thresholds(monkeypatch)
+    steps = []
+    exact = bregman._exact_step
+    monkeypatch.setattr(bregman, "_exact_step", lambda *args: steps.append(1) or exact(*args))
+    for seed in (1, 2, 3):
+        stop = StoppingRule(max_iters=200_000, mse_target=1e-6)
+        spec = SolverSpec.srk(lam=1.0, step_mode=StepMode.EXACT, seed=harness.child_seed(seed, 300, 5, 0, 2, 1, 1), stop=stop)
+        _, trace = run(system, spec, ground_truth=x_hat)
+        assert trace.status is RunStatus.CONVERGED
+    # besides its evaluations of g, each step thresholds its new dual once
+    evaluations = len(thresholds) - len(steps)
+    assert evaluations / len(steps) <= 2.5
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse"])

@@ -179,6 +179,15 @@ def test_a_comment_that_breaks_its_line_is_refused_before_writing(tmp_path, sepa
     assert not path.exists()
 
 
+def test_a_comment_with_no_utf8_form_is_refused_before_writing(tmp_path):
+    # a lone surrogate does not encode: a file opened first would be left
+    # holding its banner line alone
+    path = tmp_path / "surrogate.mtx"
+    with pytest.raises(ValueError, match="can't encode"):
+        write_matrix_market(path, np.eye(2), comment="a\ud800b")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("layout,size", [("coordinate", "1000000 1000000 1"), ("array", "1000000 1000000")])
 def test_size_above_the_dense_cap_is_refused_at_the_size_line(tmp_path, layout, size):
     path = tmp_path / "huge.mtx"
