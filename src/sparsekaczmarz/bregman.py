@@ -6,7 +6,8 @@ thresholding map, so a Bregman projection onto a hyperplane reduces to a
 one-dimensional step in the dual variable. Both the cheap step (the row
 residual) and the exact minimizing step are provided. The soft threshold is
 taken as v minus its clip to [-lam, lam], three array passes into a given
-array (``_threshold_into``); every threshold in the module goes through it.
+array (``_threshold_into``), and at lam = 0, where it is the identity, as
+one copy; every threshold in the module goes through it.
 
 The dual derivative is nondecreasing and piecewise linear in the step size,
 so the exact step, the Bregman projection of Lorenz et al. (2014), is its
@@ -19,9 +20,11 @@ kinks on its side, sorted once: the threshold search of l1-ball projection
 (Duchi et al. 2008). When Newton fails to settle, the root is found by
 bisection over all the sorted breakpoints with the derivative evaluated
 directly at O(log n) of them, then interpolated on the linear piece that
-holds it, or on a ray beyond the outermost one. One step kernel,
-``_step_into``, takes the step and thresholds into arrays it is given; every
-method's iteration and :func:`project_hyperplane` go through it.
+holds it, or on a ray beyond the outermost one. Newton takes the row's
+signs and squares and its evaluations of g from one allocation per step.
+One step kernel, ``_step_into``, takes the step and thresholds into arrays
+it is given, with no array allocated beyond the exact step's; every method's
+iteration and :func:`project_hyperplane` go through it.
 """
 
 from __future__ import annotations
@@ -47,13 +50,22 @@ def _check_step_mode(mode, name: str) -> None:
         raise ValueError(f"{name} must be a StepMode, got {mode!r}")
 
 
+def _check_lam(lam) -> None:
+    """Refuses a ``lam`` that is not finite and nonnegative (``ValueError``);
+    NaN fails the comparison."""
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and nonnegative, got {lam!r}")
+
+
 def soft_threshold(v, lam: float) -> np.ndarray:
     """Componentwise shrink toward zero: sign(v) * max(|v| - lam, 0).
 
-    Computed as v minus its clip to [-lam, lam], in three array passes. The
-    two forms are equal under ``==``, NaN entries included; only the sign of
-    a zero may differ.
+    Computed as v minus its clip to [-lam, lam], in three array passes, or
+    at lam = 0 as a copy of v. The two forms are equal under ``==``, NaN
+    entries included; only the sign of a zero may differ. A ``lam`` that is
+    negative, infinite or NaN raises ``ValueError``.
     """
+    _check_lam(lam)
     v = np.asarray(v, dtype=float)
     out = _threshold_into(v, lam, np.empty_like(v))
     return out if out.ndim else out[()]
@@ -62,8 +74,14 @@ def soft_threshold(v, lam: float) -> np.ndarray:
 def _threshold_into(v: np.ndarray, lam: float, out: np.ndarray) -> np.ndarray:
     """:func:`soft_threshold` of ``v`` written into ``out``, which is returned.
 
-    ``out`` must not share memory with ``v``: the last pass reads ``v``.
+    At lam = 0 the threshold is the identity, and ``out`` takes one copy of
+    ``v``, which may differ from v minus its clip in the sign of a zero
+    alone. Otherwise it takes three passes, and ``out`` must not share
+    memory with ``v``: the last pass reads ``v``. ``lam`` is not checked.
     """
+    if lam == 0.0:
+        np.copyto(out, v)
+        return out
     np.maximum(v, -lam, out=out)
     np.minimum(out, lam, out=out)
     return np.subtract(v, out, out=out)
@@ -105,8 +123,7 @@ class DualPair:
         dual = np.asarray(self.dual, dtype=float)
         if primal.shape != dual.shape or primal.ndim != 1:
             raise ValueError(f"primal/dual must be equal-length vectors, got {primal.shape}/{dual.shape}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be finite and nonnegative, got {self.lam!r}")
+        _check_lam(self.lam)
         # an infinite entry thresholds to itself, so the link alone would let it through
         if not np.isfinite(dual).all():
             raise NonFiniteDataError("dual has a NaN or infinite entry")
@@ -177,7 +194,8 @@ def exact_step(dual, a_i, b_i: float, lam: float) -> float:
     returns the midpoint of a segment where g vanishes.
 
     A NaN or infinite entry of the dual, the row or b_i raises
-    :class:`NonFiniteDataError` before any step.
+    :class:`NonFiniteDataError`, and a ``lam`` that is negative, infinite or
+    NaN ``ValueError`` (from :func:`soft_threshold`), before any step.
     """
     dual = np.asarray(dual, dtype=float)
     a = np.asarray(a_i, dtype=float)
@@ -188,7 +206,7 @@ def exact_step(dual, a_i, b_i: float, lam: float) -> float:
 
 def _exact_step(dual: np.ndarray, primal: np.ndarray, a: np.ndarray, b: float, lam: float) -> float:
     """:func:`exact_step`, given ``primal`` = soft_threshold(dual, lam)."""
-    norm2 = float(np.dot(a, a))
+    norm2 = float(a.dot(a))
     if norm2 == 0.0:
         raise NumericalFailureError("exact_step requires a nonzero row")
     t = _newton_root(dual, primal, a, b, lam, norm2)
@@ -200,24 +218,25 @@ def _newton_root(dual, primal, a, b: float, lam: float, norm2: float) -> float |
 
     At t = 0 the thresholded dual is ``primal``, so the first piece and
     g(0) = b - <a, primal> come without an evaluation of g; on a flat piece
-    there, as at x* = 0, no evaluation is taken at all. Each evaluation
-    writes dual - t*a, its threshold s and the sign of s into three buffers
-    allocated once per step. The pattern of a piece is counted as
+    there, as at x* = 0, no evaluation is taken at all. The signs and
+    squares of ``a`` and three evaluation rows come from one allocation per
+    step: each evaluation writes dual - t*a, its threshold s and the sign of
+    s into those rows. The pattern of a piece is counted as
     c = sum_j sign(a_j) sign(s_j): each entry's sign moves one way as t
     grows, so c falls at every kink and two points share a piece iff they
     share c. The sums are of integers, so exact. A flat piece, where g
     equals b, ends the walk with its closed-form root (:func:`_flat_piece_root`).
     """
-    sign_a = np.sign(a)
-    a2 = a * a
-    shifted, s, z = np.empty((3, a.size))
+    sign_a, a2, shifted, s, z = np.empty((5, a.size))
+    np.sign(a, out=sign_a)
+    np.multiply(a, a, out=a2)
     np.sign(primal, out=z)
-    c = float(np.dot(z, sign_a))
-    g = b - float(np.dot(primal, a))
+    c = float(z.dot(sign_a))
+    g = b - float(primal.dot(a))
     t = 0.0
     for _ in range(_NEWTON_STEPS):
         # between evaluations ``shifted`` is free to hold z*z
-        slope = float(np.dot(np.multiply(z, z, out=shifted), a2))
+        slope = float(np.multiply(z, z, out=shifted).dot(a2))
         if slope == 0.0:
             t = _flat_piece_root(dual, a, lam, b)
             return t if math.isfinite(t) else None
@@ -226,8 +245,8 @@ def _newton_root(dual, primal, a, b: float, lam: float, norm2: float) -> float |
         np.subtract(dual, shifted, out=shifted)
         _threshold_into(shifted, lam, s)
         np.sign(s, out=z)
-        c_new = float(np.dot(z, sign_a))
-        g_new = b - float(np.dot(s, a))
+        c_new = float(z.dot(sign_a))
+        g_new = b - float(s.dot(a))
         if c_new == c:
             if _ends_at_kinks(a, s, b - g_new, lam, max(abs(t), abs(t_new)), norm2):
                 return None
@@ -345,14 +364,17 @@ def _step_into(dual, primal, a, b: float, lam: float, mode: StepMode, new_dual, 
 
     ``primal`` must equal soft_threshold(dual, lam); the exact step starts
     from it rather than thresholding ``dual`` again, and so takes the same
-    value as :func:`exact_step`. t comes from :func:`inexact_step` or
-    :func:`exact_step` per ``mode``, ``new_dual`` = dual - t*a and
+    value as :func:`exact_step`. t is the row residual <a, primal> - b of
+    :func:`inexact_step` or the root of :func:`exact_step` per ``mode``,
+    ``new_dual`` = dual - t*a and
     ``new_primal`` its soft threshold. ``new_dual`` may be ``dual`` and
-    ``new_primal`` may be ``primal``: both are read only to find t. No
-    checks: callers validate the row and the step value.
+    ``new_primal`` may be ``primal``: both are read only to find t, and
+    ``new_primal`` holds t*a until the threshold overwrites it, so the
+    step allocates no array beyond the exact step's. No checks: callers
+    validate the row and the step value.
     """
-    t = inexact_step(primal, a, b) if mode is StepMode.INEXACT else _exact_step(dual, primal, a, b, lam)
-    np.subtract(dual, t * a, out=new_dual)
+    t = float(a.dot(primal) - b) if mode is StepMode.INEXACT else _exact_step(dual, primal, a, b, lam)
+    np.subtract(dual, np.multiply(a, t, out=new_primal), out=new_dual)
     _threshold_into(new_dual, lam, new_primal)
     return t
 

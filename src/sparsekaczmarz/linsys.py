@@ -19,6 +19,15 @@ _UNIT_NORM_TOL = 1e-12
 _ZERO_ROW_TOL = 1e-14
 
 
+def _real(value, name: str) -> np.ndarray:
+    """``value`` as an array, refused with a ``TypeError`` naming ``name`` if
+    it is complex: a cast to float would keep its real part alone."""
+    arr = np.asarray(value)
+    if np.iscomplexobj(arr):
+        raise TypeError(f"{name} must be real, got complex dtype {arr.dtype}")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
     """An m x n system A x = b with unit rows.
@@ -26,8 +35,9 @@ class LinearSystem:
     ``rows`` holds the normalized matrix, ``rhs`` the rescaled right-hand
     side, ``row_scales`` the original row norms (1.0 everywhere if the input
     was already normalized). The solution set equals that of the raw system.
-    A system has at least one row. A NaN or infinite row, rhs entry or row
-    scale raises :class:`NonFiniteDataError`, and a zero or negative scale
+    A system has at least one row. Complex rows, rhs or row scales raise
+    ``TypeError``, a NaN or infinite row, rhs entry or row scale
+    :class:`NonFiniteDataError`, and a zero or negative scale
     :class:`ZeroRowError`, naming the first such row and its scale.
     Instances are immutable and safe to share across concurrent readers:
     ``rhs`` and ``row_scales`` are copied, and ``rows`` is made read-only in
@@ -40,10 +50,10 @@ class LinearSystem:
     row_scales: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
+        rows = np.asarray(_real(self.rows, "rows"), dtype=float)
         # copies, so that the caller's arrays stay the caller's
-        rhs = np.array(self.rhs, dtype=float).reshape(-1)
-        scales = np.array(self.row_scales, dtype=float).reshape(-1)
+        rhs = np.array(_real(self.rhs, "rhs"), dtype=float).reshape(-1)
+        scales = np.array(_real(self.row_scales, "row_scales"), dtype=float).reshape(-1)
         if rows.ndim != 2:
             raise DimensionMismatchError(f"rows must be 2-D, got ndim={rows.ndim}")
         m = rows.shape[0]
@@ -105,10 +115,11 @@ def normalize_rows(raw_rows, raw_rhs) -> LinearSystem:
 
     Raises :class:`ZeroRowError` for any row with norm below 1e-14; callers
     that want to drop such rows must filter them out first. Raises
-    :class:`NonFiniteDataError` if a row or rhs entry is NaN or infinite.
+    :class:`NonFiniteDataError` if a row or rhs entry is NaN or infinite,
+    and ``TypeError`` if either is complex.
     """
-    raw = np.asarray(raw_rows, dtype=float)
-    b = np.asarray(raw_rhs, dtype=float).reshape(-1)
+    raw = np.asarray(_real(raw_rows, "raw_rows"), dtype=float)
+    b = np.asarray(_real(raw_rhs, "raw_rhs"), dtype=float).reshape(-1)
     if raw.ndim != 2:
         raise DimensionMismatchError(f"raw rows must be 2-D, got ndim={raw.ndim}")
     if raw.shape[0] != b.shape[0]:

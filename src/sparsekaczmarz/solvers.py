@@ -22,14 +22,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import DualPair, StepMode, _check_step_mode, _step_into, objective_value, project_hyperplane
+from .bregman import (
+    DualPair,
+    StepMode,
+    _check_lam,
+    _check_step_mode,
+    _step_into,
+    objective_value,
+    project_hyperplane,
+)
 from .errors import (
     DimensionMismatchError,
     NonFiniteDataError,
     NonFiniteIterateError,
     ZeroTruthError,
 )
-from .linsys import LinearSystem, _check_row
+from .linsys import LinearSystem, _check_row, _real
 from .sampling import SamplerConfig, SelectionRule, _draw_subsets, _is_integer, _largest_residual
 
 
@@ -86,8 +94,7 @@ class SolverSpec:
     stop: StoppingRule
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be finite and nonnegative, got {self.lam!r}")
+        _check_lam(self.lam)
         _check_step_mode(self.step_mode, "step_mode")
 
     @classmethod
@@ -371,8 +378,8 @@ def run(
     The system should be consistent (b in the range of A) for the sparse
     methods to converge to a solution; inconsistent right-hand sides (e.g.
     noisy data) are allowed and simply run to the iteration budget. A
-    ground truth is checked before the first step: it must have length n
-    (:class:`DimensionMismatchError`), finite entries
+    ground truth is checked before the first step: it must be real
+    (``TypeError``), have length n (:class:`DimensionMismatchError`), finite entries
     (:class:`NonFiniteDataError`) and a nonzero entry
     (:class:`ZeroTruthError`). Raises :class:`NonFiniteIterateError` if an
     iterate stops being finite. The test reads the step t and ||x||^2, the
@@ -435,7 +442,7 @@ def run(
 
     truth = None
     if ground_truth is not None:
-        x_hat = np.asarray(ground_truth, dtype=float)
+        x_hat = np.asarray(_real(ground_truth, "ground_truth"), dtype=float)
         if x_hat.shape != (n,):
             raise DimensionMismatchError(f"ground truth has shape {x_hat.shape}, expected ({n},)")
         if not np.isfinite(x_hat).all():
@@ -498,7 +505,7 @@ def run(
                 i, b = picks[j], picked_rhs[j]
             t = _step_into(dual, x, rows[i], b, lam, mode, dual_cols[j], x_cols[j])
             dual, x = dual_cols[j], x_cols[j]
-            x_norm2 = float(np.dot(x, x))
+            x_norm2 = float(x.dot(x))
             # an infinite ||x||^2 from finite entries (a square that overflows) is no failure
             if not (math.isfinite(t) and (math.isfinite(x_norm2) or np.isfinite(x).all())):
                 failed = "step value" if not math.isfinite(t) else "iterate"
@@ -512,15 +519,15 @@ def run(
             met = False
             if truth is not None:
                 diff = x - x_hat
-                mse_val = float(np.dot(diff, diff)) / x_hat_norm2
+                mse_val = float(diff.dot(diff)) / x_hat_norm2
                 mse_rec[k + j] = mse_val
-                breg_rec[k + j] = f_hat - float(np.dot(dual, x_hat)) + 0.5 * x_norm2
+                breg_rec[k + j] = f_hat - float(dual.dot(x_hat)) + 0.5 * x_norm2
                 met = mse_target is not None and mse_val <= mse_target
             # past the last iterate no pick reads the residual
             if norms or not (met or k + j + 1 == max_iters):
                 r = columns.product(x) - rhs
             if norms:
-                resid2 = float(np.dot(r, r))
+                resid2 = float(r.dot(r))
                 if residuals:
                     resid_rec[k + j] = resid2
                 met = met or eps2 is not None and resid2 <= eps2

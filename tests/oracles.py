@@ -208,27 +208,44 @@ def _step_derivative(t, dual, a, b_i, lam):
 def _root_on_grid(ts, gs, slope_outside):
     """Root of a nondecreasing piecewise-linear function sampled at its kinks.
 
-    ``slope_outside`` is the (positive) slope on the two unbounded rays. On a
-    flat zero segment the midpoint is returned.
+    ``slope_outside`` is the (positive) slope on the two unbounded rays.
+    Returns the root and a point inside the piece whose line gave it, or
+    ``None`` in its place when the root is the midpoint of a flat zero
+    segment.
     """
     if gs[0] > 0.0:
-        return float(ts[0] - gs[0] / slope_outside)
+        return float(ts[0] - gs[0] / slope_outside), ts[0] - abs(ts[0]) - 1.0
     if gs[-1] < 0.0:
-        return float(ts[-1] - gs[-1] / slope_outside)
+        return float(ts[-1] - gs[-1] / slope_outside), ts[-1] + abs(ts[-1]) + 1.0
     neg = np.flatnonzero(gs < 0.0)
     pos = np.flatnonzero(gs > 0.0)
     if neg.size == 0 and pos.size == 0:
-        return float(0.5 * (ts[0] + ts[-1]))
+        return float(0.5 * (ts[0] + ts[-1])), None
     if neg.size == 0:
-        return float(0.5 * (ts[0] + ts[pos[0] - 1]))
+        return float(0.5 * (ts[0] + ts[pos[0] - 1])), None
     if pos.size == 0:
-        return float(0.5 * (ts[neg[-1] + 1] + ts[-1]))
+        return float(0.5 * (ts[neg[-1] + 1] + ts[-1])), None
     i, j = int(neg[-1]), int(pos[0])
     if j > i + 1:
         # g is exactly zero on [ts[i+1], ts[j-1]]
-        return float(0.5 * (ts[i + 1] + ts[j - 1]))
+        return float(0.5 * (ts[i + 1] + ts[j - 1])), None
     slope = (gs[j] - gs[i]) / (ts[j] - ts[i])
-    return float(ts[i] - gs[i] / slope)
+    return float(ts[i] - gs[i] / slope), 0.5 * (ts[i] + ts[j])
+
+
+def _finish_on_piece(t, inside, dual, a, b_i, lam):
+    """One step from ``t`` on the line of the piece that holds ``inside``,
+    whose slope sums a_j^2 over the entries above the band there.
+
+    Interpolating from grid points far from the root leaves a rounding of
+    about eps times their size, which swamps a root near 0; the step leaves
+    only the rounding of g at ``t``, as the exact step's last step does.
+    """
+    if inside is None:
+        return t
+    above = np.abs(dual - inside * a) > lam
+    slope = float(np.dot(a[above], a[above]))
+    return t - _step_derivative(t, dual, a, b_i, lam) / slope if slope > 0.0 else t
 
 
 def breakpoint_scan_exact_step(dual, a, b_i, lam):
@@ -238,8 +255,9 @@ def breakpoint_scan_exact_step(dual, a, b_i, lam):
     for its exact step: the bracket around the row residual that the
     bisection fallback also uses, then the derivative at every deduplicated
     breakpoint inside it, as one matrix product, and :func:`_root_on_grid` on
-    the result. Its derivative values are rounded too, so it is itself
-    checked against :func:`rational_step_roots`.
+    the result, finished with one step on the root's piece
+    (:func:`_finish_on_piece`). Its derivative values are rounded too, so it
+    is itself checked against :func:`rational_step_roots`.
     """
     dual = np.asarray(dual, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -263,12 +281,13 @@ def breakpoint_scan_exact_step(dual, a, b_i, lam):
         if g_hi <= 0.0:
             hi = center + width
             g_hi = _step_derivative(hi, dual, a, b_i, lam)
-    if not g_lo < 0.0 < g_hi:
-        return _root_on_grid(bp, _step_derivative(bp, dual, a, b_i, lam), norm2)
-    inside = bp[(bp > lo) & (bp < hi)]
-    ts = np.concatenate(([lo], inside, [hi]))
-    gs = np.concatenate(([g_lo], _step_derivative(inside, dual, a, b_i, lam), [g_hi]))
-    return _root_on_grid(ts, gs, norm2)
+    if g_lo < 0.0 < g_hi:
+        inside = bp[(bp > lo) & (bp < hi)]
+        ts = np.concatenate(([lo], inside, [hi]))
+        gs = np.concatenate(([g_lo], _step_derivative(inside, dual, a, b_i, lam), [g_hi]))
+    else:
+        ts, gs = bp, _step_derivative(bp, dual, a, b_i, lam)
+    return _finish_on_piece(*_root_on_grid(ts, gs, norm2), dual, a, b_i, lam)
 
 
 def _rational_derivative(t, dual, a, b_i, lam):

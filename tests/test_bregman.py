@@ -131,6 +131,58 @@ def test_soft_threshold_clip_form_equals_sign_form(v, lam):
     assert np.all(out[keep] == ref[keep])
 
 
+@pytest.mark.parametrize("lam", [-1.0, -1e-300, np.nan, np.inf])
+def test_soft_threshold_refuses_a_lam_that_is_not_finite_and_nonnegative(lam):
+    # a negative lam grew the entries ([1, -2] at -1 gave [2, -1]) and a NaN
+    # one gave NaN; exact_step thresholds the dual through soft_threshold
+    with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+        soft_threshold([1.0, -2.0], lam)
+    with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+        exact_step(np.array([1.0, -2.0]), np.array([0.6, 0.8]), 1.0, lam)
+
+
+def test_threshold_at_lam_zero_is_one_copy(monkeypatch):
+    # at lam = 0 the threshold is the identity: the kernel copies v and takes
+    # no clip, and the copy equals v, and the three-pass form, under ==
+    v = np.array([1.5, -2.25, 0.0, -0.0, np.inf, -np.inf, 5e-324, -1e308])
+    clipped = np.subtract(v, np.minimum(np.maximum(v, -0.0), 0.0))
+    calls = []
+    for name in ("maximum", "minimum"):
+        monkeypatch.setattr(np, name, lambda *args, name=name, **kwargs: calls.append(name))
+    out = bregman._threshold_into(v, 0.0, np.empty_like(v))
+    public = soft_threshold(v, 0.0)
+    monkeypatch.undo()
+    assert calls == []
+    assert np.all(out == v) and np.all(public == v) and np.all(out == clipped)
+    assert np.array_equal(out.view(np.int64), v.view(np.int64))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("mode", list(StepMode))
+def test_step_into_in_place_matches_fresh_arrays(mode, lam):
+    # greedy rows step in place, new_dual being dual and new_primal primal,
+    # while new_primal holds t*a until the threshold: t and the new pair are
+    # those of a step into fresh arrays, bit for bit
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        n = int(rng.integers(1, 60))
+        dual = rng.standard_normal(n) * rng.uniform(0.1, 3.0)
+        primal = soft_threshold(dual, lam)
+        a = random_unit_row(rng, n)
+        b = float(rng.standard_normal())
+        new_dual, new_primal = np.empty(n), np.empty(n)
+        t = bregman._step_into(dual, primal, a, b, lam, mode, new_dual, new_primal)
+        assert np.array_equal(_bits(new_dual), _bits(dual - t * a))
+        assert np.array_equal(_bits(new_primal), _bits(soft_threshold(new_dual, lam)))
+        assert bregman._step_into(dual, primal, a, b, lam, mode, dual, primal) == t
+        assert np.array_equal(_bits(dual), _bits(new_dual))
+        assert np.array_equal(_bits(primal), _bits(new_primal))
+
+
 # ---------------------------------------------------------------- objective
 
 
@@ -309,6 +361,12 @@ def test_exact_step_matches_bisection_oracle():
 @example(n=27, seed=1131293769, scale=18.32511842971436, lam=0.0, zeros=0.02836239653240653, b=1.2553091101963867, db=1.0)
 @example(n=12, seed=600953618, scale=17.77929442671998, lam=0.05, zeros=0.08425741189716593, b=-3.4587588200112176, db=1.0)
 @example(n=28, seed=3592085030, scale=16.748468278918484, lam=1.0, zeros=0.43464058094913927, b=-4.265215601987561, db=1.0)
+# roots within 1e-8 of 0 at lam = 0 and a small dual: the oracle's root,
+# interpolated from grid points near -1 or 1, missed the bound until it
+# finished with one step on its piece
+@example(n=1, seed=2381054197, scale=0.01211842473414649, lam=0.0, zeros=0.37989596762193467, b=0.013778919369069997, db=1.0)
+@example(n=2, seed=1844534456, scale=0.02370407179799685, lam=0.0, zeros=0.09380798994215182, b=0.01262952947275134, db=1.0)
+@example(n=7, seed=129479656, scale=0.02656578231906765, lam=0.0, zeros=0.39624836954878573, b=0.0356150208647715, db=1.0)
 def test_exact_step_bisection_matches_breakpoint_scan(n, seed, scale, lam, zeros, b, db):
     rng = np.random.default_rng(seed)
     dual = rng.standard_normal(n) * scale

@@ -70,6 +70,37 @@ def test_with_rhs_rejects_non_finite_rhs():
         system.with_rhs([1.0, np.nan])
 
 
+@pytest.mark.parametrize("where", ["raw_rows", "raw_rhs"])
+@pytest.mark.parametrize("as_list", [False, True])
+def test_normalize_refuses_complex_input(where, as_list):
+    # complex rows were cut to their real part with only a ComplexWarning, and
+    # a list with a complex rhs entry failed in numpy's float()
+    raw, b = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 2.0])
+    if where == "raw_rows":
+        raw = np.array([[1 + 1j, 2], [3, 4j]])
+    else:
+        b = np.array([1 + 1j, 2])
+    if as_list:
+        raw, b = raw.tolist(), b.tolist()
+    with pytest.raises(TypeError, match=f"{where} must be real"):
+        normalize_rows(raw, b)
+
+
+@pytest.mark.parametrize("where", ["rows", "rhs", "row_scales"])
+def test_system_refuses_complex_input(where):
+    # even with no imaginary part: the dtype is refused, before any cast
+    fields = {"rows": np.eye(2), "rhs": np.ones(2), "row_scales": np.ones(2)}
+    fields[where] = fields[where].astype(complex)
+    with pytest.raises(TypeError, match=f"{where} must be real"):
+        LinearSystem(**fields)
+
+
+def test_with_rhs_refuses_a_complex_rhs():
+    system = normalize_rows([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
+    with pytest.raises(TypeError, match="rhs must be real"):
+        system.with_rhs([1.0, 2j])
+
+
 def test_with_rhs_shares_rows():
     # the noisy system is built as any other, and shares the read-only rows
     rng = np.random.default_rng(3)

@@ -142,6 +142,7 @@ def test_run_matches_composed_single_steps():
     stop = StoppingRule(max_iters=40)
     specs = {
         "rk": SolverSpec.rk(seed=3, stop=stop),
+        "skm": SolverSpec.sskm(0.0, 8, StepMode.INEXACT, seed=3, stop=stop),
         "srk-inexact": SolverSpec.srk(1.0, step_mode=StepMode.INEXACT, seed=3, stop=stop),
         "srk-exact": SolverSpec.srk(1.0, step_mode=StepMode.EXACT, seed=3, stop=stop),
         "sskm-inexact": SolverSpec.sskm(1.0, 8, step_mode=StepMode.INEXACT, seed=3, stop=stop),
@@ -870,7 +871,9 @@ def test_run_sskm_rejects_beta_outside_one_to_m(monkeypatch, beta):
      pytest.param(np.ones((20, 1)), DimensionMismatchError, id="column"),
      pytest.param(np.r_[np.ones(19), np.nan], NonFiniteDataError, id="nan"),
      pytest.param(np.r_[np.ones(19), -np.inf], NonFiniteDataError, id="inf"),
-     pytest.param(np.zeros(20), ZeroTruthError, id="zero")],
+     pytest.param(np.zeros(20), ZeroTruthError, id="zero"),
+     # a cast to float kept the real part, and the MSE was recorded against it
+     pytest.param(np.r_[1 + 1j, np.ones(19)], TypeError, id="complex")],
 )
 @pytest.mark.parametrize("method", ["rk", "sskm"])
 def test_run_checks_the_ground_truth_before_the_first_step(monkeypatch, method, truth, error):
@@ -882,7 +885,7 @@ def test_run_checks_the_ground_truth_before_the_first_step(monkeypatch, method, 
     monkeypatch.setattr(solvers, "_step_into", no_step)
     stop = StoppingRule(max_iters=50, mse_target=1e-6)
     spec = SolverSpec.rk(seed=1, stop=stop) if method == "rk" else SolverSpec.sskm(1.0, 10, seed=1, stop=stop)
-    with pytest.raises(error):
+    with pytest.raises(error, match="ground.truth"):
         run(system, spec, ground_truth=truth)
 
 
