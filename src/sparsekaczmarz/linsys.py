@@ -17,6 +17,38 @@ from .errors import DimensionMismatchError, IndexOutOfRangeError, NonFiniteDataE
 
 _UNIT_NORM_TOL = 1e-12
 _ZERO_ROW_TOL = 1e-14
+# the row norms square at most this many entries at a time (one row if it is longer)
+_NORM_BAND = 2**16
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of every row of the 2-D float array ``rows``.
+
+    The rows are squared into one buffer of at most ``_NORM_BAND`` entries
+    (or one row), a band at a time, so no m x n temporary is made. Each band
+    is summed by the pairwise ``np.add.reduce`` that
+    ``np.linalg.norm(rows, axis=1)`` uses, so on C-ordered or row-strided
+    input the norms are that call's, bit for bit. A row of finite entries
+    whose squares overflow is measured again after scaling by its largest
+    magnitude; a row holding NaN or inf keeps a NaN or infinite norm.
+    """
+    m, n = rows.shape
+    height = max(1, min(m, _NORM_BAND // max(n, 1)))
+    squares = np.empty((height, n))
+    sums = np.empty(m)
+    with np.errstate(over="ignore"):
+        for start in range(0, m, height):
+            band = rows[start:start + height]
+            square = squares[:band.shape[0]]
+            np.multiply(band, band, out=square)
+            np.add.reduce(square, axis=1, out=sums[start:start + height])
+        norms = np.sqrt(sums, out=sums)
+        for i in np.flatnonzero(np.isinf(norms)):
+            row = rows[i]
+            if np.isfinite(row).all():
+                scale = np.abs(row).max()
+                norms[i] = scale * np.sqrt(np.add.reduce(np.square(row / scale)))
+    return norms
 
 
 def _real(value, name: str) -> np.ndarray:
@@ -41,7 +73,10 @@ class LinearSystem:
     :class:`ZeroRowError`, naming the first such row and its scale.
     Instances are immutable and safe to share across concurrent readers:
     ``rhs`` and ``row_scales`` are copied, and ``rows`` is made read-only in
-    place, so a float matrix is held once. The singular values of ``rows``
+    place, so a float matrix is held once. The unit-norm check of the rows
+    squares them a band at a time, so building a system allocates no m x n
+    array: its peak is the row-norm buffer (512 kB, or one row if that is
+    longer) and a few length-m vectors. The singular values of ``rows``
     are computed on first use and kept.
     """
 
@@ -63,7 +98,7 @@ class LinearSystem:
             raise DimensionMismatchError(
                 f"rhs/row_scales length must equal m={m}, got {rhs.shape[0]}/{scales.shape[0]}"
             )
-        norms = np.linalg.norm(rows, axis=1)
+        norms = _row_norms(rows)
         bad = np.flatnonzero(~(np.isfinite(norms) & np.isfinite(rhs) & np.isfinite(scales)))
         if bad.size:
             raise NonFiniteDataError(f"row {int(bad[0])}, its rhs entry or its row scale is not finite")
@@ -105,7 +140,8 @@ class LinearSystem:
         """Same rows, different right-hand side (used for noise injection).
 
         The new system is built and checked as any other; it shares the
-        read-only ``rows`` and computes its own singular values on first use.
+        read-only ``rows``, so its peak is that of the check (no m x n
+        array), and computes its own singular values on first use.
         """
         return LinearSystem(rows=self.rows, rhs=new_rhs, row_scales=self.row_scales)
 
@@ -116,7 +152,12 @@ def normalize_rows(raw_rows, raw_rhs) -> LinearSystem:
     Raises :class:`ZeroRowError` for any row with norm below 1e-14; callers
     that want to drop such rows must filter them out first. Raises
     :class:`NonFiniteDataError` if a row or rhs entry is NaN or infinite,
-    and ``TypeError`` if either is complex.
+    and ``TypeError`` if either is complex. A finite row whose squares
+    overflow is accepted when its norm is finite.
+
+    The unit rows are written to one new matrix and the caller's arrays are
+    left as they were; past that matrix the peak is the row-norm buffer
+    (512 kB, or one row if that is longer), as no m x n temporary is made.
     """
     raw = np.asarray(_real(raw_rows, "raw_rows"), dtype=float)
     b = np.asarray(_real(raw_rhs, "raw_rhs"), dtype=float).reshape(-1)
@@ -126,12 +167,19 @@ def normalize_rows(raw_rows, raw_rhs) -> LinearSystem:
         raise DimensionMismatchError(
             f"rhs length {b.shape[0]} does not match row count {raw.shape[0]}"
         )
-    norms = np.linalg.norm(raw, axis=1)
+    return _normalized(raw, b)
+
+
+def _normalized(raw: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> LinearSystem:
+    """The system of the 2-D float rows ``raw`` and rhs ``b`` (of matching
+    length), its unit rows written to ``out``: a new matrix when ``None``,
+    and ``raw`` itself to normalize in place."""
+    norms = _row_norms(raw)
     small = np.flatnonzero(norms < _ZERO_ROW_TOL)
     if small.size:
         raise ZeroRowError(int(small[0]))
     with np.errstate(invalid="ignore"):  # an inf row gives NaN, which LinearSystem rejects
-        rows = raw / norms[:, None]
+        rows = np.divide(raw, norms[:, None], out=out)
     return LinearSystem(rows=rows, rhs=b / norms, row_scales=norms)
 
 

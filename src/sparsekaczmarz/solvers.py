@@ -339,9 +339,10 @@ def _flush_window(start: int, xs: np.ndarray, duals: np.ndarray, x_norm2: np.nda
 
 
 def _resized(a: np.ndarray | None, size: int) -> np.ndarray | None:
-    """A copy of ``a`` cut or extended to ``size`` entries; ``None`` stays ``None``."""
-    if a is None:
-        return None
+    """A copy of ``a`` cut or extended to ``size`` entries; ``None`` stays
+    ``None``, and ``a`` of that size already is returned as it is."""
+    if a is None or a.size == size:
+        return a
     out = np.empty(size, dtype=a.dtype)
     kept = min(size, a.size)
     out[:kept] = a[:kept]

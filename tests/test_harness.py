@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from sparsekaczmarz import (
     gaussian_instance,
     harness,
     load_config,
+    normalize_rows,
     real_matrix_bench,
     residual,
     resolve_beta,
@@ -73,6 +75,31 @@ def test_gaussian_instance_sparsity_and_consistency():
     assert np.count_nonzero(x_hat) == 5
     assert np.max(np.abs(residual(system, x_hat))) < 1e-10
     assert b_raw.shape == (30,)
+
+
+def test_gaussian_instance_equals_normalize_rows_of_its_draw():
+    # the draw is normalized in place: the system is bit for bit the one
+    # normalize_rows builds from the same draw, and the raw rhs is its product
+    m, n, k = 40, 25, 4
+    system, x_hat, b_raw = gaussian_instance(m, n, k, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    a_raw = rng.standard_normal((m, n))
+    reference = normalize_rows(a_raw, b_raw)
+    for name in ("rows", "rhs", "row_scales"):
+        assert getattr(system, name).tobytes() == getattr(reference, name).tobytes(), name
+    assert b_raw.tobytes() == (a_raw @ x_hat).tobytes()
+
+
+def test_gaussian_instance_peaks_at_its_draw():
+    # at 2000 x 1000 the one m x n array is the draw, which becomes the rows
+    m, n = 2000, 1000
+    tracemalloc.start()
+    try:
+        gaussian_instance(m, n, 20, np.random.default_rng(12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= m * n * 8 + 2**20
 
 
 def test_gaussian_instance_rejects_bad_sparsity():
@@ -451,6 +478,41 @@ def test_real_matrix_bench(tmp_path):
     assert stats["density"] == pytest.approx(np.count_nonzero(a) / a.size)
     assert "mean_iters[sskm-exact]" in stats
     assert not out["errors"]
+
+
+def test_real_matrix_bench_normalizes_each_file_once(tmp_path, monkeypatch):
+    # one normalization per file; each trial's system is bit for bit the one
+    # normalize_rows builds from the kept rows and that trial's rhs, with a
+    # zero row dropped from one file and none from the other
+    rng = np.random.default_rng(13)
+    dense, holed = rng.standard_normal((16, 6)), rng.standard_normal((18, 6))
+    holed[5] = 0.0
+    paths = []
+    for name, a in (("dense", dense), ("holed", holed)):
+        paths.append(tmp_path / f"{name}.mtx")
+        write_matrix_market(paths[-1], a)
+    normalized = []
+    monkeypatch.setattr(
+        harness, "normalize_rows", lambda raw, b: normalized.append(raw.shape) or normalize_rows(raw, b)
+    )
+    solved = []
+    real_solve = harness._solve
+
+    def solve(config, system, x_hat, *args, **kwargs):
+        solved.append((system, x_hat))
+        return real_solve(config, system, x_hat, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "_solve", solve)
+    config = tiny_config(tmp_path, k=2, trials=3, max_iters=200, methods=("sskm",), step_mode="inexact")
+    out = real_matrix_bench([str(p) for p in paths], config)
+    assert not out["errors"]
+    assert normalized == [(16, 6), (17, 6)]
+    assert len(solved) == 2 * config.trials
+    for j, (system, x_hat) in enumerate(solved):
+        kept = dense if j < config.trials else np.delete(holed, 5, axis=0)
+        reference = normalize_rows(kept, kept @ x_hat)
+        for name in ("rows", "rhs", "row_scales"):
+            assert getattr(system, name).tobytes() == getattr(reference, name).tobytes(), (j, name)
 
 
 def test_real_matrix_bench_marks_nonconvergent(tmp_path):

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from sparsekaczmarz.errors import (
     NonFiniteDataError,
     ZeroRowError,
 )
+from sparsekaczmarz.linsys import _NORM_BAND, _row_norms
 
 from oracles import naive_residual
 
@@ -222,3 +226,86 @@ def test_residual_linearity_in_x():
 def test_direct_construction_requires_unit_rows():
     with pytest.raises(DimensionMismatchError):
         LinearSystem(rows=np.array([[3.0, 4.0]]), rhs=np.array([5.0]), row_scales=np.array([1.0]))
+
+
+# ------------------------------------------------------------ row norms
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 129, 70000])
+def test_row_norms_equal_numpy_bit_for_bit(n):
+    # bands of at most _NORM_BAND entries (one row past it) summed by numpy's
+    # pairwise reduce: the norms are np.linalg.norm's on C-ordered and
+    # row-strided input, with m no multiple of the band and row scales from
+    # 1e-8 to 1e8
+    rng = np.random.default_rng(n)
+    height = max(1, _NORM_BAND // n)
+    m = 2 * height + 3 if height > 1 else 5
+    a = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-8, 8, size=(m, 1))
+    for rows in (a, a[::2], a[1::3]):
+        expected = np.linalg.norm(rows, axis=1)
+        assert _row_norms(rows).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "warnings-as-errors"])
+def test_normalize_accepts_finite_rows_whose_squares_overflow(strict):
+    # the squares of row 0 overflow, its norm does not: the row is measured
+    # again by its largest entry, and row 1 keeps np.linalg.norm's bits
+    with warnings.catch_warnings():
+        if strict:
+            warnings.simplefilter("error", RuntimeWarning)
+        system = normalize_rows([[1e200, 1e200], [1.0, 2.0]], [1.0, 1.0])
+    assert system.row_scales[0] == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+    assert system.row_scales[1] == np.linalg.norm([1.0, 2.0])
+    assert np.allclose(system.rows, [[2**-0.5, 2**-0.5], [5**-0.5, 2 * 5**-0.5]], rtol=1e-15, atol=0)
+    assert system.rhs[0] == pytest.approx(1.0 / (np.sqrt(2.0) * 1e200), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[1e200, np.nan], [1e200, np.inf], [np.inf, -np.inf], [1.5e308, 1.5e308]],
+    ids=["nan", "inf", "two-infs", "norm-past-the-range"],
+)
+def test_normalize_rejects_a_non_finite_row_whose_squares_overflow(row):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteDataError, match="row 1"):
+            normalize_rows([[1.0, 0.0], row], [1.0, 1.0])
+
+
+def test_normalize_leaves_the_callers_array_unmodified_and_writeable():
+    rng = np.random.default_rng(5)
+    raw, b = rng.standard_normal((30, 9)), rng.standard_normal(30)
+    before_raw, before_b = raw.copy(), b.copy()
+    system = normalize_rows(raw, b)
+    assert not np.shares_memory(system.rows, raw)
+    assert raw.flags.writeable and b.flags.writeable
+    assert raw.tobytes() == before_raw.tobytes() and b.tobytes() == before_b.tobytes()
+
+
+# building a system allocates no m x n temporary: at 2000 x 1000 (15.3 MiB)
+# each peak stays within one new matrix, or none, and 1 MiB
+_FOOTPRINT_SHAPE = (2000, 1000)
+_MIB = 2**20
+
+
+def _peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_normalize_rows_peaks_at_one_new_matrix():
+    rng = np.random.default_rng(9)
+    raw, b = rng.standard_normal(_FOOTPRINT_SHAPE), rng.standard_normal(_FOOTPRINT_SHAPE[0])
+    assert _peak(lambda: normalize_rows(raw, b)) <= raw.nbytes + _MIB
+
+
+def test_building_or_rebuilding_a_unit_system_allocates_no_matrix():
+    rng = np.random.default_rng(10)
+    system = normalize_rows(rng.standard_normal(_FOOTPRINT_SHAPE), rng.standard_normal(_FOOTPRINT_SHAPE[0]))
+    new_rhs = rng.standard_normal(system.m)
+    assert _peak(lambda: LinearSystem(rows=system.rows, rhs=system.rhs, row_scales=system.row_scales)) <= _MIB
+    assert _peak(lambda: system.with_rhs(new_rhs)) <= _MIB

@@ -304,6 +304,26 @@ def test_run_record_memory_follows_iterations_not_budget():
         assert arr.shape == (trace.iterations,)
 
 
+def test_run_hands_full_records_to_the_trace_without_a_copy():
+    # a budget-bound solve ends with its records exactly max_iters long: the
+    # trace takes them as they are, so the peak is the last doubling (the
+    # half-size records beside the full ones, 1.5 times the records) and not
+    # the records beside a copy of them (twice the records)
+    system, x_hat, _ = small_instance(seed=5, m=20, n=12, k=2)
+    max_iters = 2**13
+    spec = SolverSpec.rk(seed=3, stop=StoppingRule(max_iters=max_iters, mse_target=None))
+    tracemalloc.start()
+    try:
+        _, trace = run(system, spec, ground_truth=x_hat, residuals=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.status is RunStatus.MAX_ITERS and trace.iterations == max_iters
+    records = (trace.chosen, trace.step, trace.residual_norm2, trace.mse, trace.bregman_to_truth)
+    assert all(arr.shape == (max_iters,) for arr in records)
+    assert peak < 1.75 * sum(arr.nbytes for arr in records)
+
+
 def test_run_records_grow_past_the_first_chunk():
     # 3000 iterations cross two doublings of the records; the trace must equal
     # the single steps it records. RK's residuals come from one product per
