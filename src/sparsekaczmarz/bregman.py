@@ -24,7 +24,8 @@ holds it, or on a ray beyond the outermost one. Newton takes the row's
 signs and squares and its evaluations of g from one allocation per step.
 One step kernel, ``_step_into``, takes the step and thresholds into arrays
 it is given, with no array allocated beyond the exact step's; every method's
-iteration and :func:`project_hyperplane` go through it.
+iteration and :func:`project_hyperplane` go through it. A step of exactly
+zero, where g(0) == 0, takes no evaluation of g, and in place no write.
 """
 
 from __future__ import annotations
@@ -226,6 +227,11 @@ def _newton_root(dual, primal, a, b: float, lam: float, norm2: float) -> float |
     grows, so c falls at every kink and two points share a piece iff they
     share c. The sums are of integers, so exact. A flat piece, where g
     equals b, ends the walk with its closed-form root (:func:`_flat_piece_root`).
+    At a point where g is exactly 0 on a sloped piece, that point is the
+    root, and it is returned with no further evaluation (or ``None`` when
+    :func:`_ends_at_kinks` holds there): the evaluation at t - g/slope = t
+    would only give the same s and g back. So at g(0) == 0, a step of
+    exactly zero, no evaluation is taken.
     """
     sign_a, a2, shifted, s, z = np.empty((5, a.size))
     np.sign(a, out=sign_a)
@@ -233,13 +239,16 @@ def _newton_root(dual, primal, a, b: float, lam: float, norm2: float) -> float |
     np.sign(primal, out=z)
     c = float(z.dot(sign_a))
     g = b - float(primal.dot(a))
-    t = 0.0
+    t, s_t = 0.0, primal  # s_t = soft_threshold(dual - t*a, lam)
     for _ in range(_NEWTON_STEPS):
         # between evaluations ``shifted`` is free to hold z*z
         slope = float(np.multiply(z, z, out=shifted).dot(a2))
         if slope == 0.0:
             t = _flat_piece_root(dual, a, lam, b)
             return t if math.isfinite(t) else None
+        if g == 0.0:
+            # t is the root: an evaluation at t - g/slope = t would give back s_t and g
+            return None if _ends_at_kinks(a, s_t, b, lam, abs(t), norm2) else t
         t_new = t - g / slope
         np.multiply(a, t_new, out=shifted)
         np.subtract(dual, shifted, out=shifted)
@@ -252,7 +261,7 @@ def _newton_root(dual, primal, a, b: float, lam: float, norm2: float) -> float |
                 return None
             # a correction on the same piece removes the rounding of a long jump
             return t_new - g_new / slope
-        t, c, g = t_new, c_new, g_new
+        t, c, g, s_t = t_new, c_new, g_new, s
     return None
 
 
@@ -370,10 +379,15 @@ def _step_into(dual, primal, a, b: float, lam: float, mode: StepMode, new_dual, 
     ``new_primal`` its soft threshold. ``new_dual`` may be ``dual`` and
     ``new_primal`` may be ``primal``: both are read only to find t, and
     ``new_primal`` holds t*a until the threshold overwrites it, so the
-    step allocates no array beyond the exact step's. No checks: callers
-    validate the row and the step value.
+    step allocates no array beyond the exact step's. A step of t == 0.0 in
+    place writes nothing: no dual entry is -0.0 (the duals start at +0.0,
+    and x - y is -0.0 only for x = -0.0), so dual - 0*a is ``dual`` and its
+    threshold ``primal``, bit for bit. Fresh output arrays are always
+    written. No checks: callers validate the row and the step value.
     """
     t = float(a.dot(primal) - b) if mode is StepMode.INEXACT else _exact_step(dual, primal, a, b, lam)
+    if t == 0.0 and new_dual is dual and new_primal is primal:
+        return t
     np.subtract(dual, np.multiply(a, t, out=new_primal), out=new_dual)
     _threshold_into(new_dual, lam, new_primal)
     return t

@@ -255,7 +255,10 @@ def add_noise(b, level: float, rng: np.random.Generator) -> tuple[np.ndarray, fl
 
     Returns (noisy rhs, ||e||_2, ||e||_inf); the 2-norm equals
     level * ||b||_2 by construction, so the noise magnitude is known exactly.
+    A ``level`` that is negative, infinite or NaN raises ``ValueError``.
     """
+    if not (math.isfinite(level) and level >= 0):
+        raise ValueError(f"noise level must be finite and nonnegative, got {level!r}")
     b = np.asarray(b, dtype=float)
     if level == 0.0:
         return b.copy(), 0.0, 0.0

@@ -8,6 +8,7 @@ point that constructs a :class:`LinearSystem` from raw data.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,6 +50,11 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
                 scale = np.abs(row).max()
                 norms[i] = scale * np.sqrt(np.add.reduce(np.square(row / scale)))
     return norms
+
+
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is no count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _real(value, name: str) -> np.ndarray:
@@ -192,12 +198,18 @@ def residual(system: LinearSystem, x) -> np.ndarray:
 
 
 def _check_row(system: LinearSystem, i: int) -> None:
+    """Refuses a row index that is no integer (``TypeError``; a bool is
+    none, where numpy would read a boolean slice) or lies outside [0, m)."""
+    if not _is_integer(i):
+        raise TypeError(f"row index must be an integer, got {i!r}")
     if not 0 <= i < system.m:
         raise IndexOutOfRangeError(f"row index {i} outside [0, {system.m})")
 
 
 def row_residual(system: LinearSystem, i: int, x) -> float:
-    """<a_i, x> - b_i for a single row."""
+    """<a_i, x> - b_i for a single row. A row index that is no integer (a
+    bool is none) raises ``TypeError``, and one outside [0, m)
+    :class:`IndexOutOfRangeError`."""
     _check_row(system, i)
     x = np.asarray(x, dtype=float)
     if x.shape != (system.n,):

@@ -14,18 +14,12 @@ greedy pick of exactly C(m-1-p, beta-1) of the C(m, beta) subsets.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptySubsetError, InvalidBetaError, NonFiniteDataError
-from .linsys import LinearSystem, residual
-
-
-def _is_integer(value) -> bool:
-    """An int or a numpy integer; a bool is no count."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+from .linsys import LinearSystem, _is_integer, residual
 
 
 def _check_beta(beta, m: int) -> None:

@@ -360,8 +360,9 @@ def step_once(state: DualPair, system: LinearSystem, i: int, step_mode: StepMode
     """One iteration of :func:`run` on row ``i``: a hyperplane projection.
 
     With lam = 0 in inexact mode this is exactly the classical Kaczmarz
-    orthogonal projection onto the selected hyperplane. A row index outside
-    [0, m) raises :class:`IndexOutOfRangeError`, as :func:`row_residual` does.
+    orthogonal projection onto the selected hyperplane. A row index that is
+    no integer (a bool is none) raises ``TypeError``, and one outside [0, m)
+    :class:`IndexOutOfRangeError`, as :func:`row_residual` does.
     """
     _check_row(system, i)
     return project_hyperplane(state, system.rows[i], float(system.rhs[i]), step_mode)
@@ -411,17 +412,23 @@ def run(
     says. Greedy rows read the residual to pick, so they have one slot and
     step in place; each iteration records its errors, takes one product for
     the residual that picks the next row and tests the stop. Its norm is
-    taken only where it is read, and no product is taken after the last
-    iterate (the MSE stop met, or ``max_iters`` spent) unless it is. Uniform
-    rows never read the residual, so a window shares that work
-    (:func:`_flush_window`) once its last slot has stepped: one per-column
-    dot product each for the relative errors and Bregman distances of all
-    its iterates, one matrix product for their residuals where they are
-    read, and one test of the MSE or epsilon stop. The same function
-    runs on the slots before a non-finite iterate, before that raises. When
-    an iterate met the stop, the trace ends at the first that did, and that
-    iterate is returned; up to 31 iterations past the stop are computed and
-    dropped. Every record, the status, the iteration count and the final
+    taken only where it is read. The product is skipped where nothing reads
+    it or its value is known: after the last iterate (the MSE stop met, or
+    ``max_iters`` spent) and at beta = 1, whose pick reads no residual,
+    unless the norms are read; and at x = 0, whose residual is the -b held
+    for x_0. A greedy step of exactly zero after the first leaves the pair
+    as it was, bit for bit (``bregman._step_into`` writes nothing), so it
+    takes no ||x||^2 and no product: it repeats the last iterate's error and
+    residual records, keeps the residual and tests no stop, which that
+    iterate did not meet. Uniform rows never read the residual, so a window
+    shares that work (:func:`_flush_window`) once its last slot has
+    stepped: one per-column dot product each for the relative errors and
+    Bregman distances of all its iterates, one matrix product for their
+    residuals where they are read, and one test of the MSE or epsilon
+    stop. The same function runs on the slots before a non-finite iterate,
+    before that raises. When an iterate met the stop, the trace ends at the
+    first that did, and that iterate is returned; up to 31 iterations past
+    the stop are computed and dropped. Every record, the status, the iteration count and the final
     pair are those of a test after every iteration, bit for bit, except
     ``residual_norm2``, which can differ from one product per iterate in its
     rounding, and so the epsilon stop when a residual lies within that
@@ -481,7 +488,9 @@ def run(
     dual_cols = [duals[:, j] for j in range(slots)] * (w // slots)
     x_norm2s = np.empty(slots)
     dual, x = dual_cols[-1], x_cols[-1]  # x_0 = 0
-    r = -rhs  # residual at x_0, which the first greedy pick reads
+    r = r_zero = -rhs  # residual at x_0, which the first greedy pick reads
+    # at beta = 1 the pick reads no residual: only the norms need a product
+    picks_read_r = greedy and sampler.beta > 1
 
     hit = None  # (iterations, primal, dual) at the first iterate that met the stop
     k = 0
@@ -506,6 +515,15 @@ def run(
                 i, b = picks[j], picked_rhs[j]
             t = _step_into(dual, x, rows[i], b, lam, mode, dual_cols[j], x_cols[j])
             dual, x = dual_cols[j], x_cols[j]
+            if greedy and t == 0.0 and k + j:
+                # x_{k+j+1} = x_{k+j} bit for bit, as _step_into wrote nothing:
+                # its records repeat, r stays, and it met no stop
+                chosen_rec[k + j] = i
+                step_rec[k + j] = t
+                for rec in (resid_rec, mse_rec, breg_rec):
+                    if rec is not None:
+                        rec[k + j] = rec[k + j - 1]
+                continue
             x_norm2 = float(x.dot(x))
             # an infinite ||x||^2 from finite entries (a square that overflows) is no failure
             if not (math.isfinite(t) and (math.isfinite(x_norm2) or np.isfinite(x).all())):
@@ -525,8 +543,13 @@ def run(
                 breg_rec[k + j] = f_hat - float(dual.dot(x_hat)) + 0.5 * x_norm2
                 met = mse_target is not None and mse_val <= mse_target
             # past the last iterate no pick reads the residual
-            if norms or not (met or k + j + 1 == max_iters):
-                r = columns.product(x) - rhs
+            if norms or picks_read_r and not (met or k + j + 1 == max_iters):
+                if x_norm2 == 0.0 and not x.any():
+                    # as a product at x = 0 would, the block lets its columns go
+                    r = r_zero
+                    columns._release()
+                else:
+                    r = columns.product(x) - rhs
             if norms:
                 resid2 = float(r.dot(r))
                 if residuals:

@@ -183,6 +183,78 @@ def test_step_into_in_place_matches_fresh_arrays(mode, lam):
         assert np.array_equal(_bits(primal), _bits(new_primal))
 
 
+def _zero_step_rows(rng, lam):
+    """(dual, primal, a, b) with g(0) = b - <a, primal> == 0.0 exactly: a
+    step of zero in both modes. Every dual entry lies at least 0.3 from its
+    kinks, so the piece at t = 0 has a slope and no term of g is near 0."""
+    n = int(rng.integers(2, 60))
+    above = rng.random(n) < 0.5
+    above[0] = True
+    outside = np.sign(rng.standard_normal(n)) * (lam + rng.uniform(0.3, 3.0, n))
+    # + 0.0 turns -0.0 to 0.0: no dual of a run has a -0.0 entry
+    dual = np.where(above, outside, rng.uniform(-1.0, 1.0, n) * max(lam - 0.3, 0.0)) + 0.0
+    primal = soft_threshold(dual, lam)
+    a = random_unit_row(rng, n)
+    return dual, primal, a, float(a.dot(primal))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_newton_root_returns_zero_at_a_zero_of_g_with_no_evaluation(monkeypatch, lam):
+    # at g(0) == 0 on a sloped piece, with no term of g near 0, t = 0 is the
+    # root, and the evaluation at 0 - g/slope = 0 would give g(0) back
+    rng = np.random.default_rng(29)
+    calls = count_thresholds(monkeypatch)
+    for _ in range(100):
+        dual, primal, a, b = _zero_step_rows(rng, lam)
+        assert b - float(primal.dot(a)) == 0.0
+        norm2 = float(a.dot(a))
+        assert not bregman._ends_at_kinks(a, primal, b, lam, 0.0, norm2)
+        calls.clear()
+        t = bregman._newton_root(dual, primal, a, b, lam, norm2)
+        assert _bits(t) == _bits(0.0)
+        assert bregman._exact_step(dual, primal, a, b, lam) == 0.0
+        assert calls == []
+
+
+def test_exact_step_at_a_zero_of_g_within_rounding_of_its_kinks_takes_the_bisection(monkeypatch):
+    # entry 0 lies 2**-40 above its band, so its term of g, like entry 1's
+    # zero one, is within rounding of zero: g(0) == 0, but a plateau where g
+    # is zero up to rounding may start there, and the bisection over all the
+    # kinks takes the step. g(t) = 0.36 t up to the kink at 2**-40 / 0.6 and
+    # b beyond it, so the root is 0
+    dual, a = np.array([1.0 + 2.0**-40, 0.5]), np.array([0.6, 0.8])
+    primal = soft_threshold(dual, 1.0)
+    b = float(primal.dot(a))
+    assert b - float(primal.dot(a)) == 0.0 and b > 0.0
+    assert bregman._ends_at_kinks(a, primal, b, 1.0, 0.0, 1.0)
+    assert bregman._newton_root(dual, primal, a, b, 1.0, 1.0) is None
+    calls = []
+    bisection = bregman._bisection_root
+    monkeypatch.setattr(bregman, "_bisection_root", lambda *args: calls.append(args) or bisection(*args))
+    t = exact_step(dual, a, b, 1.0)
+    assert len(calls) == 1
+    assert t == breakpoint_scan_exact_step(dual, a, b, 1.0)
+    assert abs(t) <= 2.0**-60
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("mode", list(StepMode))
+def test_step_into_at_a_step_of_zero_writes_in_place_nothing(mode, lam):
+    # greedy rows step in place: at t == 0.0 the pair stays as it is, bit for
+    # bit, so nothing is written, which read-only arrays prove. Fresh arrays
+    # take a copy of the pair
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        dual, primal, a, b = _zero_step_rows(rng, lam)
+        dual.setflags(write=False)
+        primal.setflags(write=False)
+        assert bregman._step_into(dual, primal, a, b, lam, mode, dual, primal) == 0.0
+        new_dual, new_primal = np.full(dual.size, np.nan), np.full(dual.size, np.nan)
+        assert bregman._step_into(dual, primal, a, b, lam, mode, new_dual, new_primal) == 0.0
+        assert np.array_equal(_bits(new_dual), _bits(dual))
+        assert np.array_equal(_bits(new_primal), _bits(primal))
+
+
 # ---------------------------------------------------------------- objective
 
 

@@ -136,6 +136,14 @@ def test_add_noise_exact_relative_norm():
     assert dinf == pytest.approx(np.abs(b_noisy - b).max(), rel=1e-12)
 
 
+@pytest.mark.parametrize("level", [-0.1, float("nan"), float("inf"), -float("inf")])
+def test_add_noise_refuses_a_level_that_is_not_finite_and_nonnegative(level):
+    # a negative level would give a perturbation of norm |level| ||b||, and
+    # NaN or inf a non-finite rhs
+    with pytest.raises(ValueError, match="noise level must be finite and nonnegative"):
+        add_noise(np.arange(1.0, 5.0), level, np.random.default_rng(0))
+
+
 def test_add_noise_deterministic():
     b = np.arange(1.0, 9.0)
     a1, _, _ = add_noise(b, 0.2, np.random.default_rng(5))

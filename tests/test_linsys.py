@@ -202,6 +202,21 @@ def test_row_residual_rejects_bad_index():
         row_residual(system, 1, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("i", [1.5, np.float64(2.0), True, "0"])
+def test_row_residual_refuses_an_index_that_is_no_integer(i):
+    # numpy would raise a bare IndexError for a float, and read a (1, n)
+    # boolean slice for True
+    system = normalize_rows([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 3.0])
+    with pytest.raises(TypeError, match="row index must be an integer"):
+        row_residual(system, i, [0.0, 0.0])
+
+
+def test_row_residual_takes_numpy_integers():
+    system = normalize_rows([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
+    for i in (np.int64(1), np.int32(1), np.intp(1)):
+        assert row_residual(system, i, [0.0, 0.0]) == -2.0
+
+
 def test_normalization_preserves_rowwise_solution_set():
     rng = np.random.default_rng(17)
     raw = rng.standard_normal((10, 6)) * rng.uniform(0.1, 40.0, size=(10, 1))

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from sparsekaczmarz import (
     StoppingRule,
     bregman_distance,
     child_rng,
+    exact_step,
     gaussian_instance,
     init_state,
     inexact_step,
@@ -40,6 +42,10 @@ from sparsekaczmarz.errors import (
 from sparsekaczmarz.sampling import pick_index
 
 from oracles import orthogonal_projection
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
 
 
 def small_instance(seed=0, m=20, n=10, k=3):
@@ -81,6 +87,19 @@ def test_step_once_refuses_a_row_outside_the_system(i):
     state = DualPair.from_dual(np.array([3.0, 4.0]), 0.0)
     with pytest.raises(IndexOutOfRangeError, match=rf"row index {i} outside \[0, 2\)"):
         step_once(state, system, i, StepMode.INEXACT)
+
+
+@pytest.mark.parametrize("i", [1.5, np.float64(1.0), True, False])
+def test_step_once_refuses_a_row_index_that_is_no_integer(i):
+    # a float would raise numpy's bare IndexError, and a bool read a (1, n)
+    # boolean slice of the rows
+    system = normalize_rows([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
+    state = DualPair.from_dual(np.array([3.0, 4.0]), 0.0)
+    with pytest.raises(TypeError, match=re.escape(f"row index must be an integer, got {i!r}")):
+        step_once(state, system, i, StepMode.INEXACT)
+    # numpy integers are indices
+    moved = step_once(state, system, np.int64(0), StepMode.INEXACT)
+    assert np.array_equal(moved.primal, [1.0, 4.0])
 
 
 def test_step_once_noop_on_satisfied_row():
@@ -171,6 +190,64 @@ def test_run_matches_composed_single_steps():
                 assert trace.residual_norm2[k] == pytest.approx(expected, rel=1e-12), (name, k)
         assert np.array_equal(state.primal, pair.primal), name
         assert np.array_equal(state.dual, pair.dual), name
+
+
+def _skip_cases():
+    """Greedy runs whose iterations skip work: (name, system, truth, specs)."""
+    stop = StoppingRule(max_iters=200)
+    system, x_hat, _ = small_instance(seed=5)
+    yield "beta-1", system, x_hat, [SolverSpec.sskm(1.0, 1, mode, seed=3, stop=stop) for mode in StepMode]
+    # x stays 0 for the first 21 iterations, while the dual lies in the band
+    yield "zero-iterate", system, x_hat, [SolverSpec.sskm(10.0, 8, StepMode.INEXACT, seed=3, stop=stop)]
+    # a consistent 4 x 6 system, which SSKM at lam = 0.1 solves to the last bit
+    # and then steps by exactly zero: first at iteration 125-453 of 2000
+    for seed in range(3):
+        system, x_hat, _ = gaussian_instance(4, 6, 2, np.random.default_rng(seed))
+        stop = StoppingRule(max_iters=2000)
+        yield f"zero-steps-{seed}", system, x_hat, [SolverSpec.sskm(0.1, 2, mode, seed=seed, stop=stop) for mode in StepMode]
+
+
+@pytest.mark.parametrize("residuals", [False, True])
+def test_run_skipping_greedy_work_matches_composed_single_steps(residuals):
+    """A greedy ``run`` that skips steps of zero, the product at x = 0 and the
+    product at beta = 1 equals init_state -> pick_index (full residual) ->
+    step_once, record for record, with the residual record and without it."""
+    for name, system, x_hat, specs in _skip_cases():
+        x_hat_norm2, zero_steps, zero_iterates = float(np.dot(x_hat, x_hat)), 0, 0
+        for spec in specs:
+            pair, trace = run(system, spec, ground_truth=x_hat, residuals=residuals)
+            assert trace.iterations == spec.stop.max_iters, name
+            assert (trace.residual_norm2 is not None) == residuals
+            f_hat = objective_value(x_hat, spec.lam)
+            rng = np.random.default_rng(spec.sampler.seed)
+            state = init_state(system.n, spec.lam)
+            for k in range(trace.iterations):
+                i = pick_index(spec.sampler, system, rng, residual(system, state.primal))
+                assert i == trace.chosen[k], (name, k)
+                a, b = system.rows[i], float(system.rhs[i])
+                if spec.step_mode is StepMode.EXACT:
+                    t = exact_step(state.dual, a, b, spec.lam)
+                else:
+                    t = inexact_step(state.primal, a, b)
+                assert _bits(t) == _bits(trace.step[k]), (name, k)
+                state = step_once(state, system, i, spec.step_mode)
+                x, dual = state.primal, state.dual
+                zero_steps += t == 0.0
+                zero_iterates += not x.any()
+                diff = x - x_hat
+                assert trace.mse[k] == float(np.dot(diff, diff)) / x_hat_norm2, (name, k)
+                breg = f_hat - float(np.dot(dual, x_hat)) + 0.5 * float(np.dot(x, x))
+                assert trace.bregman_to_truth[k] == breg, (name, k)
+                if residuals:
+                    r = residual(system, x)
+                    assert trace.residual_norm2[k] == float(np.dot(r, r)), (name, k)
+            assert np.array_equal(_bits(state.primal), _bits(pair.primal)), name
+            assert np.array_equal(_bits(state.dual), _bits(pair.dual)), name
+        # each case reaches the work it skips
+        if name.startswith("zero-steps"):
+            assert zero_steps > 0, name
+        if name == "zero-iterate":
+            assert 0 < zero_iterates < trace.iterations
 
 
 def test_run_rk_is_orthogonal_projection_sequence():
@@ -683,8 +760,11 @@ def test_run_takes_residual_products_only_where_they_are_read(monkeypatch, shape
     # iterate, 300 x 200 only for a window. Without the residual record,
     # uniform rows under the MSE stop or a bare budget read no residual at all,
     # and greedy rows take the product that picks the next row but none after
-    # the last iterate; the epsilon stop takes every product it tests. The
-    # record aside, the run is the one with the record, bit for bit
+    # the last iterate; the epsilon stop takes every product it tests. A
+    # greedy product is taken only at an iterate whose primal is nonzero (the
+    # residual at x = 0 is -b) and moved (a step of zero after the first
+    # leaves it). The record aside, the run is the one with the record, bit
+    # for bit
     m, n = shape
     system, x_hat, _ = gaussian_instance(m, n, 10, child_rng(5, m, n, 0))
     assert (system.rows.size >= solvers._BLOCK_MIN_ENTRIES) == (m == 600)
@@ -709,11 +789,22 @@ def test_run_takes_residual_products_only_where_they_are_read(monkeypatch, shape
         else:
             stop = StoppingRule(max_iters=200, epsilon=float(np.sqrt(probe.residual_norm2[60] * (1 + 1e-9))))
     calls = _spy_residual_products(monkeypatch)
+    # (moved, nonzero) of each iterate
+    iterates = []
+    step = solvers._step_into
+
+    def spied_step(dual, primal, a, b, lam, mode, new_dual, new_primal):
+        t = step(dual, primal, a, b, lam, mode, new_dual, new_primal)
+        iterates.append((t != 0.0 or not iterates, bool(new_primal.any())))
+        return t
+
+    monkeypatch.setattr(solvers, "_step_into", spied_step)
     counts = {}
     runs = {}
     for residuals in (True, False):
         for name in calls:
             calls[name] = 0
+        iterates.clear()
         runs[residuals] = run(system, spec(stop), ground_truth=x_hat, residuals=residuals)
         counts[residuals] = dict(calls)
     (pair_on, on), (pair_off, off) = runs[True], runs[False]
@@ -728,8 +819,11 @@ def test_run_takes_residual_products_only_where_they_are_read(monkeypatch, shape
     assert np.array_equal(pair_off.dual, pair_on.dual)
 
     if method == "sskm":
-        assert counts[True] == {"block": 1, "product": iterations, "window_product": 0}
-        taken = iterations if case.startswith("epsilon") else iterations - 1
+        assert len(iterates) == iterations
+        taken = iterates.count((True, True))
+        assert counts[True] == {"block": 1, "product": taken, "window_product": 0}
+        if not case.startswith("epsilon") and iterates[-1] == (True, True):
+            taken -= 1
         assert counts[False] == {"block": 1, "product": taken, "window_product": 0}
     else:
         windows = -(-iterations // solvers._WINDOW)
