@@ -231,14 +231,15 @@ def _newton_root(dual, primal, a, b: float, lam: float, norm2: float) -> float |
     root, and it is returned with no further evaluation (or ``None`` when
     :func:`_ends_at_kinks` holds there): the evaluation at t - g/slope = t
     would only give the same s and g back. So at g(0) == 0, a step of
-    exactly zero, no evaluation is taken.
+    exactly zero, no evaluation is taken, and neither ``sign(a)`` nor the
+    pattern is computed.
     """
+    g = b - float(primal.dot(a))
     sign_a, a2, shifted, s, z = np.empty((5, a.size))
-    np.sign(a, out=sign_a)
     np.multiply(a, a, out=a2)
     np.sign(primal, out=z)
-    c = float(z.dot(sign_a))
-    g = b - float(primal.dot(a))
+    # at g(0) == 0 the walk ends before it compares a piece's pattern
+    c = float(z.dot(np.sign(a, out=sign_a))) if g != 0.0 else None
     t, s_t = 0.0, primal  # s_t = soft_threshold(dual - t*a, lam)
     for _ in range(_NEWTON_STEPS):
         # between evaluations ``shifted`` is free to hold z*z

@@ -4,7 +4,12 @@ The greedy rule draws a uniform size-beta subset of the rows by random keys
 (Efraimidis and Spirakis, 2006, with equal weights): m uniform keys, of which
 the beta smallest name the subset. It acts on the member with the largest
 squared residual. A window of iterations draws its keys with one call, which
-is the same stream as one draw of m keys per iteration. With unit rows this
+is the same stream as one draw of m keys per iteration. That pick can be
+found three ways, each bit for bit the same: from the sorted subset
+(:func:`_largest_residual`, the reference), by residual rank from the keys
+(:func:`_rank_pick`, cheaper where most rows are in the subset), and at
+beta = m, where the subset is all rows, as the argmax of the squared
+residual, with no keys drawn. With unit rows this
 uniform subset law coincides with the norm-weighted law that the selection
 analysis uses. That law is exposed separately as a
 diagnostic, in closed form: ranked by residual, the row at rank p is the
@@ -14,6 +19,7 @@ greedy pick of exactly C(m-1-p, beta-1) of the C(m, beta) subsets.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,23 +80,72 @@ class Selection:
     chosen: int
 
 
+def _smallest_keys(keys: np.ndarray, beta: int) -> np.ndarray:
+    """The sorted subset of each row of ``keys``: the beta rows with the
+    smallest keys, exactly beta of them even when keys tie
+    (``np.argpartition``, which picks the same members from a row alone as
+    from a window of rows)."""
+    return np.sort(np.argpartition(keys, beta - 1, axis=-1)[..., :beta], axis=-1)
+
+
 def _draw_subsets(m: int, beta: int, rng: np.random.Generator, count: int) -> np.ndarray:
     """Uniform size-beta subsets of {0..m-1} for ``count`` iterations: one sorted row each.
 
-    One ``rng.random((count, m))`` call; row j's subset holds the beta rows
-    with the smallest keys in row j, exactly beta of them even when keys tie
-    (``np.argpartition``). The draw is row-major, so ``count`` rows are the
-    same stream as ``count`` draws of one row.
+    The keys are one ``rng.random((count, m))`` call. The draw is
+    row-major, so ``count`` rows are the same stream as ``count`` draws of
+    one row.
     """
     _check_beta(beta, m)
-    keys = rng.random((count, m))
-    return np.sort(np.argpartition(keys, beta - 1, axis=1)[:, :beta], axis=1)
+    return _smallest_keys(rng.random((count, m)), beta)
 
 
 def _largest_residual(subset: np.ndarray, residuals: np.ndarray) -> int:
-    """The member of the sorted ``subset`` with the largest squared residual."""
+    """The member of the sorted ``subset`` with the largest squared residual.
+
+    This is the greedy pick that every other form must equal bit for bit:
+    :func:`_rank_pick` from a row of keys, and at beta = m the first argmax
+    of the squared residual, which :func:`~sparsekaczmarz.solvers.run`
+    takes with no keys drawn.
+    """
     # argmax takes the first maximum, so on a sorted subset ties go to the smallest index
     return int(subset[(residuals[subset] ** 2).argmax()])
+
+
+# the rank pick tests at most this many rows before it takes the subset
+_RANK_MISSES = 8
+
+
+def _rank_pick(keys: np.ndarray, beta: int, r2: np.ndarray, residuals: np.ndarray) -> int:
+    """:func:`_largest_residual` on the subset of one row of ``keys``, found by residual rank.
+
+    The rows are taken in order of falling squared residual ``r2`` (which
+    must be ``residuals ** 2``), ties to the smallest index, and the first
+    in the subset is the pick. Row i is in the subset when at most beta keys
+    are <= its key. A row passed by, with more, is out when at least beta
+    keys are < its key; one count at the smallest of their keys tests them
+    all. A key tied at the subset's edge, which ``np.argpartition`` places,
+    or ``_RANK_MISSES`` rows out, sends the pick to the sorted subset. Each
+    row tested costs one pass over the keys and one over ``r2``, so this is
+    cheaper than the subset where most rows are in it: beta >= m/2. ``r2``
+    is masked in place while a pick runs and restored before it returns.
+    """
+    i, passed, low = None, [], math.inf  # low: the smallest key passed by
+    # past m rows argmax would return one passed by
+    for _ in range(min(_RANK_MISSES, keys.size)):
+        row = int(r2.argmax())
+        key = keys[row]
+        if np.count_nonzero(keys <= key) <= beta:
+            i = row
+            break
+        passed.append((row, r2[row]))
+        low = min(low, key)
+        # below every square, NaN included, so argmax passes the row by
+        r2[row] = -1.0
+    for row, value in passed:
+        r2[row] = value
+    if i is not None and passed and np.count_nonzero(keys < low) < beta:
+        i = None
+    return _largest_residual(_smallest_keys(keys, beta), residuals) if i is None else i
 
 
 def sample_subset(m: int, beta: int, rng: np.random.Generator, _buffer=None) -> np.ndarray:

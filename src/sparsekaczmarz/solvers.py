@@ -38,7 +38,15 @@ from .errors import (
     ZeroTruthError,
 )
 from .linsys import LinearSystem, _check_row, _real
-from .sampling import SamplerConfig, SelectionRule, _draw_subsets, _is_integer, _largest_residual
+from .sampling import (
+    SamplerConfig,
+    SelectionRule,
+    _check_beta,
+    _draw_subsets,
+    _is_integer,
+    _largest_residual,
+    _rank_pick,
+)
 
 
 class RunStatus(enum.Enum):
@@ -85,7 +93,9 @@ class SolverSpec:
     lam is SSKM, the uniform rule SRK, and the uniform rule at lam = 0 in
     inexact mode RK. :meth:`rk`, :meth:`srk` and :meth:`sskm` build the
     paper's three methods. ``lam`` must be finite and nonnegative, and
-    ``step_mode`` a :class:`StepMode` (``ValueError``).
+    ``step_mode`` a :class:`StepMode` (``ValueError``); ``sampler`` must be
+    a :class:`SamplerConfig` and ``stop`` a :class:`StoppingRule`
+    (``TypeError``).
     """
 
     lam: float
@@ -96,6 +106,11 @@ class SolverSpec:
     def __post_init__(self):
         _check_lam(self.lam)
         _check_step_mode(self.step_mode, "step_mode")
+        # run reads their fields, and would fail there with a bare AttributeError
+        for name, kind in (("sampler", SamplerConfig), ("stop", StoppingRule)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
 
     @classmethod
     def rk(cls, seed: int = 0, stop: StoppingRule | None = None) -> "SolverSpec":
@@ -189,6 +204,12 @@ _WINDOW = 32
 # Larger draws cost more per row: at m=2000, beta=1000 a row of a 32-row
 # window (64k keys) took 37 us against 21 us in an 8-row one
 _WINDOW_KEYS = 2**14
+# a greedy pick with m/2 <= beta < m on at least this many rows scans the
+# rows by residual rank (sampling._rank_pick) instead of sorting a subset per
+# iteration. In whole SSKM solves at beta = m/2 the scan was 8-9% slower
+# inexact at m = 300 and 500, within about 3% either way at 600-800, and
+# faster inexact in every pass from m = 1000 on
+_RANK_SCAN_MIN_ROWS = 1000
 
 
 class _SupportColumns:
@@ -402,9 +423,17 @@ def run(
     smallest keys name slot j's subset (fewer slots where that draw would
     exceed 2**14 keys). Either draw is the stream of one :func:`pick_index`
     per iteration, so a solve cut short by ``max_iters`` repeats the full
-    solve's rows. Each iteration then picks its row, steps into its slot's
-    columns of two n x w Fortran-order buffers, tests finiteness and writes
-    its chosen-row and step records.
+    solve's rows. A greedy iteration picks its subset's member with the
+    largest squared residual, ties to the smallest index, in one of three
+    ways chosen by the shape, each bit for bit :func:`pick_index`'s pick: at
+    beta = m, whose subset is all rows, as the first argmax of r^2, with no
+    keys drawn (the rng feeds nothing else); at m/2 <= beta < m on at least
+    1000 rows by residual rank, scanning r^2 downward for the first row
+    whose key ranks among the beta smallest (``sampling._rank_pick``); and
+    otherwise from the window's sorted subsets. The first two keep r^2
+    beside r. Each iteration then steps into its slot's columns of two
+    n x w Fortran-order buffers, tests finiteness and writes its chosen-row
+    and step records.
 
     Residual norms are computed only where something reads them: the
     ``residual_norm2`` record, which is ``None`` unless ``residuals`` is
@@ -475,9 +504,16 @@ def run(
 
     rows, rhs = system.rows, system.rhs
     greedy = sampler.rule is SelectionRule.SKM_GREEDY
+    beta = sampler.beta
     w = min(_WINDOW, max_iters)
     if greedy:
+        # before the path is chosen: the rank scan draws its keys unchecked
+        _check_beta(beta, m)
         w = min(w, max(1, _WINDOW_KEYS // m))
+    # at beta = m every subset is all rows: no keys are drawn, as the rng
+    # feeds nothing else
+    full = greedy and beta == m
+    by_rank = greedy and 2 * beta >= m and not full and m >= _RANK_SCAN_MIN_ROWS
     # greedy rows have one slot, which every iteration steps in place through
     # one view: numpy checks the overlap of an output with another view of its input
     slots = 1 if greedy else w
@@ -489,8 +525,10 @@ def run(
     x_norm2s = np.empty(slots)
     dual, x = dual_cols[-1], x_cols[-1]  # x_0 = 0
     r = r_zero = -rhs  # residual at x_0, which the first greedy pick reads
+    # ... and its squares, kept beside it for a pick that scans them
+    r2 = r2_zero = r_zero * r_zero if full or by_rank else None
     # at beta = 1 the pick reads no residual: only the norms need a product
-    picks_read_r = greedy and sampler.beta > 1
+    picks_read_r = greedy and beta > 1
 
     hit = None  # (iterations, primal, dual) at the first iterate that met the stop
     k = 0
@@ -501,18 +539,25 @@ def run(
             chosen_rec, step_rec, resid_rec, mse_rec, breg_rec = (
                 _resized(a, cap) for a in (chosen_rec, step_rec, resid_rec, mse_rec, breg_rec)
             )
-        if greedy:
-            subsets = _draw_subsets(m, sampler.beta, rng, count)
-        else:
+        if not greedy:
             picks = rng.integers(m, size=count)
             picks, picked_rhs = picks.tolist(), rhs[picks].tolist()
+        elif by_rank:
+            keys = rng.random((count, m))
+        elif not full:
+            subsets = _draw_subsets(m, beta, rng, count)
         failed = None
         for j in range(count):
-            if greedy:
-                i = _largest_residual(subsets[j], r)
-                b = float(rhs[i])
-            else:
+            if not greedy:
                 i, b = picks[j], picked_rhs[j]
+            else:
+                if full:
+                    i = int(r2.argmax())
+                elif by_rank:
+                    i = _rank_pick(keys[j], beta, r2, r)
+                else:
+                    i = _largest_residual(subsets[j], r)
+                b = float(rhs[i])
             t = _step_into(dual, x, rows[i], b, lam, mode, dual_cols[j], x_cols[j])
             dual, x = dual_cols[j], x_cols[j]
             if greedy and t == 0.0 and k + j:
@@ -546,10 +591,12 @@ def run(
             if norms or picks_read_r and not (met or k + j + 1 == max_iters):
                 if x_norm2 == 0.0 and not x.any():
                     # as a product at x = 0 would, the block lets its columns go
-                    r = r_zero
+                    r, r2 = r_zero, r2_zero
                     columns._release()
                 else:
                     r = columns.product(x) - rhs
+                    if r2 is not None:
+                        r2 = r * r
             if norms:
                 resid2 = float(r.dot(r))
                 if residuals:

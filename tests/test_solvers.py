@@ -39,7 +39,7 @@ from sparsekaczmarz.errors import (
     NonFiniteIterateError,
     ZeroTruthError,
 )
-from sparsekaczmarz.sampling import pick_index
+from sparsekaczmarz.sampling import _rank_pick, pick_index
 
 from oracles import orthogonal_projection
 
@@ -207,47 +207,105 @@ def _skip_cases():
         yield f"zero-steps-{seed}", system, x_hat, [SolverSpec.sskm(0.1, 2, mode, seed=seed, stop=stop) for mode in StepMode]
 
 
+def _check_against_single_steps(name, system, x_hat, spec, residuals):
+    """Runs ``spec`` and checks it against init_state -> pick_index (full
+    residual) -> step_once, record for record and bit for bit. Returns the
+    run's steps of exactly zero and its zero iterates."""
+    x_hat_norm2, zero_steps, zero_iterates = float(np.dot(x_hat, x_hat)), 0, 0
+    pair, trace = run(system, spec, ground_truth=x_hat, residuals=residuals)
+    assert trace.iterations == spec.stop.max_iters, name
+    assert (trace.residual_norm2 is not None) == residuals
+    f_hat = objective_value(x_hat, spec.lam)
+    rng = np.random.default_rng(spec.sampler.seed)
+    state = init_state(system.n, spec.lam)
+    for k in range(trace.iterations):
+        i = pick_index(spec.sampler, system, rng, residual(system, state.primal))
+        assert i == trace.chosen[k], (name, k)
+        a, b = system.rows[i], float(system.rhs[i])
+        if spec.step_mode is StepMode.EXACT:
+            t = exact_step(state.dual, a, b, spec.lam)
+        else:
+            t = inexact_step(state.primal, a, b)
+        assert _bits(t) == _bits(trace.step[k]), (name, k)
+        state = step_once(state, system, i, spec.step_mode)
+        x, dual = state.primal, state.dual
+        zero_steps += t == 0.0
+        zero_iterates += not x.any()
+        diff = x - x_hat
+        assert trace.mse[k] == float(np.dot(diff, diff)) / x_hat_norm2, (name, k)
+        breg = f_hat - float(np.dot(dual, x_hat)) + 0.5 * float(np.dot(x, x))
+        assert trace.bregman_to_truth[k] == breg, (name, k)
+        if residuals:
+            r = residual(system, x)
+            assert trace.residual_norm2[k] == float(np.dot(r, r)), (name, k)
+    assert np.array_equal(_bits(state.primal), _bits(pair.primal)), name
+    assert np.array_equal(_bits(state.dual), _bits(pair.dual)), name
+    return zero_steps, zero_iterates
+
+
 @pytest.mark.parametrize("residuals", [False, True])
 def test_run_skipping_greedy_work_matches_composed_single_steps(residuals):
     """A greedy ``run`` that skips steps of zero, the product at x = 0 and the
     product at beta = 1 equals init_state -> pick_index (full residual) ->
     step_once, record for record, with the residual record and without it."""
     for name, system, x_hat, specs in _skip_cases():
-        x_hat_norm2, zero_steps, zero_iterates = float(np.dot(x_hat, x_hat)), 0, 0
+        zero_steps, zero_iterates = 0, 0
         for spec in specs:
-            pair, trace = run(system, spec, ground_truth=x_hat, residuals=residuals)
-            assert trace.iterations == spec.stop.max_iters, name
-            assert (trace.residual_norm2 is not None) == residuals
-            f_hat = objective_value(x_hat, spec.lam)
-            rng = np.random.default_rng(spec.sampler.seed)
-            state = init_state(system.n, spec.lam)
-            for k in range(trace.iterations):
-                i = pick_index(spec.sampler, system, rng, residual(system, state.primal))
-                assert i == trace.chosen[k], (name, k)
-                a, b = system.rows[i], float(system.rhs[i])
-                if spec.step_mode is StepMode.EXACT:
-                    t = exact_step(state.dual, a, b, spec.lam)
-                else:
-                    t = inexact_step(state.primal, a, b)
-                assert _bits(t) == _bits(trace.step[k]), (name, k)
-                state = step_once(state, system, i, spec.step_mode)
-                x, dual = state.primal, state.dual
-                zero_steps += t == 0.0
-                zero_iterates += not x.any()
-                diff = x - x_hat
-                assert trace.mse[k] == float(np.dot(diff, diff)) / x_hat_norm2, (name, k)
-                breg = f_hat - float(np.dot(dual, x_hat)) + 0.5 * float(np.dot(x, x))
-                assert trace.bregman_to_truth[k] == breg, (name, k)
-                if residuals:
-                    r = residual(system, x)
-                    assert trace.residual_norm2[k] == float(np.dot(r, r)), (name, k)
-            assert np.array_equal(_bits(state.primal), _bits(pair.primal)), name
-            assert np.array_equal(_bits(state.dual), _bits(pair.dual)), name
+            steps, iterates = _check_against_single_steps(name, system, x_hat, spec, residuals)
+            zero_steps += steps
+            zero_iterates += iterates
         # each case reaches the work it skips
         if name.startswith("zero-steps"):
             assert zero_steps > 0, name
         if name == "zero-iterate":
-            assert 0 < zero_iterates < trace.iterations
+            assert 0 < zero_iterates < spec.stop.max_iters
+
+
+@pytest.mark.parametrize("residuals", [False, True])
+@pytest.mark.parametrize("mode", list(StepMode))
+@pytest.mark.parametrize("half", [True, False], ids=["beta-m/2", "beta-m"])
+def test_run_picking_by_residual_rank_matches_composed_single_steps(monkeypatch, half, mode, residuals):
+    """With the row gate at 1, beta = m/2 picks by residual rank on small
+    systems, and beta = m by a plain argmax: either equals init_state ->
+    pick_index (full residual) -> step_once, record for record."""
+    monkeypatch.setattr(solvers, "_RANK_SCAN_MIN_ROWS", 1)
+    scans = []
+
+    def spy(keys, beta, r2, residuals):
+        scans.append(beta)
+        return _rank_pick(keys, beta, r2, residuals)
+
+    monkeypatch.setattr(solvers, "_rank_pick", spy)
+    systems = [("20x10", *small_instance(seed=5)[:2], 1.0, 200)]
+    # 4 x 6 systems that SSKM at lam = 0.1 solves to the last bit, then steps by zero
+    systems += [(f"4x6-{seed}", *gaussian_instance(4, 6, 2, np.random.default_rng(seed))[:2], 0.1, 600)
+                for seed in range(3)]
+    for name, system, x_hat, lam, budget in systems:
+        beta = system.m // 2 if half else system.m
+        spec = SolverSpec.sskm(lam, beta, mode, seed=3, stop=StoppingRule(max_iters=budget))
+        _check_against_single_steps(name, system, x_hat, spec, residuals)
+    # every pick at m/2 scans, and none at beta = m
+    assert len(scans) == (sum(budget for *_, budget in systems) if half else 0)
+
+
+class _NoDraws:
+    """A generator stand-in that has no draw to give."""
+
+
+def test_run_at_beta_m_draws_no_keys(monkeypatch):
+    # every subset is all rows, so the pick is an argmax of r^2 and the rng,
+    # which feeds nothing but the subsets, is never read
+    system, x_hat, _ = small_instance(seed=5)
+    specs = [SolverSpec.sskm(1.0, system.m, mode, seed=3, stop=StoppingRule(max_iters=100)) for mode in StepMode]
+    expected = [run(system, spec, ground_truth=x_hat) for spec in specs]
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _NoDraws())
+    for spec, (pair, trace) in zip(specs, expected):
+        got_pair, got = run(system, spec, ground_truth=x_hat)
+        assert np.array_equal(got.chosen, trace.chosen) and np.array_equal(_bits(got.step), _bits(trace.step))
+        assert np.array_equal(_bits(got_pair.dual), _bits(pair.dual))
+    # one row fewer, and the subsets are drawn
+    with pytest.raises(AttributeError, match="random"):
+        run(system, SolverSpec.sskm(1.0, system.m - 1, seed=3, stop=StoppingRule(max_iters=100)))
 
 
 def test_run_rk_is_orthogonal_projection_sequence():
@@ -343,6 +401,16 @@ def test_any_rule_lam_and_mode_runs_as_the_method_they_place(lam, mode, sampler,
     assert spec == named(seed=2, stop=stop)
     pair, trace = run(system, spec, ground_truth=x_hat)
     assert trace.iterations == 60 and np.isfinite(trace.mse).all() and np.isfinite(pair.dual).all()
+
+
+@pytest.mark.parametrize("field, value", [("sampler", "uniform"), ("sampler", None), ("stop", 100), ("stop", None)])
+def test_solver_spec_refuses_a_sampler_or_stop_of_the_wrong_type(field, value):
+    # run reads their fields, where either would fail with a bare AttributeError
+    fields = {"lam": 1.0, "step_mode": StepMode.EXACT,
+              "sampler": SamplerConfig(rule=SelectionRule.UNIFORM_RANDOM), "stop": StoppingRule()}
+    fields[field] = value
+    with pytest.raises(TypeError, match=rf"^{field} must be a "):
+        SolverSpec(**fields)
 
 
 @pytest.mark.parametrize("bad", ["exact", "inexact", None])
@@ -967,8 +1035,11 @@ def test_run_greedy_records_grow_inside_a_window(monkeypatch):
         assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
 
 
+@pytest.mark.parametrize("gate", [solvers._RANK_SCAN_MIN_ROWS, 1], ids=["subsets", "rank-scan"])
 @pytest.mark.parametrize("beta", [0, 21, True, 2.5])
-def test_run_sskm_rejects_beta_outside_one_to_m(monkeypatch, beta):
+def test_run_sskm_rejects_beta_outside_one_to_m(monkeypatch, beta, gate):
+    # with the row gate at 1, beta = 21 > m would take the rank scan, which draws keys unchecked
+    monkeypatch.setattr(solvers, "_RANK_SCAN_MIN_ROWS", gate)
     system, _, _ = small_instance(seed=9, m=20)
 
     def no_step(*args):
