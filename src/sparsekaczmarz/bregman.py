@@ -26,6 +26,8 @@ One step kernel, ``_step_into``, takes the step and thresholds into arrays
 it is given, with no array allocated beyond the exact step's; every method's
 iteration and :func:`project_hyperplane` go through it. A step of exactly
 zero, where g(0) == 0, takes no evaluation of g, and in place no write.
+``_steps_at_rest`` takes a run of inexact steps that leave the primal where
+it is all at once, with the bits of one ``_step_into`` each.
 """
 
 from __future__ import annotations
@@ -392,6 +394,41 @@ def _step_into(dual, primal, a, b: float, lam: float, mode: StepMode, new_dual, 
     np.subtract(dual, np.multiply(a, t, out=new_primal), out=new_dual)
     _threshold_into(new_dual, lam, new_primal)
     return t
+
+
+def _steps_at_rest(dual, primal, a, b, lam: float, duals) -> tuple[int, np.ndarray]:
+    """Inexact steps of a run of slots, taken at once while they leave ``primal`` where it is.
+
+    Slot s steps along row s of ``a``, with right-hand side ``b[s]``, from
+    the pair slot s - 1 left (from ``dual``, ``primal`` for slot 0), as
+    :func:`_step_into` would in inexact mode. While the primal stays put,
+    every slot's step t_s = <a_s, primal> - b_s depends on its own row
+    alone, and one ``np.vecdot`` takes them all, with ``ndarray.dot``'s
+    bits. Two kinds of step leave the primal: a step of zero, which leaves
+    the pair, and at primal = 0 a step whose dual stays in the band [-lam,
+    lam]. At primal = 0 the duals move by one subtraction per slot, into
+    column s of the n x s array ``duals`` (which may be ``a.T``), and the
+    band is tested on all of them at once; elsewhere nothing is written.
+
+    Returns ``(kept, t)``: the number of leading slots that leave the
+    primal, and their step values; at primal = 0 column s of ``duals`` then
+    holds slot s's dual, bit for bit. The next slot, if any, is one whose
+    step moves the primal or is not finite: the caller steps it alone, and
+    so overflow and invalid values are not reported here. ``a`` is
+    overwritten, and ``dual`` is read before column 0 is written.
+    """
+    with np.errstate(all="ignore"):
+        t = np.vecdot(a, primal) - b
+        if np.count_nonzero(primal):
+            still = t == 0.0
+        else:
+            np.multiply(a, t[:, None], out=a)
+            for s in range(t.size):
+                dual = np.subtract(dual, a[s], out=duals[:, s])
+            # a threshold is zero exactly where every entry lies in [-lam, lam]
+            still = (duals.max(axis=0) <= lam) & (duals.min(axis=0) >= -lam)
+    kept = int(still.argmin()) if not still.all() else still.size
+    return kept, t[:kept]
 
 
 def project_hyperplane(pair: DualPair, a_i, b_i: float, mode: StepMode) -> DualPair:

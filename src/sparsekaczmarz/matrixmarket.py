@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from .errors import ParseError, UnsupportedFieldError
+from .linsys import _real
 
 _BANNER_PREFIX = "%%MatrixMarket"
 # the reader builds a dense float64 array: refuse sizes above 512 MB of it
@@ -132,12 +133,18 @@ def write_matrix_market(path, matrix, comment: str | None = None) -> None:
 
     ``comment`` is written as one comment line in UTF-8, so a comment that
     holds a line break (any that ``str.splitlines`` splits at) or that has
-    no UTF-8 form (a lone surrogate) is a ``ValueError``, raised before the
-    file is opened.
+    no UTF-8 form (a lone surrogate) is a ``ValueError``. So is a NaN or
+    infinite entry, which :func:`read_matrix_market` would refuse, and a
+    complex matrix is a ``TypeError``, not its real part. Each is raised
+    before the file is opened.
     """
-    a = np.asarray(matrix, dtype=float)
+    a = np.asarray(_real(matrix, "matrix"), dtype=float)
     if a.ndim != 2:
         raise ValueError("matrix must be 2-D")
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"matrix entry ({i + 1},{j + 1}) is {float(a[i, j])!r}, which the format cannot hold")
     if comment:
         if comment.splitlines() != [comment]:
             raise ValueError(f"comment must be one line, got {comment!r}")

@@ -115,7 +115,7 @@ def _largest_residual(subset: np.ndarray, residuals: np.ndarray) -> int:
 _RANK_MISSES = 8
 
 
-def _rank_pick(keys: np.ndarray, beta: int, r2: np.ndarray, residuals: np.ndarray) -> int:
+def _rank_pick(keys: np.ndarray, beta: int, r2: np.ndarray, residuals: np.ndarray, order=None) -> int:
     """:func:`_largest_residual` on the subset of one row of ``keys``, found by residual rank.
 
     The rows are taken in order of falling squared residual ``r2`` (which
@@ -125,27 +125,42 @@ def _rank_pick(keys: np.ndarray, beta: int, r2: np.ndarray, residuals: np.ndarra
     keys are < its key; one count at the smallest of their keys tests them
     all. A key tied at the subset's edge, which ``np.argpartition`` places,
     or ``_RANK_MISSES`` rows out, sends the pick to the sorted subset. Each
-    row tested costs one pass over the keys and one over ``r2``, so this is
-    cheaper than the subset where most rows are in it: beta >= m/2. ``r2``
-    is masked in place while a pick runs and restored before it returns.
+    row tested costs one pass over the keys, so this is cheaper than the
+    subset where most rows are in it: beta >= m/2.
+
+    ``order``, a list, holds the rows found so far in that order, by earlier
+    picks at the same ``r2``: a pick takes its rows from it, and appends to
+    it each row it finds with one argmax of ``r2`` past them. Without it
+    every row is found afresh. ``r2`` is masked in place while a row is
+    found and restored before the pick returns.
     """
-    i, passed, low = None, [], math.inf  # low: the smallest key passed by
+    order = [] if order is None else order
+    i, low = None, math.inf  # low: the smallest key passed by
     # past m rows argmax would return one passed by
-    for _ in range(min(_RANK_MISSES, keys.size)):
-        row = int(r2.argmax())
+    for p in range(min(_RANK_MISSES, keys.size)):
+        if p == len(order):
+            order.append(_next_by_rank(r2, order) if p else int(r2.argmax()))
+        row = order[p]
         key = keys[row]
         if np.count_nonzero(keys <= key) <= beta:
             i = row
             break
-        passed.append((row, r2[row]))
         low = min(low, key)
-        # below every square, NaN included, so argmax passes the row by
-        r2[row] = -1.0
-    for row, value in passed:
-        r2[row] = value
-    if i is not None and passed and np.count_nonzero(keys < low) < beta:
+    if i is not None and p and np.count_nonzero(keys < low) < beta:
         i = None
     return _largest_residual(_smallest_keys(keys, beta), residuals) if i is None else i
+
+
+def _next_by_rank(r2: np.ndarray, found: list) -> int:
+    """The row with the largest ``r2`` outside ``found``, ties to the smallest index."""
+    saved = [r2[row] for row in found]
+    # below every square, NaN included, so argmax passes the rows by
+    for row in found:
+        r2[row] = -1.0
+    next_row = int(r2.argmax())
+    for row, value in zip(found, saved):
+        r2[row] = value
+    return next_row
 
 
 def sample_subset(m: int, beta: int, rng: np.random.Generator, _buffer=None) -> np.ndarray:

@@ -11,7 +11,9 @@ A :class:`SolverSpec` names no method: its row rule, lam and step mode
 place it. RK is the lam=0 / uniform-row / inexact point (a plain orthogonal
 projection per step), SRK adds the threshold with uniform rows, and SSKM,
 any spec with the greedy rule, drives the same update with greedy subset
-sampling. Runs are deterministic given the sampler seed.
+sampling. Steps that leave x where it was run as one batch per window,
+with the bits of one step each. Runs are deterministic given the sampler
+seed.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .bregman import (
     _check_lam,
     _check_step_mode,
     _step_into,
+    _steps_at_rest,
     objective_value,
     project_hyperplane,
 )
@@ -464,6 +467,29 @@ def run(
     rounding of epsilon. The records start at 1024 entries and double at a
     window's start when full.
 
+    Steps that leave x where it was run as one batch per window. At a fixed
+    x each step depends on its own row alone, so after a step of zero, or
+    an inexact one that leaves x = 0, the rest of the window is taken at
+    once up to the first step that would move x, which the loop then takes
+    alone. The picks are the drawn rows, or the greedy picks at the fixed
+    residual: one gather, square and argmax over the subsets, one argmax at
+    beta = m, or rank picks that share the rows they find in order of
+    falling r^2.
+    Inexact steps go through ``bregman._steps_at_rest``: one ``np.vecdot``
+    gives every step value with ``ndarray.dot``'s bits; at x = 0 the duals
+    move by one subtraction per step and are tested against the band at
+    once, and elsewhere the steps of zero are kept, so there a batch starts
+    only when one dot finds the next step zero. An exact step is a
+    search, so an exact batch keeps the steps along rows whose step of zero
+    this pair has already taken (a step that moves the pair forgets them).
+    Inside a batch only the Bregman record can change and no stop can fire:
+    a greedy batch repeats the last error and residual records and takes the
+    Bregman distances of the moved duals with one ``np.vecdot``, and a
+    uniform batch fills its window's columns for the shared bookkeeping. A
+    batch starts only where the ||x||^2, error and residual norm it repeats
+    are finite, and ends before a step whose values are not, so every
+    failure and warning comes from a step taken alone, as above.
+
     Either product is taken by :class:`_SupportColumns`: from the columns
     of A on supp(x) alone, at a cost of m*|supp(x)|, when the dense product
     it replaces has at least 2**18 entries, that is m*n for a greedy
@@ -523,14 +549,23 @@ def run(
     x_cols = [xs[:, j] for j in range(slots)] * (w // slots)
     dual_cols = [duals[:, j] for j in range(slots)] * (w // slots)
     x_norm2s = np.empty(slots)
+    inexact = mode is StepMode.INEXACT
     dual, x = dual_cols[-1], x_cols[-1]  # x_0 = 0
     r = r_zero = -rhs  # residual at x_0, which the first greedy pick reads
-    # ... and its squares, kept beside it for a pick that scans them
+    # ... and its squares, kept beside it for a pick that scans them, with the
+    # rows a rank pick has found in order of falling r^2 while r^2 stays
     r2 = r2_zero = r_zero * r_zero if full or by_rank else None
+    order = []
     # at beta = 1 the pick reads no residual: only the norms need a product
     picks_read_r = greedy and beta > 1
 
     hit = None  # (iterations, primal, dual) at the first iterate that met the stop
+    # the last step was zero, or an inexact one that left x = 0
+    still = False
+    # a greedy iterate's error and residual norm, where they are taken
+    mse_val = resid2 = 0.0
+    # rows whose exact step from the current pair was zero, and that step
+    zero_rows = {}
     k = 0
     while hit is None and k < max_iters:
         count = min(w, max_iters - k)
@@ -540,21 +575,88 @@ def run(
                 _resized(a, cap) for a in (chosen_rec, step_rec, resid_rec, mse_rec, breg_rec)
             )
         if not greedy:
-            picks = rng.integers(m, size=count)
-            picks, picked_rhs = picks.tolist(), rhs[picks].tolist()
+            drawn = rng.integers(m, size=count)
+            picks, picked_rhs = drawn.tolist(), rhs[drawn].tolist()
         elif by_rank:
             keys = rng.random((count, m))
         elif not full:
             subsets = _draw_subsets(m, beta, rng, count)
         failed = None
-        for j in range(count):
+        j = 0
+        while j < count:
+            # a batch repeats the last ||x||^2, error and residual norm: where one
+            # is not finite, the steps it stands for run alone and warn as they do
+            if still and math.isfinite(x_norm2 + mse_val + resid2):
+                # the window's next steps, up to the first that moves x, taken at once
+                rest = count - j
+                if not greedy:
+                    chosen = drawn[j:]
+                    if j == 0:
+                        # the window's last column, which the batch may overwrite
+                        dual = dual.copy()
+                elif full:
+                    chosen = np.full(rest, r2.argmax())
+                elif by_rank:
+                    chosen = np.array([_rank_pick(keys[s], beta, r2, r, order) for s in range(j, count)])
+                else:
+                    chosen = subsets[j:]
+                    chosen = chosen[np.arange(rest), (r[chosen] ** 2).argmax(axis=1)]
+                if inexact and x_norm2 != 0.0 and rows[chosen[0]].dot(x) - rhs[chosen[0]] != 0.0:
+                    # away from x = 0 an inexact step moves x unless it is zero, as the next one is not
+                    kept, t = 0, rhs[:0]
+                elif inexact:
+                    # at x = 0 the duals move into the window's columns, or into a greedy batch's rows
+                    a = rows[chosen]
+                    new_duals = a.T if greedy else duals[:, j:count]
+                    kept, t = _steps_at_rest(dual, x, a, rhs[chosen], lam, new_duals)
+                else:
+                    # an exact step is a search: the batch repeats the steps of zero
+                    # this pair took, up to the first row that it has not stepped on
+                    t = []
+                    for row in chosen.tolist():
+                        if row not in zero_rows:
+                            break
+                        t.append(zero_rows[row])
+                    kept, t = len(t), np.array(t)
+                # steps that are not all zero moved the dual, and so the Bregman distance
+                moved = t.any()
+                if moved and greedy and truth is not None:
+                    with np.errstate(all="ignore"):
+                        breg = f_hat - np.vecdot(new_duals[:, :kept], x_hat[:, None], axis=0) + 0.5 * x_norm2
+                    # from the first that is not finite the steps run alone, as they warn
+                    finite = np.isfinite(breg)
+                    kept = kept if finite.all() else int(finite.argmin())
+                if kept:
+                    span = slice(k + j, k + j + kept)
+                    chosen_rec[span] = chosen[:kept]
+                    step_rec[span] = t[:kept]
+                    if not greedy:
+                        # each slot holds its pair: the moved duals are in place
+                        if not moved:
+                            duals[:, j : j + kept] = dual[:, None]
+                        xs[:, j : j + kept] = x[:, None]
+                        x_norm2s[j : j + kept] = x_norm2
+                        dual, x = dual_cols[j + kept - 1], x_cols[j + kept - 1]
+                    else:
+                        # x and r stay: so do the errors and residuals, and no stop is
+                        # met; steps of zero keep the pair, and its Bregman distance
+                        for rec in (resid_rec, mse_rec, breg_rec):
+                            if rec is not None:
+                                rec[span] = rec[k + j - 1]
+                        if moved:
+                            if truth is not None:
+                                breg_rec[span] = breg[:kept]
+                            np.copyto(dual, new_duals[:, kept - 1])
+                    j += kept
+                    if j == count:
+                        break
             if not greedy:
                 i, b = picks[j], picked_rhs[j]
             else:
                 if full:
                     i = int(r2.argmax())
                 elif by_rank:
-                    i = _rank_pick(keys[j], beta, r2, r)
+                    i = _rank_pick(keys[j], beta, r2, r, order)
                 else:
                     i = _largest_residual(subsets[j], r)
                 b = float(rhs[i])
@@ -568,6 +670,12 @@ def run(
                 for rec in (resid_rec, mse_rec, breg_rec):
                     if rec is not None:
                         rec[k + j] = rec[k + j - 1]
+                if not inexact:
+                    if not still:
+                        zero_rows.clear()
+                    zero_rows[i] = t
+                still = True
+                j += 1
                 continue
             x_norm2 = float(x.dot(x))
             # an infinite ||x||^2 from finite entries (a square that overflows) is no failure
@@ -576,8 +684,20 @@ def run(
                 break
             chosen_rec[k + j] = i
             step_rec[k + j] = t
+            if t == 0.0:
+                # the pair stays, and an exact batch may repeat this step along
+                # row i; the steps of zero before the last move are forgotten
+                if not inexact:
+                    if not still:
+                        zero_rows.clear()
+                    zero_rows[i] = t
+                still = True
+            else:
+                # at x = 0 the next inexact steps may leave x there
+                still = inexact and x_norm2 == 0.0 and not np.count_nonzero(x)
             if not greedy:
                 x_norm2s[j] = x_norm2
+                j += 1
                 continue
             # greedy rows: records and stopping at x_{k+j+1}, whose residual picks the next row
             met = False
@@ -589,7 +709,7 @@ def run(
                 met = mse_target is not None and mse_val <= mse_target
             # past the last iterate no pick reads the residual
             if norms or picks_read_r and not (met or k + j + 1 == max_iters):
-                if x_norm2 == 0.0 and not x.any():
+                if x_norm2 == 0.0 and not np.count_nonzero(x):
                     # as a product at x = 0 would, the block lets its columns go
                     r, r2 = r_zero, r2_zero
                     columns._release()
@@ -597,6 +717,7 @@ def run(
                     r = columns.product(x) - rhs
                     if r2 is not None:
                         r2 = r * r
+                order = []
             if norms:
                 resid2 = float(r.dot(r))
                 if residuals:
@@ -605,10 +726,11 @@ def run(
             if met:
                 hit = (k + j + 1, x, dual)
                 break
-        held = j if failed else j + 1
-        # a uniform window's records and stop, also on the iterates held before a non-finite one
-        if not greedy and held:
-            hit = _flush_window(k, xs[:, :held], duals[:, :held], x_norm2s[:held], columns, rhs,
+            j += 1
+        # a uniform window's records and stop, on the j iterates it holds: all of
+        # them, or those before a non-finite one
+        if not greedy and j:
+            hit = _flush_window(k, xs[:, :j], duals[:, :j], x_norm2s[:j], columns, rhs,
                                 truth, mse_target, eps2, resid_rec, mse_rec, breg_rec)
         if failed and hit is None:
             raise NonFiniteIterateError(f"{failed} became non-finite at iteration {k + j}")

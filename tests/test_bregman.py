@@ -255,6 +255,81 @@ def test_step_into_at_a_step_of_zero_writes_in_place_nothing(mode, lam):
         assert np.array_equal(_bits(new_primal), _bits(primal))
 
 
+def _steps_one_at_a_time(dual, primal, a, b, lam):
+    """Each row's inexact step from the pair the one before it left, into fresh arrays."""
+    steps = []
+    for a_s, b_s in zip(a, b):
+        new_dual, new_primal = np.empty_like(dual), np.empty_like(primal)
+        t = bregman._step_into(dual, primal, a_s, float(b_s), lam, StepMode.INEXACT, new_dual, new_primal)
+        steps.append((t, new_dual, new_primal))
+        dual, primal = new_dual, new_primal
+    return steps
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 3.0])
+def test_steps_at_rest_equal_single_steps_up_to_the_first_that_moves_x(lam):
+    # from x = 0, with the dual in the band, steps whose duals stay in it and
+    # then one that leaves it; from x != 0, steps of zero and then one that is
+    # not: the batch keeps the leading steps that leave x, with the steps and
+    # duals of one _step_into each, bit for bit
+    rng = np.random.default_rng(37)
+    for case in range(200):
+        n, s = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        a = np.array([random_unit_row(rng, n) for _ in range(s)])
+        if case % 2:
+            # + 0.0: no dual of a run has a -0.0 entry
+            dual = rng.uniform(-0.5, 0.5, n) * lam + 0.0
+            b = rng.standard_normal(s) * rng.choice([0.0, 0.1, 1.0])
+        else:
+            dual, primal, _, _ = _zero_step_rows(rng, lam)
+            n = dual.size
+            a = np.array([random_unit_row(rng, n) for _ in range(s)])
+            b = np.vecdot(a, soft_threshold(dual, lam))
+            b[int(rng.integers(0, s + 1)):] += rng.choice([1e-9, 1.0])
+        primal = soft_threshold(dual, lam)
+        steps = _steps_one_at_a_time(dual, primal, a, b, lam)
+        leaves = [np.array_equal(_bits(new_primal), _bits(primal)) for _, _, new_primal in steps]
+        expected = leaves.index(False) if False in leaves else s
+        # the duals go into columns of their own, or into the rows of a
+        rows = a.copy()
+        duals = np.full((n, s), np.nan, order="F") if case % 4 < 2 else rows.T
+        kept, t = bregman._steps_at_rest(dual, primal, rows, b, lam, duals)
+        assert kept == expected, case
+        assert np.array_equal(_bits(t), _bits([t_s for t_s, _, _ in steps[:kept]])), case
+        if primal.any():
+            # steps of zero leave the pair: nothing is written
+            assert case % 4 >= 2 or np.isnan(duals).all()
+        else:
+            # x = 0 stays, and each column holds its slot's dual
+            for q in range(kept):
+                assert not steps[q][2].any()
+                assert np.array_equal(_bits(duals[:, q]), _bits(steps[q][1])), case
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 33, 200, 1000, 1001, 4000])
+def test_vecdot_gives_the_bits_of_ndarray_dot(n):
+    # a batch takes its steps, and a greedy one its Bregman records, with
+    # np.vecdot where single steps call ndarray.dot; so do a uniform window's
+    # records. Both call the same BLAS dot only if the bits agree: on rows
+    # gathered from anywhere in a C-order matrix against a column of an
+    # F-order buffer, and on F-order columns against a vector
+    rng = np.random.default_rng(n)
+    m, w = 40, 9
+    rows = rng.standard_normal((m, n)) * np.exp(rng.uniform(-20.0, 20.0, (m, 1)))
+    buffer = np.asfortranarray(rng.standard_normal((n, w)) * rng.choice([1e-8, 1.0, 1e8], (n, w)))
+    x = buffer[:, w // 2]
+    chosen = rng.integers(m, size=2 * w)
+    gathered = rows[chosen]
+    for q, i in enumerate(chosen):
+        assert _bits(np.vecdot(gathered, x)[q]) == _bits(rows[i].dot(x))
+        assert _bits(np.vecdot(x, gathered)[q]) == _bits(x.dot(rows[i]))
+        assert _bits(np.vecdot(gathered, gathered)[q]) == _bits(rows[i].dot(rows[i]))
+    y = rows[0]
+    columns = np.vecdot(buffer, y[:, None], axis=0)
+    for q in range(w):
+        assert _bits(columns[q]) == _bits(buffer[:, q].dot(y))
+
+
 # ---------------------------------------------------------------- objective
 
 

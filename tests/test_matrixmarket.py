@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -185,6 +187,26 @@ def test_a_comment_with_no_utf8_form_is_refused_before_writing(tmp_path):
     path = tmp_path / "surrogate.mtx"
     with pytest.raises(ValueError, match="can't encode"):
         write_matrix_market(path, np.eye(2), comment="a\ud800b")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_entry_is_refused_before_writing(tmp_path, value):
+    # the reader refuses the line such an entry would be written as
+    path = tmp_path / "non_finite.mtx"
+    a = np.eye(3)
+    a[2, 1] = value
+    a[2, 2] = np.nan
+    with pytest.raises(ValueError, match=re.escape(f"matrix entry (3,2) is {value!r}")):
+        write_matrix_market(path, a)
+    assert not path.exists()
+
+
+def test_a_complex_matrix_is_refused_before_writing(tmp_path):
+    # a cast to float would write the real part alone, with only a ComplexWarning
+    path = tmp_path / "complex.mtx"
+    with pytest.raises(TypeError, match="matrix must be real"):
+        write_matrix_market(path, [[1.0, 2.0j], [0.0, 1.0]])
     assert not path.exists()
 
 

@@ -204,24 +204,31 @@ def test_sample_subset_property(m_beta, seed):
 @given(st.data())
 def test_rank_pick_is_the_sorted_subsets_pick(data):
     """The rank scan picks what the sorted subset picks, on keys tied at the
-    subset's edge and on residuals with tied maxima, and gives r^2 back."""
+    subset's edge and on residuals with tied maxima, and gives r^2 back. Picks
+    at one r^2 may share the rows found in order of falling r^2, as a batch's
+    picks do: each is still the subset's pick, and the shared order stays a
+    prefix of the rows ranked by r^2, ties to the smallest index."""
     m = data.draw(st.integers(1, 40), label="m")
     beta = data.draw(st.integers(1, m), label="beta")
-    # distinct keys, the row keyed j / m at rank j
-    keys = np.array(data.draw(st.permutations(range(m)), label="ranks"), dtype=float) / m
     # few residual values, so maxima tie
     r = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m), label="r"), dtype=float)
-    if beta < m and data.draw(st.booleans(), label="top just out"):
-        # the largest residual keyed one rank past the subset
-        top, edge = int((r * r).argmax()), int(np.flatnonzero(keys == beta / m)[0])
-        keys[[top, edge]] = keys[[edge, top]]
-    # rows tied with the beta-th smallest key, among which argpartition chooses
-    tied = data.draw(st.lists(st.integers(0, m - 1), max_size=5), label="tied")
-    keys[tied] = (beta - 1) / m
     r2 = r * r
-    expected = _largest_residual(np.sort(np.argpartition(keys, beta - 1)[:beta]), r)
-    assert _rank_pick(keys, beta, r2, r) == expected
-    assert np.array_equal(r2, r * r)
+    order = [] if data.draw(st.booleans(), label="shared order") else None
+    for _ in range(data.draw(st.integers(1, 4), label="picks")):
+        # distinct keys, the row keyed j / m at rank j
+        keys = np.array(data.draw(st.permutations(range(m)), label="ranks"), dtype=float) / m
+        if beta < m and data.draw(st.booleans(), label="top just out"):
+            # the largest residual keyed one rank past the subset
+            top, edge = int((r * r).argmax()), int(np.flatnonzero(keys == beta / m)[0])
+            keys[[top, edge]] = keys[[edge, top]]
+        # rows tied with the beta-th smallest key, among which argpartition chooses
+        tied = data.draw(st.lists(st.integers(0, m - 1), max_size=5), label="tied")
+        keys[tied] = (beta - 1) / m
+        expected = _largest_residual(np.sort(np.argpartition(keys, beta - 1)[:beta]), r)
+        assert _rank_pick(keys, beta, r2, r, order) == expected
+        assert np.array_equal(r2, r * r)
+    if order is not None:
+        assert order == np.lexsort((np.arange(m), -r2))[: len(order)].tolist()
 
 
 def test_select_motzkin_argmax():

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -209,11 +210,15 @@ def _skip_cases():
 
 def _check_against_single_steps(name, system, x_hat, spec, residuals):
     """Runs ``spec`` and checks it against init_state -> pick_index (full
-    residual) -> step_once, record for record and bit for bit. Returns the
-    run's steps of exactly zero and its zero iterates."""
+    residual) -> step_once, record for record and bit for bit, and its stop
+    against a test after every iteration. A uniform window takes one residual
+    product for its iterates, which may round otherwise than one per
+    iterate. Returns the run's steps of exactly zero and its zero iterates."""
     x_hat_norm2, zero_steps, zero_iterates = float(np.dot(x_hat, x_hat)), 0, 0
     pair, trace = run(system, spec, ground_truth=x_hat, residuals=residuals)
-    assert trace.iterations == spec.stop.max_iters, name
+    stop, greedy = spec.stop, spec.sampler.rule is SelectionRule.SKM_GREEDY
+    if trace.status is RunStatus.MAX_ITERS:
+        assert trace.iterations == stop.max_iters, name
     assert (trace.residual_norm2 is not None) == residuals
     f_hat = objective_value(x_hat, spec.lam)
     rng = np.random.default_rng(spec.sampler.seed)
@@ -232,12 +237,20 @@ def _check_against_single_steps(name, system, x_hat, spec, residuals):
         zero_steps += t == 0.0
         zero_iterates += not x.any()
         diff = x - x_hat
-        assert trace.mse[k] == float(np.dot(diff, diff)) / x_hat_norm2, (name, k)
+        mse = float(np.dot(diff, diff)) / x_hat_norm2
+        assert trace.mse[k] == mse, (name, k)
         breg = f_hat - float(np.dot(dual, x_hat)) + 0.5 * float(np.dot(x, x))
         assert trace.bregman_to_truth[k] == breg, (name, k)
+        r = residual(system, x)
+        resid = float(np.dot(r, r))
         if residuals:
-            r = residual(system, x)
-            assert trace.residual_norm2[k] == float(np.dot(r, r)), (name, k)
+            assert trace.residual_norm2[k] == (resid if greedy else pytest.approx(resid, rel=1e-12)), (name, k)
+        if stop.mse_target is not None:
+            met = mse <= stop.mse_target
+        else:
+            met = stop.epsilon is not None and resid <= stop.epsilon**2
+        # only the last iterate of a converged run meets the stop
+        assert met == (trace.status is RunStatus.CONVERGED and k + 1 == trace.iterations), (name, k)
     assert np.array_equal(_bits(state.primal), _bits(pair.primal)), name
     assert np.array_equal(_bits(state.dual), _bits(pair.dual)), name
     return zero_steps, zero_iterates
@@ -261,6 +274,145 @@ def test_run_skipping_greedy_work_matches_composed_single_steps(residuals):
             assert 0 < zero_iterates < spec.stop.max_iters
 
 
+def _spy_single_steps(monkeypatch):
+    """Lists the steps run takes one at a time, through ``_step_into``."""
+    steps = []
+    step = solvers._step_into
+
+    def spy(*args):
+        steps.append(args[2])
+        return step(*args)
+
+    monkeypatch.setattr(solvers, "_step_into", spy)
+    return steps
+
+
+def _batched(spec, trace, single_steps):
+    """The iterations a run took in batches: those it computed, less its
+    single steps. A uniform window is computed to its end, past a stop."""
+    computed = trace.iterations
+    if spec.sampler.rule is SelectionRule.UNIFORM_RANDOM:
+        computed = min(-(-computed // solvers._WINDOW) * solvers._WINDOW, spec.stop.max_iters)
+    return computed - len(single_steps)
+
+
+def _zero_phase_specs(m, stop):
+    """x stays 0 for the first 87 iterations of SRK at lam = 10, and for 69
+    (beta = 8) and 43 (beta = m, whose pick is an argmax) of SSKM at lam = 30,
+    on small_instance(seed=5): past a window of 32, into the middle of one."""
+    return [
+        SolverSpec.srk(10.0, StepMode.INEXACT, seed=3, stop=stop),
+        SolverSpec.sskm(30.0, 8, StepMode.INEXACT, seed=3, stop=stop),
+        SolverSpec.sskm(30.0, m, StepMode.INEXACT, seed=3, stop=stop),
+    ]
+
+
+def _batch_cases():
+    """Runs whose steps leave x where it was, which run takes in batches:
+    (name, system, truth, specs)."""
+    system, x_hat, _ = small_instance(seed=5)
+    yield "zero-phase", system, x_hat, _zero_phase_specs(system.m, StoppingRule(max_iters=200))
+    # a budget that ends while x is still 0, inside a batch
+    yield "zero-phase-budget", system, x_hat, _zero_phase_specs(system.m, StoppingRule(max_iters=40))
+    # stops met soon after x leaves 0, inside a window
+    for kind in ("epsilon", "mse"):
+        specs = []
+        for spec in _zero_phase_specs(system.m, StoppingRule(max_iters=200)):
+            _, probe = run(system, spec, ground_truth=x_hat, residuals=True)
+            moved = int(np.flatnonzero(probe.mse != 1.0)[0])
+            if kind == "epsilon":
+                j = _first_new_low(probe.residual_norm2, moved, solvers._WINDOW)
+                stop = StoppingRule(max_iters=200, epsilon=float(np.sqrt(probe.residual_norm2[j] * (1 + 1e-9))))
+            else:
+                j = _first_new_low(probe.mse, moved, solvers._WINDOW)
+                stop = StoppingRule(max_iters=200, mse_target=float(probe.mse[j]))
+            specs.append(dataclasses.replace(spec, stop=stop))
+        yield f"zero-phase-{kind}-stop", system, x_hat, specs
+    # consistent 4 x 6 systems, which every method solves to the last bit:
+    # then runs of steps of zero, in windows of fresh slots (RK, SRK) and in
+    # place (SSKM). Between them come steps that move the dual by less than
+    # x's rounding, which are taken alone
+    for seed in range(3):
+        system, x_hat, _ = gaussian_instance(4, 6, 2, np.random.default_rng(seed))
+        stop = StoppingRule(max_iters=2000)
+        specs = [SolverSpec.rk(seed=seed, stop=stop)]
+        for mode in StepMode:
+            specs += [SolverSpec.srk(0.1, mode, seed=seed, stop=stop), SolverSpec.sskm(0.1, 2, mode, seed=seed, stop=stop)]
+        yield f"zero-steps-{seed}", system, x_hat, specs
+
+
+@pytest.mark.parametrize("residuals", [False, True])
+def test_run_batches_match_composed_single_steps(monkeypatch, residuals):
+    """Steps that leave x where it was, which run takes as one batch per
+    window, equal init_state -> pick_index (full residual) -> step_once,
+    record for record, and meet the stop where a test after every iteration
+    does: across windows, to a budget or a stop, uniform and greedy."""
+    for name, system, x_hat, specs in _batch_cases():
+        for spec in specs:
+            zero_steps, _ = _check_against_single_steps(name, system, x_hat, spec, residuals)
+            single_steps = _spy_single_steps(monkeypatch)
+            _, trace = run(system, spec, ground_truth=x_hat, residuals=residuals)
+            monkeypatch.undo()
+            batched = _batched(spec, trace, single_steps)
+            assert batched > 0, name
+            # x = 0 gives a relative error of exactly 1
+            phase = int(np.argmax(trace.mse != 1.0)) if (trace.mse != 1.0).any() else trace.iterations
+            if name == "zero-phase":
+                # the phase outlasts a window and ends inside one; all of it
+                # after the first step is batched
+                assert phase > solvers._WINDOW and phase % solvers._WINDOW, name
+                assert batched >= phase - 1, name
+            elif name == "zero-phase-budget":
+                assert phase == trace.iterations == spec.stop.max_iters, name
+            elif name.startswith("zero-steps"):
+                assert zero_steps > 0, name
+
+
+def test_run_calls_the_step_kernel_once_per_step_that_moves_x(monkeypatch):
+    # SRK-inexact at lam = 10 stays at x = 0 for its first 87 iterations: after
+    # the first, they are one batch per window, with no _step_into each
+    system, x_hat, _ = small_instance(seed=5)
+    single_steps = _spy_single_steps(monkeypatch)
+    spec = SolverSpec.srk(10.0, StepMode.INEXACT, seed=3, stop=StoppingRule(max_iters=200))
+    _, trace = run(system, spec, ground_truth=x_hat)
+    phase = int(np.argmax(trace.mse != 1.0))
+    assert trace.iterations == 200 and phase == 87
+    assert len(single_steps) <= trace.iterations - (phase - 1)
+
+
+@pytest.mark.parametrize("residuals", [False, True])
+def test_run_batch_whose_duals_overflow_fails_as_single_steps_do(monkeypatch, residuals):
+    # one row, twice: from x = 0 the dual grows by 5e307 a step and stays in
+    # the band [-lam, lam] for three steps, so the batch after the first takes
+    # two and overflows on the third; the slots past it hold infinities and
+    # NaNs. SSKM's residual norm at x = 0 overflows, and a batch would repeat
+    # it: with the record its steps run alone, as each warns
+    system = LinearSystem(rows=np.array([[1.0], [1.0]]), rhs=np.array([5e307, 5e307]), row_scales=np.ones(2))
+    lam, stop = 1.6e308, StoppingRule(max_iters=100)
+
+    def outcome(spec):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteIterateError) as failure:
+                run(system, spec, ground_truth=np.ones(1), residuals=residuals)
+        return str(failure.value), [(w.category, str(w.message)) for w in caught]
+
+    for spec in (SolverSpec.srk(lam, StepMode.INEXACT, seed=0, stop=stop),
+                 SolverSpec.sskm(lam, 2, StepMode.INEXACT, seed=0, stop=stop)):
+        single_steps = _spy_single_steps(monkeypatch)
+        batched = outcome(spec)
+        greedy = spec.sampler.rule is SelectionRule.SKM_GREEDY
+        # the batch after the first step takes two, or none
+        assert len(single_steps) == (4 if greedy and residuals else 2)
+        monkeypatch.undo()
+        # every slot alone, as before batches
+        monkeypatch.setattr(solvers, "_steps_at_rest", lambda dual, x, a, b, lam, duals: (0, b[:0]))
+        assert batched == outcome(spec)
+        monkeypatch.undo()
+        assert batched[0] == "iterate became non-finite at iteration 3"
+        assert batched[1], "the step that overflows warns"
+
+
 @pytest.mark.parametrize("residuals", [False, True])
 @pytest.mark.parametrize("mode", list(StepMode))
 @pytest.mark.parametrize("half", [True, False], ids=["beta-m/2", "beta-m"])
@@ -271,9 +423,10 @@ def test_run_picking_by_residual_rank_matches_composed_single_steps(monkeypatch,
     monkeypatch.setattr(solvers, "_RANK_SCAN_MIN_ROWS", 1)
     scans = []
 
-    def spy(keys, beta, r2, residuals):
-        scans.append(beta)
-        return _rank_pick(keys, beta, r2, residuals)
+    def spy(keys, beta, r2, residuals, order):
+        # a batch at a fixed x picks ahead, so a row of keys may be scanned twice
+        scans[-1].add(keys.tobytes())
+        return _rank_pick(keys, beta, r2, residuals, order)
 
     monkeypatch.setattr(solvers, "_rank_pick", spy)
     systems = [("20x10", *small_instance(seed=5)[:2], 1.0, 200)]
@@ -283,9 +436,10 @@ def test_run_picking_by_residual_rank_matches_composed_single_steps(monkeypatch,
     for name, system, x_hat, lam, budget in systems:
         beta = system.m // 2 if half else system.m
         spec = SolverSpec.sskm(lam, beta, mode, seed=3, stop=StoppingRule(max_iters=budget))
+        scans.append(set())
         _check_against_single_steps(name, system, x_hat, spec, residuals)
-    # every pick at m/2 scans, and none at beta = m
-    assert len(scans) == (sum(budget for *_, budget in systems) if half else 0)
+        # every iteration's pick at m/2 scans its own keys, and none at beta = m
+        assert len(scans[-1]) == (budget if half else 0), name
 
 
 class _NoDraws:
@@ -857,22 +1011,11 @@ def test_run_takes_residual_products_only_where_they_are_read(monkeypatch, shape
         else:
             stop = StoppingRule(max_iters=200, epsilon=float(np.sqrt(probe.residual_norm2[60] * (1 + 1e-9))))
     calls = _spy_residual_products(monkeypatch)
-    # (moved, nonzero) of each iterate
-    iterates = []
-    step = solvers._step_into
-
-    def spied_step(dual, primal, a, b, lam, mode, new_dual, new_primal):
-        t = step(dual, primal, a, b, lam, mode, new_dual, new_primal)
-        iterates.append((t != 0.0 or not iterates, bool(new_primal.any())))
-        return t
-
-    monkeypatch.setattr(solvers, "_step_into", spied_step)
     counts = {}
     runs = {}
     for residuals in (True, False):
         for name in calls:
             calls[name] = 0
-        iterates.clear()
         runs[residuals] = run(system, spec(stop), ground_truth=x_hat, residuals=residuals)
         counts[residuals] = dict(calls)
     (pair_on, on), (pair_off, off) = runs[True], runs[False]
@@ -887,7 +1030,9 @@ def test_run_takes_residual_products_only_where_they_are_read(monkeypatch, shape
     assert np.array_equal(pair_off.dual, pair_on.dual)
 
     if method == "sskm":
-        assert len(iterates) == iterations
+        # (moved, nonzero) of each iterate, rebuilt from the trace
+        lam = spec(stop).lam
+        iterates = [(k == 0 or on.step[k] != 0.0, bool(x.any())) for k, x in enumerate(_iterates(system, on, lam))]
         taken = iterates.count((True, True))
         assert counts[True] == {"block": 1, "product": taken, "window_product": 0}
         if not case.startswith("epsilon") and iterates[-1] == (True, True):
