@@ -7,7 +7,8 @@ one-dimensional step in the dual variable. Both the cheap step (the row
 residual) and the exact minimizing step are provided. The soft threshold is
 taken as v minus its clip to [-lam, lam], three array passes into a given
 array (``_threshold_into``), and at lam = 0, where it is the identity, as
-one copy; every threshold in the module goes through it.
+one copy, or none when the given array is v itself; every threshold in the
+module goes through it.
 
 The dual derivative is nondecreasing and piecewise linear in the step size,
 so the exact step, the Bregman projection of Lorenz et al. (2014), is its
@@ -77,13 +78,15 @@ def soft_threshold(v, lam: float) -> np.ndarray:
 def _threshold_into(v: np.ndarray, lam: float, out: np.ndarray) -> np.ndarray:
     """:func:`soft_threshold` of ``v`` written into ``out``, which is returned.
 
-    At lam = 0 the threshold is the identity, and ``out`` takes one copy of
+    At lam = 0 the threshold is the identity: ``out`` takes one copy of
     ``v``, which may differ from v minus its clip in the sign of a zero
-    alone. Otherwise it takes three passes, and ``out`` must not share
-    memory with ``v``: the last pass reads ``v``. ``lam`` is not checked.
+    alone, and ``out`` that is ``v`` itself takes no write. Otherwise it
+    takes three passes, and ``out`` must not share memory with ``v``: the
+    last pass reads ``v``. ``lam`` is not checked.
     """
     if lam == 0.0:
-        np.copyto(out, v)
+        if out is not v:
+            np.copyto(out, v)
         return out
     np.maximum(v, -lam, out=out)
     np.minimum(out, lam, out=out)
@@ -382,7 +385,10 @@ def _step_into(dual, primal, a, b: float, lam: float, mode: StepMode, new_dual, 
     ``new_primal`` its soft threshold. ``new_dual`` may be ``dual`` and
     ``new_primal`` may be ``primal``: both are read only to find t, and
     ``new_primal`` holds t*a until the threshold overwrites it, so the
-    step allocates no array beyond the exact step's. A step of t == 0.0 in
+    step allocates no array beyond the exact step's. At lam = 0, where x =
+    x*, ``new_primal`` may also be ``new_dual`` when that is not ``dual``:
+    t*a and then the new dual go into it, and the threshold writes nothing.
+    A step of t == 0.0 in
     place writes nothing: no dual entry is -0.0 (the duals start at +0.0,
     and x - y is -0.0 only for x = -0.0), so dual - 0*a is ``dual`` and its
     threshold ``primal``, bit for bit. Fresh output arrays are always

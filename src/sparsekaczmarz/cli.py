@@ -5,7 +5,10 @@ Subcommands: ``solve`` (single run), ``sweep-lambda``, ``sweep-beta``,
 on top the override flags whose ``ExperimentConfig`` fields its harness
 function reads: ``solve`` takes no ``--trials``, the sweeps no
 ``--method``, ``sweep-lambda`` no ``--lambda`` and ``sweep-beta`` no
-``--beta``. A flag a command does not take is a usage error. Exit codes: 0
+``--beta``. A flag a command does not take is a usage error, and so is
+one that contradicts ``--method rk``: RK is the inexact step at lambda 0
+with uniform rows, so it takes no ``--lambda``, ``--beta`` or ``--step
+exact``. Exit codes: 0
 success, 2 configuration or usage error, 3 data error, 4 solver error (an
 iterate became non-finite).
 """
@@ -89,7 +92,14 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "methods", None) == "rk":
+        # a flag that would move RK off its point is refused, not ignored
+        given = {"--lambda": args.lam, "--beta": args.beta, "--step": "exact" if args.step_mode == "exact" else None}
+        for flag, value in given.items():
+            if value is not None:
+                parser.error(f"{flag} {value} does not apply to --method rk: uniform rows, inexact, lambda 0")
     try:
         config = _config_from_args(args)
         if args.command == "solve":

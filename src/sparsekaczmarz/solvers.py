@@ -4,12 +4,14 @@ All three methods share one iteration kernel: a row is selected (by
 :func:`pick_index`, or from a window's draw of rows or subsets), and one
 Bregman projection (``bregman._step_into``) moves the dual iterate along
 that row and soft-thresholds back to the primal, writing the new pair in
-place. :func:`run` takes every method through one loop over windows of
-iterations, in which the row rule alone decides how the residual records
-and the stop test are done, and :func:`step_once` applies its step once.
-A :class:`SolverSpec` names no method: its row rule, lam and step mode
-place it. RK is the lam=0 / uniform-row / inexact point (a plain orthogonal
-projection per step), SRK adds the threshold with uniform rows, and SSKM,
+place. :func:`run` takes a method through one of two loops over windows of
+iterations: uniform rows (RK, SRK), which never read the residual, step a
+window and then record it and test the stop on all its iterates at once;
+greedy rows (SSKM) pick, step, record and test one iteration at a time.
+:func:`step_once` applies the step once. A :class:`SolverSpec` names no
+method: its row rule, lam and step mode place it. RK is the lam=0 /
+uniform-row / inexact point (a plain orthogonal projection per step, with
+x and x* one vector), SRK adds the threshold with uniform rows, and SSKM,
 any spec with the greedy rule, drives the same update with greedy subset
 sampling. Steps that leave x where it was run as one batch per window,
 with the bits of one step each. Runs are deterministic given the sampler
@@ -117,12 +119,7 @@ class SolverSpec:
 
     @classmethod
     def rk(cls, seed: int = 0, stop: StoppingRule | None = None) -> "SolverSpec":
-        return cls(
-            lam=0.0,
-            step_mode=StepMode.INEXACT,
-            sampler=SamplerConfig(rule=SelectionRule.UNIFORM_RANDOM, seed=seed),
-            stop=stop or StoppingRule(),
-        )
+        return cls.srk(0.0, StepMode.INEXACT, seed, stop)
 
     @classmethod
     def srk(
@@ -132,12 +129,7 @@ class SolverSpec:
         seed: int = 0,
         stop: StoppingRule | None = None,
     ) -> "SolverSpec":
-        return cls(
-            lam=lam,
-            step_mode=step_mode,
-            sampler=SamplerConfig(rule=SelectionRule.UNIFORM_RANDOM, seed=seed),
-            stop=stop or StoppingRule(),
-        )
+        return cls(lam, step_mode, SamplerConfig(rule=SelectionRule.UNIFORM_RANDOM, seed=seed), stop or StoppingRule())
 
     @classmethod
     def sskm(
@@ -148,12 +140,8 @@ class SolverSpec:
         seed: int = 0,
         stop: StoppingRule | None = None,
     ) -> "SolverSpec":
-        return cls(
-            lam=lam,
-            step_mode=step_mode,
-            sampler=SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=beta, seed=seed),
-            stop=stop or StoppingRule(),
-        )
+        sampler = SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=beta, seed=seed)
+        return cls(lam, step_mode, sampler, stop or StoppingRule())
 
 
 @dataclass(eq=False)
@@ -320,20 +308,19 @@ def _window_product(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def _flush_window(start: int, xs: np.ndarray, duals: np.ndarray, x_norm2: np.ndarray,
                   columns: _SupportColumns | None, rhs: np.ndarray, truth, mse_target: float | None,
-                  eps2: float | None, resid_rec: np.ndarray | None, mse_rec: np.ndarray | None,
-                  breg_rec: np.ndarray | None):
+                  eps2: float | None, recs: list):
     """Records a uniform window's iterates and tests the stop on each.
 
     The w columns of ``xs`` and ``duals`` are the pairs of iterations
     ``start`` .. ``start + w - 1``, and ``x_norm2`` their ||x||^2. Given a
     ground truth, one per-column dot product each gives their relative
-    errors and Bregman distances. Given ``columns``, which :func:`run`
-    passes only when the residual record or the epsilon stop reads them,
-    one product gives their residual norms; without it, under the MSE stop
-    or no stop, A is not read at all. The MSE stop, or else the epsilon
-    stop, is tested on every iterate. Returns ``(iterations, primal, dual)``
-    at the first that meets it, as views of the window's columns, or
-    ``None``.
+    errors and Bregman distances. Given ``columns``, which
+    :func:`_uniform_loop` passes only when the residual record or the
+    epsilon stop reads them, one product gives their residual norms; without
+    it, under the MSE stop or no stop, A is not read at all. The MSE stop,
+    or else the epsilon stop, is tested on every iterate. Returns
+    ``(iterations, primal, dual)`` at the first that meets it, as views of
+    the window's columns, or ``None``.
     """
     end = start + xs.shape[1]
     # the errors first, while the window is in cache: the product streams all of A
@@ -341,14 +328,14 @@ def _flush_window(start: int, xs: np.ndarray, duals: np.ndarray, x_norm2: np.nda
         x_hat, x_hat_norm2, f_hat = truth
         diff = xs - x_hat[:, None]
         mse = np.vecdot(diff, diff, axis=0) / x_hat_norm2
-        mse_rec[start:end] = mse
-        breg_rec[start:end] = f_hat - np.vecdot(duals, x_hat[:, None], axis=0) + 0.5 * x_norm2
+        recs[3][start:end] = mse
+        recs[4][start:end] = f_hat - np.vecdot(duals, x_hat[:, None], axis=0) + 0.5 * x_norm2
     if columns is not None:
         r = columns.product(xs)
         r -= rhs[:, None]
         resid = np.einsum("ij,ij->j", r, r)
-        if resid_rec is not None:
-            resid_rec[start:end] = resid
+        if recs[2] is not None:
+            recs[2][start:end] = resid
     if mse_target is not None:
         met = mse <= mse_target
     elif eps2 is not None:
@@ -371,6 +358,343 @@ def _resized(a: np.ndarray | None, size: int) -> np.ndarray | None:
     kept = min(size, a.size)
     out[:kept] = a[:kept]
     return out
+
+
+def _reserve(recs: list, end: int, max_iters: int) -> list:
+    """Doubles the records ``recs`` in place when ``end`` entries pass their
+    end, up to ``max_iters``, and returns them: chosen row, step, and the
+    residual norm, relative error and Bregman distance, each ``None`` where
+    it is not asked for. They start at 1024 entries, so their memory
+    follows the work done."""
+    if end > recs[0].size:
+        recs[:] = [_resized(a, min(2 * recs[0].size, max_iters)) for a in recs]
+    return recs
+
+
+def _repeat(recs: list, start: int, end: int) -> None:
+    """Iterations ``start`` .. ``end - 1`` left x where it was: their residual,
+    error and Bregman records repeat those of ``start - 1``."""
+    for rec in recs[2:]:
+        if rec is not None:
+            rec[start:end] = rec[start - 1]
+
+
+def _batch_steps(chosen: np.ndarray, dual, x, x_norm2: float, spec: SolverSpec, system: LinearSystem,
+                 zero_rows: dict, duals=None):
+    """A batch's steps: those along the rows ``chosen`` that leave x where it
+    was, up to the first that would move it. Returns ``(kept, t, duals)``.
+
+    Inexact steps go through ``bregman._steps_at_rest``, which at x = 0
+    moves the duals into the n x len(chosen) array ``duals``, or into the
+    gathered rows (returned as ``duals``); away from x = 0 one dot first
+    tests the next step, and the batch keeps nothing unless it is zero. An
+    exact step is a search, so an exact batch repeats the steps of zero the
+    pair already took, kept in ``zero_rows``, up to the first row it has not
+    stepped on.
+    """
+    if spec.step_mode is StepMode.EXACT:
+        t = []
+        for row in chosen.tolist():
+            if row not in zero_rows:
+                break
+            t.append(zero_rows[row])
+        return len(t), np.array(t), duals
+    rows, rhs = system.rows, system.rhs
+    if x_norm2 != 0.0 and rows[chosen[0]].dot(x) - rhs[chosen[0]] != 0.0:
+        return 0, rhs[:0], duals
+    a = rows[chosen]
+    duals = a.T if duals is None else duals
+    return *_steps_at_rest(dual, x, a, rhs[chosen], spec.lam, duals), duals
+
+
+def _uniform_batch(j: int, drawn: np.ndarray, dual, x, x_norm2: float, spec: SolverSpec, system: LinearSystem,
+                   xs: np.ndarray, duals: np.ndarray, steps: np.ndarray, x_norm2s: np.ndarray, zero_rows: dict) -> int:
+    """Slots ``j`` .. of a uniform window that leave x where it was, taken at
+    once (:func:`_batch_steps`); returns how many. Each fills its
+    slot's columns, step and ||x||^2 for the window's bookkeeping, once
+    where ``xs`` is ``duals``."""
+    kept, t, _ = _batch_steps(drawn[j:], dual, x, x_norm2, spec, system, zero_rows, duals[:, j : drawn.size])
+    if kept:
+        end = j + kept
+        steps[j:end] = t
+        # each slot holds its pair: steps that moved the dual left it in place
+        if not t.any():
+            duals[:, j:end] = dual[:, None]
+        if xs is not duals:
+            xs[:, j:end] = x[:, None]
+        x_norm2s[j:end] = x_norm2
+    return kept
+
+
+def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target, eps2, recs: list):
+    """:func:`run` for uniform rows (RK, SRK); returns ``(iterations, x, x*, status)``.
+
+    A window of w = min(32, ``max_iters``) iterations draws its rows with one
+    ``rng.integers(m, size=w)`` call, which fills its chosen-row records,
+    and steps them in an inner loop through ``bregman._step_into``, slot j
+    into column j of n x w Fortran-order buffers. At lam = 0 with w > 1,
+    where x = x*, both are one buffer and one list of its columns: the step
+    writes t*a and the new dual into the slot's column, and the threshold
+    writes nothing. At w = 1 every step is in place, into the dual it reads,
+    so x and x* keep a buffer each. The inner loop ends early only at a
+    step of zero, or an inexact one that leaves x = 0, after which
+    :func:`_uniform_batch` takes the next steps, and at a step whose value
+    or iterate is not finite, which ends the window: the slots before it are
+    recorded, and it raises unless one of them met the stop.
+    :func:`_flush_window` records a window's iterates and tests the stop.
+    """
+    rows, rhs, lam, mode = system.rows, system.rhs, spec.lam, spec.step_mode
+    inexact, max_iters = mode is StepMode.INEXACT, spec.stop.max_iters
+    w = min(_WINDOW, max_iters)
+    columns = _SupportColumns(rows, w) if recs[2] is not None or eps2 is not None else None
+    xs = np.zeros((system.n, w), order="F")
+    duals = xs if lam == 0.0 and w > 1 else np.zeros_like(xs)
+    # the step tests its arrays by identity: one view per column, as numpy
+    # would copy a fresh view of a column onto itself
+    dual_cols = [duals[:, j] for j in range(w)]
+    x_cols = dual_cols if duals is xs else [xs[:, j] for j in range(w)]
+    x_norm2s = np.empty(w)
+    dual, x = dual_cols[-1], x_cols[-1]  # x_0 = 0
+    # still: the last step was zero, or an inexact one that left x = 0;
+    # zero_rows: the rows whose exact step from the current pair was zero, and that step
+    x_norm2, still, zero_rows, k = 0.0, False, {}, 0
+    while k < max_iters:
+        count = min(w, max_iters - k)
+        chosen_rec, step_rec = _reserve(recs, k + count, max_iters)[:2]
+        chosen_rec[k : k + count] = drawn = rng.integers(system.m, size=count)
+        picks, picked_rhs, steps = drawn.tolist(), rhs[drawn].tolist(), step_rec[k : k + count]
+        j, failed = 0, None
+        while j < count:
+            # a batch repeats the last ||x||^2: where it is not finite, the
+            # steps it stands for run alone and warn as they do
+            if still and math.isfinite(x_norm2):
+                if j == 0:
+                    # the pair is in the window's last column, which the batch may
+                    # overwrite: x* is copied out, and x with it where they share it
+                    x, dual = (dual.copy(),) * 2 if x is dual else (x, dual.copy())
+                j += _uniform_batch(j, drawn, dual, x, x_norm2, spec, system, xs, duals, steps, x_norm2s, zero_rows)
+                if j:
+                    # the batch's last slot, or the pair's column as it was
+                    dual, x = dual_cols[j - 1], x_cols[j - 1]
+                if j == count:
+                    break
+            start = j
+            for j in range(start, count):
+                t = _step_into(dual, x, rows[picks[j]], picked_rhs[j], lam, mode, dual_cols[j], x_cols[j])
+                dual, x = dual_cols[j], x_cols[j]
+                x_norm2 = float(x.dot(x))
+                # an infinite ||x||^2 from finite entries (a square that overflows) is no failure
+                if not (math.isfinite(t) and (math.isfinite(x_norm2) or np.isfinite(x).all())):
+                    failed = "step value" if not math.isfinite(t) else "iterate"
+                    break
+                steps[j], x_norm2s[j] = t, x_norm2
+                if t == 0.0 or inexact and x_norm2 == 0.0 and not np.count_nonzero(x):
+                    break
+            else:
+                still, j = False, count
+                break
+            if failed:
+                break
+            if t == 0.0 and not inexact:
+                # an exact batch may repeat this step along its row; the steps
+                # of zero before the pair last moved are forgotten
+                if j > start or not still:
+                    zero_rows.clear()
+                zero_rows[picks[j]] = t
+            still, j = True, j + 1
+        # the window's records and stop, on the j iterates it holds: all of
+        # them, or those before a non-finite one
+        hit = j and _flush_window(k, xs[:, :j], duals[:, :j], x_norm2s[:j], columns, rhs, truth, mse_target,
+                                  eps2, recs)
+        if hit:
+            return (*hit, RunStatus.CONVERGED)
+        if failed:
+            raise NonFiniteIterateError(f"{failed} became non-finite at iteration {k + j}")
+        k += count
+    return k, x, dual, RunStatus.MAX_ITERS
+
+
+class _ArgmaxPick:
+    """The greedy pick at beta = m, whose subset is all rows: the first argmax
+    of r^2, with no keys drawn (the rng feeds nothing else).
+
+    Each pick class draws a window's keys (``draw``), picks slot j's row at
+    the residual r (``one``) and, for a batch at a fixed r, the rows of
+    slots j to the window's end (``rest``), each bit for bit
+    :func:`pick_index`'s pick. r^2 is kept while r is the same array.
+    """
+
+    def __init__(self, m: int, beta: int, rng):
+        self.m, self.beta, self.rng, self.r = m, beta, rng, None
+
+    def draw(self, count: int) -> None:
+        self.count = count
+
+    def squares(self, r: np.ndarray) -> np.ndarray:
+        if r is not self.r:
+            # with the rows a rank pick has found in order of falling r^2
+            self.r, self.r2, self.order = r, r * r, []
+        return self.r2
+
+    def one(self, j: int, r: np.ndarray) -> int:
+        return int(self.squares(r).argmax())
+
+    def rest(self, j: int, r: np.ndarray) -> np.ndarray:
+        return np.full(self.count - j, self.squares(r).argmax())
+
+
+class _RankPick(_ArgmaxPick):
+    """The greedy pick at m/2 <= beta < m on at least 1000 rows: scans r^2
+    downward for the first row whose key ranks among the beta smallest
+    (``sampling._rank_pick``); picks at one r share the rows it finds."""
+
+    def draw(self, count: int) -> None:
+        self.keys = self.rng.random((count, self.m))
+
+    def one(self, j: int, r: np.ndarray) -> int:
+        return _rank_pick(self.keys[j], self.beta, self.squares(r), r, self.order)
+
+    def rest(self, j: int, r: np.ndarray) -> np.ndarray:
+        return np.array([self.one(s, r) for s in range(j, len(self.keys))])
+
+
+class _SubsetPick(_ArgmaxPick):
+    """The greedy pick elsewhere: the member of slot j's sorted subset, the
+    beta smallest keys of its row of the window's draw, with the largest r^2."""
+
+    def draw(self, count: int) -> None:
+        self.subsets = _draw_subsets(self.m, self.beta, self.rng, count)
+
+    def one(self, j: int, r: np.ndarray) -> int:
+        return _largest_residual(self.subsets[j], r)
+
+    def rest(self, j: int, r: np.ndarray) -> np.ndarray:
+        subsets = self.subsets[j:]
+        return subsets[np.arange(len(subsets)), (r[subsets] ** 2).argmax(axis=1)]
+
+
+def _greedy_batch(start: int, chosen: np.ndarray, dual, x, x_norm2: float, spec: SolverSpec, system: LinearSystem,
+                  truth, recs: list, zero_rows: dict) -> int:
+    """Greedy iterations ``start`` .. that leave x where it was, along the rows
+    ``chosen`` at the fixed residual, taken at once
+    (:func:`_batch_steps`); returns how many. x and r stay, so the
+    error and residual records repeat and no stop is met. Steps that moved
+    the dual take their Bregman distances with one ``np.vecdot``, up to the
+    first that is not finite, and leave the last dual in ``dual``.
+    """
+    kept, t, duals = _batch_steps(chosen, dual, x, x_norm2, spec, system, zero_rows)
+    moved = t.any()
+    if moved and truth is not None:
+        with np.errstate(all="ignore"):
+            breg = truth[2] - np.vecdot(duals[:, :kept], truth[0][:, None], axis=0) + 0.5 * x_norm2
+        # from the first that is not finite the steps run alone, as they warn
+        finite = np.isfinite(breg)
+        kept = kept if finite.all() else int(finite.argmin())
+    if kept:
+        end = start + kept
+        recs[0][start:end], recs[1][start:end] = chosen[:kept], t[:kept]
+        _repeat(recs, start, end)
+        if moved:
+            if truth is not None:
+                recs[4][start:end] = breg[:kept]
+            np.copyto(dual, duals[:, kept - 1])
+    return kept
+
+
+def _greedy_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target, eps2, recs: list):
+    """:func:`run` for greedy rows (SSKM); returns ``(iterations, x, x*, status)``.
+
+    A window draws the keys of up to 32 iterations (fewer where they would
+    exceed 2**14), and each iteration picks its row from them at the
+    current residual: by :class:`_ArgmaxPick` at beta = m, by
+    :class:`_RankPick` at m/2 <= beta < m on at least 1000 rows, and by
+    :class:`_SubsetPick` otherwise. It steps x and x* in place, each in its
+    own array (the new dual is the one the step reads, so t*a cannot share
+    it), records its errors, takes one product for the residual that picks
+    the next row, and tests the stop. A step of exactly zero after the first
+    writes nothing: its records repeat and r stays. After it, or after an
+    inexact step that leaves x = 0, :func:`_greedy_batch` takes the next
+    steps that leave x where it was.
+    """
+    m, rows, rhs, beta = system.m, system.rows, system.rhs, spec.sampler.beta
+    lam, mode, max_iters = spec.lam, spec.step_mode, spec.stop.max_iters
+    # before the pick is chosen: the rank scan draws its keys unchecked
+    _check_beta(beta, m)
+    inexact = mode is StepMode.INEXACT
+    w = min(_WINDOW, max_iters, max(1, _WINDOW_KEYS // m))
+    by_rank = 2 * beta >= m and m >= _RANK_SCAN_MIN_ROWS
+    pick = (_ArgmaxPick if beta == m else _RankPick if by_rank else _SubsetPick)(m, beta, rng)
+    norms = recs[2] is not None or eps2 is not None
+    columns = _SupportColumns(rows, 1)
+    x, dual = np.zeros(system.n), np.zeros(system.n)
+    r = r_zero = -rhs  # residual at x_0, which the first pick reads
+    x_hat, x_hat_norm2, f_hat = truth or (None, None, None)
+    # as in _uniform_loop, and the iterate's ||x||^2, error and residual norm, where they are taken
+    still, zero_rows, k = False, {}, 0
+    x_norm2 = mse_val = resid2 = 0.0
+    while k < max_iters:
+        count = min(w, max_iters - k)
+        chosen_rec, step_rec, resid_rec, mse_rec, breg_rec = _reserve(recs, k + count, max_iters)
+        pick.draw(count)
+        j = 0
+        while j < count:
+            # a batch repeats the last ||x||^2, error and residual norm: where one
+            # is not finite, the steps it stands for run alone and warn as they do
+            if still and math.isfinite(x_norm2 + mse_val + resid2):
+                j += _greedy_batch(k + j, pick.rest(j, r), dual, x, x_norm2, spec, system, truth, recs, zero_rows)
+                if j == count:
+                    break
+            i = pick.one(j, r)
+            t = _step_into(dual, x, rows[i], float(rhs[i]), lam, mode, dual, x)
+            chosen_rec[k + j], step_rec[k + j] = i, t
+            if t == 0.0:
+                # the pair stays, and an exact batch may repeat this step along
+                # row i; the steps of zero before the last move are forgotten
+                if not inexact:
+                    if not still:
+                        zero_rows.clear()
+                    zero_rows[i] = t
+                still = True
+                if k + j:
+                    # x_{k+j+1} = x_{k+j} bit for bit, as _step_into wrote nothing:
+                    # its records repeat, r stays, and it met no stop
+                    _repeat(recs, k + j, k + j + 1)
+                    j += 1
+                    continue
+            else:
+                x_norm2 = float(x.dot(x))
+                # an infinite ||x||^2 from finite entries (a square that overflows) is no failure
+                if not (math.isfinite(t) and (math.isfinite(x_norm2) or np.isfinite(x).all())):
+                    failed = "step value" if not math.isfinite(t) else "iterate"
+                    raise NonFiniteIterateError(f"{failed} became non-finite at iteration {k + j}")
+                # at x = 0 the next inexact steps may leave x there
+                still = inexact and x_norm2 == 0.0 and not np.count_nonzero(x)
+            # records and stopping at x_{k+j+1}, whose residual picks the next row
+            met = False
+            if truth is not None:
+                diff = x - x_hat
+                mse_val = float(diff.dot(diff)) / x_hat_norm2
+                mse_rec[k + j] = mse_val
+                breg_rec[k + j] = f_hat - float(dual.dot(x_hat)) + 0.5 * x_norm2
+                met = mse_target is not None and mse_val <= mse_target
+            # past the last iterate no pick reads the residual, and at beta = 1 none
+            if norms or beta > 1 and not (met or k + j + 1 == max_iters):
+                if x_norm2 == 0.0 and not np.count_nonzero(x):
+                    # as a product at x = 0 would, the block lets its columns go
+                    r = r_zero
+                    columns._release()
+                else:
+                    r = columns.product(x) - rhs
+            if norms:
+                resid2 = float(r.dot(r))
+                if resid_rec is not None:
+                    resid_rec[k + j] = resid2
+                met = met or eps2 is not None and resid2 <= eps2
+            if met:
+                return k + j + 1, x, dual, RunStatus.CONVERGED
+            j += 1
+        k += count
+    return k, x, dual, RunStatus.MAX_ITERS
 
 
 def init_state(n: int, lam: float) -> DualPair:
@@ -418,77 +742,52 @@ def run(
     f(x_hat) - f(x) - <x*, x_hat - x> exactly, because x = soft_threshold(x*,
     lam) gives <x*, x> = ||x||^2 + lam ||x||_1.
 
-    Every method runs through one loop over windows of w = min(32,
-    ``max_iters``) iterations; the row rule alone decides how a window's
-    bookkeeping is done. A window starts with one draw of its rows: one
-    ``rng.integers(m, size=w)`` call for uniform rows (RK, SRK), or for
-    greedy subsets (SSKM) one ``rng.random((w, m))`` call whose row j's beta
-    smallest keys name slot j's subset (fewer slots where that draw would
-    exceed 2**14 keys). Either draw is the stream of one :func:`pick_index`
-    per iteration, so a solve cut short by ``max_iters`` repeats the full
-    solve's rows. A greedy iteration picks its subset's member with the
-    largest squared residual, ties to the smallest index, in one of three
-    ways chosen by the shape, each bit for bit :func:`pick_index`'s pick: at
-    beta = m, whose subset is all rows, as the first argmax of r^2, with no
-    keys drawn (the rng feeds nothing else); at m/2 <= beta < m on at least
-    1000 rows by residual rank, scanning r^2 downward for the first row
-    whose key ranks among the beta smallest (``sampling._rank_pick``); and
-    otherwise from the window's sorted subsets. The first two keep r^2
-    beside r. Each iteration then steps into its slot's columns of two
-    n x w Fortran-order buffers, tests finiteness and writes its chosen-row
-    and step records.
+    ``run`` validates, allocates the records and builds the trace; the row
+    rule picks one of two loops over windows of up to 32 iterations. Each
+    window draws at once what one :func:`pick_index` per iteration would
+    draw, so a solve cut short by ``max_iters`` repeats the full solve's rows.
+    Uniform rows (RK, SRK) go through :func:`_uniform_loop`: a window draws
+    its rows with one ``rng.integers(m, size=w)`` call, steps them into
+    columns of n x w buffers, and then shares their bookkeeping
+    (:func:`_flush_window`): one per-column dot product each for the
+    relative errors and Bregman distances of all its iterates, one matrix
+    product for their residuals where they are read, and one test of the
+    MSE or epsilon stop. The same function runs on the slots before a
+    non-finite iterate, before that raises. When an iterate met the stop,
+    the trace ends at the first that did, and that iterate is returned; up
+    to 31 iterations past the stop are computed and dropped. Greedy rows
+    (SSKM) go through :func:`_greedy_loop`: a window draws its keys with one
+    ``rng.random((w, m))`` call whose row j's beta smallest keys name slot
+    j's subset (fewer slots where that draw would exceed 2**14 keys, and no
+    draw at beta = m), and each iteration picks the member with the largest
+    squared residual, ties to the smallest index, steps in place, records
+    its errors, takes one product for the residual that picks the next row
+    and tests the stop. Its norm is taken only where it is read. The
+    product is skipped where nothing reads it or its value is known: after
+    the last iterate (the MSE stop met, or ``max_iters`` spent) and at beta
+    = 1, whose pick reads no residual, unless the norms are read; and at x
+    = 0, whose residual is the -b held for x_0. A greedy step of exactly
+    zero after the first leaves the pair as it was, bit for bit, so it takes
+    no ||x||^2 and no product.
 
     Residual norms are computed only where something reads them: the
     ``residual_norm2`` record, which is ``None`` unless ``residuals`` is
     true, and the epsilon stop, which computes them whatever ``residuals``
-    says. Greedy rows read the residual to pick, so they have one slot and
-    step in place; each iteration records its errors, takes one product for
-    the residual that picks the next row and tests the stop. Its norm is
-    taken only where it is read. The product is skipped where nothing reads
-    it or its value is known: after the last iterate (the MSE stop met, or
-    ``max_iters`` spent) and at beta = 1, whose pick reads no residual,
-    unless the norms are read; and at x = 0, whose residual is the -b held
-    for x_0. A greedy step of exactly zero after the first leaves the pair
-    as it was, bit for bit (``bregman._step_into`` writes nothing), so it
-    takes no ||x||^2 and no product: it repeats the last iterate's error and
-    residual records, keeps the residual and tests no stop, which that
-    iterate did not meet. Uniform rows never read the residual, so a window
-    shares that work (:func:`_flush_window`) once its last slot has
-    stepped: one per-column dot product each for the relative errors and
-    Bregman distances of all its iterates, one matrix product for their
-    residuals where they are read, and one test of the MSE or epsilon
-    stop. The same function runs on the slots before a non-finite iterate,
-    before that raises. When an iterate met the stop, the trace ends at the
-    first that did, and that iterate is returned; up to 31 iterations past
-    the stop are computed and dropped. Every record, the status, the iteration count and the final
-    pair are those of a test after every iteration, bit for bit, except
-    ``residual_norm2``, which can differ from one product per iterate in its
-    rounding, and so the epsilon stop when a residual lies within that
-    rounding of epsilon. The records start at 1024 entries and double at a
-    window's start when full.
+    says. Every record, the status, the iteration count and the final pair
+    are those of a test after every iteration, bit for bit, except
+    ``residual_norm2`` under uniform rows, which can differ from one product
+    per iterate in its rounding, and so the epsilon stop when a residual
+    lies within that rounding of epsilon.
 
-    Steps that leave x where it was run as one batch per window. At a fixed
-    x each step depends on its own row alone, so after a step of zero, or
-    an inexact one that leaves x = 0, the rest of the window is taken at
-    once up to the first step that would move x, which the loop then takes
-    alone. The picks are the drawn rows, or the greedy picks at the fixed
-    residual: one gather, square and argmax over the subsets, one argmax at
-    beta = m, or rank picks that share the rows they find in order of
-    falling r^2.
-    Inexact steps go through ``bregman._steps_at_rest``: one ``np.vecdot``
-    gives every step value with ``ndarray.dot``'s bits; at x = 0 the duals
-    move by one subtraction per step and are tested against the band at
-    once, and elsewhere the steps of zero are kept, so there a batch starts
-    only when one dot finds the next step zero. An exact step is a
-    search, so an exact batch keeps the steps along rows whose step of zero
-    this pair has already taken (a step that moves the pair forgets them).
-    Inside a batch only the Bregman record can change and no stop can fire:
-    a greedy batch repeats the last error and residual records and takes the
-    Bregman distances of the moved duals with one ``np.vecdot``, and a
-    uniform batch fills its window's columns for the shared bookkeeping. A
-    batch starts only where the ||x||^2, error and residual norm it repeats
-    are finite, and ends before a step whose values are not, so every
-    failure and warning comes from a step taken alone, as above.
+    Steps that leave x where it was run as one batch per window
+    (:func:`_uniform_batch`, :func:`_greedy_batch`). At a fixed x each step
+    depends on its own row alone, so after a step of zero, or an inexact one
+    that leaves x = 0, the rest of the window is taken at once up to the
+    first step that would move x, which the loop then takes alone. Inside a
+    batch only the Bregman record can change and no stop can fire. A batch
+    starts only where the ||x||^2, error and residual norm it repeats are
+    finite, and ends before a step whose values are not, so every failure
+    and warning comes from a step taken alone.
 
     Either product is taken by :class:`_SupportColumns`: from the columns
     of A on supp(x) alone, at a cost of m*|supp(x)|, when the dense product
@@ -498,9 +797,7 @@ def run(
     holds more than a quarter of the columns (RK's, for one).
     """
     n, m = system.n, system.m
-    lam, mode = spec.lam, spec.step_mode
-    stop = spec.stop
-    sampler = spec.sampler
+    stop, sampler = spec.stop, spec.sampler
     rng = np.random.default_rng(sampler.seed)
 
     truth = None
@@ -513,241 +810,13 @@ def run(
         x_hat_norm2 = float(np.dot(x_hat, x_hat))
         if x_hat_norm2 == 0.0:
             raise ZeroTruthError("ground truth is zero; relative error undefined")
-        f_hat = objective_value(x_hat, lam)
-        truth = (x_hat, x_hat_norm2, f_hat)
+        truth = (x_hat, x_hat_norm2, objective_value(x_hat, spec.lam))
     mse_target = stop.mse_target if truth is not None else None
     eps2 = stop.epsilon**2 if stop.epsilon is not None and mse_target is None else None
-    norms = residuals or eps2 is not None
-
-    # records start small and double when full, so their memory follows the work done
-    max_iters = stop.max_iters
-    cap = min(max_iters, _FIRST_RECORDS)
-    chosen_rec = np.empty(cap, dtype=np.int64)
-    step_rec = np.empty(cap)
-    resid_rec = np.empty(cap) if residuals else None
-    mse_rec = np.empty(cap) if truth is not None else None
-    breg_rec = np.empty(cap) if truth is not None else None
-
-    rows, rhs = system.rows, system.rhs
-    greedy = sampler.rule is SelectionRule.SKM_GREEDY
-    beta = sampler.beta
-    w = min(_WINDOW, max_iters)
-    if greedy:
-        # before the path is chosen: the rank scan draws its keys unchecked
-        _check_beta(beta, m)
-        w = min(w, max(1, _WINDOW_KEYS // m))
-    # at beta = m every subset is all rows: no keys are drawn, as the rng
-    # feeds nothing else
-    full = greedy and beta == m
-    by_rank = greedy and 2 * beta >= m and not full and m >= _RANK_SCAN_MIN_ROWS
-    # greedy rows have one slot, which every iteration steps in place through
-    # one view: numpy checks the overlap of an output with another view of its input
-    slots = 1 if greedy else w
-    columns = _SupportColumns(rows, slots) if greedy or norms else None
-    xs = np.zeros((n, slots), order="F")
-    duals = np.zeros((n, slots), order="F")
-    x_cols = [xs[:, j] for j in range(slots)] * (w // slots)
-    dual_cols = [duals[:, j] for j in range(slots)] * (w // slots)
-    x_norm2s = np.empty(slots)
-    inexact = mode is StepMode.INEXACT
-    dual, x = dual_cols[-1], x_cols[-1]  # x_0 = 0
-    r = r_zero = -rhs  # residual at x_0, which the first greedy pick reads
-    # ... and its squares, kept beside it for a pick that scans them, with the
-    # rows a rank pick has found in order of falling r^2 while r^2 stays
-    r2 = r2_zero = r_zero * r_zero if full or by_rank else None
-    order = []
-    # at beta = 1 the pick reads no residual: only the norms need a product
-    picks_read_r = greedy and beta > 1
-
-    hit = None  # (iterations, primal, dual) at the first iterate that met the stop
-    # the last step was zero, or an inexact one that left x = 0
-    still = False
-    # a greedy iterate's error and residual norm, where they are taken
-    mse_val = resid2 = 0.0
-    # rows whose exact step from the current pair was zero, and that step
-    zero_rows = {}
-    k = 0
-    while hit is None and k < max_iters:
-        count = min(w, max_iters - k)
-        if k + count > cap:
-            cap = min(2 * cap, max_iters)
-            chosen_rec, step_rec, resid_rec, mse_rec, breg_rec = (
-                _resized(a, cap) for a in (chosen_rec, step_rec, resid_rec, mse_rec, breg_rec)
-            )
-        if not greedy:
-            drawn = rng.integers(m, size=count)
-            picks, picked_rhs = drawn.tolist(), rhs[drawn].tolist()
-        elif by_rank:
-            keys = rng.random((count, m))
-        elif not full:
-            subsets = _draw_subsets(m, beta, rng, count)
-        failed = None
-        j = 0
-        while j < count:
-            # a batch repeats the last ||x||^2, error and residual norm: where one
-            # is not finite, the steps it stands for run alone and warn as they do
-            if still and math.isfinite(x_norm2 + mse_val + resid2):
-                # the window's next steps, up to the first that moves x, taken at once
-                rest = count - j
-                if not greedy:
-                    chosen = drawn[j:]
-                    if j == 0:
-                        # the window's last column, which the batch may overwrite
-                        dual = dual.copy()
-                elif full:
-                    chosen = np.full(rest, r2.argmax())
-                elif by_rank:
-                    chosen = np.array([_rank_pick(keys[s], beta, r2, r, order) for s in range(j, count)])
-                else:
-                    chosen = subsets[j:]
-                    chosen = chosen[np.arange(rest), (r[chosen] ** 2).argmax(axis=1)]
-                if inexact and x_norm2 != 0.0 and rows[chosen[0]].dot(x) - rhs[chosen[0]] != 0.0:
-                    # away from x = 0 an inexact step moves x unless it is zero, as the next one is not
-                    kept, t = 0, rhs[:0]
-                elif inexact:
-                    # at x = 0 the duals move into the window's columns, or into a greedy batch's rows
-                    a = rows[chosen]
-                    new_duals = a.T if greedy else duals[:, j:count]
-                    kept, t = _steps_at_rest(dual, x, a, rhs[chosen], lam, new_duals)
-                else:
-                    # an exact step is a search: the batch repeats the steps of zero
-                    # this pair took, up to the first row that it has not stepped on
-                    t = []
-                    for row in chosen.tolist():
-                        if row not in zero_rows:
-                            break
-                        t.append(zero_rows[row])
-                    kept, t = len(t), np.array(t)
-                # steps that are not all zero moved the dual, and so the Bregman distance
-                moved = t.any()
-                if moved and greedy and truth is not None:
-                    with np.errstate(all="ignore"):
-                        breg = f_hat - np.vecdot(new_duals[:, :kept], x_hat[:, None], axis=0) + 0.5 * x_norm2
-                    # from the first that is not finite the steps run alone, as they warn
-                    finite = np.isfinite(breg)
-                    kept = kept if finite.all() else int(finite.argmin())
-                if kept:
-                    span = slice(k + j, k + j + kept)
-                    chosen_rec[span] = chosen[:kept]
-                    step_rec[span] = t[:kept]
-                    if not greedy:
-                        # each slot holds its pair: the moved duals are in place
-                        if not moved:
-                            duals[:, j : j + kept] = dual[:, None]
-                        xs[:, j : j + kept] = x[:, None]
-                        x_norm2s[j : j + kept] = x_norm2
-                        dual, x = dual_cols[j + kept - 1], x_cols[j + kept - 1]
-                    else:
-                        # x and r stay: so do the errors and residuals, and no stop is
-                        # met; steps of zero keep the pair, and its Bregman distance
-                        for rec in (resid_rec, mse_rec, breg_rec):
-                            if rec is not None:
-                                rec[span] = rec[k + j - 1]
-                        if moved:
-                            if truth is not None:
-                                breg_rec[span] = breg[:kept]
-                            np.copyto(dual, new_duals[:, kept - 1])
-                    j += kept
-                    if j == count:
-                        break
-            if not greedy:
-                i, b = picks[j], picked_rhs[j]
-            else:
-                if full:
-                    i = int(r2.argmax())
-                elif by_rank:
-                    i = _rank_pick(keys[j], beta, r2, r, order)
-                else:
-                    i = _largest_residual(subsets[j], r)
-                b = float(rhs[i])
-            t = _step_into(dual, x, rows[i], b, lam, mode, dual_cols[j], x_cols[j])
-            dual, x = dual_cols[j], x_cols[j]
-            if greedy and t == 0.0 and k + j:
-                # x_{k+j+1} = x_{k+j} bit for bit, as _step_into wrote nothing:
-                # its records repeat, r stays, and it met no stop
-                chosen_rec[k + j] = i
-                step_rec[k + j] = t
-                for rec in (resid_rec, mse_rec, breg_rec):
-                    if rec is not None:
-                        rec[k + j] = rec[k + j - 1]
-                if not inexact:
-                    if not still:
-                        zero_rows.clear()
-                    zero_rows[i] = t
-                still = True
-                j += 1
-                continue
-            x_norm2 = float(x.dot(x))
-            # an infinite ||x||^2 from finite entries (a square that overflows) is no failure
-            if not (math.isfinite(t) and (math.isfinite(x_norm2) or np.isfinite(x).all())):
-                failed = "step value" if not math.isfinite(t) else "iterate"
-                break
-            chosen_rec[k + j] = i
-            step_rec[k + j] = t
-            if t == 0.0:
-                # the pair stays, and an exact batch may repeat this step along
-                # row i; the steps of zero before the last move are forgotten
-                if not inexact:
-                    if not still:
-                        zero_rows.clear()
-                    zero_rows[i] = t
-                still = True
-            else:
-                # at x = 0 the next inexact steps may leave x there
-                still = inexact and x_norm2 == 0.0 and not np.count_nonzero(x)
-            if not greedy:
-                x_norm2s[j] = x_norm2
-                j += 1
-                continue
-            # greedy rows: records and stopping at x_{k+j+1}, whose residual picks the next row
-            met = False
-            if truth is not None:
-                diff = x - x_hat
-                mse_val = float(diff.dot(diff)) / x_hat_norm2
-                mse_rec[k + j] = mse_val
-                breg_rec[k + j] = f_hat - float(dual.dot(x_hat)) + 0.5 * x_norm2
-                met = mse_target is not None and mse_val <= mse_target
-            # past the last iterate no pick reads the residual
-            if norms or picks_read_r and not (met or k + j + 1 == max_iters):
-                if x_norm2 == 0.0 and not np.count_nonzero(x):
-                    # as a product at x = 0 would, the block lets its columns go
-                    r, r2 = r_zero, r2_zero
-                    columns._release()
-                else:
-                    r = columns.product(x) - rhs
-                    if r2 is not None:
-                        r2 = r * r
-                order = []
-            if norms:
-                resid2 = float(r.dot(r))
-                if residuals:
-                    resid_rec[k + j] = resid2
-                met = met or eps2 is not None and resid2 <= eps2
-            if met:
-                hit = (k + j + 1, x, dual)
-                break
-            j += 1
-        # a uniform window's records and stop, on the j iterates it holds: all of
-        # them, or those before a non-finite one
-        if not greedy and j:
-            hit = _flush_window(k, xs[:, :j], duals[:, :j], x_norm2s[:j], columns, rhs,
-                                truth, mse_target, eps2, resid_rec, mse_rec, breg_rec)
-        if failed and hit is None:
-            raise NonFiniteIterateError(f"{failed} became non-finite at iteration {k + j}")
-        k += count
-
-    status = RunStatus.MAX_ITERS
-    if hit is not None:
-        k, x, dual = hit
-        status = RunStatus.CONVERGED
-    trace = IterationTrace(
-        chosen=_resized(chosen_rec, k),
-        step=_resized(step_rec, k),
-        residual_norm2=_resized(resid_rec, k),
-        mse=_resized(mse_rec, k),
-        bregman_to_truth=_resized(breg_rec, k),
-        status=status,
-        iterations=k,
-    )
-    # a copy: the steps wrote into the window's buffers
-    return DualPair(primal=x.copy(), dual=dual.copy(), lam=lam), trace
+    cap = min(stop.max_iters, _FIRST_RECORDS)
+    recs = [np.empty(cap, dtype=np.int64)] + [np.empty(cap) if on else None for on in (1, residuals, truth, truth)]
+    loop = _greedy_loop if sampler.rule is SelectionRule.SKM_GREEDY else _uniform_loop
+    k, x, dual, status = loop(system, spec, rng, truth, mse_target, eps2, recs)
+    trace = IterationTrace(*(_resized(a, k) for a in recs), status=status, iterations=k)
+    # a copy: the steps wrote into the loop's buffers
+    return DualPair(primal=x.copy(), dual=dual.copy(), lam=spec.lam), trace

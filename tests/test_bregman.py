@@ -157,6 +157,16 @@ def test_threshold_at_lam_zero_is_one_copy(monkeypatch):
     assert np.array_equal(out.view(np.int64), v.view(np.int64))
 
 
+def test_threshold_at_lam_zero_into_v_itself_writes_nothing():
+    # at lam = 0 a uniform window's x and x* are one column, which the
+    # threshold of the step returns as it is: a read-only v would refuse a write
+    v = np.array([1.5, -2.25, 0.0, 5e-324, -1e308])
+    before = v.copy()
+    v.setflags(write=False)
+    assert bregman._threshold_into(v, 0.0, v) is v
+    assert np.array_equal(v.view(np.int64), before.view(np.int64))
+
+
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
@@ -181,6 +191,27 @@ def test_step_into_in_place_matches_fresh_arrays(mode, lam):
         assert bregman._step_into(dual, primal, a, b, lam, mode, dual, primal) == t
         assert np.array_equal(_bits(dual), _bits(new_dual))
         assert np.array_equal(_bits(primal), _bits(new_primal))
+
+
+@pytest.mark.parametrize("mode", list(StepMode))
+def test_step_into_at_lam_zero_into_one_array_matches_fresh_arrays(mode):
+    # at lam = 0, where x = x*, a uniform window steps into one column for
+    # both: t*a goes into it, then the new dual, and the threshold writes
+    # nothing. t and the pair are those of a step into two fresh arrays,
+    # bit for bit, steps of zero included
+    rng = np.random.default_rng(29)
+    for case in range(100):
+        n = int(rng.integers(1, 60))
+        dual = rng.standard_normal(n) * rng.uniform(0.1, 3.0) + 0.0
+        a = random_unit_row(rng, n)
+        b = float(a.dot(dual)) if case % 10 == 0 else float(rng.standard_normal())
+        new_dual, new_primal, one = np.empty(n), np.empty(n), np.empty(n)
+        t = bregman._step_into(dual, dual, a, b, 0.0, mode, new_dual, new_primal)
+        assert bregman._step_into(dual, dual, a, b, 0.0, mode, one, one) == t
+        assert np.array_equal(_bits(one), _bits(new_dual))
+        assert np.array_equal(_bits(one), _bits(new_primal))
+        if case % 10 == 0 and mode is StepMode.INEXACT:
+            assert t == 0.0
 
 
 def _zero_step_rows(rng, lam):

@@ -930,6 +930,35 @@ def test_cli_refuses_a_flag_its_command_does_not_read(tmp_path, command, flag, t
     assert not list(tmp_path.rglob("*.csv"))
 
 
+RK_CONTRADICTIONS = [("--lambda", "0.5"), ("--step", "exact"), ("--beta", "3")]
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+@pytest.mark.parametrize("flag, text", RK_CONTRADICTIONS, ids=[case[0] for case in RK_CONTRADICTIONS])
+def test_cli_refuses_a_flag_that_contradicts_rk(tmp_path, command, flag, text):
+    # RK is the inexact step at lambda 0 with uniform rows: a weight, a
+    # subset size or the exact step would be ignored, so each is a usage
+    # error that names the flag, before anything is written
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(OVERRIDE_BASE))
+    proc = run_cli(command, "--config", str(config), "--out", str(tmp_path / "out"), "--method", "rk", flag, text)
+    assert proc.returncode == 2, proc.stderr
+    assert f"{flag} {text} does not apply to --method rk" in proc.stderr
+    assert proc.stdout == "" and not (tmp_path / "out").exists()
+
+
+def test_cli_rk_takes_the_inexact_step_flag(tmp_path, capsys):
+    # --step inexact is RK's own mode: the trace is that of plain --method rk
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(OVERRIDE_BASE))
+    traces = []
+    for extra in ([], ["--step", "inexact"]):
+        out = tmp_path / f"out{len(traces)}"
+        assert cli.main(["solve", "--config", str(config), "--out", str(out), "--method", "rk", *extra]) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+
+
 def test_cli_solver_error_exit_code(tmp_path, monkeypatch, capsys):
     # a non-finite iterate ends the command with exit 4 and one line on stderr
     def diverging(system, spec, ground_truth=None, residuals=False):

@@ -368,6 +368,66 @@ def test_run_batches_match_composed_single_steps(monkeypatch, residuals):
                 assert zero_steps > 0, name
 
 
+def _at_rest_through_the_first_window():
+    """A 40 x 10 system, its truth and an RK/SRK seed whose first 32 rows drawn
+    have b_i = 0 and whose 33rd does not. From x = 0 every step of the first
+    window is zero, so the second window starts with a batch in slot 0, from
+    the pair copied out of the last column, and at once takes slot 0 alone."""
+    system, x_hat, _ = gaussian_instance(40, 10, 3, np.random.default_rng(0))
+    for seed in range(100):
+        _, probe = run(system, SolverSpec.rk(seed=seed, stop=StoppingRule(max_iters=33)))
+        first = probe.chosen[:32]
+        if probe.chosen[32] not in first:
+            break
+    rhs = system.rhs.copy()
+    rhs[first] = 0.0
+    assert rhs[probe.chosen[32]] != 0.0
+    return system.with_rhs(rhs), x_hat, seed
+
+
+@pytest.mark.parametrize("residuals", [False, True])
+@pytest.mark.parametrize("max_iters", [1, 2, 31, 32, 33, 65])
+def test_run_at_lam_zero_in_one_buffer_matches_composed_single_steps(max_iters, residuals):
+    """At lam = 0 a uniform window keeps x and x* in one buffer (and at
+    max_iters = 1 in two): RK and SRK-exact equal init_state -> pick_index
+    (full residual) -> step_once, record for record, at budgets that end
+    inside, at and past a window, on a system that stays at x = 0 through
+    the first window and on one that does not."""
+    rest, rest_hat, rest_seed = _at_rest_through_the_first_window()
+    system, x_hat, _ = small_instance(seed=5)
+    stop = StoppingRule(max_iters=max_iters)
+    for name, case, truth, seed in (("moving", system, x_hat, 3), ("at-rest", rest, rest_hat, rest_seed)):
+        for spec in (SolverSpec.rk(seed=seed, stop=stop), SolverSpec.srk(0.0, StepMode.EXACT, seed=seed, stop=stop)):
+            _, zero_iterates = _check_against_single_steps(name, case, truth, spec, residuals)
+            if name == "at-rest":
+                assert zero_iterates == min(max_iters, 32), (spec, max_iters)
+
+
+def test_run_shares_one_buffer_only_for_uniform_windows_at_lam_zero(monkeypatch):
+    # x = x* at lam = 0, so a uniform window of w > 1 slots steps each into
+    # one column for both. A window of one slot steps in place, as every
+    # greedy step does, into the dual it reads; above lam = 0 x and x* differ
+    system, x_hat, _ = small_instance(seed=5)
+    kinds = []
+    step = solvers._step_into
+
+    def spy(dual, primal, a, b, lam, mode, new_dual, new_primal):
+        kinds.append(new_dual is new_primal)
+        return step(dual, primal, a, b, lam, mode, new_dual, new_primal)
+
+    monkeypatch.setattr(solvers, "_step_into", spy)
+    stop = StoppingRule(max_iters=100)
+    cases = [(SolverSpec.rk(seed=3, stop=stop), True), (SolverSpec.srk(0.0, StepMode.EXACT, seed=3, stop=stop), True)]
+    cases += [(SolverSpec.rk(seed=3, stop=StoppingRule(max_iters=1)), False)]
+    for mode in StepMode:
+        cases += [(SolverSpec.srk(0.5, mode, seed=3, stop=stop), False)]
+        cases += [(SolverSpec.sskm(lam, 8, mode, seed=3, stop=stop), False) for lam in (0.0, 0.5)]
+    for spec, shared in cases:
+        kinds.clear()
+        run(system, spec, ground_truth=x_hat)
+        assert kinds and all(kind is shared for kind in kinds), spec
+
+
 def test_run_calls_the_step_kernel_once_per_step_that_moves_x(monkeypatch):
     # SRK-inexact at lam = 10 stays at x = 0 for its first 87 iterations: after
     # the first, they are one batch per window, with no _step_into each
