@@ -19,14 +19,13 @@ from .bregman import (
     project_hyperplane,
     soft_threshold,
 )
-from .linsys import LinearSystem, normalize_rows, residual, row_residual
+from .linsys import LinearSystem, normalize_rows, residual
 from .sampling import (
     SamplerConfig,
     Selection,
     SelectionRule,
     sample_subset,
     select_motzkin,
-    theoretical_subset_probability,
 )
 from .solvers import (
     IterationTrace,
@@ -38,7 +37,6 @@ from .solvers import (
     step_once,
 )
 from .diagnostics import (
-    ContractionFactor,
     SingularValues,
     TheoryReport,
     build_theory_report,
@@ -46,7 +44,6 @@ from .diagnostics import (
     density,
     error_bound_margin,
     gamma_from_residuals,
-    gamma_k,
     min_abs_nonzero,
     mse,
     noisy_envelope,
@@ -73,7 +70,6 @@ from .matrixmarket import read_matrix_market, write_matrix_market
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContractionFactor",
     "DualPair",
     "ExperimentConfig",
     "IterationTrace",
@@ -99,7 +95,6 @@ __all__ = [
     "error_bound_margin",
     "exact_step",
     "gamma_from_residuals",
-    "gamma_k",
     "gaussian_instance",
     "inexact_step",
     "init_state",
@@ -116,7 +111,6 @@ __all__ = [
     "replay_duals",
     "residual",
     "resolve_beta",
-    "row_residual",
     "run",
     "sample_subset",
     "select_motzkin",
@@ -126,6 +120,5 @@ __all__ = [
     "step_once",
     "sweep_beta",
     "sweep_lambda",
-    "theoretical_subset_probability",
     "write_matrix_market",
 ]

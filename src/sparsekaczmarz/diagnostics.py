@@ -16,9 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bregman import DualPair, StepMode, _bregman_gap, _check_step_mode, soft_threshold
+from .bregman import DualPair, StepMode, _bregman_gap, _check_lam, _check_step_mode, soft_threshold
 from .errors import (
     AllZeroError,
+    DimensionMismatchError,
     InvalidGammaError,
     NonFiniteDataError,
     ZeroMatrixError,
@@ -26,7 +27,7 @@ from .errors import (
     ZeroTruthError,
 )
 from .linsys import LinearSystem, residual
-from .sampling import _check_beta, _max_rank_sums
+from .sampling import _check_beta
 
 NONZERO_ENTRY_TOL = 1e-12
 SINGULAR_VALUE_CUTOFF = 1e-10
@@ -90,6 +91,27 @@ def min_abs_nonzero(x_hat) -> float:
     return float(mags.min())
 
 
+def _max_rank_sums(mags: np.ndarray, beta: int) -> tuple[list[int], int]:
+    """The squares of the finite magnitudes ``mags`` as Python ints (exact,
+    up to one common power of two), and the sum over all C(m, beta) subsets
+    of the square of each subset's maximum.
+
+    Ranked by descending magnitude, ties to the smaller index, the entry at
+    rank p is the maximum of exactly C(m-1-p, beta-1) subsets.
+    """
+    frac, exp = np.frexp(mags)
+    mant = (frac * 2.0**53).astype(np.int64).tolist()
+    shift = (exp - exp.min()).tolist()
+    sq = [(a << s) ** 2 for a, s in zip(mant, shift)]
+    order = np.argsort(-mags, kind="stable").tolist()
+    m = len(order)
+    total, count = 0, 1  # count = C(m-1-p, beta-1), from p = m-beta down to 0
+    for p in range(m - beta, -1, -1):
+        total += count * sq[order[p]]
+        count = count * (m - p) // (m - p - beta + 1)
+    return sq, total
+
+
 def gamma_from_residuals(residuals, beta: int) -> float:
     """Ratio of subset-summed squared 2-norms to squared max-norms of residual subvectors.
 
@@ -99,26 +121,21 @@ def gamma_from_residuals(residuals, beta: int) -> float:
     sums are Python integers (squared integer mantissas, so finite input
     never overflows) and the ratio is one correctly rounded division. It is
     exactly 1 for a single nonzero entry and exactly beta for constant
-    magnitudes. Raises NonFiniteDataError for a NaN or infinite entry and
-    InvalidBetaError for a beta that is no integer or lies outside [1, m].
+    magnitudes. Raises DimensionMismatchError for input that is not 1-D,
+    InvalidBetaError for a beta that is no integer or lies outside [1, m],
+    and NonFiniteDataError for a NaN or infinite entry.
     """
-    r = np.asarray(residuals, dtype=float)
-    m = r.shape[0]
+    mags = np.abs(np.asarray(residuals, dtype=float))
+    if mags.ndim != 1:
+        raise DimensionMismatchError(f"residuals must be 1-D, got shape {mags.shape}")
+    m = mags.shape[0]
     _check_beta(beta, m)
-    sq, total, _ = _max_rank_sums(r, beta, r)
+    if not np.all(np.isfinite(mags)):
+        raise NonFiniteDataError("subset sums need finite values")
+    sq, total = _max_rank_sums(mags, beta)
     if total == 0:
         raise ZeroResidualError("gamma is undefined at a solution")
     return comb(m - 1, beta - 1) * sum(sq) / total
-
-
-def gamma_k(system: LinearSystem, x, beta: int) -> float:
-    """``gamma_from_residuals`` evaluated at the residual of ``x``."""
-    return gamma_from_residuals(residual(system, x), beta)
-
-
-class ContractionFactor(NamedTuple):
-    value: float
-    in_unit_interval: bool
 
 
 def contraction_factor(
@@ -128,24 +145,24 @@ def contraction_factor(
     beta: int,
     gamma: float,
     m: int,
-) -> ContractionFactor:
-    """Per-step expected contraction factor of the Bregman distance.
+) -> float:
+    """Per-step expected contraction factor q of the Bregman distance.
 
     For lam > 0: 1 - (beta * sigma_min^2) / (2 * gamma * m) * x_min_abs / (x_min_abs + 2*lam).
     For lam = 0: 1 - beta * sigma_min^2 / (gamma * m); pass the smallest
     (possibly zero) singular value in that case, the smallest nonzero one
-    otherwise. Values outside (0, 1) are reported with the flag cleared.
-    A beta that is no integer or lies outside [1, m] raises
-    :class:`InvalidBetaError`, before gamma is checked against [1, beta].
+    otherwise. q is returned as computed, also where it lies outside (0, 1).
+    A negative, infinite or NaN lam raises ``ValueError``. A beta that is no
+    integer or lies outside [1, m] raises :class:`InvalidBetaError`, before
+    gamma is checked against [1, beta].
     """
+    _check_lam(lam)
     _check_beta(beta, m)
     if not (1.0 - 1e-9 <= gamma <= beta + 1e-9):
         raise InvalidGammaError(f"gamma={gamma} outside [1, beta={beta}]")
     if lam > 0:
-        q = 1.0 - (beta * sigma_min**2) / (2.0 * gamma * m) * (x_min_abs / (x_min_abs + 2.0 * lam))
-    else:
-        q = 1.0 - (beta * sigma_min**2) / (gamma * m)
-    return ContractionFactor(value=q, in_unit_interval=0.0 < q < 1.0)
+        return 1.0 - (beta * sigma_min**2) / (2.0 * gamma * m) * (x_min_abs / (x_min_abs + 2.0 * lam))
+    return 1.0 - (beta * sigma_min**2) / (gamma * m)
 
 
 def error_bound_margin(
@@ -161,8 +178,9 @@ def error_bound_margin(
     ``x_hat`` and RHS is the residual-based bound; nonnegative when the bound
     holds. For lam > 0 the pair's dual must lie in the row space (true for
     any solver run started at zero); for lam = 0 the matrix must have full
-    column rank.
+    column rank. A negative, infinite or NaN lam raises ``ValueError``.
     """
+    _check_lam(lam)
     r = residual(system, pair.primal)
     x_hat = np.asarray(x_hat, dtype=float)
     xmin = min_abs_nonzero(x_hat) if lam > 0 else 0.0
@@ -197,9 +215,11 @@ def noisy_envelope(
     q_0..q_j: the noiseless term sqrt(prod(q) * (2*lam*||x_hat||_1 +
     ||x_hat||_2^2)) plus a noise term sqrt(sum(q) * delta_inf^2 / 2), the
     latter inflated by (1 + 4*lam*||A||_{1,2}) in exact mode. With
-    delta_inf = 0 this reduces to the noiseless envelope. A ``mode`` that is
-    not a :class:`StepMode` raises ``ValueError``.
+    delta_inf = 0 this reduces to the noiseless envelope. A negative,
+    infinite or NaN lam, or a ``mode`` that is not a :class:`StepMode`,
+    raises ``ValueError``.
     """
+    _check_lam(lam)
     _check_step_mode(mode, "mode")
     q = np.asarray(q_sequence, dtype=float)
     x_hat = np.asarray(x_hat, dtype=float)
@@ -255,8 +275,10 @@ def build_theory_report(
 
     The checkpoints are every iteration when m <= 20 and every 100th
     iteration otherwise, from iteration 0; the iterates come from
-    :func:`replay_duals`.
+    :func:`replay_duals`. A negative, infinite or NaN lam raises
+    ``ValueError``, also for a trace of no iterations.
     """
+    _check_lam(lam)
     x_hat = np.asarray(x_hat, dtype=float)
     sv = smallest_nonzero_singular_value(system)
     xmin = min_abs_nonzero(x_hat)
@@ -271,7 +293,7 @@ def build_theory_report(
         r = system.rows @ x - system.rhs
         if np.any(r != 0.0):
             gammas[pos] = gamma = gamma_from_residuals(r, beta)
-            qs[pos] = contraction_factor(sv.smallest_nonzero, lam, xmin, beta, gamma, system.m).value
+            qs[pos] = contraction_factor(sv.smallest_nonzero, lam, xmin, beta, gamma, system.m)
         margins[pos] = _margin(float(np.dot(r, r)), x, dual, x_hat, lam, sv.smallest_nonzero, xmin)
     return TheoryReport(
         sigma_min_tilde=sv.smallest_nonzero,

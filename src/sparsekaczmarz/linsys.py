@@ -205,13 +205,3 @@ def _check_row(system: LinearSystem, i: int) -> None:
     if not 0 <= i < system.m:
         raise IndexOutOfRangeError(f"row index {i} outside [0, {system.m})")
 
-
-def row_residual(system: LinearSystem, i: int, x) -> float:
-    """<a_i, x> - b_i for a single row. A row index that is no integer (a
-    bool is none) raises ``TypeError``, and one outside [0, m)
-    :class:`IndexOutOfRangeError`."""
-    _check_row(system, i)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (system.n,):
-        raise DimensionMismatchError(f"x has shape {x.shape}, expected ({system.n},)")
-    return float(np.dot(system.rows[i], x) - system.rhs[i])

@@ -9,11 +9,8 @@ found three ways, each bit for bit the same: from the sorted subset
 (:func:`_largest_residual`, the reference), by residual rank from the keys
 (:func:`_rank_pick`, cheaper where most rows are in the subset), and at
 beta = m, where the subset is all rows, as the argmax of the squared
-residual, with no keys drawn. With unit rows this
-uniform subset law coincides with the norm-weighted law that the selection
-analysis uses. That law is exposed separately as a
-diagnostic, in closed form: ranked by residual, the row at rank p is the
-greedy pick of exactly C(m-1-p, beta-1) of the C(m, beta) subsets.
+residual, with no keys drawn. With unit rows this uniform subset law
+coincides with the norm-weighted law that the selection analysis uses.
 """
 
 from __future__ import annotations
@@ -24,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySubsetError, InvalidBetaError, NonFiniteDataError
-from .linsys import LinearSystem, _is_integer, residual
+from .errors import EmptySubsetError, InvalidBetaError
+from .linsys import LinearSystem, _is_integer
 
 
 def _check_beta(beta, m: int) -> None:
@@ -204,55 +201,3 @@ def pick_index(config: SamplerConfig, system: LinearSystem, rng: np.random.Gener
         return int(rng.integers(m))
     return _largest_residual(sample_subset(m, config.beta, rng), residuals)
 
-
-def _max_rank_sums(values, beta: int, scales) -> tuple[list[int], int, list[int]]:
-    """Greedy-pick sums over all C(m, beta) subsets in exact integer arithmetic.
-
-    Ranks the rows by descending ``|values|``, ties to the smaller index as
-    :func:`pick_index` breaks them; the row at rank p is the pick of exactly
-    C(m-1-p, beta-1) subsets. Returns the squared ``scales`` as Python ints
-    (exact, up to one common power of two), the sum over all subsets of the
-    pick's squared scale, and the ranking. Raises :class:`NonFiniteDataError`
-    if ``values`` or ``scales`` holds a NaN or an infinity.
-    """
-    values = np.asarray(values, dtype=float)
-    scales = np.abs(np.asarray(scales, dtype=float))
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(scales))):
-        raise NonFiniteDataError("subset sums need finite values")
-    frac, exp = np.frexp(scales)
-    mant = (frac * 2.0**53).astype(np.int64).tolist()
-    shift = (exp - exp.min()).tolist()
-    sq = [(a << s) ** 2 for a, s in zip(mant, shift)]
-    order = np.argsort(-np.abs(values), kind="stable").tolist()
-    m = len(order)
-    total, count = 0, 1  # count = C(m-1-p, beta-1), from p = m-beta down to 0
-    for p in range(m - beta, -1, -1):
-        total += count * sq[order[p]]
-        count = count * (m - p) // (m - p - beta + 1)
-    return sq, total, order
-
-
-def theoretical_subset_probability(system: LinearSystem, x, beta: int, tau) -> float:
-    """Probability the norm-weighted subset law assigns to the subset ``tau``.
-
-    Each subset is weighted by the squared original norm of the row the
-    greedy rule would pick from it: the largest raw residual, evaluated on
-    the pre-normalization data via the stored row scales, ties to the smaller
-    index. With unit row scales this is 1 / C(m, beta) for every subset.
-    Exact for every (m, beta), with no enumeration: see :func:`_max_rank_sums`.
-    ``tau`` must hold beta distinct indices in [0, m), else InvalidBetaError;
-    ``x`` must have length n, else DimensionMismatchError.
-    """
-    m = system.m
-    _check_beta(beta, m)
-    tau = np.asarray(tau)
-    if tau.shape != (beta,) or not np.issubdtype(tau.dtype, np.integer):
-        raise InvalidBetaError(f"tau must hold beta={beta} integer indices, got {tau.tolist()}")
-    if tau.min() < 0 or tau.max() >= m or np.unique(tau).size != beta:
-        raise InvalidBetaError(f"tau must hold distinct indices in [0, {m}), got {tau.tolist()}")
-
-    raw_res = residual(system, x) * system.row_scales
-    sq, total, order = _max_rank_sums(raw_res, beta, system.row_scales)
-    rank = np.empty(m, dtype=int)
-    rank[order] = np.arange(m)
-    return sq[int(tau[np.argmin(rank[tau])])] / total

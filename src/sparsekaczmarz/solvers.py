@@ -710,7 +710,7 @@ def step_once(state: DualPair, system: LinearSystem, i: int, step_mode: StepMode
     With lam = 0 in inexact mode this is exactly the classical Kaczmarz
     orthogonal projection onto the selected hyperplane. A row index that is
     no integer (a bool is none) raises ``TypeError``, and one outside [0, m)
-    :class:`IndexOutOfRangeError`, as :func:`row_residual` does.
+    :class:`IndexOutOfRangeError`.
     """
     _check_row(system, i)
     return project_hyperplane(state, system.rows[i], float(system.rhs[i]), step_mode)

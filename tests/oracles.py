@@ -164,24 +164,6 @@ def gamma_sorted(r, beta, weights):
     return num / float(weights @ sq)
 
 
-def subset_probability_bruteforce(system, x, beta):
-    """Norm-weighted subset law, as {sorted subset tuple: probability}, by enumeration.
-
-    Each of the C(m, beta) subsets weighs the squared original norm of its
-    greedy pick, the row with the largest squared raw residual, ties to the
-    smallest index.
-    """
-    raw_res = (system.rows @ np.asarray(x, dtype=float) - system.rhs) * system.row_scales
-    sq = raw_res**2
-    scales2 = system.row_scales**2
-    weights = {}
-    for subset in itertools.combinations(range(system.m), beta):
-        idx = np.fromiter(subset, dtype=int, count=beta)
-        weights[subset] = scales2[idx[int(np.argmax(sq[idx]))]]
-    denom = sum(weights.values())
-    return {subset: float(w / denom) for subset, w in weights.items()}
-
-
 def singular_values_via_gram(a):
     """Singular values from the eigenvalues of A^T A (independent of SVD)."""
     a = np.asarray(a, dtype=float)

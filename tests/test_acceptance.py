@@ -185,7 +185,7 @@ def contraction_study():
         for j in range(iters):
             r = residual(system, pair.primal)
             gamma = gamma_from_residuals(r, beta)
-            q = contraction_factor(sv.smallest_nonzero, lam, xmin, beta, gamma, m).value
+            q = contraction_factor(sv.smallest_nonzero, lam, xmin, beta, gamma, m)
             subset = sample_subset(m, beta, rng)
             i = int(subset[int(np.argmax(r[subset] ** 2))])
             pair = step_once(pair, system, i, StepMode.EXACT)
@@ -336,9 +336,7 @@ def test_c09_noisy_ordering_and_envelope():
             for j, dual in enumerate(sk.replay_duals(system, trace)):
                 x = soft_threshold(dual, lam)
                 gamma = gamma_sorted(system.rows @ x - system.rhs, beta, weights)
-                q_seq[j] = contraction_factor(
-                    sv.smallest_nonzero, lam, xmin, beta, gamma, m
-                ).value
+                q_seq[j] = contraction_factor(sv.smallest_nonzero, lam, xmin, beta, gamma, m)
             env = noisy_envelope(q_seq, lam, x_hat, delta_inf, onetwo, mode)
             for c in checkpoints:
                 if c <= trace.iterations:

@@ -10,7 +10,6 @@ from sparsekaczmarz import (
     density,
     error_bound_margin,
     gamma_from_residuals,
-    gamma_k,
     gaussian_instance,
     min_abs_nonzero,
     mse,
@@ -21,6 +20,7 @@ from sparsekaczmarz import (
 )
 from sparsekaczmarz.errors import (
     AllZeroError,
+    DimensionMismatchError,
     InvalidBetaError,
     InvalidGammaError,
     NonFiniteDataError,
@@ -157,6 +157,12 @@ def test_gamma_refuses_a_bad_beta(beta):
         gamma_from_residuals(np.array([1.0, -2.0, 0.5, 3.0]), beta)
 
 
+@pytest.mark.parametrize("residuals", [np.ones((3, 2)), np.array(1.0)], ids=["2-D", "0-d"])
+def test_gamma_refuses_input_that_is_not_one_dimensional(residuals):
+    with pytest.raises(DimensionMismatchError, match="1-D"):
+        gamma_from_residuals(residuals, 1)
+
+
 def test_gamma_zero_residual():
     with pytest.raises(ZeroResidualError):
         gamma_from_residuals(np.zeros(4), 2)
@@ -201,27 +207,19 @@ def test_gamma_property_matches_bruteforce(r_beta):
     assert 1.0 <= gamma <= beta
 
 
-def test_gamma_k_uses_system_residual():
-    rng = np.random.default_rng(4)
-    system, x_hat, _ = gaussian_instance(8, 5, 2, rng)
-    x = rng.standard_normal(5)
-    r = system.rows @ x - system.rhs
-    assert gamma_k(system, x, 3) == pytest.approx(gamma_from_residuals(r, 3), rel=1e-14)
-
-
 # --------------------------------------------------------- contraction
 
 
 def test_contraction_rk_rate_at_beta_one():
     # lam=0, beta=1, gamma=1 reduces to 1 - sigma_min^2 / m
     q = contraction_factor(0.6, 0.0, 1.0, 1, 1.0, 10)
-    assert q.value == pytest.approx(1.0 - 0.36 / 10.0, rel=1e-15)
+    assert q == pytest.approx(1.0 - 0.36 / 10.0, rel=1e-15)
 
 
 def test_contraction_worked_example():
     q = contraction_factor(np.sqrt(0.5), 1.0, 1.0, 2, 1.5, 3)
-    assert q.value == pytest.approx(26.0 / 27.0, rel=1e-12)
-    assert q.in_unit_interval
+    assert q == pytest.approx(26.0 / 27.0, rel=1e-12)
+    assert 0.0 < q < 1.0
 
 
 def test_contraction_worst_case_gamma_is_uniform_row_rate():
@@ -230,21 +228,20 @@ def test_contraction_worst_case_gamma_is_uniform_row_rate():
     sigma, xmin, lam, m = 0.7, 0.4, 1.0, 12
     for beta in (1, 6, 12):
         q = contraction_factor(sigma, lam, xmin, beta, float(beta), m)
-        assert q.value == pytest.approx(
+        assert q == pytest.approx(
             1.0 - sigma**2 / (2.0 * m) * xmin / (xmin + 2.0 * lam), rel=1e-12
         )
 
 
 def test_contraction_flags_super_fast_regime():
     q = contraction_factor(4.0, 0.0, 1.0, 2, 1.0, 2)
-    assert q.value < 0.0
-    assert not q.in_unit_interval
+    assert q < 0.0
 
 
 def test_contraction_monotone_in_beta_over_gamma():
     # larger beta/gamma (other inputs fixed) means a smaller factor
     qs = [
-        contraction_factor(0.5, 1.0, 0.8, beta, 2.0, 12).value for beta in (2, 4, 8, 12)
+        contraction_factor(0.5, 1.0, 0.8, beta, 2.0, 12) for beta in (2, 4, 8, 12)
     ]
     assert all(a > b for a, b in zip(qs, qs[1:]))
 
@@ -357,7 +354,7 @@ def test_build_theory_report_along_run():
     assert np.nanmin(report.bound_margins) >= -1e-9
     # q must agree with a direct recomputation at the first checkpoint
     g0 = gamma_from_residuals(system.rows @ np.zeros(9) - system.rhs, beta)
-    q0 = contraction_factor(report.sigma_min_tilde, 1.0, report.x_min_abs, beta, g0, 14).value
+    q0 = contraction_factor(report.sigma_min_tilde, 1.0, report.x_min_abs, beta, g0, 14)
     assert report.q[0] == pytest.approx(q0, rel=1e-14)
 
 
@@ -402,7 +399,7 @@ def test_theory_reports_take_one_svd_and_equal_the_validated_pair_path(monkeypat
         r = residual(system, pair.primal)
         if np.any(r != 0.0):
             gamma[k] = gamma_from_residuals(r, beta)
-            q[k] = contraction_factor(sv.smallest_nonzero, lam, xmin, beta, gamma[k], system.m).value
+            q[k] = contraction_factor(sv.smallest_nonzero, lam, xmin, beta, gamma[k], system.m)
         margins[k] = error_bound_margin(pair, system, x_hat, lam, sv.smallest_nonzero)
     for report in reports:
         assert np.array_equal(report.checkpoints, np.arange(trace.iterations))
@@ -427,3 +424,29 @@ def test_density_matches_hand_count():
     a[rng.random((30, 20)) < 0.8] = 0.0
     count = sum(1 for i in range(30) for j in range(20) if a[i, j] != 0.0)
     assert density(a) == pytest.approx(count / 600.0, rel=1e-15)
+
+
+# --------------------------------------------------------------- bad lam
+
+
+@pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize(
+    "function", ["contraction_factor", "error_bound_margin", "noisy_envelope", "build_theory_report"]
+)
+def test_diagnostics_refuse_a_bad_lam(function, lam):
+    from sparsekaczmarz import IterationTrace, build_theory_report
+
+    system, x_hat, _ = gaussian_instance(12, 8, 2, np.random.default_rng(12))
+    # a trace of no iterations: the report thresholds no iterate with lam
+    empty = IterationTrace(
+        chosen=np.empty(0, dtype=int), step=np.empty(0), residual_norm2=None, mse=None, bregman_to_truth=None
+    )
+    pair = DualPair.from_dual(np.zeros(8), 0.0)
+    calls = {
+        "contraction_factor": lambda: contraction_factor(0.5, lam, 1.0, 2, 1.5, 10),
+        "error_bound_margin": lambda: error_bound_margin(pair, system, x_hat, lam, 0.5),
+        "noisy_envelope": lambda: noisy_envelope([0.9, 0.8], lam, x_hat, 0.1, 1.0, StepMode.EXACT),
+        "build_theory_report": lambda: build_theory_report(system, x_hat, empty, lam, 2),
+    }
+    with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+        calls[function]()

@@ -4,10 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from sparsekaczmarz import LinearSystem, normalize_rows, residual, row_residual
+from sparsekaczmarz import LinearSystem, normalize_rows, residual
 from sparsekaczmarz.errors import (
     DimensionMismatchError,
-    IndexOutOfRangeError,
     NonFiniteDataError,
     ZeroRowError,
 )
@@ -175,46 +174,6 @@ def test_residual_rejects_bad_shape():
     system = normalize_rows([[1.0, 0.0]], [1.0])
     with pytest.raises(DimensionMismatchError):
         residual(system, [1.0, 2.0, 3.0])
-
-
-def test_row_residual_on_satisfied_row():
-    system = normalize_rows([[1.0, 0.0]], [1.0])
-    assert row_residual(system, 0, [1.0, 5.0]) == 0.0
-
-
-def test_row_residual_value():
-    system = normalize_rows([[0.6, 0.8]], [0.0])
-    assert row_residual(system, 0, [1.0, 1.0]) == pytest.approx(1.4, abs=1e-15)
-
-
-def test_row_residual_matches_full_residual():
-    rng = np.random.default_rng(5)
-    system = normalize_rows(rng.standard_normal((8, 4)), rng.standard_normal(8))
-    x = rng.standard_normal(4)
-    full = residual(system, x)
-    for i in range(8):
-        assert row_residual(system, i, x) == pytest.approx(full[i], abs=1e-14)
-
-
-def test_row_residual_rejects_bad_index():
-    system = normalize_rows([[1.0, 0.0]], [1.0])
-    with pytest.raises(IndexOutOfRangeError):
-        row_residual(system, 1, [0.0, 0.0])
-
-
-@pytest.mark.parametrize("i", [1.5, np.float64(2.0), True, "0"])
-def test_row_residual_refuses_an_index_that_is_no_integer(i):
-    # numpy would raise a bare IndexError for a float, and read a (1, n)
-    # boolean slice for True
-    system = normalize_rows([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 3.0])
-    with pytest.raises(TypeError, match="row index must be an integer"):
-        row_residual(system, i, [0.0, 0.0])
-
-
-def test_row_residual_takes_numpy_integers():
-    system = normalize_rows([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
-    for i in (np.int64(1), np.int32(1), np.intp(1)):
-        assert row_residual(system, i, [0.0, 0.0]) == -2.0
 
 
 def test_normalization_preserves_rowwise_solution_set():

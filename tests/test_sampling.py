@@ -14,12 +14,9 @@ from sparsekaczmarz import (
     residual,
     sample_subset,
     select_motzkin,
-    theoretical_subset_probability,
 )
-from sparsekaczmarz.errors import DimensionMismatchError, EmptySubsetError, InvalidBetaError, NonFiniteDataError
+from sparsekaczmarz.errors import EmptySubsetError, InvalidBetaError
 from sparsekaczmarz.sampling import _draw_subsets, _largest_residual, _rank_pick, pick_index
-
-from oracles import subset_probability_bruteforce
 
 
 def test_sample_subset_full_set():
@@ -66,8 +63,6 @@ def test_sampling_entry_points_refuse_a_bad_beta(beta):
         pick_index(SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=beta), system, rng, np.ones(4))
     with pytest.raises(InvalidBetaError, match="beta"):
         _draw_subsets(4, beta, rng, 8)
-    with pytest.raises(InvalidBetaError, match="beta"):
-        theoretical_subset_probability(system, np.zeros(4), beta, [0])
     # refused before a key is drawn
     assert rng.bit_generator.state == state
 
@@ -158,8 +153,9 @@ def test_sample_subset_membership_chi_square():
 
 
 def test_pick_index_frequencies_chi_square_against_theoretical_law():
-    # unit rows, so the uniform subset law is the norm-weighted one; rows 3 and
-    # 6 tie in |r| for the largest residual, so row 6 is picked only without row 3
+    # every beta-subset has probability 1/C(m, beta): with unit rows this is
+    # the norm-weighted law. Rows 3 and 6 tie in |r| for the largest
+    # residual, so row 6 is picked only without row 3
     m, beta, draws = 8, 3, 40_000
     system = normalize_rows(np.eye(m), np.zeros(m))
     x = np.array([0.3, -1.2, 0.7, 2.0, -0.1, 1.5, -2.0, 0.9])
@@ -167,7 +163,7 @@ def test_pick_index_frequencies_chi_square_against_theoretical_law():
     expected = np.zeros(m)
     for tau in itertools.combinations(range(m), beta):
         pick = max(tau, key=lambda i: (r[i] ** 2, -i))
-        expected[pick] += theoretical_subset_probability(system, x, beta, tau)
+        expected[pick] += 1.0 / comb(m, beta)
     assert expected.sum() == pytest.approx(1.0, rel=1e-12)
     config = SamplerConfig(rule=SelectionRule.SKM_GREEDY, beta=beta)
     rng = np.random.default_rng(16)
@@ -257,105 +253,6 @@ def test_select_motzkin_dominates_subset():
     subset = sample_subset(20, 7, rng)
     sel = select_motzkin(subset, res)
     assert res[sel.chosen] ** 2 >= np.max(res[subset] ** 2)
-
-
-def test_theoretical_probability_uniform_when_normalized():
-    rng = np.random.default_rng(6)
-    raw = rng.standard_normal((6, 4))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)  # pre-normalized input
-    system = normalize_rows(raw, rng.standard_normal(6))
-    x = rng.standard_normal(4)
-    expected = 1.0 / comb(6, 3)
-    for tau in itertools.combinations(range(6), 3):
-        assert theoretical_subset_probability(system, x, 3, tau) == pytest.approx(
-            expected, rel=1e-12
-        )
-
-
-def test_theoretical_probability_weighted_rows():
-    # two rows with original norms 1 and 3; beta=1 masses are 1/10 and 9/10
-    system = normalize_rows([[1.0, 0.0], [0.0, 3.0]], [0.5, 0.5])
-    x = np.array([2.0, 2.0])
-    assert theoretical_subset_probability(system, x, 1, [0]) == pytest.approx(0.1, rel=1e-12)
-    assert theoretical_subset_probability(system, x, 1, [1]) == pytest.approx(0.9, rel=1e-12)
-
-
-@pytest.mark.parametrize("length", [2, 4])
-def test_theoretical_probability_refuses_an_x_of_the_wrong_length(length):
-    system = normalize_rows(np.eye(3), np.ones(3))
-    with pytest.raises(DimensionMismatchError):
-        theoretical_subset_probability(system, np.zeros(length), 2, [0, 1])
-
-
-def test_theoretical_probability_sums_to_one():
-    rng = np.random.default_rng(7)
-    raw = rng.standard_normal((5, 3)) * rng.uniform(0.5, 4.0, size=(5, 1))
-    system = normalize_rows(raw, rng.standard_normal(5))
-    x = rng.standard_normal(3)
-    total = sum(
-        theoretical_subset_probability(system, x, 2, tau)
-        for tau in itertools.combinations(range(5), 2)
-    )
-    assert total == pytest.approx(1.0, rel=1e-12)
-
-
-def test_theoretical_probability_has_no_size_cap():
-    # C(60, 30) ~ 1.2e17 subsets, each with the same weight
-    rng = np.random.default_rng(8)
-    raw = rng.standard_normal((60, 3))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)  # pre-normalized input
-    system = normalize_rows(raw, rng.standard_normal(60))
-    x = rng.standard_normal(3)
-    assert theoretical_subset_probability(system, x, 30, list(range(30))) == pytest.approx(
-        1.0 / comb(60, 30), rel=1e-12
-    )
-
-
-def test_theoretical_probability_ties_go_to_the_smallest_index():
-    # raw residuals all -1, original norms 1, 2, 4: the pick of {1, 2} is row 1
-    system = normalize_rows([[1.0, 0.0], [2.0, 0.0], [4.0, 0.0]], [1.0, 1.0, 1.0])
-    x = np.zeros(2)
-    # weights: {0,1} -> 1, {0,2} -> 1, {1,2} -> 4
-    assert theoretical_subset_probability(system, x, 2, [0, 1]) == 1.0 / 6.0
-    assert theoretical_subset_probability(system, x, 2, [2, 0]) == 1.0 / 6.0
-    assert theoretical_subset_probability(system, x, 2, [1, 2]) == 4.0 / 6.0
-
-
-def test_theoretical_probability_rejects_bad_tau():
-    system = normalize_rows(np.eye(4), np.ones(4))
-    x = np.zeros(4)
-    for tau in ([0], [0, 1, 2], [1, 1], [0, 4], [-1, 2], [0.0, 1.0]):
-        with pytest.raises(InvalidBetaError):
-            theoretical_subset_probability(system, x, 2, tau)
-    with pytest.raises(InvalidBetaError):
-        theoretical_subset_probability(system, x, 5, [0, 1, 2, 3, 4])
-    with pytest.raises(NonFiniteDataError):
-        theoretical_subset_probability(system, np.full(4, np.nan), 2, [0, 1])
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(1, 8).flatmap(
-        lambda m: st.tuples(
-            st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 3.0]), min_size=m, max_size=m),
-            st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m),
-            st.integers(1, m),
-        )
-    )
-)
-def test_theoretical_probability_property_matches_bruteforce(case):
-    # small value sets make raw residuals tie; random row scales weigh the picks
-    values, scales, beta = case
-    m = len(values)
-    raw = np.zeros((m, 2))
-    raw[:, 0] = scales
-    system = normalize_rows(raw, np.multiply(scales, values))
-    x = np.zeros(2)
-    law = subset_probability_bruteforce(system, x, beta)
-    probs = {tau: theoretical_subset_probability(system, x, beta, tau) for tau in law}
-    for tau, p in probs.items():
-        assert p == pytest.approx(law[tau], rel=1e-12)
-    assert sum(probs.values()) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_pick_index_greedy_full_subset_is_global_argmax():

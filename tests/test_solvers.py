@@ -90,7 +90,7 @@ def test_step_once_refuses_a_row_outside_the_system(i):
         step_once(state, system, i, StepMode.INEXACT)
 
 
-@pytest.mark.parametrize("i", [1.5, np.float64(1.0), True, False])
+@pytest.mark.parametrize("i", [1.5, np.float64(1.0), True, False, "0"])
 def test_step_once_refuses_a_row_index_that_is_no_integer(i):
     # a float would raise numpy's bare IndexError, and a bool read a (1, n)
     # boolean slice of the rows
@@ -99,8 +99,9 @@ def test_step_once_refuses_a_row_index_that_is_no_integer(i):
     with pytest.raises(TypeError, match=re.escape(f"row index must be an integer, got {i!r}")):
         step_once(state, system, i, StepMode.INEXACT)
     # numpy integers are indices
-    moved = step_once(state, system, np.int64(0), StepMode.INEXACT)
-    assert np.array_equal(moved.primal, [1.0, 4.0])
+    for index in (np.int64(0), np.int32(0), np.intp(0)):
+        moved = step_once(state, system, index, StepMode.INEXACT)
+        assert np.array_equal(moved.primal, [1.0, 4.0])
 
 
 def test_step_once_noop_on_satisfied_row():
