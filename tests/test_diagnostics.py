@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -28,6 +31,8 @@ from sparsekaczmarz.errors import (
     ZeroResidualError,
     ZeroTruthError,
 )
+
+from sparsekaczmarz.diagnostics import _max_rank_sums
 
 from oracles import (
     gamma_bruteforce,
@@ -205,6 +210,31 @@ def test_gamma_property_matches_bruteforce(r_beta):
     gamma = gamma_from_residuals(r, beta)
     assert gamma == pytest.approx(gamma_bruteforce(r, beta), rel=1e-12)
     assert 1.0 <= gamma <= beta
+
+
+@pytest.mark.parametrize("kind", ["normal", "spread", "tied"])
+def test_max_rank_sums_equal_the_enumerated_subset_maxima(kind):
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        m = int(rng.integers(1, 9))
+        if kind == "normal":
+            r = rng.standard_normal(m)
+        elif kind == "spread":
+            r = rng.standard_normal(m) * 10.0 ** rng.uniform(-150.0, 150.0, size=m)
+        else:
+            r = rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 3.0], size=m)
+        mags = np.abs(r)
+        for beta in range(1, m + 1):
+            sq, total = _max_rank_sums(mags, beta)
+            # each square is exact, up to one power of two common to all entries
+            scales = {Fraction(s) / Fraction(float(v)) ** 2 for s, v in zip(sq, mags) if v != 0.0}
+            assert len(scales) <= 1
+            for scale in scales:
+                assert 1 in (scale.numerator, scale.denominator)
+                assert all(k & (k - 1) == 0 for k in (scale.numerator, scale.denominator))
+            assert all(s == 0 for s, v in zip(sq, mags) if v == 0.0)
+            subsets = itertools.combinations(range(m), beta)
+            assert total == sum(max(sq[i] for i in subset) for subset in subsets)
 
 
 # --------------------------------------------------------- contraction

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sparsekaczmarz import LinearSystem, normalize_rows, residual
+from sparsekaczmarz import LinearSystem, inexact_step, normalize_rows, residual
 from sparsekaczmarz.errors import (
     DimensionMismatchError,
     NonFiniteDataError,
@@ -174,6 +174,16 @@ def test_residual_rejects_bad_shape():
     system = normalize_rows([[1.0, 0.0]], [1.0])
     with pytest.raises(DimensionMismatchError):
         residual(system, [1.0, 2.0, 3.0])
+
+
+def test_inexact_step_on_each_row_equals_the_full_residual():
+    # the residual of one row is the inexact step on it
+    rng = np.random.default_rng(5)
+    system = normalize_rows(rng.standard_normal((8, 4)), rng.standard_normal(8))
+    x = rng.standard_normal(4)
+    full = residual(system, x)
+    for i in range(8):
+        assert inexact_step(x, system.rows[i], system.rhs[i]) == pytest.approx(full[i], abs=1e-14)
 
 
 def test_normalization_preserves_rowwise_solution_set():
