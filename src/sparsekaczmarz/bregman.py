@@ -28,7 +28,8 @@ it is given, with no array allocated beyond the exact step's; every method's
 iteration and :func:`project_hyperplane` go through it. A step of exactly
 zero, where g(0) == 0, takes no evaluation of g, and in place no write.
 ``_steps_at_rest`` takes a run of inexact steps that leave the primal where
-it is all at once, with the bits of one ``_step_into`` each.
+it is all at once, with the bits of one ``_step_into`` each: ``run`` takes
+it at primal = 0 for every method, and elsewhere for greedy rows alone.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteDataError, NumericalFailureError
+from .errors import DimensionMismatchError, NonFiniteDataError, NumericalFailureError
 
 class StepMode(enum.Enum):
     INEXACT = "inexact"
@@ -150,9 +151,19 @@ def bregman_distance(pair: DualPair, y) -> float:
     """f(y) - f(x) - <x*, y - x> for x = pair.primal, x* = pair.dual.
 
     Nonnegative, and zero iff pair.primal equals y (up to floating rounding
-    when the two are extremely close).
+    when the two are extremely close). A ``y`` whose shape is not the pair's
+    raises :class:`DimensionMismatchError`.
     """
-    return _bregman_gap(pair.primal, pair.dual, np.asarray(y, dtype=float), pair.lam)
+    y = np.asarray(y, dtype=float)
+    _check_vectors(y, pair.primal, "y and the pair")
+    return _bregman_gap(pair.primal, pair.dual, y, pair.lam)
+
+
+def _check_vectors(a: np.ndarray, v: np.ndarray, names: str) -> None:
+    """Refuses ``a`` and ``v`` unless both are vectors of one length
+    (:class:`DimensionMismatchError` naming them, ``names``)."""
+    if v.ndim != 1 or a.shape != v.shape:
+        raise DimensionMismatchError(f"{names} must be vectors of one length, got shapes {a.shape} and {v.shape}")
 
 
 def _bregman_gap(x, dual, y, lam: float) -> float:
@@ -199,12 +210,15 @@ def exact_step(dual, a_i, b_i: float, lam: float) -> float:
     directly at O(log n) kinks and interpolates the root on its piece, or
     returns the midpoint of a segment where g vanishes.
 
-    A NaN or infinite entry of the dual, the row or b_i raises
-    :class:`NonFiniteDataError`, and a ``lam`` that is negative, infinite or
-    NaN ``ValueError`` (from :func:`soft_threshold`), before any step.
+    A dual that is not 1-D, or a row of another shape, raises
+    :class:`DimensionMismatchError`, a NaN or infinite entry of the dual,
+    the row or b_i :class:`NonFiniteDataError`, and a ``lam`` that is
+    negative, infinite or NaN ``ValueError`` (from :func:`soft_threshold`),
+    before any step.
     """
     dual = np.asarray(dual, dtype=float)
     a = np.asarray(a_i, dtype=float)
+    _check_vectors(a, dual, "a_i and dual")
     if not (np.isfinite(dual).all() and np.isfinite(a).all() and np.isfinite(b_i)):
         raise NonFiniteDataError(f"exact_step needs a finite dual, row and rhs, got rhs {b_i!r}")
     return _exact_step(dual, soft_threshold(dual, lam), a, b_i, lam)
@@ -415,6 +429,9 @@ def _steps_at_rest(dual, primal, a, b, lam: float, duals) -> tuple[int, np.ndarr
     lam]. At primal = 0 the duals move by one subtraction per slot, into
     column s of the n x s array ``duals`` (which may be ``a.T``), and the
     band is tested on all of them at once; elsewhere nothing is written.
+    Uniform rows (RK, SRK) call it at primal = 0 alone, since they rarely
+    pick a row twice before the pair moves; greedy rows (SSKM) also after a
+    step of zero, as a converged solve keeps re-picking such rows.
 
     Returns ``(kept, t)``: the number of leading slots that leave the
     primal, and their step values; at primal = 0 column s of ``duals`` then
@@ -444,12 +461,14 @@ def project_hyperplane(pair: DualPair, a_i, b_i: float, mode: StepMode) -> DualP
     soft threshold of the new dual (:func:`_step_into`, into two fresh
     arrays). In exact mode the new primal satisfies the hyperplane; in both
     modes the Bregman distance to any point of the hyperplane decreases by
-    at least half the squared row residual. A NaN or infinite entry of the
-    row or b_i raises :class:`NonFiniteDataError`, and a ``mode`` that is
-    not a :class:`StepMode` ``ValueError``, before any step.
+    at least half the squared row residual. A row that is not a vector of
+    the pair's length raises :class:`DimensionMismatchError`, a NaN or
+    infinite entry of the row or b_i :class:`NonFiniteDataError`, and a
+    ``mode`` that is not a :class:`StepMode` ``ValueError``, before any step.
     """
     _check_step_mode(mode, "mode")
     a = np.asarray(a_i, dtype=float)
+    _check_vectors(a, pair.dual, "a_i and the pair")
     if not (np.isfinite(a).all() and np.isfinite(b_i)):
         raise NonFiniteDataError(f"project_hyperplane needs a finite row and rhs, got rhs {b_i!r}")
     norm = float(np.linalg.norm(a))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from math import comb
+from math import comb, isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -138,6 +138,15 @@ def gamma_from_residuals(residuals, beta: int) -> float:
     return comb(m - 1, beta - 1) * sum(sq) / total
 
 
+def _check_nonnegative(value, name: str, *, positive: bool = False) -> None:
+    """Refuses a ``value`` that is not finite and nonnegative, or with
+    ``positive`` not finite and positive (``ValueError`` naming ``name``);
+    NaN fails the comparison."""
+    if not (isfinite(value) and (value > 0 if positive else value >= 0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
+
+
 def contraction_factor(
     sigma_min: float,
     lam: float,
@@ -152,11 +161,15 @@ def contraction_factor(
     For lam = 0: 1 - beta * sigma_min^2 / (gamma * m); pass the smallest
     (possibly zero) singular value in that case, the smallest nonzero one
     otherwise. q is returned as computed, also where it lies outside (0, 1).
-    A negative, infinite or NaN lam raises ``ValueError``. A beta that is no
-    integer or lies outside [1, m] raises :class:`InvalidBetaError`, before
-    gamma is checked against [1, beta].
+    A negative, infinite or NaN lam or sigma_min, or for lam > 0 an
+    x_min_abs that is not finite and positive, raises ``ValueError``. A beta
+    that is no integer or lies outside [1, m] raises
+    :class:`InvalidBetaError`, before gamma is checked against [1, beta].
     """
     _check_lam(lam)
+    _check_nonnegative(sigma_min, "sigma_min")
+    if lam > 0:
+        _check_nonnegative(x_min_abs, "x_min_abs", positive=True)
     _check_beta(beta, m)
     if not (1.0 - 1e-9 <= gamma <= beta + 1e-9):
         raise InvalidGammaError(f"gamma={gamma} outside [1, beta={beta}]")
@@ -178,9 +191,11 @@ def error_bound_margin(
     ``x_hat`` and RHS is the residual-based bound; nonnegative when the bound
     holds. For lam > 0 the pair's dual must lie in the row space (true for
     any solver run started at zero); for lam = 0 the matrix must have full
-    column rank. A negative, infinite or NaN lam raises ``ValueError``.
+    column rank. A negative, infinite or NaN lam, or a sigma_min that is not
+    finite and positive, raises ``ValueError``.
     """
     _check_lam(lam)
+    _check_nonnegative(sigma_min, "sigma_min", positive=True)
     r = residual(system, pair.primal)
     x_hat = np.asarray(x_hat, dtype=float)
     xmin = min_abs_nonzero(x_hat) if lam > 0 else 0.0
@@ -216,11 +231,13 @@ def noisy_envelope(
     ||x_hat||_2^2)) plus a noise term sqrt(sum(q) * delta_inf^2 / 2), the
     latter inflated by (1 + 4*lam*||A||_{1,2}) in exact mode. With
     delta_inf = 0 this reduces to the noiseless envelope. A negative,
-    infinite or NaN lam, or a ``mode`` that is not a :class:`StepMode`,
-    raises ``ValueError``.
+    infinite or NaN lam, delta_inf or a_one_two_norm, or a ``mode`` that is
+    not a :class:`StepMode`, raises ``ValueError``.
     """
     _check_lam(lam)
     _check_step_mode(mode, "mode")
+    _check_nonnegative(delta_inf, "delta_inf")
+    _check_nonnegative(a_one_two_norm, "a_one_two_norm")
     q = np.asarray(q_sequence, dtype=float)
     x_hat = np.asarray(x_hat, dtype=float)
     c0 = 2.0 * lam * np.abs(x_hat).sum() + float(np.dot(x_hat, x_hat))

@@ -13,9 +13,9 @@ method: its row rule, lam and step mode place it. RK is the lam=0 /
 uniform-row / inexact point (a plain orthogonal projection per step, with
 x and x* one vector), SRK adds the threshold with uniform rows, and SSKM,
 any spec with the greedy rule, drives the same update with greedy subset
-sampling. Steps that leave x where it was run as one batch per window,
-with the bits of one step each. Runs are deterministic given the sampler
-seed.
+sampling. Greedy steps that leave x where it was, and uniform inexact
+steps that leave x = 0, run as one batch per window, with the bits of one
+step each. Runs are deterministic given the sampler seed.
 """
 
 from __future__ import annotations
@@ -379,50 +379,20 @@ def _repeat(recs: list, start: int, end: int) -> None:
             rec[start:end] = rec[start - 1]
 
 
-def _batch_steps(chosen: np.ndarray, dual, x, x_norm2: float, spec: SolverSpec, system: LinearSystem,
-                 zero_rows: dict, duals=None):
-    """A batch's steps: those along the rows ``chosen`` that leave x where it
-    was, up to the first that would move it. Returns ``(kept, t, duals)``.
-
-    Inexact steps go through ``bregman._steps_at_rest``, which at x = 0
-    moves the duals into the n x len(chosen) array ``duals``, or into the
-    gathered rows (returned as ``duals``); away from x = 0 one dot first
-    tests the next step, and the batch keeps nothing unless it is zero. An
-    exact step is a search, so an exact batch repeats the steps of zero the
-    pair already took, kept in ``zero_rows``, up to the first row it has not
-    stepped on.
-    """
-    if spec.step_mode is StepMode.EXACT:
-        t = []
-        for row in chosen.tolist():
-            if row not in zero_rows:
-                break
-            t.append(zero_rows[row])
-        return len(t), np.array(t), duals
-    rows, rhs = system.rows, system.rhs
-    if x_norm2 != 0.0 and rows[chosen[0]].dot(x) - rhs[chosen[0]] != 0.0:
-        return 0, rhs[:0], duals
-    a = rows[chosen]
-    duals = a.T if duals is None else duals
-    return *_steps_at_rest(dual, x, a, rhs[chosen], spec.lam, duals), duals
-
-
-def _uniform_batch(j: int, drawn: np.ndarray, dual, x, x_norm2: float, spec: SolverSpec, system: LinearSystem,
-                   xs: np.ndarray, duals: np.ndarray, steps: np.ndarray, x_norm2s: np.ndarray, zero_rows: dict) -> int:
-    """Slots ``j`` .. of a uniform window that leave x where it was, taken at
-    once (:func:`_batch_steps`); returns how many. Each fills its
-    slot's columns, step and ||x||^2 for the window's bookkeeping, once
-    where ``xs`` is ``duals``."""
-    kept, t, _ = _batch_steps(drawn[j:], dual, x, x_norm2, spec, system, zero_rows, duals[:, j : drawn.size])
+def _uniform_batch(j: int, drawn: np.ndarray, dual, x, spec: SolverSpec, system: LinearSystem,
+                   xs: np.ndarray, duals: np.ndarray, steps: np.ndarray, x_norm2s: np.ndarray) -> int:
+    """Slots ``j`` .. of a uniform window whose inexact steps leave x = 0,
+    taken at once by ``bregman._steps_at_rest``, which moves their duals into
+    their columns of ``duals``; returns how many. Each also fills its step,
+    its x column (none where ``xs`` is ``duals``) and its ||x||^2 of 0."""
+    chosen = drawn[j:]
+    kept, t = _steps_at_rest(dual, x, system.rows[chosen], system.rhs[chosen], spec.lam, duals[:, j : drawn.size])
     if kept:
         end = j + kept
         steps[j:end] = t
-        # each slot holds its pair: steps that moved the dual left it in place
-        if not t.any():
-            duals[:, j:end] = dual[:, None]
         if xs is not duals:
             xs[:, j:end] = x[:, None]
-        x_norm2s[j:end] = x_norm2
+        x_norm2s[j:end] = 0.0
     return kept
 
 
@@ -436,11 +406,12 @@ def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target
     where x = x*, both are one buffer and one list of its columns: the step
     writes t*a and the new dual into the slot's column, and the threshold
     writes nothing. At w = 1 every step is in place, into the dual it reads,
-    so x and x* keep a buffer each. The inner loop ends early only at a
-    step of zero, or an inexact one that leaves x = 0, after which
-    :func:`_uniform_batch` takes the next steps, and at a step whose value
-    or iterate is not finite, which ends the window: the slots before it are
-    recorded, and it raises unless one of them met the stop.
+    so x and x* keep a buffer each. The inner loop ends early only at an
+    inexact step that leaves x = 0, after which :func:`_uniform_batch` takes
+    the next steps, and at a step whose value or iterate is not finite,
+    which ends the window: the slots before it are recorded, and it raises
+    unless one of them met the stop. Uniform rows rarely pick a row twice
+    before the pair moves, so steps of zero away from x = 0 are taken alone.
     :func:`_flush_window` records a window's iterates and tests the stop.
     """
     rows, rhs, lam, mode = system.rows, system.rhs, spec.lam, spec.step_mode
@@ -455,9 +426,8 @@ def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target
     x_cols = dual_cols if duals is xs else [xs[:, j] for j in range(w)]
     x_norm2s = np.empty(w)
     dual, x = dual_cols[-1], x_cols[-1]  # x_0 = 0
-    # still: the last step was zero, or an inexact one that left x = 0;
-    # zero_rows: the rows whose exact step from the current pair was zero, and that step
-    x_norm2, still, zero_rows, k = 0.0, False, {}, 0
+    # still: the last step was an inexact one that left x = 0
+    still, k = False, 0
     while k < max_iters:
         count = min(w, max_iters - k)
         chosen_rec, step_rec = _reserve(recs, k + count, max_iters)[:2]
@@ -465,21 +435,18 @@ def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target
         picks, picked_rhs, steps = drawn.tolist(), rhs[drawn].tolist(), step_rec[k : k + count]
         j, failed = 0, None
         while j < count:
-            # a batch repeats the last ||x||^2: where it is not finite, the
-            # steps it stands for run alone and warn as they do
-            if still and math.isfinite(x_norm2):
+            if still:
                 if j == 0:
                     # the pair is in the window's last column, which the batch may
                     # overwrite: x* is copied out, and x with it where they share it
                     x, dual = (dual.copy(),) * 2 if x is dual else (x, dual.copy())
-                j += _uniform_batch(j, drawn, dual, x, x_norm2, spec, system, xs, duals, steps, x_norm2s, zero_rows)
+                j += _uniform_batch(j, drawn, dual, x, spec, system, xs, duals, steps, x_norm2s)
                 if j:
                     # the batch's last slot, or the pair's column as it was
                     dual, x = dual_cols[j - 1], x_cols[j - 1]
                 if j == count:
                     break
-            start = j
-            for j in range(start, count):
+            for j in range(j, count):
                 t = _step_into(dual, x, rows[picks[j]], picked_rhs[j], lam, mode, dual_cols[j], x_cols[j])
                 dual, x = dual_cols[j], x_cols[j]
                 x_norm2 = float(x.dot(x))
@@ -488,19 +455,13 @@ def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target
                     failed = "step value" if not math.isfinite(t) else "iterate"
                     break
                 steps[j], x_norm2s[j] = t, x_norm2
-                if t == 0.0 or inexact and x_norm2 == 0.0 and not np.count_nonzero(x):
+                if inexact and x_norm2 == 0.0 and not np.count_nonzero(x):
                     break
             else:
                 still, j = False, count
                 break
             if failed:
                 break
-            if t == 0.0 and not inexact:
-                # an exact batch may repeat this step along its row; the steps
-                # of zero before the pair last moved are forgotten
-                if j > start or not still:
-                    zero_rows.clear()
-                zero_rows[picks[j]] = t
             still, j = True, j + 1
         # the window's records and stop, on the j iterates it holds: all of
         # them, or those before a non-finite one
@@ -576,13 +537,32 @@ class _SubsetPick(_ArgmaxPick):
 def _greedy_batch(start: int, chosen: np.ndarray, dual, x, x_norm2: float, spec: SolverSpec, system: LinearSystem,
                   truth, recs: list, zero_rows: dict) -> int:
     """Greedy iterations ``start`` .. that leave x where it was, along the rows
-    ``chosen`` at the fixed residual, taken at once
-    (:func:`_batch_steps`); returns how many. x and r stay, so the
-    error and residual records repeat and no stop is met. Steps that moved
-    the dual take their Bregman distances with one ``np.vecdot``, up to the
-    first that is not finite, and leave the last dual in ``dual``.
+    ``chosen`` at the fixed residual, taken at once up to the first that
+    would move it; returns how many. x and r stay, so the error and residual
+    records repeat and no stop is met.
+
+    Inexact steps go through ``bregman._steps_at_rest``, which at x = 0
+    moves the duals into the gathered rows; away from x = 0 one dot first
+    tests the next step, and the batch keeps nothing unless it is zero. An
+    exact step is a search, so an exact batch repeats the steps of zero the
+    pair already took, kept in ``zero_rows``, up to the first row it has not
+    stepped on. Steps that moved the dual take their Bregman distances with
+    one ``np.vecdot``, up to the first that is not finite, and leave the
+    last dual in ``dual``.
     """
-    kept, t, duals = _batch_steps(chosen, dual, x, x_norm2, spec, system, zero_rows)
+    if spec.step_mode is StepMode.EXACT:
+        t = []
+        for row in chosen.tolist():
+            if row not in zero_rows:
+                break
+            t.append(zero_rows[row])
+        kept, t = len(t), np.array(t)
+    elif x_norm2 != 0.0 and system.rows[chosen[0]].dot(x) - system.rhs[chosen[0]] != 0.0:
+        return 0
+    else:
+        a = system.rows[chosen]
+        duals = a.T
+        kept, t = _steps_at_rest(dual, x, a, system.rhs[chosen], spec.lam, duals)
     moved = t.any()
     if moved and truth is not None:
         with np.errstate(all="ignore"):
@@ -629,7 +609,9 @@ def _greedy_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target,
     x, dual = np.zeros(system.n), np.zeros(system.n)
     r = r_zero = -rhs  # residual at x_0, which the first pick reads
     x_hat, x_hat_norm2, f_hat = truth or (None, None, None)
-    # as in _uniform_loop, and the iterate's ||x||^2, error and residual norm, where they are taken
+    # still: the last step was zero, or an inexact one that left x = 0;
+    # zero_rows: the rows whose exact step from the current pair was zero, and that step;
+    # and the iterate's ||x||^2, error and residual norm, where they are taken
     still, zero_rows, k = False, {}, 0
     x_norm2 = mse_val = resid2 = 0.0
     while k < max_iters:
@@ -779,11 +761,14 @@ def run(
     per iterate in its rounding, and so the epsilon stop when a residual
     lies within that rounding of epsilon.
 
-    Steps that leave x where it was run as one batch per window
-    (:func:`_uniform_batch`, :func:`_greedy_batch`). At a fixed x each step
-    depends on its own row alone, so after a step of zero, or an inexact one
-    that leaves x = 0, the rest of the window is taken at once up to the
-    first step that would move x, which the loop then takes alone. Inside a
+    Steps that leave x where it was run as one batch per window. At a fixed
+    x each step depends on its own row alone, so the rest of the window is
+    taken at once up to the first step that would move x, which the loop
+    then takes alone. Greedy rows (:func:`_greedy_batch`) batch after a step
+    of zero or an inexact one that leaves x = 0: once a solve has converged
+    to the last bit they keep re-picking rows whose step is zero. Uniform
+    rows (:func:`_uniform_batch`) rarely pick a row twice before the pair
+    moves, and batch only after an inexact step that leaves x = 0. Inside a
     batch only the Bregman record can change and no stop can fire. A batch
     starts only where the ||x||^2, error and residual norm it repeats are
     finite, and ends before a step whose values are not, so every failure

@@ -23,7 +23,7 @@ from sparsekaczmarz import (
     soft_threshold,
 )
 from sparsekaczmarz import bregman, harness
-from sparsekaczmarz.errors import NonFiniteDataError, NumericalFailureError
+from sparsekaczmarz.errors import DimensionMismatchError, NonFiniteDataError, NumericalFailureError
 
 from oracles import (
     bisection_exact_step,
@@ -806,6 +806,34 @@ def test_public_steps_refuse_non_finite_input(step, where, bad):
             exact_step(dual, a, b, 1.0)
         else:
             project_hyperplane(DualPair.from_dual(dual, 1.0), a, b, StepMode(step))
+
+
+@pytest.mark.parametrize(
+    "call, names",
+    [
+        # a row too short or too long for the pair, and one that is a column
+        (lambda pair: project_hyperplane(pair, np.array([0.6, 0.8]), 1.0, StepMode.EXACT), "a_i and the pair"),
+        (lambda pair: project_hyperplane(pair, np.array([0.6, 0.8, 0.0, 0.0]), 1.0, StepMode.INEXACT), "a_i and the pair"),
+        (lambda pair: project_hyperplane(pair, np.array([[0.6], [0.8], [0.0]]), 1.0, StepMode.EXACT), "a_i and the pair"),
+        (lambda pair: exact_step(pair.dual, np.array([0.6, 0.8]), 1.0, 1.0), "a_i and dual"),
+        (lambda pair: exact_step(pair.dual[:, None], np.array([[0.6], [0.8], [0.0]]), 1.0, 1.0), "a_i and dual"),
+        (lambda pair: bregman_distance(pair, np.ones(2)), "y and the pair"),
+        (lambda pair: bregman_distance(pair, np.ones((3, 1))), "y and the pair"),
+    ],
+)
+def test_one_step_api_refuses_mismatched_shapes(call, names):
+    # numpy would fail inside the step with a message that names no argument
+    pair = DualPair.from_dual(np.array([1.5, -0.5, 0.0]), 1.0)
+    with pytest.raises(DimensionMismatchError, match=f"^{names} must be vectors of one length"):
+        call(pair)
+
+
+def test_step_once_refuses_a_pair_of_another_length():
+    from sparsekaczmarz import gaussian_instance, init_state, step_once
+
+    system, _, _ = gaussian_instance(12, 8, 2, np.random.default_rng(0))
+    with pytest.raises(DimensionMismatchError, match="a_i and the pair"):
+        step_once(init_state(5, 0.5), system, 0, StepMode.EXACT)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

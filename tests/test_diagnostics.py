@@ -480,3 +480,39 @@ def test_diagnostics_refuse_a_bad_lam(function, lam):
     }
     with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
         calls[function]()
+
+
+# ------------------------------------------------------ bad theory numbers
+
+
+@pytest.mark.parametrize(
+    "function, name, bad",
+    [("contraction_factor", "sigma_min", bad) for bad in (np.nan, -0.5, np.inf)]
+    + [("contraction_factor", "x_min_abs", bad) for bad in (np.nan, -3.0, 0.0, np.inf)]
+    + [("error_bound_margin", "sigma_min", bad) for bad in (np.nan, -0.3, 0.0, np.inf)]
+    + [("noisy_envelope", name, bad) for name in ("delta_inf", "a_one_two_norm") for bad in (np.nan, -0.5, np.inf)],
+)
+def test_theory_diagnostics_refuse_bad_numbers(function, name, bad):
+    # each would return NaN, read a negative value as its magnitude or divide
+    # by zero; the error names the argument, before any arithmetic
+    system, x_hat, _ = gaussian_instance(12, 8, 2, np.random.default_rng(12))
+    pair = DualPair.from_dual(np.zeros(8), 1.0)
+    args = {"sigma_min": 0.5, "x_min_abs": 1.0, "delta_inf": 0.1, "a_one_two_norm": 1.0, name: bad}
+    calls = {
+        "contraction_factor": lambda: contraction_factor(args["sigma_min"], 1.0, args["x_min_abs"], 2, 1.5, 10),
+        "error_bound_margin": lambda: error_bound_margin(pair, system, x_hat, 1.0, args["sigma_min"]),
+        "noisy_envelope": lambda: noisy_envelope(
+            [0.9, 0.8], 1.0, x_hat, args["delta_inf"], args["a_one_two_norm"], StepMode.EXACT
+        ),
+    }
+    with pytest.raises(ValueError, match=f"^{name} must be finite and"):
+        calls[function]()
+
+
+def test_theory_diagnostics_take_their_zero_edges():
+    # a zero smallest singular value at lam = 0, where no x_min_abs is read,
+    # and no noise: each is a value the theory allows
+    assert contraction_factor(0.0, 0.0, float("nan"), 2, 1.5, 10) == 1.0
+    assert contraction_factor(0.0, 1.0, 1.0, 2, 1.5, 10) == 1.0
+    env = noisy_envelope([0.25], 0.0, np.array([1.0, 0.0]), 0.0, 0.0, StepMode.EXACT)
+    assert env.tolist() == [0.5]

@@ -330,9 +330,9 @@ def _batch_cases():
             specs.append(dataclasses.replace(spec, stop=stop))
         yield f"zero-phase-{kind}-stop", system, x_hat, specs
     # consistent 4 x 6 systems, which every method solves to the last bit:
-    # then runs of steps of zero, in windows of fresh slots (RK, SRK) and in
-    # place (SSKM). Between them come steps that move the dual by less than
-    # x's rounding, which are taken alone
+    # then runs of steps of zero, which SSKM batches and RK and SRK take
+    # alone. Between them come steps that move the dual by less than x's
+    # rounding, which are taken alone
     for seed in range(3):
         system, x_hat, _ = gaussian_instance(4, 6, 2, np.random.default_rng(seed))
         stop = StoppingRule(max_iters=2000)
@@ -355,7 +355,11 @@ def test_run_batches_match_composed_single_steps(monkeypatch, residuals):
             _, trace = run(system, spec, ground_truth=x_hat, residuals=residuals)
             monkeypatch.undo()
             batched = _batched(spec, trace, single_steps)
-            assert batched > 0, name
+            if name.startswith("zero-steps") and spec.sampler.rule is SelectionRule.UNIFORM_RANDOM:
+                # uniform rows take steps of zero away from x = 0 alone
+                assert batched == 0, name
+            else:
+                assert batched > 0, name
             # x = 0 gives a relative error of exactly 1
             phase = int(np.argmax(trace.mse != 1.0)) if (trace.mse != 1.0).any() else trace.iterations
             if name == "zero-phase":
@@ -367,6 +371,43 @@ def test_run_batches_match_composed_single_steps(monkeypatch, residuals):
                 assert phase == trace.iterations == spec.stop.max_iters, name
             elif name.startswith("zero-steps"):
                 assert zero_steps > 0, name
+
+
+def test_uniform_runs_batch_only_at_x_zero(monkeypatch):
+    """RK and SRK batch only inexact steps that leave x = 0: every
+    ``_steps_at_rest`` call of a uniform run sees an all-zero primal, and an
+    exact one makes none, on the zero-steps systems and in the x = 0 phase
+    cases."""
+    zero_primals = []
+    at_rest = solvers._steps_at_rest
+
+    def spy(dual, primal, *args):
+        zero_primals.append(not np.count_nonzero(primal))
+        return at_rest(dual, primal, *args)
+
+    monkeypatch.setattr(solvers, "_steps_at_rest", spy)
+    for name, system, x_hat, specs in _batch_cases():
+        for spec in specs:
+            if spec.sampler.rule is not SelectionRule.UNIFORM_RANDOM:
+                continue
+            zero_primals.clear()
+            run(system, spec, ground_truth=x_hat)
+            assert all(zero_primals), (name, spec)
+            if spec.step_mode is StepMode.EXACT:
+                assert not zero_primals, (name, spec)
+            elif name.startswith("zero-phase"):
+                assert zero_primals, (name, spec)
+    # SRK-exact where SRK-inexact stays at x = 0, and RK on a system whose
+    # steps leave x = 0 through the first window
+    system, x_hat, _ = small_instance(seed=5)
+    rest, rest_hat, rest_seed = _at_rest_through_the_first_window()
+    stop = StoppingRule(max_iters=100)
+    for case, truth, spec in ((system, x_hat, SolverSpec.srk(10.0, StepMode.EXACT, seed=3, stop=stop)),
+                              (rest, rest_hat, SolverSpec.rk(seed=rest_seed, stop=stop))):
+        zero_primals.clear()
+        run(case, spec, ground_truth=truth)
+        assert all(zero_primals), spec
+        assert bool(zero_primals) == (spec.step_mode is StepMode.INEXACT), spec
 
 
 def _at_rest_through_the_first_window():
