@@ -5,10 +5,11 @@ The working objective is f(x) = lam*||x||_1 + 0.5*||x||_2^2, which is
 thresholding map, so a Bregman projection onto a hyperplane reduces to a
 one-dimensional step in the dual variable. Both the cheap step (the row
 residual) and the exact minimizing step are provided. The soft threshold is
-taken as v minus its clip to [-lam, lam], three array passes into a given
-array (``_threshold_into``), and at lam = 0, where it is the identity, as
-one copy, or none when the given array is v itself; every threshold in the
-module goes through it.
+taken as v minus its clip to [-lam, lam], one call of the clip ufunc and one
+subtraction into a given array (``_threshold_into``), against a band of two
+0-d arrays that a run builds once (``_band``); at lam = 0, where it is the
+identity, it is one copy, or none when the given array is v itself. Every
+threshold in the module goes through it.
 
 The dual derivative is nondecreasing and piecewise linear in the step size,
 so the exact step, the Bregman projection of Lorenz et al. (2014), is its
@@ -21,15 +22,21 @@ kinks on its side, sorted once: the threshold search of l1-ball projection
 (Duchi et al. 2008). When Newton fails to settle, the root is found by
 bisection over all the sorted breakpoints with the derivative evaluated
 directly at O(log n) of them, then interpolated on the linear piece that
-holds it, or on a ray beyond the outermost one. Newton takes the row's
-signs and squares and its evaluations of g from one allocation per step.
-One step kernel, ``_step_into``, takes the step and thresholds into arrays
-it is given, with no array allocated beyond the exact step's; every method's
-iteration and :func:`project_hyperplane` go through it. A step of exactly
-zero, where g(0) == 0, takes no evaluation of g, and in place no write.
-``_steps_at_rest`` takes a run of inexact steps that leave the primal where
-it is all at once, with the bits of one ``_step_into`` each: ``run`` takes
-it at primal = 0 for every method, and elsewhere for greedy rows alone.
+holds it, or on a ray beyond the outermost one. Newton reads the row's
+kit, its squared norm, squares and signs (``_kits``, built once per window
+of uniform rows or per greedy pick), and evaluates g into a workspace that
+a run allocates once (``_workspace``), which also carries t into every
+``np.multiply`` as a 0-d array. No buffer lives at module level, so runs in
+two threads share none. One step kernel, ``_step_into``, takes the step and
+thresholds into arrays it is given, with no array allocated beyond the
+exact step's closed form and bisection; every method's iteration and
+:func:`project_hyperplane` go through it. A step of exactly zero, where
+g(0) == 0, takes no evaluation of g, and in place no write.
+``_steps_at_rest`` takes a run of inexact steps that leave the primal
+where it is all at once, with the bits of one ``_step_into`` each: ``run``
+takes it at primal = 0 for every method, and elsewhere for greedy rows
+alone. The public functions refuse complex input (``TypeError``) and
+mismatched shapes; the private kernels check nothing.
 """
 
 from __future__ import annotations
@@ -39,8 +46,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# the clip ufunc, which np.clip calls after its Python-level argument
+# handling: one pass with the bits of np.minimum(np.maximum(v, lo), hi)
+from numpy._core.umath import clip as _clip
 
 from .errors import DimensionMismatchError, NonFiniteDataError, NumericalFailureError
+from .linsys import _real
 
 class StepMode(enum.Enum):
     INEXACT = "inexact"
@@ -65,38 +76,56 @@ def _check_lam(lam) -> None:
 def soft_threshold(v, lam: float) -> np.ndarray:
     """Componentwise shrink toward zero: sign(v) * max(|v| - lam, 0).
 
-    Computed as v minus its clip to [-lam, lam], in three array passes, or
-    at lam = 0 as a copy of v. The two forms are equal under ``==``, NaN
-    entries included; only the sign of a zero may differ. A ``lam`` that is
-    negative, infinite or NaN raises ``ValueError``.
+    Computed as v minus its clip to [-lam, lam], or at lam = 0 as a copy of
+    v. The two forms are equal under ``==``, NaN entries included; only the
+    sign of a zero may differ. A ``lam`` that is negative, infinite or NaN
+    raises ``ValueError``, and a complex ``v`` ``TypeError``.
     """
     _check_lam(lam)
-    v = np.asarray(v, dtype=float)
-    out = _threshold_into(v, lam, np.empty_like(v))
+    v = np.asarray(_real(v, "v"), dtype=float)
+    out = _threshold_into(v, _band(lam), np.empty_like(v))
     return out if out.ndim else out[()]
 
 
-def _threshold_into(v: np.ndarray, lam: float, out: np.ndarray) -> np.ndarray:
+def _band(lam: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The band [-lam, lam] of :func:`_threshold_into`, built once per run:
+    two read-only 0-d arrays, which a ufunc takes with no conversion of a
+    Python float, or ``None`` at lam = 0. ``lam`` is not checked."""
+    if lam == 0.0:
+        return None
+    lo, hi = np.array(-lam, dtype=float), np.array(lam, dtype=float)
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    return lo, hi
+
+
+def _threshold_into(v: np.ndarray, band, out: np.ndarray) -> np.ndarray:
     """:func:`soft_threshold` of ``v`` written into ``out``, which is returned.
 
-    At lam = 0 the threshold is the identity: ``out`` takes one copy of
-    ``v``, which may differ from v minus its clip in the sign of a zero
-    alone, and ``out`` that is ``v`` itself takes no write. Otherwise it
-    takes three passes, and ``out`` must not share memory with ``v``: the
-    last pass reads ``v``. ``lam`` is not checked.
+    ``band`` is :func:`_band`'s. At lam = 0 (``None``) the threshold is the
+    identity: ``out`` takes one copy of ``v``, which may differ from v minus
+    its clip in the sign of a zero alone, and ``out`` that is ``v`` itself
+    takes no write. Otherwise one call of the clip ufunc writes the clip of
+    ``v`` to the band into ``out``, bit for bit np.maximum and then
+    np.minimum, and one subtraction takes it from ``v``: ``out`` must not
+    share memory with ``v``, which the subtraction reads.
     """
-    if lam == 0.0:
+    if band is None:
         if out is not v:
             np.copyto(out, v)
         return out
-    np.maximum(v, -lam, out=out)
-    np.minimum(out, lam, out=out)
+    _clip(v, band[0], band[1], out=out)
     return np.subtract(v, out, out=out)
 
 
 def objective_value(x, lam: float) -> float:
-    """lam*||x||_1 + 0.5*||x||_2^2."""
-    x = np.asarray(x, dtype=float)
+    """lam*||x||_1 + 0.5*||x||_2^2.
+
+    A ``lam`` that is negative, infinite or NaN raises ``ValueError``, and a
+    complex ``x`` ``TypeError``.
+    """
+    _check_lam(lam)
+    x = np.asarray(_real(x, "x"), dtype=float)
     return float(lam * np.abs(x).sum() + 0.5 * np.dot(x, x))
 
 
@@ -115,10 +144,10 @@ class DualPair:
     """Primal iterate x and dual iterate x* linked by x = soft_threshold(x*, lam).
 
     The link is the admissibility condition x* in the subdifferential of the
-    objective at x; it is enforced at construction, after ``lam`` is checked to
-    be finite and nonnegative (``ValueError``) and the dual to be finite
-    (:class:`NonFiniteDataError`). Use :meth:`from_dual` to build a pair
-    from a dual vector.
+    objective at x; it is enforced at construction, after the arrays are
+    checked to be real (``TypeError``), ``lam`` to be finite and nonnegative
+    (``ValueError``) and the dual to be finite (:class:`NonFiniteDataError`).
+    Use :meth:`from_dual` to build a pair from a dual vector.
     """
 
     primal: np.ndarray
@@ -126,8 +155,8 @@ class DualPair:
     lam: float
 
     def __post_init__(self):
-        primal = np.asarray(self.primal, dtype=float)
-        dual = np.asarray(self.dual, dtype=float)
+        primal = np.asarray(_real(self.primal, "primal"), dtype=float)
+        dual = np.asarray(_real(self.dual, "dual"), dtype=float)
         if primal.shape != dual.shape or primal.ndim != 1:
             raise ValueError(f"primal/dual must be equal-length vectors, got {primal.shape}/{dual.shape}")
         _check_lam(self.lam)
@@ -143,7 +172,7 @@ class DualPair:
 
     @classmethod
     def from_dual(cls, dual, lam: float) -> "DualPair":
-        dual = np.asarray(dual, dtype=float)
+        dual = np.asarray(_real(dual, "dual"), dtype=float)
         return cls(primal=soft_threshold(dual, lam), dual=dual, lam=lam)
 
 
@@ -152,9 +181,9 @@ def bregman_distance(pair: DualPair, y) -> float:
 
     Nonnegative, and zero iff pair.primal equals y (up to floating rounding
     when the two are extremely close). A ``y`` whose shape is not the pair's
-    raises :class:`DimensionMismatchError`.
+    raises :class:`DimensionMismatchError`, and a complex one ``TypeError``.
     """
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(_real(y, "y"), dtype=float)
     _check_vectors(y, pair.primal, "y and the pair")
     return _bregman_gap(pair.primal, pair.dual, y, pair.lam)
 
@@ -172,8 +201,16 @@ def _bregman_gap(x, dual, y, lam: float) -> float:
 
 
 def inexact_step(x, a_i, b_i: float) -> float:
-    """Row residual <a_i, x> - b_i; the cheap step size for a unit row."""
-    return float(np.dot(a_i, x) - b_i)
+    """Row residual <a_i, x> - b_i; the cheap step size for a unit row.
+
+    A row that is not a vector of the length of ``x`` raises
+    :class:`DimensionMismatchError`, and complex input ``TypeError``.
+    """
+    x = np.asarray(_real(x, "x"), dtype=float)
+    a = np.asarray(_real(a_i, "a_i"), dtype=float)
+    _real(b_i, "b_i")
+    _check_vectors(a, x, "a_i and x")
+    return float(np.dot(a, x) - b_i)
 
 
 # Newton steps tried before the bisection takes over
@@ -211,38 +248,62 @@ def exact_step(dual, a_i, b_i: float, lam: float) -> float:
     returns the midpoint of a segment where g vanishes.
 
     A dual that is not 1-D, or a row of another shape, raises
-    :class:`DimensionMismatchError`, a NaN or infinite entry of the dual,
-    the row or b_i :class:`NonFiniteDataError`, and a ``lam`` that is
-    negative, infinite or NaN ``ValueError`` (from :func:`soft_threshold`),
-    before any step.
+    :class:`DimensionMismatchError`, complex input ``TypeError``, a NaN or
+    infinite entry of the dual, the row or b_i :class:`NonFiniteDataError`,
+    and a ``lam`` that is negative, infinite or NaN ``ValueError`` (from
+    :func:`soft_threshold`), before any step.
     """
-    dual = np.asarray(dual, dtype=float)
-    a = np.asarray(a_i, dtype=float)
+    dual = np.asarray(_real(dual, "dual"), dtype=float)
+    a = np.asarray(_real(a_i, "a_i"), dtype=float)
+    _real(b_i, "b_i")
     _check_vectors(a, dual, "a_i and dual")
     if not (np.isfinite(dual).all() and np.isfinite(a).all() and np.isfinite(b_i)):
         raise NonFiniteDataError(f"exact_step needs a finite dual, row and rhs, got rhs {b_i!r}")
-    return _exact_step(dual, soft_threshold(dual, lam), a, b_i, lam)
+    primal = soft_threshold(dual, lam)
+    return _exact_step(dual, primal, a, b_i, lam, _band(lam), _kits(a[None])[0], _workspace(a.size))
 
 
-def _exact_step(dual: np.ndarray, primal: np.ndarray, a: np.ndarray, b: float, lam: float) -> float:
-    """:func:`exact_step`, given ``primal`` = soft_threshold(dual, lam)."""
-    norm2 = float(a.dot(a))
+def _kits(rows: np.ndarray) -> list:
+    """The kit of each row a of the 2-D block ``rows``, which the exact step
+    reads rather than derives: (||a||^2, a*a, sign(a)), one tuple per row.
+    The squared norms come from one ``np.vecdot``, with ``ndarray.dot``'s
+    bits. A uniform window builds the kits of its rows at once, a greedy
+    pick the kit of its row."""
+    return list(zip(np.vecdot(rows, rows).tolist(), rows * rows, np.sign(rows)))
+
+
+def _workspace(n: int) -> tuple:
+    """The scratch of one run's steps over n entries: Newton's three
+    evaluation rows (shifted, s, z) and the 0-d array that carries t into
+    ``np.multiply``, which takes it with no conversion of a Python float.
+    Each run allocates its own, so two runs in two threads share none; an
+    inexact run, whose steps read the 0-d array alone, takes n = 0."""
+    return np.empty(n), np.empty(n), np.empty(n), np.empty(())
+
+
+def _exact_step(dual: np.ndarray, primal: np.ndarray, a: np.ndarray, b: float, lam: float, band, kit,
+                work) -> float:
+    """:func:`exact_step`, given ``primal`` = soft_threshold(dual, lam), the
+    band of ``lam``, the row's kit and a workspace."""
+    norm2 = kit[0]
     if norm2 == 0.0:
         raise NumericalFailureError("exact_step requires a nonzero row")
-    t = _newton_root(dual, primal, a, b, lam, norm2)
-    return _bisection_root(dual, a, b, lam, norm2) if t is None else t
+    t = _newton_root(dual, primal, a, b, lam, band, kit, work)
+    return _bisection_root(dual, a, b, lam, band, norm2, work) if t is None else t
 
 
-def _newton_root(dual, primal, a, b: float, lam: float, norm2: float) -> float | None:
+def _newton_root(dual, primal, a, b: float, lam: float, band, kit, work) -> float | None:
     """Root of g by active-set Newton from t = 0, or ``None`` to hand off.
 
     At t = 0 the thresholded dual is ``primal``, so the first piece and
     g(0) = b - <a, primal> come without an evaluation of g; on a flat piece
-    there, as at x* = 0, no evaluation is taken at all. The signs and
-    squares of ``a`` and three evaluation rows come from one allocation per
-    step: each evaluation writes dual - t*a, its threshold s and the sign of
-    s into those rows. The pattern of a piece is counted as
-    c = sum_j sign(a_j) sign(s_j): each entry's sign moves one way as t
+    there, as at x* = 0, no evaluation is taken at all. The squared norm,
+    squares and signs of ``a`` come from its ``kit`` (:func:`_kits`), and
+    each evaluation writes dual - t*a, its threshold s against ``band`` and
+    the sign of s into the rows of the workspace ``work``
+    (:func:`_workspace`), with t in its 0-d array: no evaluation allocates,
+    and nothing is derived from the row. The pattern of a piece is counted
+    as c = sum_j sign(a_j) sign(s_j): each entry's sign moves one way as t
     grows, so c falls at every kink and two points share a piece iff they
     share c. The sums are of integers, so exact. A flat piece, where g
     equals b, ends the walk with its closed-form root (:func:`_flat_piece_root`).
@@ -250,15 +311,14 @@ def _newton_root(dual, primal, a, b: float, lam: float, norm2: float) -> float |
     root, and it is returned with no further evaluation (or ``None`` when
     :func:`_ends_at_kinks` holds there): the evaluation at t - g/slope = t
     would only give the same s and g back. So at g(0) == 0, a step of
-    exactly zero, no evaluation is taken, and neither ``sign(a)`` nor the
-    pattern is computed.
+    exactly zero, no evaluation is taken, and the pattern is not computed.
     """
+    norm2, a2, sign_a = kit
+    shifted, s, z, step = work
     g = b - float(primal.dot(a))
-    sign_a, a2, shifted, s, z = np.empty((5, a.size))
-    np.multiply(a, a, out=a2)
     np.sign(primal, out=z)
     # at g(0) == 0 the walk ends before it compares a piece's pattern
-    c = float(z.dot(np.sign(a, out=sign_a))) if g != 0.0 else None
+    c = float(z.dot(sign_a)) if g != 0.0 else None
     t, s_t = 0.0, primal  # s_t = soft_threshold(dual - t*a, lam)
     for _ in range(_NEWTON_STEPS):
         # between evaluations ``shifted`` is free to hold z*z
@@ -270,9 +330,10 @@ def _newton_root(dual, primal, a, b: float, lam: float, norm2: float) -> float |
             # t is the root: an evaluation at t - g/slope = t would give back s_t and g
             return None if _ends_at_kinks(a, s_t, b, lam, abs(t), norm2) else t
         t_new = t - g / slope
-        np.multiply(a, t_new, out=shifted)
+        step[()] = t_new
+        np.multiply(a, step, out=shifted)
         np.subtract(dual, shifted, out=shifted)
-        _threshold_into(shifted, lam, s)
+        _threshold_into(shifted, band, s)
         np.sign(s, out=z)
         c_new = float(z.dot(sign_a))
         g_new = b - float(s.dot(a))
@@ -334,18 +395,23 @@ def _ends_at_kinks(a, s, total: float, lam: float, reach: float, norm2: float) -
     return float(np.abs(s * a).max()) <= bound
 
 
-def _bisection_root(dual, a, b: float, lam: float, norm2: float) -> float:
+def _bisection_root(dual, a, b: float, lam: float, band, norm2: float, work) -> float:
     """Root of g by bisection over all its sorted kinks, with the rays of
-    slope ``norm2`` beyond the outermost ones (:func:`_root_by_bisection`)."""
+    slope ``norm2`` beyond the outermost ones (:func:`_root_by_bisection`).
+    g is evaluated into the rows of the workspace ``work``, as Newton's
+    evaluations are."""
     nz = a != 0.0
     d, an = dual[nz], a[nz]
     bp = np.concatenate(((d - lam) / an, (d + lam) / an))
     bp = bp[np.isfinite(bp)]
     if bp.size == 0:
         raise NumericalFailureError("no breakpoints found; row is numerically zero")
+    shifted, s, _, step = work
 
     def g(t):
-        return b - float(np.dot(soft_threshold(dual - t * a, lam), a))
+        step[()] = t
+        np.subtract(dual, np.multiply(a, step, out=shifted), out=shifted)
+        return b - float(_threshold_into(shifted, band, s).dot(a))
 
     return _root_by_bisection(g, np.sort(bp), norm2)
 
@@ -387,7 +453,8 @@ def _root_by_bisection(g, ts, slope_outside: float) -> float:
     return float(0.5 * (ts[first_zero] + ts[lo]))
 
 
-def _step_into(dual, primal, a, b: float, lam: float, mode: StepMode, new_dual, new_primal) -> float:
+def _step_into(dual, primal, a, b: float, lam: float, band, mode: StepMode, new_dual, new_primal, kit,
+               work) -> float:
     """One iteration of every method: the dual steps along the row ``a``, then
     is thresholded. Writes the new pair into the given arrays and returns t.
 
@@ -395,24 +462,32 @@ def _step_into(dual, primal, a, b: float, lam: float, mode: StepMode, new_dual, 
     from it rather than thresholding ``dual`` again, and so takes the same
     value as :func:`exact_step`. t is the row residual <a, primal> - b of
     :func:`inexact_step` or the root of :func:`exact_step` per ``mode``,
-    ``new_dual`` = dual - t*a and
-    ``new_primal`` its soft threshold. ``new_dual`` may be ``dual`` and
+    ``new_dual`` = dual - t*a and ``new_primal`` its soft threshold against
+    ``band``, the run's :func:`_band` of ``lam``. The exact step reads the
+    row's ``kit`` (:func:`_kits`; the inexact one takes ``None``), and both
+    take the run's workspace ``work`` (:func:`_workspace`), whose 0-d array
+    carries t into ``np.multiply``. ``new_dual`` may be ``dual`` and
     ``new_primal`` may be ``primal``: both are read only to find t, and
-    ``new_primal`` holds t*a until the threshold overwrites it, so the
-    step allocates no array beyond the exact step's. At lam = 0, where x =
-    x*, ``new_primal`` may also be ``new_dual`` when that is not ``dual``:
-    t*a and then the new dual go into it, and the threshold writes nothing.
-    A step of t == 0.0 in
-    place writes nothing: no dual entry is -0.0 (the duals start at +0.0,
-    and x - y is -0.0 only for x = -0.0), so dual - 0*a is ``dual`` and its
-    threshold ``primal``, bit for bit. Fresh output arrays are always
-    written. No checks: callers validate the row and the step value.
+    ``new_primal`` holds t*a until the threshold overwrites it, so the step
+    allocates no array beyond the exact step's closed form and bisection.
+    At lam = 0, where x = x*, ``new_primal`` may also be ``new_dual`` when
+    that is not ``dual``: t*a and then the new dual go into it, and the
+    threshold writes nothing. A step of t == 0.0 in place writes nothing:
+    no dual entry is -0.0 (the duals start at +0.0, and x - y is -0.0 only
+    for x = -0.0), so dual - 0*a is ``dual`` and its threshold ``primal``,
+    bit for bit. Fresh output arrays are always written. No checks: callers
+    validate the row and the step value.
     """
-    t = float(a.dot(primal) - b) if mode is StepMode.INEXACT else _exact_step(dual, primal, a, b, lam)
+    if mode is StepMode.INEXACT:
+        t = float(a.dot(primal) - b)
+    else:
+        t = _exact_step(dual, primal, a, b, lam, band, kit, work)
     if t == 0.0 and new_dual is dual and new_primal is primal:
         return t
-    np.subtract(dual, np.multiply(a, t, out=new_primal), out=new_dual)
-    _threshold_into(new_dual, lam, new_primal)
+    step = work[3]
+    step[()] = t
+    np.subtract(dual, np.multiply(a, step, out=new_primal), out=new_dual)
+    _threshold_into(new_dual, band, new_primal)
     return t
 
 
@@ -462,12 +537,15 @@ def project_hyperplane(pair: DualPair, a_i, b_i: float, mode: StepMode) -> DualP
     arrays). In exact mode the new primal satisfies the hyperplane; in both
     modes the Bregman distance to any point of the hyperplane decreases by
     at least half the squared row residual. A row that is not a vector of
-    the pair's length raises :class:`DimensionMismatchError`, a NaN or
-    infinite entry of the row or b_i :class:`NonFiniteDataError`, and a
-    ``mode`` that is not a :class:`StepMode` ``ValueError``, before any step.
+    the pair's length raises :class:`DimensionMismatchError`, a complex row
+    or b_i ``TypeError``, a NaN or infinite entry of the row or b_i
+    :class:`NonFiniteDataError`, and a ``mode`` that is not a
+    :class:`StepMode` ``ValueError``, before any step. An exact step takes
+    the row's kit and a workspace of its own.
     """
     _check_step_mode(mode, "mode")
-    a = np.asarray(a_i, dtype=float)
+    a = np.asarray(_real(a_i, "a_i"), dtype=float)
+    _real(b_i, "b_i")
     _check_vectors(a, pair.dual, "a_i and the pair")
     if not (np.isfinite(a).all() and np.isfinite(b_i)):
         raise NonFiniteDataError(f"project_hyperplane needs a finite row and rhs, got rhs {b_i!r}")
@@ -475,5 +553,8 @@ def project_hyperplane(pair: DualPair, a_i, b_i: float, mode: StepMode) -> DualP
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"project_hyperplane expects a unit row, got norm {norm!r}")
     dual, primal = np.empty_like(pair.dual), np.empty_like(pair.primal)
-    _step_into(pair.dual, pair.primal, a, b_i, pair.lam, mode, dual, primal)
-    return DualPair(primal=primal, dual=dual, lam=pair.lam)
+    lam, exact = pair.lam, mode is StepMode.EXACT
+    kit = _kits(a[None])[0] if exact else None
+    _step_into(pair.dual, pair.primal, a, b_i, lam, _band(lam), mode, dual, primal, kit,
+               _workspace(a.size if exact else 0))
+    return DualPair(primal=primal, dual=dual, lam=lam)

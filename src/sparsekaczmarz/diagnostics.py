@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bregman import DualPair, StepMode, _bregman_gap, _check_lam, _check_step_mode, soft_threshold
+from .bregman import DualPair, StepMode, _bregman_gap, _check_lam, _check_step_mode, _check_vectors, soft_threshold
 from .errors import (
     AllZeroError,
     DimensionMismatchError,
@@ -26,7 +26,7 @@ from .errors import (
     ZeroResidualError,
     ZeroTruthError,
 )
-from .linsys import LinearSystem, residual
+from .linsys import LinearSystem, _real, residual
 from .sampling import _check_beta
 
 NONZERO_ENTRY_TOL = 1e-12
@@ -34,9 +34,14 @@ SINGULAR_VALUE_CUTOFF = 1e-10
 
 
 def mse(x, x_hat) -> float:
-    """Relative squared error ||x - x_hat||^2 / ||x_hat||^2."""
-    x = np.asarray(x, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
+    """Relative squared error ||x - x_hat||^2 / ||x_hat||^2.
+
+    ``x`` and ``x_hat`` must be real (``TypeError``) vectors of one length
+    (:class:`DimensionMismatchError`).
+    """
+    x = np.asarray(_real(x, "x"), dtype=float)
+    x_hat = np.asarray(_real(x_hat, "x_hat"), dtype=float)
+    _check_vectors(x, x_hat, "x and x_hat")
     denom = float(np.dot(x_hat, x_hat))
     if denom == 0.0:
         raise ZeroTruthError("ground truth is zero; relative error undefined")

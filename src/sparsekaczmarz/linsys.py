@@ -61,7 +61,7 @@ def _real(value, name: str) -> np.ndarray:
     """``value`` as an array, refused with a ``TypeError`` naming ``name`` if
     it is complex: a cast to float would keep its real part alone."""
     arr = np.asarray(value)
-    if np.iscomplexobj(arr):
+    if arr.dtype.kind == "c":
         raise TypeError(f"{name} must be real, got complex dtype {arr.dtype}")
     return arr
 

@@ -29,10 +29,13 @@ import numpy as np
 from .bregman import (
     DualPair,
     StepMode,
+    _band,
     _check_lam,
     _check_step_mode,
+    _kits,
     _step_into,
     _steps_at_rest,
+    _workspace,
     objective_value,
     project_hyperplane,
 )
@@ -406,16 +409,22 @@ def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target
     where x = x*, both are one buffer and one list of its columns: the step
     writes t*a and the new dual into the slot's column, and the threshold
     writes nothing. At w = 1 every step is in place, into the dual it reads,
-    so x and x* keep a buffer each. The inner loop ends early only at an
-    inexact step that leaves x = 0, after which :func:`_uniform_batch` takes
-    the next steps, and at a step whose value or iterate is not finite,
-    which ends the window: the slots before it are recorded, and it raises
-    unless one of them met the stop. Uniform rows rarely pick a row twice
-    before the pair moves, so steps of zero away from x = 0 are taken alone.
+    so x and x* keep a buffer each. Every step thresholds against one band
+    and takes t through one workspace, both built once per run
+    (``bregman._band``, ``bregman._workspace``). In exact mode a window
+    builds the kits of all its drawn rows at once (``bregman._kits`` on
+    ``rows[drawn]``), and slot j's step reads kit j. The inner loop ends
+    early only at an inexact step that leaves x = 0, after which
+    :func:`_uniform_batch` takes the next steps, and at a step whose value
+    or iterate is not finite, which ends the window: the slots before it are
+    recorded, and it raises unless one of them met the stop. Uniform rows
+    rarely pick a row twice before the pair moves, so steps of zero away
+    from x = 0 are taken alone.
     :func:`_flush_window` records a window's iterates and tests the stop.
     """
     rows, rhs, lam, mode = system.rows, system.rhs, spec.lam, spec.step_mode
     inexact, max_iters = mode is StepMode.INEXACT, spec.stop.max_iters
+    band, work = _band(lam), _workspace(0 if inexact else system.n)
     w = min(_WINDOW, max_iters)
     columns = _SupportColumns(rows, w) if recs[2] is not None or eps2 is not None else None
     xs = np.zeros((system.n, w), order="F")
@@ -433,6 +442,7 @@ def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target
         chosen_rec, step_rec = _reserve(recs, k + count, max_iters)[:2]
         chosen_rec[k : k + count] = drawn = rng.integers(system.m, size=count)
         picks, picked_rhs, steps = drawn.tolist(), rhs[drawn].tolist(), step_rec[k : k + count]
+        kits = [None] * count if inexact else _kits(rows[drawn])
         j, failed = 0, None
         while j < count:
             if still:
@@ -447,7 +457,8 @@ def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target
                 if j == count:
                     break
             for j in range(j, count):
-                t = _step_into(dual, x, rows[picks[j]], picked_rhs[j], lam, mode, dual_cols[j], x_cols[j])
+                t = _step_into(dual, x, rows[picks[j]], picked_rhs[j], lam, band, mode, dual_cols[j], x_cols[j],
+                               kits[j], work)
                 dual, x = dual_cols[j], x_cols[j]
                 x_norm2 = float(x.dot(x))
                 # an infinite ||x||^2 from finite entries (a square that overflows) is no failure
@@ -590,17 +601,19 @@ def _greedy_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target,
     :class:`_RankPick` at m/2 <= beta < m on at least 1000 rows, and by
     :class:`_SubsetPick` otherwise. It steps x and x* in place, each in its
     own array (the new dual is the one the step reads, so t*a cannot share
-    it), records its errors, takes one product for the residual that picks
-    the next row, and tests the stop. A step of exactly zero after the first
-    writes nothing: its records repeat and r stays. After it, or after an
-    inexact step that leaves x = 0, :func:`_greedy_batch` takes the next
-    steps that leave x where it was.
+    it), in exact mode with the kit of its row alone (``bregman._kits`` on a
+    1 x n block), records its errors, takes one product for the residual
+    that picks the next row, and tests the stop. A step of exactly zero
+    after the first writes nothing: its records repeat and r stays. After
+    it, or after an inexact step that leaves x = 0, :func:`_greedy_batch`
+    takes the next steps that leave x where it was.
     """
     m, rows, rhs, beta = system.m, system.rows, system.rhs, spec.sampler.beta
     lam, mode, max_iters = spec.lam, spec.step_mode, spec.stop.max_iters
     # before the pick is chosen: the rank scan draws its keys unchecked
     _check_beta(beta, m)
     inexact = mode is StepMode.INEXACT
+    band, work = _band(lam), _workspace(0 if inexact else system.n)
     w = min(_WINDOW, max_iters, max(1, _WINDOW_KEYS // m))
     by_rank = 2 * beta >= m and m >= _RANK_SCAN_MIN_ROWS
     pick = (_ArgmaxPick if beta == m else _RankPick if by_rank else _SubsetPick)(m, beta, rng)
@@ -627,7 +640,8 @@ def _greedy_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target,
                 if j == count:
                     break
             i = pick.one(j, r)
-            t = _step_into(dual, x, rows[i], float(rhs[i]), lam, mode, dual, x)
+            kit = None if inexact else _kits(rows[i : i + 1])[0]
+            t = _step_into(dual, x, rows[i], float(rhs[i]), lam, band, mode, dual, x, kit, work)
             chosen_rec[k + j], step_rec[k + j] = i, t
             if t == 0.0:
                 # the pair stays, and an exact batch may repeat this step along

@@ -17,6 +17,7 @@ from sparsekaczmarz import (
     conjugate_value,
     exact_step,
     inexact_step,
+    mse,
     objective_value,
     project_hyperplane,
     run,
@@ -46,8 +47,27 @@ def count_thresholds(monkeypatch):
     each goes through its one kernel, ``_threshold_into``."""
     calls = []
     threshold = bregman._threshold_into
-    monkeypatch.setattr(bregman, "_threshold_into", lambda v, lam, out: calls.append(lam) or threshold(v, lam, out))
+    monkeypatch.setattr(bregman, "_threshold_into", lambda v, band, out: calls.append(band) or threshold(v, band, out))
     return calls
+
+
+def step_into(dual, primal, a, b, lam, mode, new_dual, new_primal):
+    """``bregman._step_into`` with the band, kit and workspace that a run hands it."""
+    kit = bregman._kits(a[None])[0] if mode is StepMode.EXACT else None
+    return bregman._step_into(dual, primal, a, b, lam, bregman._band(lam), mode, new_dual, new_primal, kit,
+                              bregman._workspace(a.size))
+
+
+def exact_from(dual, primal, a, b, lam):
+    """``bregman._exact_step`` from the pair, with the row's kit and a fresh workspace."""
+    return bregman._exact_step(dual, primal, a, b, lam, bregman._band(lam), bregman._kits(a[None])[0],
+                               bregman._workspace(a.size))
+
+
+def newton_root(dual, primal, a, b, lam):
+    """``bregman._newton_root`` from the pair, with the row's kit and a fresh workspace."""
+    return bregman._newton_root(dual, primal, a, b, lam, bregman._band(lam), bregman._kits(a[None])[0],
+                                bregman._workspace(a.size))
 
 
 # ---------------------------------------------------------------- threshold
@@ -131,6 +151,33 @@ def test_soft_threshold_clip_form_equals_sign_form(v, lam):
     assert np.all(out[keep] == ref[keep])
 
 
+_SUBNORMAL = 2.2250738585072014e-308 / 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=_EDGE_VECTORS, lam=st.sampled_from([5e-324, 0.05, 1.0, 1e300]))
+def test_threshold_by_clip_equals_max_then_min_bit_for_bit(v, lam):
+    # one call of the clip ufunc against the band's two 0-d arrays, then one
+    # subtraction, gives the bits of v - min(max(v, -lam), lam): on the band's
+    # ends and just inside them, on subnormals, zeros of both signs, +-inf
+    # and NaN, from the smallest band to one near the float range
+    edges = [lam, -lam, np.nextafter(lam, 0.0), np.nextafter(-lam, 0.0), _SUBNORMAL, -_SUBNORMAL, 5e-324, -5e-324]
+    v = np.concatenate((v, edges, [0.0, -0.0, np.inf, -np.inf, np.nan]))
+    band = bregman._band(lam)
+    out = bregman._threshold_into(v, band, np.full_like(v, 7.0))
+    ref = v - np.minimum(np.maximum(v, -lam), lam)
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+    assert np.array_equal(soft_threshold(v, lam).view(np.int64), ref.view(np.int64))
+
+
+def test_band_is_two_read_only_0d_arrays_or_none_at_lam_zero():
+    assert bregman._band(0.0) is None and bregman._band(-0.0) is None
+    lo, hi = bregman._band(0.25)
+    assert lo.shape == hi.shape == () and lo.dtype == hi.dtype == np.float64
+    assert float(lo) == -0.25 and float(hi) == 0.25
+    assert not lo.flags.writeable and not hi.flags.writeable
+
+
 @pytest.mark.parametrize("lam", [-1.0, -1e-300, np.nan, np.inf])
 def test_soft_threshold_refuses_a_lam_that_is_not_finite_and_nonnegative(lam):
     # a negative lam grew the entries ([1, -2] at -1 gave [2, -1]) and a NaN
@@ -139,17 +186,20 @@ def test_soft_threshold_refuses_a_lam_that_is_not_finite_and_nonnegative(lam):
         soft_threshold([1.0, -2.0], lam)
     with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
         exact_step(np.array([1.0, -2.0]), np.array([0.6, 0.8]), 1.0, lam)
+    # objective_value(ones(3), -1) gave -1.5, and a NaN lam NaN
+    with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+        objective_value(np.ones(3), lam)
 
 
 def test_threshold_at_lam_zero_is_one_copy(monkeypatch):
     # at lam = 0 the threshold is the identity: the kernel copies v and takes
-    # no clip, and the copy equals v, and the three-pass form, under ==
+    # no clip, and the copy equals v, and the clipped form, under ==
     v = np.array([1.5, -2.25, 0.0, -0.0, np.inf, -np.inf, 5e-324, -1e308])
     clipped = np.subtract(v, np.minimum(np.maximum(v, -0.0), 0.0))
     calls = []
-    for name in ("maximum", "minimum"):
-        monkeypatch.setattr(np, name, lambda *args, name=name, **kwargs: calls.append(name))
-    out = bregman._threshold_into(v, 0.0, np.empty_like(v))
+    for module, name in ((np, "maximum"), (np, "minimum"), (bregman, "_clip")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: calls.append(name))
+    out = bregman._threshold_into(v, bregman._band(0.0), np.empty_like(v))
     public = soft_threshold(v, 0.0)
     monkeypatch.undo()
     assert calls == []
@@ -163,7 +213,7 @@ def test_threshold_at_lam_zero_into_v_itself_writes_nothing():
     v = np.array([1.5, -2.25, 0.0, 5e-324, -1e308])
     before = v.copy()
     v.setflags(write=False)
-    assert bregman._threshold_into(v, 0.0, v) is v
+    assert bregman._threshold_into(v, bregman._band(0.0), v) is v
     assert np.array_equal(v.view(np.int64), before.view(np.int64))
 
 
@@ -185,10 +235,10 @@ def test_step_into_in_place_matches_fresh_arrays(mode, lam):
         a = random_unit_row(rng, n)
         b = float(rng.standard_normal())
         new_dual, new_primal = np.empty(n), np.empty(n)
-        t = bregman._step_into(dual, primal, a, b, lam, mode, new_dual, new_primal)
+        t = step_into(dual, primal, a, b, lam, mode, new_dual, new_primal)
         assert np.array_equal(_bits(new_dual), _bits(dual - t * a))
         assert np.array_equal(_bits(new_primal), _bits(soft_threshold(new_dual, lam)))
-        assert bregman._step_into(dual, primal, a, b, lam, mode, dual, primal) == t
+        assert step_into(dual, primal, a, b, lam, mode, dual, primal) == t
         assert np.array_equal(_bits(dual), _bits(new_dual))
         assert np.array_equal(_bits(primal), _bits(new_primal))
 
@@ -206,12 +256,59 @@ def test_step_into_at_lam_zero_into_one_array_matches_fresh_arrays(mode):
         a = random_unit_row(rng, n)
         b = float(a.dot(dual)) if case % 10 == 0 else float(rng.standard_normal())
         new_dual, new_primal, one = np.empty(n), np.empty(n), np.empty(n)
-        t = bregman._step_into(dual, dual, a, b, 0.0, mode, new_dual, new_primal)
-        assert bregman._step_into(dual, dual, a, b, 0.0, mode, one, one) == t
+        t = step_into(dual, dual, a, b, 0.0, mode, new_dual, new_primal)
+        assert step_into(dual, dual, a, b, 0.0, mode, one, one) == t
         assert np.array_equal(_bits(one), _bits(new_dual))
         assert np.array_equal(_bits(one), _bits(new_primal))
         if case % 10 == 0 and mode is StepMode.INEXACT:
             assert t == 0.0
+
+
+@pytest.mark.parametrize("shape", [(300, 200), (2000, 1000)], ids=["ref", "large"])
+def test_kits_of_a_block_equal_each_rows_own_setup(shape):
+    # the shapes of the benchmark's two pools: a window's kits, a greedy
+    # pick's 1 x n block and the one-shot API's a[None] hold the bits the
+    # step derived from its own row, a*a, sign(a) and a.dot(a)
+    m, n = shape
+    system, _, _ = harness.gaussian_instance(m, n, 5, np.random.default_rng(7))
+    rows = system.rows
+    drawn = np.random.default_rng(3).integers(m, size=32)
+    blocks = [(rows[lo : lo + 32], range(lo, min(lo + 32, m))) for lo in range(0, m, 32)]
+    blocks += [(rows[drawn], drawn), (rows[5:6], [5]), (rows[m - 1][None], [m - 1])]
+    for block, picked in blocks:
+        kits = bregman._kits(block)
+        assert len(kits) == len(picked)
+        for i, (norm2, a2, sign_a) in zip(picked, kits):
+            a = rows[i]
+            assert type(norm2) is float and _bits(norm2) == _bits(a.dot(a)), i
+            assert np.array_equal(_bits(a2), _bits(a * a)), i
+            assert np.array_equal(_bits(sign_a), _bits(np.sign(a))), i
+
+
+def _exact_walk(lam, rows, b, work):
+    """Exact steps along ``rows`` from x* = 0, in place, through the
+    workspace ``work``: yields each step's t and the bits of its pair."""
+    band, n = bregman._band(lam), rows.shape[1]
+    dual, primal = np.zeros(n), np.zeros(n)
+    for a, b_s, kit in zip(rows, b.tolist(), bregman._kits(rows)):
+        t = bregman._step_into(dual, primal, a, b_s, lam, band, StepMode.EXACT, dual, primal, kit, work)
+        yield t, dual.tobytes(), primal.tobytes()
+
+
+def test_exact_steps_of_two_workspaces_interleaved_equal_each_walk_alone():
+    # each run owns its workspace: two walks whose steps alternate give the
+    # bits each gives alone, so no step reads what the other walk's step left
+    rng = np.random.default_rng(43)
+    walks = []
+    for lam in (0.5, 1.0):
+        x_hat = np.zeros(40)
+        x_hat[rng.permutation(40)[:4]] = rng.standard_normal(4)
+        rows = np.array([random_unit_row(rng, 40) for _ in range(60)])
+        walks.append((lam, rows, rows @ x_hat))
+    alone = [list(_exact_walk(*walk, bregman._workspace(40))) for walk in walks]
+    together = zip(*(_exact_walk(*walk, bregman._workspace(40)) for walk in walks))
+    assert [list(steps) for steps in zip(*together)] == alone
+    assert any(t != 0.0 for t, _, _ in alone[0]) and any(t != 0.0 for t, _, _ in alone[1])
 
 
 def _zero_step_rows(rng, lam):
@@ -241,9 +338,9 @@ def test_newton_root_returns_zero_at_a_zero_of_g_with_no_evaluation(monkeypatch,
         norm2 = float(a.dot(a))
         assert not bregman._ends_at_kinks(a, primal, b, lam, 0.0, norm2)
         calls.clear()
-        t = bregman._newton_root(dual, primal, a, b, lam, norm2)
+        t = newton_root(dual, primal, a, b, lam)
         assert _bits(t) == _bits(0.0)
-        assert bregman._exact_step(dual, primal, a, b, lam) == 0.0
+        assert exact_from(dual, primal, a, b, lam) == 0.0
         assert calls == []
 
 
@@ -258,7 +355,7 @@ def test_exact_step_at_a_zero_of_g_within_rounding_of_its_kinks_takes_the_bisect
     b = float(primal.dot(a))
     assert b - float(primal.dot(a)) == 0.0 and b > 0.0
     assert bregman._ends_at_kinks(a, primal, b, 1.0, 0.0, 1.0)
-    assert bregman._newton_root(dual, primal, a, b, 1.0, 1.0) is None
+    assert newton_root(dual, primal, a, b, 1.0) is None
     calls = []
     bisection = bregman._bisection_root
     monkeypatch.setattr(bregman, "_bisection_root", lambda *args: calls.append(args) or bisection(*args))
@@ -279,9 +376,9 @@ def test_step_into_at_a_step_of_zero_writes_in_place_nothing(mode, lam):
         dual, primal, a, b = _zero_step_rows(rng, lam)
         dual.setflags(write=False)
         primal.setflags(write=False)
-        assert bregman._step_into(dual, primal, a, b, lam, mode, dual, primal) == 0.0
+        assert step_into(dual, primal, a, b, lam, mode, dual, primal) == 0.0
         new_dual, new_primal = np.full(dual.size, np.nan), np.full(dual.size, np.nan)
-        assert bregman._step_into(dual, primal, a, b, lam, mode, new_dual, new_primal) == 0.0
+        assert step_into(dual, primal, a, b, lam, mode, new_dual, new_primal) == 0.0
         assert np.array_equal(_bits(new_dual), _bits(dual))
         assert np.array_equal(_bits(new_primal), _bits(primal))
 
@@ -291,7 +388,7 @@ def _steps_one_at_a_time(dual, primal, a, b, lam):
     steps = []
     for a_s, b_s in zip(a, b):
         new_dual, new_primal = np.empty_like(dual), np.empty_like(primal)
-        t = bregman._step_into(dual, primal, a_s, float(b_s), lam, StepMode.INEXACT, new_dual, new_primal)
+        t = step_into(dual, primal, a_s, float(b_s), lam, StepMode.INEXACT, new_dual, new_primal)
         steps.append((t, new_dual, new_primal))
         dual, primal = new_dual, new_primal
     return steps
@@ -680,7 +777,7 @@ def test_exact_step_with_its_root_on_the_primals_piece_takes_one_evaluation(monk
         b = float(np.dot(a, soft_threshold(dual - t_root * a, lam)))
         primal = soft_threshold(dual, lam)
         calls.clear()
-        t = bregman._exact_step(dual, primal, a, b, lam)
+        t = exact_from(dual, primal, a, b, lam)
         assert len(calls) == 1
         t_ref = breakpoint_scan_exact_step(dual, a, b, lam)
         assert abs(t - t_ref) <= 1e-12 * abs(t_ref)
@@ -819,6 +916,13 @@ def test_public_steps_refuse_non_finite_input(step, where, bad):
         (lambda pair: exact_step(pair.dual[:, None], np.array([[0.6], [0.8], [0.0]]), 1.0, 1.0), "a_i and dual"),
         (lambda pair: bregman_distance(pair, np.ones(2)), "y and the pair"),
         (lambda pair: bregman_distance(pair, np.ones((3, 1))), "y and the pair"),
+        # numpy said "shapes (2,) and (3,) not aligned"
+        (lambda pair: inexact_step(pair.primal, np.array([0.6, 0.8]), 1.0), "a_i and x"),
+        (lambda pair: inexact_step(pair.primal[:, None], np.array([[0.6], [0.8], [0.0]]), 1.0), "a_i and x"),
+        # numpy raised its broadcast ValueError, and a bare TypeError for a 2-D x
+        (lambda pair: mse(pair.primal, np.ones(2)), "x and x_hat"),
+        (lambda pair: mse(np.ones((2, 2)), np.ones(2)), "x and x_hat"),
+        (lambda pair: mse(np.ones((2, 2)), np.ones((2, 2))), "x and x_hat"),
     ],
 )
 def test_one_step_api_refuses_mismatched_shapes(call, names):
@@ -826,6 +930,35 @@ def test_one_step_api_refuses_mismatched_shapes(call, names):
     pair = DualPair.from_dual(np.array([1.5, -0.5, 0.0]), 1.0)
     with pytest.raises(DimensionMismatchError, match=f"^{names} must be vectors of one length"):
         call(pair)
+
+
+_COMPLEX_CALLS = {
+    "soft_threshold": lambda z: soft_threshold([1 + 1j, 0.5], 1.0),
+    "exact_step": lambda z: exact_step(z, [1.0, 0.0], 1.0, 1.0),
+    "exact_step b_i": lambda z: exact_step([0.5, 0.0], [1.0, 0.0], 1 + 1j, 1.0),
+    "inexact_step": lambda z: inexact_step([0.5, 0.0], z, 1.0),
+    "project_hyperplane": lambda z: project_hyperplane(DualPair.from_dual([0.5, 0.0], 1.0), z, 1.0, StepMode.EXACT),
+    "project_hyperplane b_i": lambda z: project_hyperplane(
+        DualPair.from_dual([0.5, 0.0], 1.0), [1.0, 0.0], 1 + 1j, StepMode.INEXACT
+    ),
+    "DualPair": lambda z: DualPair(primal=z, dual=z, lam=0.0),
+    "DualPair.from_dual": lambda z: DualPair.from_dual(z, 1.0),
+    "bregman_distance": lambda z: bregman_distance(DualPair.from_dual([0.5, 0.0], 1.0), z),
+    "objective_value": lambda z: objective_value(z, 1.0),
+    "mse": lambda z: mse(z, [1.0, 0.0]),
+    "mse x_hat": lambda z: mse([1.0, 0.0], z),
+}
+
+
+@pytest.mark.parametrize("name", list(_COMPLEX_CALLS))
+def test_one_shot_api_refuses_complex_input(name):
+    # a cast to float kept the real part alone, after a ComplexWarning:
+    # exact_step([1+1j, 0], [1, 0], 1, 1) returned -1.0 and
+    # soft_threshold([1+1j], 1) gave [0.]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match="must be real, got complex"):
+            _COMPLEX_CALLS[name](np.array([1 + 1j, 0.0]))
 
 
 def test_step_once_refuses_a_pair_of_another_length():

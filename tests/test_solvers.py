@@ -1,5 +1,7 @@
 import dataclasses
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -31,7 +33,7 @@ from sparsekaczmarz import (
     soft_threshold,
     step_once,
 )
-from sparsekaczmarz import solvers
+from sparsekaczmarz import bregman, solvers
 from sparsekaczmarz.errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
@@ -445,6 +447,67 @@ def test_run_at_lam_zero_in_one_buffer_matches_composed_single_steps(max_iters, 
                 assert zero_iterates == min(max_iters, 32), (spec, max_iters)
 
 
+@pytest.mark.parametrize("residuals", [False, True])
+@pytest.mark.parametrize("max_iters", [1, 2, 31, 32, 33, 65])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_run_srk_exact_with_a_windows_kits_matches_composed_single_steps(lam, max_iters, residuals):
+    """SRK-exact builds the kits of a window's rows at once and steps through
+    one workspace per run: it equals init_state -> pick_index (full residual)
+    -> step_once, whose exact step builds its own, record for record, at
+    budgets that end inside, at and past a window, on a small system and on
+    the reference shape."""
+    ref, ref_hat, _ = gaussian_instance(300, 200, 5, np.random.default_rng(2))
+    stop = StoppingRule(max_iters=max_iters)
+    for name, (system, x_hat) in {"small": small_instance(seed=5)[:2], "ref": (ref, ref_hat)}.items():
+        spec = SolverSpec.srk(lam, StepMode.EXACT, seed=3, stop=stop)
+        _check_against_single_steps(name, system, x_hat, spec, residuals)
+
+
+def test_no_module_level_array_can_be_written():
+    # LinearSystem promises safe concurrent readers: each run allocates its own
+    # band, kits and workspace, so no scratch buffer lives at module level
+    for module in (bregman, solvers):
+        for name, value in vars(module).items():
+            for item in value if isinstance(value, (tuple, list)) else (value,):
+                assert not (isinstance(item, np.ndarray) and item.flags.writeable), (module.__name__, name)
+
+
+def test_exact_runs_in_threads_equal_each_run_alone():
+    # four exact runs on one system step at once in four threads, more than
+    # the cores of a small host, switching every microsecond: each owns its
+    # band, kits and workspace, so each gives the bits it gives alone
+    system, x_hat, _ = gaussian_instance(60, 40, 4, np.random.default_rng(11))
+    stop = StoppingRule(max_iters=2000)
+    specs = [
+        SolverSpec.srk(0.5, StepMode.EXACT, seed=1, stop=stop),
+        SolverSpec.sskm(1.0, 30, StepMode.EXACT, seed=2, stop=stop),
+        SolverSpec.srk(0.0, StepMode.EXACT, seed=3, stop=stop),
+        SolverSpec.sskm(0.1, 60, StepMode.EXACT, seed=4, stop=stop),
+    ]
+    alone = [run(system, spec, ground_truth=x_hat) for spec in specs]
+    together = [None] * len(specs)
+
+    def solve(q):
+        together[q] = run(system, specs[q], ground_truth=x_hat)
+
+    threads = [threading.Thread(target=solve, args=(q,)) for q in range(len(specs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for (pair, trace), (pair_t, trace_t) in zip(alone, together):
+        assert np.array_equal(trace.chosen, trace_t.chosen)
+        assert np.array_equal(_bits(trace.step), _bits(trace_t.step))
+        assert np.array_equal(_bits(trace.mse), _bits(trace_t.mse))
+        assert np.array_equal(_bits(pair.dual), _bits(pair_t.dual))
+
+
 def test_run_shares_one_buffer_only_for_uniform_windows_at_lam_zero(monkeypatch):
     # x = x* at lam = 0, so a uniform window of w > 1 slots steps each into
     # one column for both. A window of one slot steps in place, as every
@@ -453,9 +516,9 @@ def test_run_shares_one_buffer_only_for_uniform_windows_at_lam_zero(monkeypatch)
     kinds = []
     step = solvers._step_into
 
-    def spy(dual, primal, a, b, lam, mode, new_dual, new_primal):
+    def spy(dual, primal, a, b, lam, band, mode, new_dual, new_primal, kit, work):
         kinds.append(new_dual is new_primal)
-        return step(dual, primal, a, b, lam, mode, new_dual, new_primal)
+        return step(dual, primal, a, b, lam, band, mode, new_dual, new_primal, kit, work)
 
     monkeypatch.setattr(solvers, "_step_into", spy)
     stop = StoppingRule(max_iters=100)
