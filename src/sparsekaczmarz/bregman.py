@@ -36,14 +36,15 @@ g(0) == 0, takes no evaluation of g, and in place no write.
 where it is all at once, with the bits of one ``_step_into`` each: ``run``
 takes it at primal = 0 for every method, and elsewhere for greedy rows
 alone. The public functions refuse complex input (``TypeError``) and
-mismatched shapes; the private kernels check nothing.
+mismatched shapes; the private kernels check nothing. A :class:`DualPair`
+is built from its dual alone, and derives its primal with the same kernel.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 # the clip ufunc, which np.clip calls after its Python-level argument
@@ -51,7 +52,7 @@ import numpy as np
 from numpy._core.umath import clip as _clip
 
 from .errors import DimensionMismatchError, NonFiniteDataError, NumericalFailureError
-from .linsys import _real
+from .linsys import _real, _real_vector
 
 class StepMode(enum.Enum):
     INEXACT = "inexact"
@@ -125,7 +126,11 @@ def objective_value(x, lam: float) -> float:
     complex ``x`` ``TypeError``.
     """
     _check_lam(lam)
-    x = np.asarray(_real(x, "x"), dtype=float)
+    return _objective(np.asarray(_real(x, "x"), dtype=float), lam)
+
+
+def _objective(x: np.ndarray, lam: float) -> float:
+    """:func:`objective_value` of a float array ``x``, with no checks."""
     return float(lam * np.abs(x).sum() + 0.5 * np.dot(x, x))
 
 
@@ -141,39 +146,30 @@ def conjugate_value(xstar, lam: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DualPair:
-    """Primal iterate x and dual iterate x* linked by x = soft_threshold(x*, lam).
+    """Dual iterate x* and its primal x = soft_threshold(x*, lam), built from the dual alone.
 
     The link is the admissibility condition x* in the subdifferential of the
-    objective at x; it is enforced at construction, after the arrays are
-    checked to be real (``TypeError``), ``lam`` to be finite and nonnegative
-    (``ValueError``) and the dual to be finite (:class:`NonFiniteDataError`).
-    Use :meth:`from_dual` to build a pair from a dual vector.
+    objective at x, so the primal is derived, not given: a read-only array
+    that the package's one threshold kernel writes at construction, after
+    the dual is checked to be a real (``TypeError``), 1-D
+    (:class:`DimensionMismatchError`) and finite
+    (:class:`NonFiniteDataError`) vector and ``lam`` finite and nonnegative
+    (``ValueError``). The dual is kept read-only, without a copy where it is
+    a float array already.
     """
 
-    primal: np.ndarray
     dual: np.ndarray
     lam: float
+    primal: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        primal = np.asarray(_real(self.primal, "primal"), dtype=float)
-        dual = np.asarray(_real(self.dual, "dual"), dtype=float)
-        if primal.shape != dual.shape or primal.ndim != 1:
-            raise ValueError(f"primal/dual must be equal-length vectors, got {primal.shape}/{dual.shape}")
+        dual = _real_vector(self.dual, "dual")
         _check_lam(self.lam)
-        # an infinite entry thresholds to itself, so the link alone would let it through
-        if not np.isfinite(dual).all():
-            raise NonFiniteDataError("dual has a NaN or infinite entry")
-        if not np.array_equal(primal, soft_threshold(dual, self.lam)):
-            raise ValueError("primal must equal soft_threshold(dual, lam) exactly")
-        primal.setflags(write=False)
+        primal = _threshold_into(dual, _band(self.lam), np.empty_like(dual))
         dual.setflags(write=False)
-        object.__setattr__(self, "primal", primal)
+        primal.setflags(write=False)
         object.__setattr__(self, "dual", dual)
-
-    @classmethod
-    def from_dual(cls, dual, lam: float) -> "DualPair":
-        dual = np.asarray(_real(dual, "dual"), dtype=float)
-        return cls(primal=soft_threshold(dual, lam), dual=dual, lam=lam)
+        object.__setattr__(self, "primal", primal)
 
 
 def bregman_distance(pair: DualPair, y) -> float:
@@ -197,7 +193,7 @@ def _check_vectors(a: np.ndarray, v: np.ndarray, names: str) -> None:
 
 def _bregman_gap(x, dual, y, lam: float) -> float:
     """:func:`bregman_distance` from the arrays of a pair, with no validation of the link."""
-    return float(objective_value(y, lam) - objective_value(x, lam) - np.dot(dual, y - x))
+    return float(_objective(y, lam) - _objective(x, lam) - np.dot(dual, y - x))
 
 
 def inexact_step(x, a_i, b_i: float) -> float:
@@ -532,16 +528,16 @@ def _steps_at_rest(dual, primal, a, b, lam: float, duals) -> tuple[int, np.ndarr
 def project_hyperplane(pair: DualPair, a_i, b_i: float, mode: StepMode) -> DualPair:
     """Bregman projection of the pair onto the hyperplane <a_i, x> = b_i.
 
-    The dual moves by -t*a_i with t chosen per ``mode``; the primal is the
-    soft threshold of the new dual (:func:`_step_into`, into two fresh
-    arrays). In exact mode the new primal satisfies the hyperplane; in both
-    modes the Bregman distance to any point of the hyperplane decreases by
-    at least half the squared row residual. A row that is not a vector of
-    the pair's length raises :class:`DimensionMismatchError`, a complex row
-    or b_i ``TypeError``, a NaN or infinite entry of the row or b_i
-    :class:`NonFiniteDataError`, and a ``mode`` that is not a
-    :class:`StepMode` ``ValueError``, before any step. An exact step takes
-    the row's kit and a workspace of its own.
+    The dual moves by -t*a_i with t chosen per ``mode`` (:func:`_step_into`,
+    into a fresh array), and the new pair is built from it, its primal the
+    soft threshold of the new dual. In exact mode the new primal satisfies
+    the hyperplane; in both modes the Bregman distance to any point of the
+    hyperplane decreases by at least half the squared row residual. A row
+    that is not a vector of the pair's length raises
+    :class:`DimensionMismatchError`, a complex row or b_i ``TypeError``, a
+    NaN or infinite entry of the row or b_i :class:`NonFiniteDataError`, and
+    a ``mode`` that is not a :class:`StepMode` ``ValueError``, before any
+    step. An exact step takes the row's kit and a workspace of its own.
     """
     _check_step_mode(mode, "mode")
     a = np.asarray(_real(a_i, "a_i"), dtype=float)
@@ -552,9 +548,9 @@ def project_hyperplane(pair: DualPair, a_i, b_i: float, mode: StepMode) -> DualP
     norm = float(np.linalg.norm(a))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"project_hyperplane expects a unit row, got norm {norm!r}")
-    dual, primal = np.empty_like(pair.dual), np.empty_like(pair.primal)
+    dual, scratch = np.empty_like(pair.dual), np.empty_like(pair.primal)
     lam, exact = pair.lam, mode is StepMode.EXACT
     kit = _kits(a[None])[0] if exact else None
-    _step_into(pair.dual, pair.primal, a, b_i, lam, _band(lam), mode, dual, primal, kit,
+    _step_into(pair.dual, pair.primal, a, b_i, lam, _band(lam), mode, dual, scratch, kit,
                _workspace(a.size if exact else 0))
-    return DualPair(primal=primal, dual=dual, lam=lam)
+    return DualPair(dual, lam)

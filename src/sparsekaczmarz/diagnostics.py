@@ -26,7 +26,7 @@ from .errors import (
     ZeroResidualError,
     ZeroTruthError,
 )
-from .linsys import LinearSystem, _real, residual
+from .linsys import LinearSystem, _real, _real_vector, residual
 from .sampling import _check_beta
 
 NONZERO_ENTRY_TOL = 1e-12
@@ -87,9 +87,13 @@ def smallest_nonzero_singular_value(system: LinearSystem | np.ndarray) -> Singul
 
 
 def min_abs_nonzero(x_hat) -> float:
-    """Smallest absolute value among entries larger than 1e-12 in magnitude."""
-    x_hat = np.asarray(x_hat, dtype=float)
-    mags = np.abs(x_hat)
+    """Smallest absolute value among entries larger than 1e-12 in magnitude.
+
+    ``x_hat`` must be a real (``TypeError``), 1-D
+    (:class:`DimensionMismatchError`) and finite (:class:`NonFiniteDataError`)
+    vector.
+    """
+    mags = np.abs(_real_vector(x_hat, "x_hat"))
     mags = mags[mags > NONZERO_ENTRY_TOL]
     if mags.size == 0:
         raise AllZeroError("vector has no entry above 1e-12")
@@ -197,12 +201,14 @@ def error_bound_margin(
     holds. For lam > 0 the pair's dual must lie in the row space (true for
     any solver run started at zero); for lam = 0 the matrix must have full
     column rank. A negative, infinite or NaN lam, or a sigma_min that is not
-    finite and positive, raises ``ValueError``.
+    finite and positive, raises ``ValueError``; an ``x_hat`` that is not a
+    real (``TypeError``), finite (:class:`NonFiniteDataError`) vector of
+    length n (:class:`DimensionMismatchError`) is refused before any work.
     """
     _check_lam(lam)
     _check_nonnegative(sigma_min, "sigma_min", positive=True)
+    x_hat = _real_vector(x_hat, "x_hat", system.n)
     r = residual(system, pair.primal)
-    x_hat = np.asarray(x_hat, dtype=float)
     xmin = min_abs_nonzero(x_hat) if lam > 0 else 0.0
     return _margin(float(np.dot(r, r)), pair.primal, pair.dual, x_hat, lam, sigma_min, xmin)
 
@@ -237,14 +243,16 @@ def noisy_envelope(
     latter inflated by (1 + 4*lam*||A||_{1,2}) in exact mode. With
     delta_inf = 0 this reduces to the noiseless envelope. A negative,
     infinite or NaN lam, delta_inf or a_one_two_norm, or a ``mode`` that is
-    not a :class:`StepMode`, raises ``ValueError``.
+    not a :class:`StepMode`, raises ``ValueError``, and an ``x_hat`` that is
+    not a real (``TypeError``), 1-D (:class:`DimensionMismatchError`) and
+    finite (:class:`NonFiniteDataError`) vector is refused.
     """
     _check_lam(lam)
     _check_step_mode(mode, "mode")
     _check_nonnegative(delta_inf, "delta_inf")
     _check_nonnegative(a_one_two_norm, "a_one_two_norm")
     q = np.asarray(q_sequence, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
+    x_hat = _real_vector(x_hat, "x_hat")
     c0 = 2.0 * lam * np.abs(x_hat).sum() + float(np.dot(x_hat, x_hat))
     noiseless = np.sqrt(np.cumprod(q) * c0)
     noise_scale = delta_inf**2 / 2.0
@@ -298,10 +306,13 @@ def build_theory_report(
     The checkpoints are every iteration when m <= 20 and every 100th
     iteration otherwise, from iteration 0; the iterates come from
     :func:`replay_duals`. A negative, infinite or NaN lam raises
-    ``ValueError``, also for a trace of no iterations.
+    ``ValueError``, also for a trace of no iterations, and an ``x_hat`` that
+    is not a real (``TypeError``), finite (:class:`NonFiniteDataError`)
+    vector of length n (:class:`DimensionMismatchError`) is refused before
+    any work.
     """
     _check_lam(lam)
-    x_hat = np.asarray(x_hat, dtype=float)
+    x_hat = _real_vector(x_hat, "x_hat", system.n)
     sv = smallest_nonzero_singular_value(system)
     xmin = min_abs_nonzero(x_hat)
     stride = 1 if system.m <= 20 else 100

@@ -66,6 +66,19 @@ def _real(value, name: str) -> np.ndarray:
     return arr
 
 
+def _real_vector(value, name: str, n: int | None = None) -> np.ndarray:
+    """``value`` as a float vector, refused unless it is real (``TypeError``),
+    1-D of length ``n`` where ``n`` is given (:class:`DimensionMismatchError`)
+    and finite (:class:`NonFiniteDataError`), each naming ``name``."""
+    arr = np.asarray(_real(value, name), dtype=float)
+    if arr.ndim != 1 or n is not None and arr.shape != (n,):
+        expected = "1-D" if n is None else f"shape ({n},)"
+        raise DimensionMismatchError(f"{name} has shape {arr.shape}, expected {expected}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteDataError(f"{name} has a NaN or infinite entry")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
     """An m x n system A x = b with unit rows.

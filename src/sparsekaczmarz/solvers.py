@@ -33,19 +33,14 @@ from .bregman import (
     _check_lam,
     _check_step_mode,
     _kits,
+    _objective,
     _step_into,
     _steps_at_rest,
     _workspace,
-    objective_value,
     project_hyperplane,
 )
-from .errors import (
-    DimensionMismatchError,
-    NonFiniteDataError,
-    NonFiniteIterateError,
-    ZeroTruthError,
-)
-from .linsys import LinearSystem, _check_row, _real
+from .errors import NonFiniteIterateError, ZeroTruthError
+from .linsys import LinearSystem, _check_row, _real_vector
 from .sampling import (
     SamplerConfig,
     SelectionRule,
@@ -322,8 +317,8 @@ def _flush_window(start: int, xs: np.ndarray, duals: np.ndarray, x_norm2: np.nda
     epsilon stop reads them, one product gives their residual norms; without
     it, under the MSE stop or no stop, A is not read at all. The MSE stop,
     or else the epsilon stop, is tested on every iterate. Returns
-    ``(iterations, primal, dual)`` at the first that meets it, as views of
-    the window's columns, or ``None``.
+    ``(iterations, dual)`` at the first that meets it, the dual a view of
+    its window column, or ``None``.
     """
     end = start + xs.shape[1]
     # the errors first, while the window is in cache: the product streams all of A
@@ -349,7 +344,7 @@ def _flush_window(start: int, xs: np.ndarray, duals: np.ndarray, x_norm2: np.nda
     if hits.size == 0:
         return None
     j = int(hits[0])
-    return start + j + 1, xs[:, j], duals[:, j]
+    return start + j + 1, duals[:, j]
 
 
 def _resized(a: np.ndarray | None, size: int) -> np.ndarray | None:
@@ -400,7 +395,7 @@ def _uniform_batch(j: int, drawn: np.ndarray, dual, x, spec: SolverSpec, system:
 
 
 def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target, eps2, recs: list):
-    """:func:`run` for uniform rows (RK, SRK); returns ``(iterations, x, x*, status)``.
+    """:func:`run` for uniform rows (RK, SRK); returns ``(iterations, x*, status)``.
 
     A window of w = min(32, ``max_iters``) iterations draws its rows with one
     ``rng.integers(m, size=w)`` call, which fills its chosen-row records,
@@ -483,7 +478,7 @@ def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target
         if failed:
             raise NonFiniteIterateError(f"{failed} became non-finite at iteration {k + j}")
         k += count
-    return k, x, dual, RunStatus.MAX_ITERS
+    return k, dual, RunStatus.MAX_ITERS
 
 
 class _ArgmaxPick:
@@ -593,7 +588,7 @@ def _greedy_batch(start: int, chosen: np.ndarray, dual, x, x_norm2: float, spec:
 
 
 def _greedy_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target, eps2, recs: list):
-    """:func:`run` for greedy rows (SSKM); returns ``(iterations, x, x*, status)``.
+    """:func:`run` for greedy rows (SSKM); returns ``(iterations, x*, status)``.
 
     A window draws the keys of up to 32 iterations (fewer where they would
     exceed 2**14), and each iteration picks its row from them at the
@@ -687,17 +682,17 @@ def _greedy_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target,
                     resid_rec[k + j] = resid2
                 met = met or eps2 is not None and resid2 <= eps2
             if met:
-                return k + j + 1, x, dual, RunStatus.CONVERGED
+                return k + j + 1, dual, RunStatus.CONVERGED
             j += 1
         k += count
-    return k, x, dual, RunStatus.MAX_ITERS
+    return k, dual, RunStatus.MAX_ITERS
 
 
 def init_state(n: int, lam: float) -> DualPair:
-    """Zero primal and dual start; the thresholding link holds trivially."""
+    """Zero dual start, whose primal is zero."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return DualPair.from_dual(np.zeros(n), lam)
+    return DualPair(np.zeros(n), lam)
 
 
 def step_once(state: DualPair, system: LinearSystem, i: int, step_mode: StepMode) -> DualPair:
@@ -738,8 +733,10 @@ def run(
     f(x_hat) - f(x) - <x*, x_hat - x> exactly, because x = soft_threshold(x*,
     lam) gives <x*, x> = ||x||^2 + lam ||x||_1.
 
-    ``run`` validates, allocates the records and builds the trace; the row
-    rule picks one of two loops over windows of up to 32 iterations. Each
+    ``run`` validates, allocates the records and builds the trace and the
+    final pair, from one copy of the final dual (:class:`DualPair` derives
+    its primal, which equals the loop's x bit for bit); the row rule picks
+    one of two loops over windows of up to 32 iterations. Each
     window draws at once what one :func:`pick_index` per iteration would
     draw, so a solve cut short by ``max_iters`` repeats the full solve's rows.
     Uniform rows (RK, SRK) go through :func:`_uniform_loop`: a window draws
@@ -801,21 +798,18 @@ def run(
 
     truth = None
     if ground_truth is not None:
-        x_hat = np.asarray(_real(ground_truth, "ground_truth"), dtype=float)
-        if x_hat.shape != (n,):
-            raise DimensionMismatchError(f"ground truth has shape {x_hat.shape}, expected ({n},)")
-        if not np.isfinite(x_hat).all():
-            raise NonFiniteDataError("ground truth has a NaN or infinite entry")
+        x_hat = _real_vector(ground_truth, "ground_truth", n)
         x_hat_norm2 = float(np.dot(x_hat, x_hat))
         if x_hat_norm2 == 0.0:
             raise ZeroTruthError("ground truth is zero; relative error undefined")
-        truth = (x_hat, x_hat_norm2, objective_value(x_hat, spec.lam))
+        truth = (x_hat, x_hat_norm2, _objective(x_hat, spec.lam))
     mse_target = stop.mse_target if truth is not None else None
     eps2 = stop.epsilon**2 if stop.epsilon is not None and mse_target is None else None
     cap = min(stop.max_iters, _FIRST_RECORDS)
     recs = [np.empty(cap, dtype=np.int64)] + [np.empty(cap) if on else None for on in (1, residuals, truth, truth)]
     loop = _greedy_loop if sampler.rule is SelectionRule.SKM_GREEDY else _uniform_loop
-    k, x, dual, status = loop(system, spec, rng, truth, mse_target, eps2, recs)
+    k, dual, status = loop(system, spec, rng, truth, mse_target, eps2, recs)
     trace = IterationTrace(*(_resized(a, k) for a in recs), status=status, iterations=k)
-    # a copy: the steps wrote into the loop's buffers
-    return DualPair(primal=x.copy(), dual=dual.copy(), lam=spec.lam), trace
+    # one copy: under uniform rows the final dual is a column of the window's
+    # n x w buffer, which the pair would otherwise keep alive; x is derived
+    return DualPair(dual.copy(), spec.lam), trace

@@ -508,40 +508,56 @@ def test_conjugate_matches_sup_oracle():
 # ---------------------------------------------------------------- dual pair
 
 
-def test_dual_pair_enforces_link():
-    with pytest.raises(ValueError):
-        DualPair(primal=np.array([2.0]), dual=np.array([2.0]), lam=1.0)
-
-
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
 def test_dual_pair_refuses_a_lam_that_is_not_finite_and_nonnegative(lam):
-    # NaN had failed as a broken link, and inf was taken with an all-zero primal
+    # inf would threshold every entry to zero
     with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
-        DualPair(primal=np.zeros(2), dual=np.array([1.0, -2.0]), lam=lam)
-    with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
-        DualPair.from_dual(np.array([1.0, -2.0]), lam)
+        DualPair(np.array([1.0, -2.0]), lam)
 
 
-def test_dual_pair_from_dual():
-    pair = DualPair.from_dual(np.array([2.0, -0.5]), 1.0)
+def test_dual_pair_derives_its_primal():
+    pair = DualPair(np.array([2.0, -0.5]), 1.0)
     assert np.array_equal(pair.primal, [1.0, 0.0])
+
+
+def _edge_duals(lam):
+    """Signed zeros, subnormals, +-lam and the floats just inside the band."""
+    tiny = np.nextafter(0.0, 1.0)
+    edges = [0.0, -0.0, tiny, -tiny, 2.0**-1030, -(2.0**-1030), lam, -lam,
+             np.nextafter(lam, 0.0), np.nextafter(-lam, 0.0), 1.0, -3.5]
+    return np.array(edges)
+
+
+@pytest.mark.parametrize("lam", [0.0, 5e-324, 0.5, 1e300])
+def test_dual_pair_primal_is_the_threshold_of_its_dual_bit_for_bit(lam):
+    dual = _edge_duals(lam)
+    pair = DualPair(dual, lam)
+    assert np.array_equal(pair.primal.view(np.int64), soft_threshold(dual, lam).view(np.int64))
+    assert np.array_equal(pair.dual.view(np.int64), dual.view(np.int64))
+    assert not pair.primal.flags.writeable and not pair.dual.flags.writeable
+    assert not np.shares_memory(pair.primal, pair.dual)
+
+
+def test_dual_pair_takes_no_primal():
+    with pytest.raises(TypeError):
+        DualPair(primal=np.zeros(2), dual=np.zeros(2), lam=1.0)
 
 
 # ------------------------------------------------------------- distance
 
 
 def test_bregman_distance_zero_at_self():
-    pair = DualPair.from_dual(np.array([2.0, -3.0]), 1.0)
+    pair = DualPair(np.array([2.0, -3.0]), 1.0)
     assert bregman_distance(pair, pair.primal) == 0.0
 
 
 def test_bregman_distance_euclidean_special_case():
-    pair = DualPair.from_dual(np.array([1.0, 0.0]), 0.0)
+    pair = DualPair(np.array([1.0, 0.0]), 0.0)
     assert bregman_distance(pair, np.array([0.0, 1.0])) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_bregman_distance_worked_example():
-    pair = DualPair.from_dual(np.array([2.0, 0.0]), 1.0)
+    pair = DualPair(np.array([2.0, 0.0]), 1.0)
     assert bregman_distance(pair, np.array([0.0, 3.0])) == pytest.approx(8.0, abs=1e-14)
 
 
@@ -549,7 +565,7 @@ def test_bregman_distance_matches_alt_formula():
     rng = np.random.default_rng(6)
     for _ in range(100):
         lam = rng.choice([0.0, 0.5, 1.0, 4.0])
-        pair = DualPair.from_dual(rng.standard_normal(7) * 3.0, lam)
+        pair = DualPair(rng.standard_normal(7) * 3.0, lam)
         y = rng.standard_normal(7) * 2.0
         assert bregman_distance(pair, y) == pytest.approx(
             bregman_distance_alt(pair, y), rel=1e-12, abs=1e-12
@@ -560,8 +576,8 @@ def test_strong_convexity_sandwich():
     rng = np.random.default_rng(7)
     for _ in range(200):
         lam = rng.choice([0.0, 0.5, 2.0])
-        px = DualPair.from_dual(rng.standard_normal(6) * 3.0, lam)
-        py = DualPair.from_dual(rng.standard_normal(6) * 3.0, lam)
+        px = DualPair(rng.standard_normal(6) * 3.0, lam)
+        py = DualPair(rng.standard_normal(6) * 3.0, lam)
         d = bregman_distance(px, py.primal)
         gap = np.linalg.norm(px.primal - py.primal)
         lower = 0.5 * gap**2
@@ -902,7 +918,7 @@ def test_public_steps_refuse_non_finite_input(step, where, bad):
         if step == "exact_step":
             exact_step(dual, a, b, 1.0)
         else:
-            project_hyperplane(DualPair.from_dual(dual, 1.0), a, b, StepMode(step))
+            project_hyperplane(DualPair(dual, 1.0), a, b, StepMode(step))
 
 
 @pytest.mark.parametrize(
@@ -927,7 +943,7 @@ def test_public_steps_refuse_non_finite_input(step, where, bad):
 )
 def test_one_step_api_refuses_mismatched_shapes(call, names):
     # numpy would fail inside the step with a message that names no argument
-    pair = DualPair.from_dual(np.array([1.5, -0.5, 0.0]), 1.0)
+    pair = DualPair(np.array([1.5, -0.5, 0.0]), 1.0)
     with pytest.raises(DimensionMismatchError, match=f"^{names} must be vectors of one length"):
         call(pair)
 
@@ -937,13 +953,12 @@ _COMPLEX_CALLS = {
     "exact_step": lambda z: exact_step(z, [1.0, 0.0], 1.0, 1.0),
     "exact_step b_i": lambda z: exact_step([0.5, 0.0], [1.0, 0.0], 1 + 1j, 1.0),
     "inexact_step": lambda z: inexact_step([0.5, 0.0], z, 1.0),
-    "project_hyperplane": lambda z: project_hyperplane(DualPair.from_dual([0.5, 0.0], 1.0), z, 1.0, StepMode.EXACT),
+    "project_hyperplane": lambda z: project_hyperplane(DualPair([0.5, 0.0], 1.0), z, 1.0, StepMode.EXACT),
     "project_hyperplane b_i": lambda z: project_hyperplane(
-        DualPair.from_dual([0.5, 0.0], 1.0), [1.0, 0.0], 1 + 1j, StepMode.INEXACT
+        DualPair([0.5, 0.0], 1.0), [1.0, 0.0], 1 + 1j, StepMode.INEXACT
     ),
-    "DualPair": lambda z: DualPair(primal=z, dual=z, lam=0.0),
-    "DualPair.from_dual": lambda z: DualPair.from_dual(z, 1.0),
-    "bregman_distance": lambda z: bregman_distance(DualPair.from_dual([0.5, 0.0], 1.0), z),
+    "DualPair": lambda z: DualPair(z, 1.0),
+    "bregman_distance": lambda z: bregman_distance(DualPair([0.5, 0.0], 1.0), z),
     "objective_value": lambda z: objective_value(z, 1.0),
     "mse": lambda z: mse(z, [1.0, 0.0]),
     "mse x_hat": lambda z: mse([1.0, 0.0], z),
@@ -971,12 +986,16 @@ def test_step_once_refuses_a_pair_of_another_length():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dual_pair_refuses_a_non_finite_dual(bad):
-    # an infinite entry thresholds to itself, so the link alone would let it through
+    # an infinite entry thresholds to itself, and a NaN one to NaN: neither makes a pair
     dual = np.array([1.5, bad, 0.0])
     with pytest.raises(NonFiniteDataError, match="dual"):
-        DualPair.from_dual(dual, 1.0)
-    with pytest.raises(NonFiniteDataError, match="dual"):
-        DualPair(primal=soft_threshold(dual, 1.0), dual=dual, lam=1.0)
+        DualPair(dual, 1.0)
+
+
+@pytest.mark.parametrize("dual", [np.float64(1.5), np.ones((2, 3))], ids=["scalar", "2-D"])
+def test_dual_pair_refuses_a_dual_that_is_no_vector(dual):
+    with pytest.raises(DimensionMismatchError, match="dual has shape"):
+        DualPair(dual, 1.0)
 
 
 # ------------------------------------------------------------- projection
@@ -986,7 +1005,7 @@ def test_project_hyperplane_lam_zero_is_orthogonal_projection():
     rng = np.random.default_rng(11)
     for _ in range(50):
         n = int(rng.integers(2, 8))
-        pair = DualPair.from_dual(rng.standard_normal(n), 0.0)
+        pair = DualPair(rng.standard_normal(n), 0.0)
         a = random_unit_row(rng, n)
         b = float(rng.standard_normal())
         moved = project_hyperplane(pair, a, b, StepMode.INEXACT)
@@ -996,7 +1015,7 @@ def test_project_hyperplane_lam_zero_is_orthogonal_projection():
 
 def test_project_hyperplane_noop_when_on_hyperplane():
     rng = np.random.default_rng(12)
-    pair = DualPair.from_dual(rng.standard_normal(6) * 2.0, 1.0)
+    pair = DualPair(rng.standard_normal(6) * 2.0, 1.0)
     a = random_unit_row(rng, 6)
     b = float(np.dot(a, pair.primal))
     moved = project_hyperplane(pair, a, b, StepMode.EXACT)
@@ -1008,7 +1027,7 @@ def test_project_hyperplane_exact_feasibility_and_decrease():
     for _ in range(100):
         n = int(rng.integers(2, 10))
         lam = 1.0
-        pair = DualPair.from_dual(rng.standard_normal(n) * 3.0, lam)
+        pair = DualPair(rng.standard_normal(n) * 3.0, lam)
         a = random_unit_row(rng, n)
         # pick a feasible point first so the hyperplane is guaranteed nonempty
         y = rng.standard_normal(n)
@@ -1024,7 +1043,7 @@ def test_project_hyperplane_inexact_decrease():
     for _ in range(100):
         n = int(rng.integers(2, 10))
         lam = float(rng.choice([0.0, 0.5, 1.0]))
-        pair = DualPair.from_dual(rng.standard_normal(n) * 3.0, lam)
+        pair = DualPair(rng.standard_normal(n) * 3.0, lam)
         a = random_unit_row(rng, n)
         y = rng.standard_normal(n)
         b = float(np.dot(a, y))
@@ -1034,6 +1053,6 @@ def test_project_hyperplane_inexact_decrease():
 
 
 def test_project_hyperplane_rejects_non_unit_row():
-    pair = DualPair.from_dual(np.zeros(2), 0.0)
+    pair = DualPair(np.zeros(2), 0.0)
     with pytest.raises(ValueError):
         project_hyperplane(pair, np.array([3.0, 4.0]), 1.0, StepMode.INEXACT)

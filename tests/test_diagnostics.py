@@ -297,7 +297,7 @@ def test_error_bound_margin_zero_at_truth():
     rng = np.random.default_rng(5)
     system, x_hat, _ = gaussian_instance(12, 6, 2, rng)
     # a dual that thresholds (essentially) onto the truth
-    pair = DualPair.from_dual(x_hat + np.sign(x_hat), 1.0)
+    pair = DualPair(x_hat + np.sign(x_hat), 1.0)
     assert np.allclose(pair.primal, x_hat)
     margin = error_bound_margin(
         pair, system, x_hat, 1.0, smallest_nonzero_singular_value(system).smallest_nonzero
@@ -310,7 +310,7 @@ def test_error_bound_margin_orthonormal_equality_at_lam_zero():
     system = normalize_rows(np.eye(4), np.array([0.3, -1.0, 2.0, 0.7]))
     rng = np.random.default_rng(6)
     x_hat = system.rhs.copy()
-    pair = DualPair.from_dual(rng.standard_normal(4), 0.0)
+    pair = DualPair(rng.standard_normal(4), 0.0)
     margin = error_bound_margin(pair, system, x_hat, 0.0, 1.0)
     assert margin == pytest.approx(0.0, abs=1e-12)
 
@@ -425,7 +425,7 @@ def test_theory_reports_take_one_svd_and_equal_the_validated_pair_path(monkeypat
     xmin = min_abs_nonzero(x_hat)
     gamma, q, margins = (np.full(trace.iterations, np.nan) for _ in range(3))
     for k, dual in enumerate(replay_duals(system, trace)):
-        pair = DualPair.from_dual(dual, lam)
+        pair = DualPair(dual, lam)
         r = residual(system, pair.primal)
         if np.any(r != 0.0):
             gamma[k] = gamma_from_residuals(r, beta)
@@ -471,7 +471,7 @@ def test_diagnostics_refuse_a_bad_lam(function, lam):
     empty = IterationTrace(
         chosen=np.empty(0, dtype=int), step=np.empty(0), residual_norm2=None, mse=None, bregman_to_truth=None
     )
-    pair = DualPair.from_dual(np.zeros(8), 0.0)
+    pair = DualPair(np.zeros(8), 0.0)
     calls = {
         "contraction_factor": lambda: contraction_factor(0.5, lam, 1.0, 2, 1.5, 10),
         "error_bound_margin": lambda: error_bound_margin(pair, system, x_hat, lam, 0.5),
@@ -496,7 +496,7 @@ def test_theory_diagnostics_refuse_bad_numbers(function, name, bad):
     # each would return NaN, read a negative value as its magnitude or divide
     # by zero; the error names the argument, before any arithmetic
     system, x_hat, _ = gaussian_instance(12, 8, 2, np.random.default_rng(12))
-    pair = DualPair.from_dual(np.zeros(8), 1.0)
+    pair = DualPair(np.zeros(8), 1.0)
     args = {"sigma_min": 0.5, "x_min_abs": 1.0, "delta_inf": 0.1, "a_one_two_norm": 1.0, name: bad}
     calls = {
         "contraction_factor": lambda: contraction_factor(args["sigma_min"], 1.0, args["x_min_abs"], 2, 1.5, 10),
@@ -516,3 +516,48 @@ def test_theory_diagnostics_take_their_zero_edges():
     assert contraction_factor(0.0, 1.0, 1.0, 2, 1.5, 10) == 1.0
     env = noisy_envelope([0.25], 0.0, np.array([1.0, 0.0]), 0.0, 0.0, StepMode.EXACT)
     assert env.tolist() == [0.5]
+
+
+# ------------------------------------------------------- bad ground truth
+
+
+_BAD_TRUTHS = {
+    "length 1": (lambda x: x[:1], DimensionMismatchError),
+    "length n+1": (lambda x: np.r_[x, 1.0], DimensionMismatchError),
+    "2-D": (lambda x: x[:, None], DimensionMismatchError),
+    "complex": (lambda x: x + np.r_[1j, np.zeros(x.size - 1)], TypeError),
+    "NaN": (lambda x: np.r_[np.nan, x[1:]], NonFiniteDataError),
+}
+# the functions that know n; the others take a vector of any length
+_SIZED = ("error_bound_margin", "build_theory_report")
+
+
+@pytest.mark.parametrize(
+    "function,case",
+    [(f, case) for f in _SIZED + ("noisy_envelope", "min_abs_nonzero") for case in _BAD_TRUTHS
+     if f in _SIZED or not case.startswith("length")],
+)
+def test_diagnostics_refuse_a_malformed_ground_truth_before_any_work(monkeypatch, function, case):
+    # a length-1 truth had broadcast into a false "violated" margin, a
+    # complex one had lost its imaginary part, and a NaN had given NaN margins
+    from sparsekaczmarz import SolverSpec, StoppingRule, build_theory_report, diagnostics, run
+
+    system, x_hat, _ = gaussian_instance(40, 20, 3, np.random.default_rng(4))
+    spec = SolverSpec.sskm(1.0, 20, StepMode.EXACT, seed=1, stop=StoppingRule(max_iters=30))
+    pair, trace = run(system, spec, ground_truth=x_hat)
+
+    def no_work(*args):
+        raise AssertionError("worked before the ground-truth check")
+
+    for name in ("residual", "smallest_nonzero_singular_value"):
+        monkeypatch.setattr(diagnostics, name, no_work)
+    make, error = _BAD_TRUTHS[case]
+    bad = make(x_hat)
+    calls = {
+        "error_bound_margin": lambda: error_bound_margin(pair, system, bad, 1.0, 0.5),
+        "build_theory_report": lambda: build_theory_report(system, bad, trace, 1.0, 20),
+        "noisy_envelope": lambda: noisy_envelope([0.9, 0.8], 1.0, bad, 0.1, 1.0, StepMode.EXACT),
+        "min_abs_nonzero": lambda: min_abs_nonzero(bad),
+    }
+    with pytest.raises(error, match="x_hat"):
+        calls[function]()

@@ -76,7 +76,7 @@ def test_init_state_refuses_a_lam_that_is_not_finite(lam):
 
 def test_step_once_is_kaczmarz_projection_at_lam_zero():
     system = normalize_rows([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
-    state = DualPair.from_dual(np.array([3.0, 4.0]), 0.0)
+    state = DualPair(np.array([3.0, 4.0]), 0.0)
     moved = step_once(state, system, 0, StepMode.INEXACT)
     assert np.array_equal(moved.primal, [1.0, 4.0])
     expected = orthogonal_projection(state.primal, system.rows[0], system.rhs[0])
@@ -87,7 +87,7 @@ def test_step_once_is_kaczmarz_projection_at_lam_zero():
 def test_step_once_refuses_a_row_outside_the_system(i):
     # -1 would step on the last row and m would raise numpy's own IndexError
     system = normalize_rows([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
-    state = DualPair.from_dual(np.array([3.0, 4.0]), 0.0)
+    state = DualPair(np.array([3.0, 4.0]), 0.0)
     with pytest.raises(IndexOutOfRangeError, match=rf"row index {i} outside \[0, 2\)"):
         step_once(state, system, i, StepMode.INEXACT)
 
@@ -97,7 +97,7 @@ def test_step_once_refuses_a_row_index_that_is_no_integer(i):
     # a float would raise numpy's bare IndexError, and a bool read a (1, n)
     # boolean slice of the rows
     system = normalize_rows([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
-    state = DualPair.from_dual(np.array([3.0, 4.0]), 0.0)
+    state = DualPair(np.array([3.0, 4.0]), 0.0)
     with pytest.raises(TypeError, match=re.escape(f"row index must be an integer, got {i!r}")):
         step_once(state, system, i, StepMode.INEXACT)
     # numpy integers are indices
@@ -109,9 +109,9 @@ def test_step_once_refuses_a_row_index_that_is_no_integer(i):
 def test_step_once_noop_on_satisfied_row():
     rng = np.random.default_rng(1)
     system, x_hat, _ = small_instance(seed=1)
-    state = DualPair.from_dual(x_hat + 1.0 * np.sign(x_hat), 1.0)
+    state = DualPair(x_hat + 1.0 * np.sign(x_hat), 1.0)
     # build a state already on row 0's hyperplane
-    state = DualPair.from_dual(np.zeros(system.n), 1.0)
+    state = DualPair(np.zeros(system.n), 1.0)
     b0 = float(system.rhs[0])
     # move once onto the hyperplane, then a second exact step must not move
     on_plane = step_once(state, system, 0, StepMode.EXACT)
@@ -123,7 +123,7 @@ def test_step_once_noop_on_satisfied_row():
 def test_step_once_bregman_decrease_with_lam():
     system, x_hat, _ = small_instance(seed=2)
     rng = np.random.default_rng(3)
-    state = DualPair.from_dual(rng.standard_normal(system.n), 1.0)
+    state = DualPair(rng.standard_normal(system.n), 1.0)
     for mode in (StepMode.EXACT, StepMode.INEXACT):
         r = residual(system, state.primal)
         i = int(np.argmax(r**2))
@@ -864,8 +864,32 @@ def test_run_bregman_record_equals_the_distance_of_the_replayed_pair(shape, meth
     duals = list(replay_duals(system, trace))[1:] + [pair.dual]
     assert len(duals) == trace.iterations == 60
     for k, dual in enumerate(duals):
-        expected = bregman_distance(DualPair.from_dual(dual, lam), x_hat)
+        expected = bregman_distance(DualPair(dual, lam), x_hat)
         assert abs(trace.bregman_to_truth[k] - expected) <= tol, k
+
+
+@pytest.mark.parametrize("max_iters", [1, 31, 33, 200])
+@pytest.mark.parametrize(
+    "method,lam,mode",
+    _BREGMAN_VARIANTS + [("srk", 0.0, StepMode.EXACT), ("sskm", 0.0, StepMode.INEXACT), ("sskm", 0.0, StepMode.EXACT)],
+)
+def test_run_returns_the_threshold_of_its_final_dual_bit_for_bit(method, lam, mode, max_iters):
+    # the pair derives its primal from the dual run returns, with
+    # soft_threshold's kernel, signs of zero included. On the reference
+    # instance, windows end inside (31, 33) and at the MSE stop
+    system, x_hat, _ = gaussian_instance(300, 200, 5, child_rng(42, 0, 0))
+    stop = StoppingRule(max_iters=max_iters, mse_target=1e-6)
+    if method == "rk":
+        spec = SolverSpec.rk(seed=1, stop=stop)
+    elif method == "srk":
+        spec = SolverSpec.srk(lam, step_mode=mode, seed=1, stop=stop)
+    else:
+        spec = SolverSpec.sskm(lam, 150, step_mode=mode, seed=1, stop=stop)
+    pair, _ = run(system, spec, ground_truth=x_hat)
+    assert np.array_equal(_bits(pair.primal), _bits(soft_threshold(pair.dual, lam)))
+    assert not pair.primal.flags.writeable and not pair.dual.flags.writeable
+    # the pair holds its own n entries, not a column of the loop's window buffer
+    assert pair.dual.flags.owndata and pair.primal.flags.owndata
 
 
 def _iterates(system, trace, lam):
