@@ -37,11 +37,14 @@ def mse(x, x_hat) -> float:
     """Relative squared error ||x - x_hat||^2 / ||x_hat||^2.
 
     ``x`` and ``x_hat`` must be real (``TypeError``) vectors of one length
-    (:class:`DimensionMismatchError`).
+    (:class:`DimensionMismatchError`) with finite entries
+    (:class:`NonFiniteDataError` naming the one that is not).
     """
     x = np.asarray(_real(x, "x"), dtype=float)
     x_hat = np.asarray(_real(x_hat, "x_hat"), dtype=float)
     _check_vectors(x, x_hat, "x and x_hat")
+    # after the shape check, whose message names both: a NaN entry would make the error NaN
+    x, x_hat = _real_vector(x, "x"), _real_vector(x_hat, "x_hat")
     denom = float(np.dot(x_hat, x_hat))
     if denom == 0.0:
         raise ZeroTruthError("ground truth is zero; relative error undefined")
@@ -242,16 +245,20 @@ def noisy_envelope(
     ||x_hat||_2^2)) plus a noise term sqrt(sum(q) * delta_inf^2 / 2), the
     latter inflated by (1 + 4*lam*||A||_{1,2}) in exact mode. With
     delta_inf = 0 this reduces to the noiseless envelope. A negative,
-    infinite or NaN lam, delta_inf or a_one_two_norm, or a ``mode`` that is
-    not a :class:`StepMode`, raises ``ValueError``, and an ``x_hat`` that is
-    not a real (``TypeError``), 1-D (:class:`DimensionMismatchError`) and
-    finite (:class:`NonFiniteDataError`) vector is refused.
+    infinite or NaN lam, delta_inf or a_one_two_norm, a ``q_sequence``
+    with a negative entry, or a ``mode`` that is not a :class:`StepMode`,
+    raises ``ValueError``, and a ``q_sequence`` or ``x_hat`` that is not a
+    real (``TypeError``), 1-D (:class:`DimensionMismatchError`) and finite
+    (:class:`NonFiniteDataError`) vector is refused.
     """
     _check_lam(lam)
     _check_step_mode(mode, "mode")
     _check_nonnegative(delta_inf, "delta_inf")
     _check_nonnegative(a_one_two_norm, "a_one_two_norm")
-    q = np.asarray(q_sequence, dtype=float)
+    q = _real_vector(q_sequence, "q_sequence")
+    # the square roots of a negative product or sum are NaN
+    if (q < 0.0).any():
+        raise ValueError(f"q_sequence must be nonnegative, got an entry {float(q.min())!r}")
     x_hat = _real_vector(x_hat, "x_hat")
     c0 = 2.0 * lam * np.abs(x_hat).sum() + float(np.dot(x_hat, x_hat))
     noiseless = np.sqrt(np.cumprod(q) * c0)

@@ -59,20 +59,19 @@ class RunStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Stop on residual norm, on relative error to a known truth, or on budget.
+    """Stop on relative error to a known truth, or on budget.
 
-    When a ground truth is supplied to :func:`run` and ``mse_target`` is set,
-    the relative-error test replaces the residual test, and :func:`run`
-    computes residual norms only for its ``residuals`` record. Without that
-    test, ``epsilon`` makes every run compute them. :func:`run` steps
-    through windows of up to 32 iterations. With greedy rows (SSKM) the test
-    runs after every iteration, and the subsets drawn for the rest of the
-    window go unused; with uniform rows (RK, SRK) it runs once per window,
-    on every iterate of the window, and the run ends at the first iterate
-    that met it, as if it had been tested after every iteration.
+    :func:`run` stops at the first iterate whose relative squared error to
+    its ground truth is at most ``mse_target``, and otherwise after
+    ``max_iters`` iterations: a run with no truth, or no target, spends its
+    budget. :func:`run` steps through windows of up to 32 iterations. With
+    greedy rows (SSKM) the test runs after every iteration, and the subsets
+    drawn for the rest of the window go unused; with uniform rows (RK, SRK)
+    it runs once per window, on every iterate of the window, and the run
+    ends at the first iterate that met it, as if it had been tested after
+    every iteration.
     """
 
-    epsilon: float | None = None
     max_iters: int = 200_000
     mse_target: float | None = None
 
@@ -81,11 +80,9 @@ class StoppingRule:
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        # NaN fails every comparison, so a NaN tolerance would never stop a run
-        for name in ("epsilon", "mse_target"):
-            value = getattr(self, name)
-            if value is not None and not value >= 0:
-                raise ValueError(f"{name} must be nonnegative, got {value!r}")
+        # NaN fails every comparison, so a NaN target would never stop a run
+        if self.mse_target is not None and not self.mse_target >= 0:
+            raise ValueError(f"mse_target must be nonnegative, got {self.mse_target!r}")
 
 
 @dataclass(frozen=True)
@@ -306,19 +303,17 @@ def _window_product(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def _flush_window(start: int, xs: np.ndarray, duals: np.ndarray, x_norm2: np.ndarray,
                   columns: _SupportColumns | None, rhs: np.ndarray, truth, mse_target: float | None,
-                  eps2: float | None, recs: list):
-    """Records a uniform window's iterates and tests the stop on each.
+                  recs: list):
+    """Records a uniform window's iterates and tests the MSE stop on each.
 
     The w columns of ``xs`` and ``duals`` are the pairs of iterations
     ``start`` .. ``start + w - 1``, and ``x_norm2`` their ||x||^2. Given a
     ground truth, one per-column dot product each gives their relative
     errors and Bregman distances. Given ``columns``, which
-    :func:`_uniform_loop` passes only when the residual record or the
-    epsilon stop reads them, one product gives their residual norms; without
-    it, under the MSE stop or no stop, A is not read at all. The MSE stop,
-    or else the epsilon stop, is tested on every iterate. Returns
-    ``(iterations, dual)`` at the first that meets it, the dual a view of
-    its window column, or ``None``.
+    :func:`_uniform_loop` passes only when the residual record is on, one
+    product gives their residual norms; without it A is not read at all.
+    Returns ``(iterations, dual)`` at the first iterate that meets the MSE
+    stop, the dual a view of its window column, or ``None``.
     """
     end = start + xs.shape[1]
     # the errors first, while the window is in cache: the product streams all of A
@@ -331,16 +326,10 @@ def _flush_window(start: int, xs: np.ndarray, duals: np.ndarray, x_norm2: np.nda
     if columns is not None:
         r = columns.product(xs)
         r -= rhs[:, None]
-        resid = np.einsum("ij,ij->j", r, r)
-        if recs[2] is not None:
-            recs[2][start:end] = resid
-    if mse_target is not None:
-        met = mse <= mse_target
-    elif eps2 is not None:
-        met = resid <= eps2
-    else:
+        recs[2][start:end] = np.einsum("ij,ij->j", r, r)
+    if mse_target is None:
         return None
-    hits = np.flatnonzero(met)
+    hits = np.flatnonzero(mse <= mse_target)
     if hits.size == 0:
         return None
     j = int(hits[0])
@@ -394,8 +383,9 @@ def _uniform_batch(j: int, drawn: np.ndarray, dual, x, spec: SolverSpec, system:
     return kept
 
 
-def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target, eps2, recs: list):
-    """:func:`run` for uniform rows (RK, SRK); returns ``(iterations, x*, status)``.
+def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target, recs: list):
+    """:func:`run` for uniform rows (RK, SRK); returns ``(iterations, x*,
+    status, failure)``, the failure ``None`` or what became non-finite.
 
     A window of w = min(32, ``max_iters``) iterations draws its rows with one
     ``rng.integers(m, size=w)`` call, which fills its chosen-row records,
@@ -412,7 +402,8 @@ def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target
     early only at an inexact step that leaves x = 0, after which
     :func:`_uniform_batch` takes the next steps, and at a step whose value
     or iterate is not finite, which ends the window: the slots before it are
-    recorded, and it raises unless one of them met the stop. Uniform rows
+    recorded, and unless one of them met the stop the loop returns the
+    failure, at the failed iteration, with status ``None``. Uniform rows
     rarely pick a row twice before the pair moves, so steps of zero away
     from x = 0 are taken alone.
     :func:`_flush_window` records a window's iterates and tests the stop.
@@ -421,7 +412,7 @@ def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target
     inexact, max_iters = mode is StepMode.INEXACT, spec.stop.max_iters
     band, work = _band(lam), _workspace(0 if inexact else system.n)
     w = min(_WINDOW, max_iters)
-    columns = _SupportColumns(rows, w) if recs[2] is not None or eps2 is not None else None
+    columns = _SupportColumns(rows, w) if recs[2] is not None else None
     xs = np.zeros((system.n, w), order="F")
     duals = xs if lam == 0.0 and w > 1 else np.zeros_like(xs)
     # the step tests its arrays by identity: one view per column, as numpy
@@ -471,14 +462,13 @@ def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target
             still, j = True, j + 1
         # the window's records and stop, on the j iterates it holds: all of
         # them, or those before a non-finite one
-        hit = j and _flush_window(k, xs[:, :j], duals[:, :j], x_norm2s[:j], columns, rhs, truth, mse_target,
-                                  eps2, recs)
+        hit = j and _flush_window(k, xs[:, :j], duals[:, :j], x_norm2s[:j], columns, rhs, truth, mse_target, recs)
         if hit:
-            return (*hit, RunStatus.CONVERGED)
+            return *hit, RunStatus.CONVERGED, None
         if failed:
-            raise NonFiniteIterateError(f"{failed} became non-finite at iteration {k + j}")
+            return k + j, dual, None, failed
         k += count
-    return k, dual, RunStatus.MAX_ITERS
+    return k, dual, RunStatus.MAX_ITERS, None
 
 
 class _ArgmaxPick:
@@ -587,8 +577,9 @@ def _greedy_batch(start: int, chosen: np.ndarray, dual, x, x_norm2: float, spec:
     return kept
 
 
-def _greedy_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target, eps2, recs: list):
-    """:func:`run` for greedy rows (SSKM); returns ``(iterations, x*, status)``.
+def _greedy_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target, recs: list):
+    """:func:`run` for greedy rows (SSKM); returns ``(iterations, x*, status,
+    failure)`` as :func:`_uniform_loop` does.
 
     A window draws the keys of up to 32 iterations (fewer where they would
     exceed 2**14), and each iteration picks its row from them at the
@@ -598,7 +589,8 @@ def _greedy_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target,
     own array (the new dual is the one the step reads, so t*a cannot share
     it), in exact mode with the kit of its row alone (``bregman._kits`` on a
     1 x n block), records its errors, takes one product for the residual
-    that picks the next row, and tests the stop. A step of exactly zero
+    that picks the next row, and tests the MSE stop. A step whose value or
+    iterate is not finite returns the failure. A step of exactly zero
     after the first writes nothing: its records repeat and r stays. After
     it, or after an inexact step that leaves x = 0, :func:`_greedy_batch`
     takes the next steps that leave x where it was.
@@ -612,7 +604,7 @@ def _greedy_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target,
     w = min(_WINDOW, max_iters, max(1, _WINDOW_KEYS // m))
     by_rank = 2 * beta >= m and m >= _RANK_SCAN_MIN_ROWS
     pick = (_ArgmaxPick if beta == m else _RankPick if by_rank else _SubsetPick)(m, beta, rng)
-    norms = recs[2] is not None or eps2 is not None
+    norms = recs[2] is not None  # the residual record is on
     columns = _SupportColumns(rows, 1)
     x, dual = np.zeros(system.n), np.zeros(system.n)
     r = r_zero = -rhs  # residual at x_0, which the first pick reads
@@ -656,8 +648,7 @@ def _greedy_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target,
                 x_norm2 = float(x.dot(x))
                 # an infinite ||x||^2 from finite entries (a square that overflows) is no failure
                 if not (math.isfinite(t) and (math.isfinite(x_norm2) or np.isfinite(x).all())):
-                    failed = "step value" if not math.isfinite(t) else "iterate"
-                    raise NonFiniteIterateError(f"{failed} became non-finite at iteration {k + j}")
+                    return k + j, dual, None, "step value" if not math.isfinite(t) else "iterate"
                 # at x = 0 the next inexact steps may leave x there
                 still = inexact and x_norm2 == 0.0 and not np.count_nonzero(x)
             # records and stopping at x_{k+j+1}, whose residual picks the next row
@@ -677,15 +668,12 @@ def _greedy_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target,
                 else:
                     r = columns.product(x) - rhs
             if norms:
-                resid2 = float(r.dot(r))
-                if resid_rec is not None:
-                    resid_rec[k + j] = resid2
-                met = met or eps2 is not None and resid2 <= eps2
+                resid_rec[k + j] = resid2 = float(r.dot(r))
             if met:
-                return k + j + 1, dual, RunStatus.CONVERGED
+                return k + j + 1, dual, RunStatus.CONVERGED, None
             j += 1
         k += count
-    return k, dual, RunStatus.MAX_ITERS
+    return k, dual, RunStatus.MAX_ITERS, None
 
 
 def init_state(n: int, lam: float) -> DualPair:
@@ -716,17 +704,21 @@ def run(
 ) -> tuple[DualPair, IterationTrace]:
     """Iterate until the stopping rule fires; returns the final pair and trace.
 
-    The system should be consistent (b in the range of A) for the sparse
+    A run stops at the first iterate whose relative error to
+    ``ground_truth`` meets ``spec.stop.mse_target``, or after
+    ``max_iters`` iterations; with no truth it spends its budget. The
+    system should be consistent (b in the range of A) for the sparse
     methods to converge to a solution; inconsistent right-hand sides (e.g.
     noisy data) are allowed and simply run to the iteration budget. A
     ground truth is checked before the first step: it must be real
     (``TypeError``), have length n (:class:`DimensionMismatchError`), finite entries
     (:class:`NonFiniteDataError`) and a nonzero entry
     (:class:`ZeroTruthError`). Raises :class:`NonFiniteIterateError` if an
-    iterate stops being finite. The test reads the step t and ||x||^2, the
-    dot product the Bregman record reuses; only when ||x||^2 is not finite
-    does it look at the entries, so an iterate whose square overflows (numpy
-    warns of it) runs on.
+    iterate stops being finite: the loops return the failure, and ``run``
+    raises it. The test reads the step t and ||x||^2, the dot product the
+    Bregman record reuses; only when ||x||^2 is not finite does it look at
+    the entries, so an iterate whose square overflows (numpy warns of it)
+    runs on.
 
     The Bregman distance to the ground truth x_hat is recorded as
     f(x_hat) - <x*, x_hat> + ||x||^2 / 2, two dot products. This equals
@@ -745,8 +737,8 @@ def run(
     (:func:`_flush_window`): one per-column dot product each for the
     relative errors and Bregman distances of all its iterates, one matrix
     product for their residuals where they are read, and one test of the
-    MSE or epsilon stop. The same function runs on the slots before a
-    non-finite iterate, before that raises. When an iterate met the stop,
+    MSE stop. The same function runs on the slots before a non-finite
+    iterate, before the loop returns the failure. When an iterate met the stop,
     the trace ends at the first that did, and that iterate is returned; up
     to 31 iterations past the stop are computed and dropped. Greedy rows
     (SSKM) go through :func:`_greedy_loop`: a window draws its keys with one
@@ -755,22 +747,20 @@ def run(
     draw at beta = m), and each iteration picks the member with the largest
     squared residual, ties to the smallest index, steps in place, records
     its errors, takes one product for the residual that picks the next row
-    and tests the stop. Its norm is taken only where it is read. The
+    and tests the stop. Its norm is taken only for the record. The
     product is skipped where nothing reads it or its value is known: after
     the last iterate (the MSE stop met, or ``max_iters`` spent) and at beta
-    = 1, whose pick reads no residual, unless the norms are read; and at x
+    = 1, whose pick reads no residual, unless the record is on; and at x
     = 0, whose residual is the -b held for x_0. A greedy step of exactly
     zero after the first leaves the pair as it was, bit for bit, so it takes
     no ||x||^2 and no product.
 
-    Residual norms are computed only where something reads them: the
-    ``residual_norm2`` record, which is ``None`` unless ``residuals`` is
-    true, and the epsilon stop, which computes them whatever ``residuals``
-    says. Every record, the status, the iteration count and the final pair
-    are those of a test after every iteration, bit for bit, except
+    Residual norms are computed only for the ``residual_norm2`` record,
+    which is ``None`` unless ``residuals`` is true; no stop reads them.
+    Every record, the status, the iteration count and the final pair are
+    those of a test after every iteration, bit for bit, except
     ``residual_norm2`` under uniform rows, which can differ from one product
-    per iterate in its rounding, and so the epsilon stop when a residual
-    lies within that rounding of epsilon.
+    per iterate in its rounding.
 
     Steps that leave x where it was run as one batch per window. At a fixed
     x each step depends on its own row alone, so the rest of the window is
@@ -804,11 +794,12 @@ def run(
             raise ZeroTruthError("ground truth is zero; relative error undefined")
         truth = (x_hat, x_hat_norm2, _objective(x_hat, spec.lam))
     mse_target = stop.mse_target if truth is not None else None
-    eps2 = stop.epsilon**2 if stop.epsilon is not None and mse_target is None else None
     cap = min(stop.max_iters, _FIRST_RECORDS)
     recs = [np.empty(cap, dtype=np.int64)] + [np.empty(cap) if on else None for on in (1, residuals, truth, truth)]
     loop = _greedy_loop if sampler.rule is SelectionRule.SKM_GREEDY else _uniform_loop
-    k, dual, status = loop(system, spec, rng, truth, mse_target, eps2, recs)
+    k, dual, status, failure = loop(system, spec, rng, truth, mse_target, recs)
+    if failure:
+        raise NonFiniteIterateError(f"{failure} became non-finite at iteration {k}")
     trace = IterationTrace(*(_resized(a, k) for a in recs), status=status, iterations=k)
     # one copy: under uniform rows the final dual is a column of the window's
     # n x w buffer, which the pair would otherwise keep alive; x is derived

@@ -58,6 +58,16 @@ def test_mse_rejects_zero_truth():
         mse(np.ones(2), np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["x", "x_hat"])
+def test_mse_refuses_a_non_finite_entry(name, bad):
+    # mse(np.ones(3), [nan, 1, 1]) returned NaN
+    args = {"x": np.ones(3), "x_hat": np.ones(3)}
+    args[name] = np.r_[bad, 1.0, 1.0]
+    with pytest.raises(NonFiniteDataError, match=f"^{name} has a NaN or infinite entry"):
+        mse(args["x"], args["x_hat"])
+
+
 # ------------------------------------------------------- singular values
 
 
@@ -349,6 +359,21 @@ def test_envelope_noiseless_reduction():
         assert np.allclose(env, np.sqrt(np.cumprod(q) * c0))
 
 
+@pytest.mark.parametrize(
+    "q, error",
+    [([np.nan, 0.5], NonFiniteDataError),
+     ([0.5, np.inf], NonFiniteDataError),
+     ([[0.5, 0.5]], DimensionMismatchError),
+     ([0.5 + 1j, 0.5], TypeError),
+     ([-0.5, 0.5], ValueError)],
+)
+def test_envelope_refuses_a_malformed_q_sequence(q, error):
+    # a NaN q gave an all-NaN envelope, a 2-D one was flattened, a complex
+    # one raised numpy's bare TypeError, and a negative one warned in sqrt
+    with pytest.raises(error, match="^q_sequence"):
+        noisy_envelope(q, 1.0, np.ones(3), 0.1, 1.0, StepMode.EXACT)
+
+
 def test_envelope_exact_mode_dominates_inexact():
     rng = np.random.default_rng(9)
     q = rng.uniform(0.8, 0.99, size=30)
@@ -528,8 +553,8 @@ _BAD_TRUTHS = {
     "complex": (lambda x: x + np.r_[1j, np.zeros(x.size - 1)], TypeError),
     "NaN": (lambda x: np.r_[np.nan, x[1:]], NonFiniteDataError),
 }
-# the functions that know n; the others take a vector of any length
-_SIZED = ("error_bound_margin", "build_theory_report")
+# the functions that know n (mse from its x); the others take a vector of any length
+_SIZED = ("error_bound_margin", "build_theory_report", "mse")
 
 
 @pytest.mark.parametrize(
@@ -558,6 +583,7 @@ def test_diagnostics_refuse_a_malformed_ground_truth_before_any_work(monkeypatch
         "build_theory_report": lambda: build_theory_report(system, bad, trace, 1.0, 20),
         "noisy_envelope": lambda: noisy_envelope([0.9, 0.8], 1.0, bad, 0.1, 1.0, StepMode.EXACT),
         "min_abs_nonzero": lambda: min_abs_nonzero(bad),
+        "mse": lambda: mse(pair.primal, bad),
     }
     with pytest.raises(error, match="x_hat"):
         calls[function]()

@@ -137,11 +137,12 @@ def test_step_once_bregman_decrease_with_lam():
 
 def test_run_identity_system_converges_in_one_pass():
     # every row of the full subset ties until it is projected on, and ties go to
-    # the smallest index: the rows are taken in order, each once
+    # the smallest index: the rows are taken in order, each once, and the
+    # last lands on the truth exactly
     n = 6
     system = normalize_rows(np.eye(n), np.ones(n))
-    spec = SolverSpec.sskm(0.0, n, StepMode.INEXACT, stop=StoppingRule(epsilon=1e-12, max_iters=100))
-    pair, trace = run(system, spec)
+    spec = SolverSpec.sskm(0.0, n, StepMode.INEXACT, stop=StoppingRule(max_iters=100, mse_target=0.0))
+    pair, trace = run(system, spec, ground_truth=np.ones(n))
     assert trace.status is RunStatus.CONVERGED
     assert trace.iterations == n
     assert trace.chosen.tolist() == list(range(n))
@@ -248,10 +249,7 @@ def _check_against_single_steps(name, system, x_hat, spec, residuals):
         resid = float(np.dot(r, r))
         if residuals:
             assert trace.residual_norm2[k] == (resid if greedy else pytest.approx(resid, rel=1e-12)), (name, k)
-        if stop.mse_target is not None:
-            met = mse <= stop.mse_target
-        else:
-            met = stop.epsilon is not None and resid <= stop.epsilon**2
+        met = stop.mse_target is not None and mse <= stop.mse_target
         # only the last iterate of a converged run meets the stop
         assert met == (trace.status is RunStatus.CONVERGED and k + 1 == trace.iterations), (name, k)
     assert np.array_equal(_bits(state.primal), _bits(pair.primal)), name
@@ -318,19 +316,13 @@ def _batch_cases():
     # a budget that ends while x is still 0, inside a batch
     yield "zero-phase-budget", system, x_hat, _zero_phase_specs(system.m, StoppingRule(max_iters=40))
     # stops met soon after x leaves 0, inside a window
-    for kind in ("epsilon", "mse"):
-        specs = []
-        for spec in _zero_phase_specs(system.m, StoppingRule(max_iters=200)):
-            _, probe = run(system, spec, ground_truth=x_hat, residuals=True)
-            moved = int(np.flatnonzero(probe.mse != 1.0)[0])
-            if kind == "epsilon":
-                j = _first_new_low(probe.residual_norm2, moved, solvers._WINDOW)
-                stop = StoppingRule(max_iters=200, epsilon=float(np.sqrt(probe.residual_norm2[j] * (1 + 1e-9))))
-            else:
-                j = _first_new_low(probe.mse, moved, solvers._WINDOW)
-                stop = StoppingRule(max_iters=200, mse_target=float(probe.mse[j]))
-            specs.append(dataclasses.replace(spec, stop=stop))
-        yield f"zero-phase-{kind}-stop", system, x_hat, specs
+    specs = []
+    for spec in _zero_phase_specs(system.m, StoppingRule(max_iters=200)):
+        _, probe = run(system, spec, ground_truth=x_hat)
+        moved = int(np.flatnonzero(probe.mse != 1.0)[0])
+        j = _first_new_low(probe.mse, moved, solvers._WINDOW)
+        specs.append(dataclasses.replace(spec, stop=StoppingRule(max_iters=200, mse_target=float(probe.mse[j]))))
+    yield "zero-phase-mse-stop", system, x_hat, specs
     # consistent 4 x 6 systems, which every method solves to the last bit:
     # then runs of steps of zero, which SSKM batches and RK and SRK take
     # alone. Between them come steps that move the dual by less than x's
@@ -646,21 +638,6 @@ def test_run_trace_shape_and_monotone_k():
     for arr in (trace.chosen, trace.step, trace.residual_norm2, trace.mse, trace.bregman_to_truth):
         assert arr.shape == (50,)
     assert np.all(np.isfinite(trace.mse))
-
-
-def test_run_mse_target_takes_precedence_over_epsilon():
-    system, x_hat, _ = small_instance(seed=8)
-    # epsilon so loose it would stop immediately; mse target must rule instead
-    spec = SolverSpec.sskm(
-        1.0,
-        10,
-        seed=4,
-        stop=StoppingRule(epsilon=1e6, max_iters=5000, mse_target=1e-8),
-    )
-    _, trace = run(system, spec, ground_truth=x_hat)
-    assert trace.status is RunStatus.CONVERGED
-    assert trace.final_mse <= 1e-8
-    assert trace.iterations > 1
 
 
 def test_run_bregman_monotone_toward_truth():
@@ -1052,8 +1029,8 @@ def _first_new_low(values, after, window, slot=None):
 
 @pytest.mark.parametrize(
     "case",
-    ["budget-20", "budget-75", "mse-stop", "mse-stop-first-slot", "mse-stop-last-slot",
-     "epsilon-stop", "epsilon-stop-last-window", "epsilon-stop-no-truth"],
+    ["budget-20", "budget-75", "budget-no-truth", "mse-stop", "mse-stop-first-iterate", "mse-stop-first-slot",
+     "mse-stop-last-slot", "mse-stop-last-window"],
 )
 @pytest.mark.parametrize("variant,lam", _WINDOWED)
 @pytest.mark.parametrize("shape", [(600, 500), (300, 200)])
@@ -1074,23 +1051,21 @@ def test_run_window_matches_one_product_per_iterate(monkeypatch, shape, variant,
         return run(system, _windowed_spec(variant, lam, stop), ground_truth=truth, residuals=True)
 
     if case.startswith("budget"):
-        # a budget below the window, and one that is not a multiple of it
-        stop = StoppingRule(max_iters=int(case.split("-")[1]))
+        # a budget below the window, one that is not a multiple of it, and
+        # windows flushed with residuals and no truth
+        size = case.split("-")[1]
+        stop = StoppingRule(max_iters=int(size) if size.isdigit() else 200)
     else:
         _, probe = solve(StoppingRule(max_iters=200), 1)
-        # the stop on a window's first or last slot, or inside it
+        # the stop on the first iterate, on a window's first or last slot, or inside it
         slot = {"first-slot": 0, "last-slot": window - 1}.get(case.split("-stop-")[-1])
-        if case.startswith("mse-stop"):
-            j = _first_new_low(probe.mse, 40, window, slot)
-            stop = StoppingRule(max_iters=200, mse_target=float(probe.mse[j]))
-        else:
-            j = _first_new_low(probe.residual_norm2, 40, window)
-            budget = 200
-            if case.endswith("last-window"):
-                # the budget ends the window that holds the stop early
-                budget = j + 5
-                assert budget % window and j // window == (budget - 1) // window
-            stop = StoppingRule(max_iters=budget, epsilon=float(np.sqrt(probe.residual_norm2[j] * (1 + 1e-9))))
+        j = 0 if case.endswith("first-iterate") else _first_new_low(probe.mse, 40, window, slot)
+        budget = 200
+        if case.endswith("last-window"):
+            # the budget ends the window that holds the stop early
+            budget = j + 5
+            assert budget % window and j // window == (budget - 1) // window
+        stop = StoppingRule(max_iters=budget, mse_target=float(probe.mse[j]))
     pair, trace = solve(stop, window)
     ref_pair, ref = solve(stop, 1)
 
@@ -1163,19 +1138,18 @@ def _spy_residual_products(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("case", ["mse-stop", "budget", "epsilon-stop", "epsilon-budget"])
+@pytest.mark.parametrize("case", ["mse-stop", "budget", "no-truth"])
 @pytest.mark.parametrize("variant", ["rk", "srk-inexact", "srk-exact", "sskm-inexact", "sskm-exact"])
 @pytest.mark.parametrize("shape", [(600, 500), (300, 200)])
 def test_run_takes_residual_products_only_where_they_are_read(monkeypatch, shape, variant, case):
     # 600 x 500 lies above the size gate of the support block for a single
     # iterate, 300 x 200 only for a window. Without the residual record,
-    # uniform rows under the MSE stop or a bare budget read no residual at all,
-    # and greedy rows take the product that picks the next row but none after
-    # the last iterate; the epsilon stop takes every product it tests. A
-    # greedy product is taken only at an iterate whose primal is nonzero (the
-    # residual at x = 0 is -b) and moved (a step of zero after the first
-    # leaves it). The record aside, the run is the one with the record, bit
-    # for bit
+    # uniform rows under the MSE stop or a bare budget, with or without a
+    # truth, read no residual at all, and greedy rows take the product that
+    # picks the next row but none after the last iterate. A greedy product is taken only at an iterate whose
+    # primal is nonzero (the residual at x = 0 is -b) and moved (a step of
+    # zero after the first leaves it). The record aside, the run is the one
+    # with the record, bit for bit
     m, n = shape
     system, x_hat, _ = gaussian_instance(m, n, 10, child_rng(5, m, n, 0))
     assert (system.rows.size >= solvers._BLOCK_MIN_ENTRIES) == (m == 600)
@@ -1188,30 +1162,27 @@ def test_run_takes_residual_products_only_where_they_are_read(monkeypatch, shape
             return SolverSpec.srk(1.0, step_mode=StepMode(mode), seed=3, stop=stop)
         return SolverSpec.sskm(1.0, m // 2, step_mode=StepMode(mode), seed=3, stop=stop)
 
-    # an MSE stop, or an epsilon stop, that the 200-iteration budget ends
+    # an MSE stop that the 200-iteration budget ends, or no truth to stop on
     stop = StoppingRule(max_iters=200, mse_target=0.0)
-    if case == "epsilon-budget":
-        stop = StoppingRule(max_iters=200, epsilon=0.0)
-    elif case != "budget":
+    truth = None if case == "no-truth" else x_hat
+    if case == "mse-stop":
         # a stop met inside the 200-iteration budget, and inside a window of 32
         _, probe = run(system, spec(stop), ground_truth=x_hat, residuals=True)
-        if case == "mse-stop":
-            stop = StoppingRule(max_iters=200, mse_target=float(probe.mse[60]))
-        else:
-            stop = StoppingRule(max_iters=200, epsilon=float(np.sqrt(probe.residual_norm2[60] * (1 + 1e-9))))
+        stop = StoppingRule(max_iters=200, mse_target=float(probe.mse[60]))
     calls = _spy_residual_products(monkeypatch)
     counts = {}
     runs = {}
     for residuals in (True, False):
         for name in calls:
             calls[name] = 0
-        runs[residuals] = run(system, spec(stop), ground_truth=x_hat, residuals=residuals)
+        runs[residuals] = run(system, spec(stop), ground_truth=truth, residuals=residuals)
         counts[residuals] = dict(calls)
     (pair_on, on), (pair_off, off) = runs[True], runs[False]
 
     iterations = on.iterations
-    assert on.status is (RunStatus.MAX_ITERS if case.endswith("budget") else RunStatus.CONVERGED)
+    assert on.status is (RunStatus.CONVERGED if case == "mse-stop" else RunStatus.MAX_ITERS)
     assert on.residual_norm2.shape == (iterations,) and off.residual_norm2 is None
+    assert (on.mse is None) == (off.mse is None) == (truth is None)
     for name in ("chosen", "step", "mse", "bregman_to_truth"):
         assert np.array_equal(getattr(off, name), getattr(on, name)), name
     assert (off.status, off.iterations) == (on.status, iterations)
@@ -1224,16 +1195,13 @@ def test_run_takes_residual_products_only_where_they_are_read(monkeypatch, shape
         iterates = [(k == 0 or on.step[k] != 0.0, bool(x.any())) for k, x in enumerate(_iterates(system, on, lam))]
         taken = iterates.count((True, True))
         assert counts[True] == {"block": 1, "product": taken, "window_product": 0}
-        if not case.startswith("epsilon") and iterates[-1] == (True, True):
+        if iterates[-1] == (True, True):
             taken -= 1
         assert counts[False] == {"block": 1, "product": taken, "window_product": 0}
     else:
         windows = -(-iterations // solvers._WINDOW)
         assert counts[True] == {"block": 1, "product": windows, "window_product": windows}
-        if case.startswith("epsilon"):
-            assert counts[False] == counts[True]
-        else:
-            assert counts[False] == {"block": 0, "product": 0, "window_product": 0}
+        assert counts[False] == {"block": 0, "product": 0, "window_product": 0}
 
 
 def _overflowing_system():
@@ -1257,21 +1225,6 @@ def test_run_window_raises_at_the_same_non_finite_iteration(monkeypatch, window)
             run(_overflowing_system(), rk)
         with pytest.raises(NonFiniteIterateError, match="step value became non-finite at iteration 1"):
             run(_overflowing_system(), sskm)
-
-
-@pytest.mark.parametrize("window", [32, 1])
-def test_run_window_stop_before_a_non_finite_iterate_does_not_raise(monkeypatch, window):
-    # every residual meets an infinite epsilon, so the run stops after its first
-    # iterate, whether or not iterates 2 and 3 were held in a window when
-    # iteration 3 overflowed
-    monkeypatch.setattr(solvers, "_WINDOW", window)
-    system = _overflowing_system()
-    for spec in _overflow_specs(StoppingRule(max_iters=100, epsilon=np.inf)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            pair, trace = run(system, spec)
-        assert trace.status is RunStatus.CONVERGED and trace.iterations == 1
-        i = int(trace.chosen[0])
-        assert np.array_equal(pair.primal, system.rhs[i : i + 1])
 
 
 @pytest.mark.parametrize("window", [32, 1])
@@ -1410,9 +1363,7 @@ def test_run_checks_the_ground_truth_before_the_first_step(monkeypatch, method, 
 
 @pytest.mark.parametrize(
     "kwargs,field",
-    [({"epsilon": float("nan")}, "epsilon"),
-     ({"epsilon": -1e-3}, "epsilon"),
-     ({"mse_target": float("nan")}, "mse_target"),
+    [({"mse_target": float("nan")}, "mse_target"),
      ({"mse_target": -1e-6}, "mse_target"),
      ({"max_iters": 2.5}, "max_iters"),
      ({"max_iters": 100.0}, "max_iters"),
@@ -1426,10 +1377,22 @@ def test_stopping_rule_refuses_bad_values(kwargs, field):
 
 
 def test_stopping_rule_accepts_numpy_integers_and_infinite_tolerances():
-    stop = StoppingRule(epsilon=np.inf, max_iters=np.int64(7), mse_target=np.inf)
+    stop = StoppingRule(max_iters=np.int64(7), mse_target=np.inf)
     system, x_hat, _ = small_instance(seed=3)
     _, trace = run(system, SolverSpec.srk(1.0, seed=1, stop=stop), ground_truth=x_hat)
     assert trace.status is RunStatus.CONVERGED and trace.iterations == 1
+
+
+def test_every_run_stops_on_its_truth_or_its_budget():
+    # no stop reads the residual: a run with no truth spends its budget
+    with pytest.raises(TypeError, match="epsilon"):
+        StoppingRule(epsilon=1e-3)
+    system, _, _ = small_instance(seed=3)
+    stop = StoppingRule(max_iters=45, mse_target=np.inf)
+    for spec in (SolverSpec.srk(1.0, seed=1, stop=stop), SolverSpec.sskm(1.0, 10, seed=1, stop=stop)):
+        _, trace = run(system, spec, residuals=True)
+        assert trace.status is RunStatus.MAX_ITERS and trace.iterations == 45
+        assert trace.mse is None and trace.residual_norm2.shape == (45,)
 
 
 @pytest.mark.parametrize(
