@@ -12,7 +12,6 @@ from .bregman import (
     DualPair,
     StepMode,
     bregman_distance,
-    conjugate_value,
     exact_step,
     inexact_step,
     objective_value,
@@ -89,7 +88,6 @@ __all__ = [
     "child_rng",
     "child_seed",
     "compare_methods",
-    "conjugate_value",
     "contraction_factor",
     "density",
     "error_bound_margin",

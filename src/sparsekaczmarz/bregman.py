@@ -1,4 +1,4 @@
-"""Sparsity-inducing objective, its conjugate, and Bregman hyperplane projections.
+"""Sparsity-inducing objective and Bregman hyperplane projections.
 
 The working objective is f(x) = lam*||x||_1 + 0.5*||x||_2^2, which is
 1-strongly convex. Its conjugate is smooth with gradient equal to the soft
@@ -29,8 +29,11 @@ a run allocates once (``_workspace``), which also carries t into every
 ``np.multiply`` as a 0-d array. No buffer lives at module level, so runs in
 two threads share none. One step kernel, ``_step_into``, takes the step and
 thresholds into arrays it is given, with no array allocated beyond the
-exact step's closed form and bisection; every method's iteration and
-:func:`project_hyperplane` go through it. A step of exactly zero, where
+exact step's closed form and bisection; every method's iteration goes
+through it. :func:`project_hyperplane` takes t from the same kernels (the
+row residual, or ``_exact_step`` with the row's kit and a workspace) and
+builds its new pair from dual - t*a, which thresholds the new dual once,
+where the pair derives its primal. A step of exactly zero, where
 g(0) == 0, takes no evaluation of g, and in place no write.
 ``_steps_at_rest`` takes a run of inexact steps that leave the primal
 where it is all at once, with the bits of one ``_step_into`` each: ``run``
@@ -132,16 +135,6 @@ def objective_value(x, lam: float) -> float:
 def _objective(x: np.ndarray, lam: float) -> float:
     """:func:`objective_value` of a float array ``x``, with no checks."""
     return float(lam * np.abs(x).sum() + 0.5 * np.dot(x, x))
-
-
-def conjugate_value(xstar, lam: float) -> float:
-    """Fenchel conjugate of the objective, evaluated at xstar.
-
-    Equals 0.5*||soft_threshold(xstar, lam)||_2^2; the closed form is
-    validated against a numerical sup oracle in the test suite.
-    """
-    s = soft_threshold(xstar, lam)
-    return float(0.5 * np.dot(s, s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -528,11 +521,13 @@ def _steps_at_rest(dual, primal, a, b, lam: float, duals) -> tuple[int, np.ndarr
 def project_hyperplane(pair: DualPair, a_i, b_i: float, mode: StepMode) -> DualPair:
     """Bregman projection of the pair onto the hyperplane <a_i, x> = b_i.
 
-    The dual moves by -t*a_i with t chosen per ``mode`` (:func:`_step_into`,
-    into a fresh array), and the new pair is built from it, its primal the
-    soft threshold of the new dual. In exact mode the new primal satisfies
-    the hyperplane; in both modes the Bregman distance to any point of the
-    hyperplane decreases by at least half the squared row residual. A row
+    The dual moves by -t*a_i, with t the row residual or the exact step's
+    root per ``mode``, from the kernels :func:`_step_into` calls, and the
+    new pair is built from it: its primal, the soft threshold of the new
+    dual, is the one threshold of the call, bit for bit the step's. In
+    exact mode the new primal satisfies the hyperplane; in both modes the
+    Bregman distance to any point of the hyperplane decreases by at least
+    half the squared row residual. A row
     that is not a vector of the pair's length raises
     :class:`DimensionMismatchError`, a complex row or b_i ``TypeError``, a
     NaN or infinite entry of the row or b_i :class:`NonFiniteDataError`, and
@@ -548,9 +543,9 @@ def project_hyperplane(pair: DualPair, a_i, b_i: float, mode: StepMode) -> DualP
     norm = float(np.linalg.norm(a))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"project_hyperplane expects a unit row, got norm {norm!r}")
-    dual, scratch = np.empty_like(pair.dual), np.empty_like(pair.primal)
-    lam, exact = pair.lam, mode is StepMode.EXACT
-    kit = _kits(a[None])[0] if exact else None
-    _step_into(pair.dual, pair.primal, a, b_i, lam, _band(lam), mode, dual, scratch, kit,
-               _workspace(a.size if exact else 0))
-    return DualPair(dual, lam)
+    lam = pair.lam
+    if mode is StepMode.INEXACT:
+        t = float(a.dot(pair.primal) - b_i)
+    else:
+        t = _exact_step(pair.dual, pair.primal, a, b_i, lam, _band(lam), _kits(a[None])[0], _workspace(a.size))
+    return DualPair(pair.dual - t * a, lam)

@@ -68,13 +68,13 @@ def smallest_nonzero_singular_value(system: LinearSystem | np.ndarray) -> Singul
     ``smallest_nonzero`` excludes values below 1e-10 times the largest;
     ``smallest`` may be zero for rank-deficient matrices. A
     :class:`LinearSystem` keeps its singular values, so the SVD runs once per
-    system. An array with a NaN or infinite entry raises
-    :class:`NonFiniteDataError`.
+    system. A complex array raises ``TypeError``, and one with a NaN or
+    infinite entry :class:`NonFiniteDataError`.
     """
     if isinstance(system, LinearSystem):
         svals = system.singular_values
     else:
-        a = np.asarray(system, dtype=float)
+        a = np.asarray(_real(system, "matrix"), dtype=float)
         if not np.isfinite(a).all():
             raise NonFiniteDataError("matrix has a NaN or infinite entry")
         svals = np.linalg.svd(a, compute_uv=False)
@@ -133,11 +133,12 @@ def gamma_from_residuals(residuals, beta: int) -> float:
     sums are Python integers (squared integer mantissas, so finite input
     never overflows) and the ratio is one correctly rounded division. It is
     exactly 1 for a single nonzero entry and exactly beta for constant
-    magnitudes. Raises DimensionMismatchError for input that is not 1-D,
-    InvalidBetaError for a beta that is no integer or lies outside [1, m],
-    and NonFiniteDataError for a NaN or infinite entry.
+    magnitudes. Raises TypeError for complex input, DimensionMismatchError
+    for input that is not 1-D, InvalidBetaError for a beta that is no
+    integer or lies outside [1, m], and NonFiniteDataError for a NaN or
+    infinite entry.
     """
-    mags = np.abs(np.asarray(residuals, dtype=float))
+    mags = np.abs(np.asarray(_real(residuals, "residuals"), dtype=float))
     if mags.ndim != 1:
         raise DimensionMismatchError(f"residuals must be 1-D, got shape {mags.shape}")
     m = mags.shape[0]
@@ -269,8 +270,8 @@ def noisy_envelope(
 
 
 def density(matrix) -> float:
-    """Fraction of structurally nonzero entries."""
-    a = matrix.rows if isinstance(matrix, LinearSystem) else np.asarray(matrix, dtype=float)
+    """Fraction of structurally nonzero entries. A complex array raises ``TypeError``."""
+    a = matrix.rows if isinstance(matrix, LinearSystem) else np.asarray(_real(matrix, "matrix"), dtype=float)
     return float(np.count_nonzero(a)) / a.size
 
 

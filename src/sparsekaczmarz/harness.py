@@ -53,7 +53,7 @@ from .errors import (
     UnsupportedFieldError,
     ZeroMatrixError,
 )
-from .linsys import LinearSystem, _normalized, _row_norms, normalize_rows
+from .linsys import LinearSystem, _normalized, _real_vector, _row_norms, normalize_rows
 from .matrixmarket import read_matrix_market
 from .sampling import _is_integer
 from .solvers import IterationTrace, RunStatus, SolverSpec, StoppingRule, run
@@ -255,11 +255,13 @@ def add_noise(b, level: float, rng: np.random.Generator) -> tuple[np.ndarray, fl
 
     Returns (noisy rhs, ||e||_2, ||e||_inf); the 2-norm equals
     level * ||b||_2 by construction, so the noise magnitude is known exactly.
-    A ``level`` that is negative, infinite or NaN raises ``ValueError``.
+    A ``level`` that is negative, infinite or NaN raises ``ValueError``, and
+    a ``b`` that is complex ``TypeError``, not 1-D
+    :class:`DimensionMismatchError` and not finite :class:`NonFiniteDataError`.
     """
     if not (math.isfinite(level) and level >= 0):
         raise ValueError(f"noise level must be finite and nonnegative, got {level!r}")
-    b = np.asarray(b, dtype=float)
+    b = _real_vector(b, "b")
     if level == 0.0:
         return b.copy(), 0.0, 0.0
     e = rng.standard_normal(b.shape[0])

@@ -203,8 +203,8 @@ def _normalized(raw: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -
 
 
 def residual(system: LinearSystem, x) -> np.ndarray:
-    """Residual vector A x - b."""
-    x = np.asarray(x, dtype=float)
+    """Residual vector A x - b. A complex ``x`` raises ``TypeError``."""
+    x = np.asarray(_real(x, "x"), dtype=float)
     if x.shape != (system.n,):
         raise DimensionMismatchError(f"x has shape {x.shape}, expected ({system.n},)")
     return system.rows @ x - system.rhs

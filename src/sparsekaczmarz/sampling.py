@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySubsetError, InvalidBetaError
-from .linsys import LinearSystem, _is_integer
+from .linsys import _is_integer
 
 
 def _check_beta(beta, m: int) -> None:
@@ -176,28 +176,10 @@ def select_motzkin(subset, residuals) -> Selection:
     """Index of the largest squared residual within ``subset``.
 
     Ties break to the smallest index: the subset is sorted, then picked
-    from by :func:`_largest_residual`, as in :func:`pick_index`.
+    from by :func:`_largest_residual`, as ``run``'s subset pick is.
     """
     subset = np.asarray(subset)
     if subset.size == 0:
         raise EmptySubsetError("cannot select from an empty subset")
     subset = np.sort(subset)
     return Selection(subset=subset, chosen=_largest_residual(subset, np.asarray(residuals, dtype=float)))
-
-
-def pick_index(config: SamplerConfig, system: LinearSystem, rng: np.random.Generator, residuals) -> int:
-    """Row chosen by one :func:`sample_subset` or ``rng.integers(m)`` call.
-
-    ``residuals`` is the residual vector A x - b at the current iterate x;
-    only the greedy rule reads it, and picks the subset's member with the
-    largest squared residual, ties to the smallest index.
-    :func:`~sparsekaczmarz.solvers.run` draws a window of rows at a time,
-    with ``rng.integers(m, size=w)`` or ``rng.random((w, m))``: the same
-    stream.
-    """
-    m = system.m
-    if config.rule is SelectionRule.UNIFORM_RANDOM:
-        # unit rows make squared-norm weighting uniform
-        return int(rng.integers(m))
-    return _largest_residual(sample_subset(m, config.beta, rng), residuals)
-

@@ -1,15 +1,17 @@
 """Iteration drivers for the RK, SRK, and SSKM methods.
 
-All three methods share one iteration kernel: a row is selected (by
-:func:`pick_index`, or from a window's draw of rows or subsets), and one
-Bregman projection (``bregman._step_into``) moves the dual iterate along
-that row and soft-thresholds back to the primal, writing the new pair in
-place. :func:`run` takes a method through one of two loops over windows of
+All three methods share one iteration kernel: a row is selected from a
+window's draw of rows or subsets, and one Bregman projection
+(``bregman._step_into``) moves the dual iterate along that row and
+soft-thresholds back to the primal, writing the new pair in place.
+:func:`run` takes a method through one of two loops over windows of
 iterations: uniform rows (RK, SRK), which never read the residual, step a
 window and then record it and test the stop on all its iterates at once;
 greedy rows (SSKM) pick, step, record and test one iteration at a time.
-:func:`step_once` applies the step once. A :class:`SolverSpec` names no
-method: its row rule, lam and step mode place it. RK is the lam=0 /
+Both write their records into the :class:`IterationTrace` that ``run``
+returns. :func:`step_once` takes one step, as
+:func:`~sparsekaczmarz.bregman.project_hyperplane`. A :class:`SolverSpec`
+names no method: its row rule, lam and step mode place it. RK is the lam=0 /
 uniform-row / inexact point (a plain orthogonal projection per step, with
 x and x* one vector), SRK adds the threshold with uniform rows, and SSKM,
 any spec with the greedy rule, drives the same update with greedy subset
@@ -148,7 +150,11 @@ class IterationTrace:
     when :func:`run` was asked for it (``residuals=True``), and, when a
     ground truth was supplied, the relative squared error and the Bregman
     distance to it. A record that was not asked for, or that has no truth,
-    is ``None``.
+    is ``None``. :func:`run` builds the trace before its first step, and
+    its loops write the records in place; they start at 1024 entries (or
+    ``max_iters``), double up to ``max_iters`` as the run needs them, and
+    are cut to the iterations taken before ``run`` sets ``status`` and
+    ``iterations``.
     """
 
     chosen: np.ndarray
@@ -303,7 +309,7 @@ def _window_product(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def _flush_window(start: int, xs: np.ndarray, duals: np.ndarray, x_norm2: np.ndarray,
                   columns: _SupportColumns | None, rhs: np.ndarray, truth, mse_target: float | None,
-                  recs: list):
+                  trace: IterationTrace):
     """Records a uniform window's iterates and tests the MSE stop on each.
 
     The w columns of ``xs`` and ``duals`` are the pairs of iterations
@@ -312,8 +318,9 @@ def _flush_window(start: int, xs: np.ndarray, duals: np.ndarray, x_norm2: np.nda
     errors and Bregman distances. Given ``columns``, which
     :func:`_uniform_loop` passes only when the residual record is on, one
     product gives their residual norms; without it A is not read at all.
-    Returns ``(iterations, dual)`` at the first iterate that meets the MSE
-    stop, the dual a view of its window column, or ``None``.
+    The records go into their entries of ``trace``'s fields. Returns
+    ``(iterations, dual)`` at the first iterate that meets the MSE stop, the
+    dual a view of its window column, or ``None``.
     """
     end = start + xs.shape[1]
     # the errors first, while the window is in cache: the product streams all of A
@@ -321,12 +328,12 @@ def _flush_window(start: int, xs: np.ndarray, duals: np.ndarray, x_norm2: np.nda
         x_hat, x_hat_norm2, f_hat = truth
         diff = xs - x_hat[:, None]
         mse = np.vecdot(diff, diff, axis=0) / x_hat_norm2
-        recs[3][start:end] = mse
-        recs[4][start:end] = f_hat - np.vecdot(duals, x_hat[:, None], axis=0) + 0.5 * x_norm2
+        trace.mse[start:end] = mse
+        trace.bregman_to_truth[start:end] = f_hat - np.vecdot(duals, x_hat[:, None], axis=0) + 0.5 * x_norm2
     if columns is not None:
         r = columns.product(xs)
         r -= rhs[:, None]
-        recs[2][start:end] = np.einsum("ij,ij->j", r, r)
+        trace.residual_norm2[start:end] = np.einsum("ij,ij->j", r, r)
     if mse_target is None:
         return None
     hits = np.flatnonzero(mse <= mse_target)
@@ -336,32 +343,30 @@ def _flush_window(start: int, xs: np.ndarray, duals: np.ndarray, x_norm2: np.nda
     return start + j + 1, duals[:, j]
 
 
-def _resized(a: np.ndarray | None, size: int) -> np.ndarray | None:
-    """A copy of ``a`` cut or extended to ``size`` entries; ``None`` stays
-    ``None``, and ``a`` of that size already is returned as it is."""
-    if a is None or a.size == size:
-        return a
-    out = np.empty(size, dtype=a.dtype)
-    kept = min(size, a.size)
-    out[:kept] = a[:kept]
-    return out
+def _resize(trace: IterationTrace, size: int) -> None:
+    """Cuts or extends each record of ``trace`` to ``size`` entries, in a
+    copy; a record of that size already, and one not asked for (``None``),
+    stay as they are."""
+    for name, rec in vars(trace).items():
+        if isinstance(rec, np.ndarray) and rec.size != size:
+            out = np.empty(size, dtype=rec.dtype)
+            out[: rec.size] = rec[:size]
+            setattr(trace, name, out)
 
 
-def _reserve(recs: list, end: int, max_iters: int) -> list:
-    """Doubles the records ``recs`` in place when ``end`` entries pass their
-    end, up to ``max_iters``, and returns them: chosen row, step, and the
-    residual norm, relative error and Bregman distance, each ``None`` where
-    it is not asked for. They start at 1024 entries, so their memory
-    follows the work done."""
-    if end > recs[0].size:
-        recs[:] = [_resized(a, min(2 * recs[0].size, max_iters)) for a in recs]
-    return recs
+def _reserve(trace: IterationTrace, end: int, max_iters: int) -> None:
+    """Doubles the records of ``trace`` when ``end`` entries pass their end,
+    up to ``max_iters``. ``run`` allocates them at 1024 entries, or
+    ``max_iters`` where that is fewer, so their memory follows the work
+    done."""
+    if end > trace.chosen.size:
+        _resize(trace, min(2 * trace.chosen.size, max_iters))
 
 
-def _repeat(recs: list, start: int, end: int) -> None:
+def _repeat(trace: IterationTrace, start: int, end: int) -> None:
     """Iterations ``start`` .. ``end - 1`` left x where it was: their residual,
     error and Bregman records repeat those of ``start - 1``."""
-    for rec in recs[2:]:
+    for rec in (trace.residual_norm2, trace.mse, trace.bregman_to_truth):
         if rec is not None:
             rec[start:end] = rec[start - 1]
 
@@ -383,14 +388,15 @@ def _uniform_batch(j: int, drawn: np.ndarray, dual, x, spec: SolverSpec, system:
     return kept
 
 
-def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target, recs: list):
+def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target, trace: IterationTrace):
     """:func:`run` for uniform rows (RK, SRK); returns ``(iterations, x*,
     status, failure)``, the failure ``None`` or what became non-finite.
 
-    A window of w = min(32, ``max_iters``) iterations draws its rows with one
-    ``rng.integers(m, size=w)`` call, which fills its chosen-row records,
-    and steps them in an inner loop through ``bregman._step_into``, slot j
-    into column j of n x w Fortran-order buffers. At lam = 0 with w > 1,
+    A window of w = min(32, ``max_iters``) iterations reserves its records
+    in ``trace``, draws its rows with one ``rng.integers(m, size=w)`` call,
+    which fills its chosen-row records, and steps them in an inner loop
+    through ``bregman._step_into``, slot j into column j of n x w
+    Fortran-order buffers. At lam = 0 with w > 1,
     where x = x*, both are one buffer and one list of its columns: the step
     writes t*a and the new dual into the slot's column, and the threshold
     writes nothing. At w = 1 every step is in place, into the dual it reads,
@@ -412,7 +418,7 @@ def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target
     inexact, max_iters = mode is StepMode.INEXACT, spec.stop.max_iters
     band, work = _band(lam), _workspace(0 if inexact else system.n)
     w = min(_WINDOW, max_iters)
-    columns = _SupportColumns(rows, w) if recs[2] is not None else None
+    columns = _SupportColumns(rows, w) if trace.residual_norm2 is not None else None
     xs = np.zeros((system.n, w), order="F")
     duals = xs if lam == 0.0 and w > 1 else np.zeros_like(xs)
     # the step tests its arrays by identity: one view per column, as numpy
@@ -425,9 +431,9 @@ def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target
     still, k = False, 0
     while k < max_iters:
         count = min(w, max_iters - k)
-        chosen_rec, step_rec = _reserve(recs, k + count, max_iters)[:2]
-        chosen_rec[k : k + count] = drawn = rng.integers(system.m, size=count)
-        picks, picked_rhs, steps = drawn.tolist(), rhs[drawn].tolist(), step_rec[k : k + count]
+        _reserve(trace, k + count, max_iters)
+        trace.chosen[k : k + count] = drawn = rng.integers(system.m, size=count)
+        picks, picked_rhs, steps = drawn.tolist(), rhs[drawn].tolist(), trace.step[k : k + count]
         kits = [None] * count if inexact else _kits(rows[drawn])
         j, failed = 0, None
         while j < count:
@@ -462,7 +468,7 @@ def _uniform_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target
             still, j = True, j + 1
         # the window's records and stop, on the j iterates it holds: all of
         # them, or those before a non-finite one
-        hit = j and _flush_window(k, xs[:, :j], duals[:, :j], x_norm2s[:j], columns, rhs, truth, mse_target, recs)
+        hit = j and _flush_window(k, xs[:, :j], duals[:, :j], x_norm2s[:j], columns, rhs, truth, mse_target, trace)
         if hit:
             return *hit, RunStatus.CONVERGED, None
         if failed:
@@ -477,8 +483,9 @@ class _ArgmaxPick:
 
     Each pick class draws a window's keys (``draw``), picks slot j's row at
     the residual r (``one``) and, for a batch at a fixed r, the rows of
-    slots j to the window's end (``rest``), each bit for bit
-    :func:`pick_index`'s pick. r^2 is kept while r is the same array.
+    slots j to the window's end (``rest``), each bit for bit the pick of
+    one ``sample_subset`` call per iteration (the tests' reference stream).
+    r^2 is kept while r is the same array.
     """
 
     def __init__(self, m: int, beta: int, rng):
@@ -531,7 +538,7 @@ class _SubsetPick(_ArgmaxPick):
 
 
 def _greedy_batch(start: int, chosen: np.ndarray, dual, x, x_norm2: float, spec: SolverSpec, system: LinearSystem,
-                  truth, recs: list, zero_rows: dict) -> int:
+                  truth, trace: IterationTrace, zero_rows: dict) -> int:
     """Greedy iterations ``start`` .. that leave x where it was, along the rows
     ``chosen`` at the fixed residual, taken at once up to the first that
     would move it; returns how many. x and r stay, so the error and residual
@@ -561,29 +568,32 @@ def _greedy_batch(start: int, chosen: np.ndarray, dual, x, x_norm2: float, spec:
         kept, t = _steps_at_rest(dual, x, a, system.rhs[chosen], spec.lam, duals)
     moved = t.any()
     if moved and truth is not None:
+        x_hat, _, f_hat = truth
         with np.errstate(all="ignore"):
-            breg = truth[2] - np.vecdot(duals[:, :kept], truth[0][:, None], axis=0) + 0.5 * x_norm2
+            breg = f_hat - np.vecdot(duals[:, :kept], x_hat[:, None], axis=0) + 0.5 * x_norm2
         # from the first that is not finite the steps run alone, as they warn
         finite = np.isfinite(breg)
         kept = kept if finite.all() else int(finite.argmin())
     if kept:
         end = start + kept
-        recs[0][start:end], recs[1][start:end] = chosen[:kept], t[:kept]
-        _repeat(recs, start, end)
+        trace.chosen[start:end], trace.step[start:end] = chosen[:kept], t[:kept]
+        _repeat(trace, start, end)
         if moved:
             if truth is not None:
-                recs[4][start:end] = breg[:kept]
+                trace.bregman_to_truth[start:end] = breg[:kept]
             np.copyto(dual, duals[:, kept - 1])
     return kept
 
 
-def _greedy_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target, recs: list):
+def _greedy_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target, trace: IterationTrace):
     """:func:`run` for greedy rows (SSKM); returns ``(iterations, x*, status,
     failure)`` as :func:`_uniform_loop` does.
 
-    A window draws the keys of up to 32 iterations (fewer where they would
-    exceed 2**14), and each iteration picks its row from them at the
-    current residual: by :class:`_ArgmaxPick` at beta = m, by
+    A window reserves its records in ``trace`` and binds the five to
+    locals, so that an iteration reads no attribute. It draws the keys of up
+    to 32 iterations (fewer where they would exceed 2**14), and each
+    iteration picks its row from them at the current residual: by
+    :class:`_ArgmaxPick` at beta = m, by
     :class:`_RankPick` at m/2 <= beta < m on at least 1000 rows, and by
     :class:`_SubsetPick` otherwise. It steps x and x* in place, each in its
     own array (the new dual is the one the step reads, so t*a cannot share
@@ -604,7 +614,7 @@ def _greedy_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target,
     w = min(_WINDOW, max_iters, max(1, _WINDOW_KEYS // m))
     by_rank = 2 * beta >= m and m >= _RANK_SCAN_MIN_ROWS
     pick = (_ArgmaxPick if beta == m else _RankPick if by_rank else _SubsetPick)(m, beta, rng)
-    norms = recs[2] is not None  # the residual record is on
+    norms = trace.residual_norm2 is not None  # the residual record is on
     columns = _SupportColumns(rows, 1)
     x, dual = np.zeros(system.n), np.zeros(system.n)
     r = r_zero = -rhs  # residual at x_0, which the first pick reads
@@ -616,14 +626,16 @@ def _greedy_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target,
     x_norm2 = mse_val = resid2 = 0.0
     while k < max_iters:
         count = min(w, max_iters - k)
-        chosen_rec, step_rec, resid_rec, mse_rec, breg_rec = _reserve(recs, k + count, max_iters)
+        _reserve(trace, k + count, max_iters)
+        chosen_rec, step_rec, resid_rec = trace.chosen, trace.step, trace.residual_norm2
+        mse_rec, breg_rec = trace.mse, trace.bregman_to_truth
         pick.draw(count)
         j = 0
         while j < count:
             # a batch repeats the last ||x||^2, error and residual norm: where one
             # is not finite, the steps it stands for run alone and warn as they do
             if still and math.isfinite(x_norm2 + mse_val + resid2):
-                j += _greedy_batch(k + j, pick.rest(j, r), dual, x, x_norm2, spec, system, truth, recs, zero_rows)
+                j += _greedy_batch(k + j, pick.rest(j, r), dual, x, x_norm2, spec, system, truth, trace, zero_rows)
                 if j == count:
                     break
             i = pick.one(j, r)
@@ -641,7 +653,7 @@ def _greedy_loop(system: LinearSystem, spec: SolverSpec, rng, truth, mse_target,
                 if k + j:
                     # x_{k+j+1} = x_{k+j} bit for bit, as _step_into wrote nothing:
                     # its records repeat, r stays, and it met no stop
-                    _repeat(recs, k + j, k + j + 1)
+                    _repeat(trace, k + j, k + j + 1)
                     j += 1
                     continue
             else:
@@ -725,12 +737,14 @@ def run(
     f(x_hat) - f(x) - <x*, x_hat - x> exactly, because x = soft_threshold(x*,
     lam) gives <x*, x> = ||x||^2 + lam ||x||_1.
 
-    ``run`` validates, allocates the records and builds the trace and the
-    final pair, from one copy of the final dual (:class:`DualPair` derives
-    its primal, which equals the loop's x bit for bit); the row rule picks
-    one of two loops over windows of up to 32 iterations. Each
-    window draws at once what one :func:`pick_index` per iteration would
-    draw, so a solve cut short by ``max_iters`` repeats the full solve's rows.
+    ``run`` validates, builds the trace, whose records the loops fill in
+    place, and at the end cuts the records to the iterations taken,
+    sets the trace's status and count, and builds the final pair from one
+    copy of the final dual (:class:`DualPair` derives its primal, which
+    equals the loop's x bit for bit); the row rule picks one of two loops
+    over windows of up to 32 iterations. Each window draws at once what one
+    ``rng.integers(m)`` or ``sample_subset`` call per iteration would draw,
+    so a solve cut short by ``max_iters`` repeats the full solve's rows.
     Uniform rows (RK, SRK) go through :func:`_uniform_loop`: a window draws
     its rows with one ``rng.integers(m, size=w)`` call, steps them into
     columns of n x w buffers, and then shares their bookkeeping
@@ -782,25 +796,24 @@ def run(
     w = 32); densely on smaller products and at iterates whose support
     holds more than a quarter of the columns (RK's, for one).
     """
-    n, m = system.n, system.m
-    stop, sampler = spec.stop, spec.sampler
-    rng = np.random.default_rng(sampler.seed)
+    rng = np.random.default_rng(spec.sampler.seed)
 
     truth = None
     if ground_truth is not None:
-        x_hat = _real_vector(ground_truth, "ground_truth", n)
+        x_hat = _real_vector(ground_truth, "ground_truth", system.n)
         x_hat_norm2 = float(np.dot(x_hat, x_hat))
         if x_hat_norm2 == 0.0:
             raise ZeroTruthError("ground truth is zero; relative error undefined")
         truth = (x_hat, x_hat_norm2, _objective(x_hat, spec.lam))
-    mse_target = stop.mse_target if truth is not None else None
-    cap = min(stop.max_iters, _FIRST_RECORDS)
-    recs = [np.empty(cap, dtype=np.int64)] + [np.empty(cap) if on else None for on in (1, residuals, truth, truth)]
-    loop = _greedy_loop if sampler.rule is SelectionRule.SKM_GREEDY else _uniform_loop
-    k, dual, status, failure = loop(system, spec, rng, truth, mse_target, recs)
+    cap = min(spec.stop.max_iters, _FIRST_RECORDS)
+    records = [np.empty(cap) if on else None for on in (1, residuals, truth, truth)]
+    trace = IterationTrace(np.empty(cap, np.int64), *records)
+    loop = _greedy_loop if spec.sampler.rule is SelectionRule.SKM_GREEDY else _uniform_loop
+    k, dual, status, failure = loop(system, spec, rng, truth, spec.stop.mse_target if truth else None, trace)
     if failure:
         raise NonFiniteIterateError(f"{failure} became non-finite at iteration {k}")
-    trace = IterationTrace(*(_resized(a, k) for a in recs), status=status, iterations=k)
+    _resize(trace, k)
+    trace.status, trace.iterations = status, k
     # one copy: under uniform rows the final dual is a column of the window's
     # n x w buffer, which the pair would otherwise keep alive; x is derived
     return DualPair(dual.copy(), spec.lam), trace

@@ -2,7 +2,11 @@
 
 Every oracle here deliberately takes a different computational route than
 the code under test: brute-force loops, grid searches, bisection,
-order-statistics identities, and exact rational arithmetic.
+order-statistics identities, and exact rational arithmetic. Two are
+reference forms instead, which the library itself no longer holds:
+:func:`pick_index`, the one-row stream that ``run``'s window draws must
+equal, and :func:`conjugate_value`, the conjugate's closed form that
+:func:`conjugate_sup_oracle` checks.
 """
 
 import itertools
@@ -11,7 +15,8 @@ from math import comb
 
 import numpy as np
 
-from sparsekaczmarz import objective_value, soft_threshold
+from sparsekaczmarz import SelectionRule, objective_value, sample_subset, soft_threshold
+from sparsekaczmarz.sampling import _largest_residual
 
 
 def naive_residual(rows, rhs, x):
@@ -45,6 +50,30 @@ def golden_section_max(fun, lo, hi, iters=90):
             fd = fun(d)
     mid = 0.5 * (a + b)
     return mid, fun(mid)
+
+
+def conjugate_value(xstar, lam):
+    """Fenchel conjugate of the objective at xstar, in closed form:
+    0.5*||soft_threshold(xstar, lam)||_2^2, which :func:`conjugate_sup_oracle`
+    checks."""
+    s = soft_threshold(xstar, lam)
+    return float(0.5 * np.dot(s, s))
+
+
+def pick_index(config, system, rng, residuals):
+    """Row chosen by one :func:`sample_subset` or ``rng.integers(m)`` call.
+
+    ``residuals`` is the residual vector A x - b at the current iterate x;
+    only the greedy rule reads it, and picks the subset's member with the
+    largest squared residual, ties to the smallest index. ``run`` draws a
+    window of rows at a time, with ``rng.integers(m, size=w)`` or
+    ``rng.random((w, m))``: the same stream.
+    """
+    m = system.m
+    if config.rule is SelectionRule.UNIFORM_RANDOM:
+        # unit rows make squared-norm weighting uniform
+        return int(rng.integers(m))
+    return _largest_residual(sample_subset(m, config.beta, rng), residuals)
 
 
 def conjugate_sup_oracle(xstar, lam, grid_points=2001):

@@ -25,7 +25,6 @@ from sparsekaczmarz import (
     bregman_distance,
     child_rng,
     child_seed,
-    conjugate_value,
     contraction_factor,
     error_bound_margin,
     exact_step,
@@ -44,9 +43,14 @@ from sparsekaczmarz import (
     step_once,
     write_matrix_market,
 )
-from sparsekaczmarz.sampling import pick_index
-
-from oracles import bisection_exact_step, conjugate_sup_oracle, gamma_sorted, max_rank_weights
+from oracles import (
+    bisection_exact_step,
+    conjugate_sup_oracle,
+    conjugate_value,
+    gamma_sorted,
+    max_rank_weights,
+    pick_index,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:

@@ -13,14 +13,19 @@ from sparsekaczmarz import (
     SolverSpec,
     StepMode,
     StoppingRule,
+    add_noise,
     bregman_distance,
-    conjugate_value,
+    density,
     exact_step,
+    gamma_from_residuals,
     inexact_step,
     mse,
+    normalize_rows,
     objective_value,
     project_hyperplane,
+    residual,
     run,
+    smallest_nonzero_singular_value,
     soft_threshold,
 )
 from sparsekaczmarz import bregman, harness
@@ -31,6 +36,7 @@ from oracles import (
     breakpoint_scan_exact_step,
     bregman_distance_alt,
     conjugate_sup_oracle,
+    conjugate_value,
     derivative_rounding_bound,
     orthogonal_projection,
     rational_step_roots,
@@ -962,6 +968,11 @@ _COMPLEX_CALLS = {
     "objective_value": lambda z: objective_value(z, 1.0),
     "mse": lambda z: mse(z, [1.0, 0.0]),
     "mse x_hat": lambda z: mse([1.0, 0.0], z),
+    "residual": lambda z: residual(normalize_rows(np.eye(2), np.zeros(2)), z),
+    "gamma_from_residuals": lambda z: gamma_from_residuals(z, 1),
+    "density": lambda z: density(z[None]),
+    "smallest_nonzero_singular_value": lambda z: smallest_nonzero_singular_value(np.diag(z)),
+    "add_noise": lambda z: add_noise(z, 0.1, np.random.default_rng(0)),
 }
 
 
@@ -1020,6 +1031,24 @@ def test_project_hyperplane_noop_when_on_hyperplane():
     b = float(np.dot(a, pair.primal))
     moved = project_hyperplane(pair, a, b, StepMode.EXACT)
     assert np.max(np.abs(moved.dual - pair.dual)) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_project_hyperplane_thresholds_once_per_call(monkeypatch, lam):
+    # the new pair derives its primal with the one threshold of the call: a
+    # step into a scratch primal thresholded the new dual a second time. An
+    # exact step from the zero pair takes its root in closed form, with no
+    # evaluation of g, so it too thresholds once
+    rng = np.random.default_rng(15)
+    pairs = [DualPair(rng.standard_normal(5), lam) for _ in range(10)] + [DualPair(np.zeros(5), lam)] * 10
+    rows = [(random_unit_row(rng, 5), float(rng.standard_normal())) for _ in pairs]
+    calls, moved = count_thresholds(monkeypatch), []
+    for k, (pair, (a, b)) in enumerate(zip(pairs, rows)):
+        moved.append(project_hyperplane(pair, a, b, StepMode.INEXACT if k < 10 else StepMode.EXACT))
+        assert len(calls) == k + 1
+    monkeypatch.undo()
+    for pair in moved:
+        assert np.array_equal(pair.primal, soft_threshold(pair.dual, lam))
 
 
 def test_project_hyperplane_exact_feasibility_and_decrease():

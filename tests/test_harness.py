@@ -33,7 +33,9 @@ from sparsekaczmarz import (
 from sparsekaczmarz import cli
 from sparsekaczmarz.errors import (
     ConfigError,
+    DimensionMismatchError,
     InvalidSparsityError,
+    NonFiniteDataError,
     NonFiniteIterateError,
     ParseError,
     ZeroMatrixError,
@@ -142,6 +144,22 @@ def test_add_noise_refuses_a_level_that_is_not_finite_and_nonnegative(level):
     # NaN or inf a non-finite rhs
     with pytest.raises(ValueError, match="noise level must be finite and nonnegative"):
         add_noise(np.arange(1.0, 5.0), level, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "b, error",
+    [
+        ([np.nan, 1.0, 2.0], NonFiniteDataError),
+        ([1.0, np.inf, 2.0], NonFiniteDataError),
+        (np.ones((2, 2)), DimensionMismatchError),
+    ],
+    ids=["nan", "inf", "2-D"],
+)
+def test_add_noise_refuses_a_malformed_rhs(b, error):
+    # a NaN entry made every entry and both norms NaN, and a 2-D b took a
+    # length-2 noise broadcast along its rows
+    with pytest.raises(error, match="b has"):
+        add_noise(b, 0.1, np.random.default_rng(0))
 
 
 def test_add_noise_deterministic():

@@ -16,7 +16,9 @@ from sparsekaczmarz import (
     select_motzkin,
 )
 from sparsekaczmarz.errors import EmptySubsetError, InvalidBetaError
-from sparsekaczmarz.sampling import _draw_subsets, _largest_residual, _rank_pick, pick_index
+from sparsekaczmarz.sampling import _draw_subsets, _largest_residual, _rank_pick
+
+from oracles import pick_index
 
 
 def test_sample_subset_full_set():

@@ -42,9 +42,9 @@ from sparsekaczmarz.errors import (
     NonFiniteIterateError,
     ZeroTruthError,
 )
-from sparsekaczmarz.sampling import _rank_pick, pick_index
+from sparsekaczmarz.sampling import _rank_pick
 
-from oracles import orthogonal_projection
+from oracles import orthogonal_projection, pick_index
 
 
 def _bits(x):
