@@ -38,9 +38,13 @@ g(0) == 0, takes no evaluation of g, and in place no write.
 ``_steps_at_rest`` takes a run of inexact steps that leave the primal
 where it is all at once, with the bits of one ``_step_into`` each: ``run``
 takes it at primal = 0 for every method, and elsewhere for greedy rows
-alone. The public functions refuse complex input (``TypeError``) and
-mismatched shapes; the private kernels check nothing. A :class:`DualPair`
-is built from its dual alone, and derives its primal with the same kernel.
+alone. The public functions refuse complex input (``TypeError``),
+mismatched shapes (:class:`DimensionMismatchError`) and NaN or infinite
+entries (:class:`NonFiniteDataError`): a row, its rhs and the vector it
+steps through one check (``_row``), every other argument through the
+checks of :mod:`~sparsekaczmarz.linsys`. The private kernels check
+nothing. A :class:`DualPair` is built from its dual alone, and derives its
+primal with the same kernel.
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ import numpy as np
 # handling: one pass with the bits of np.minimum(np.maximum(v, lo), hi)
 from numpy._core.umath import clip as _clip
 
-from .errors import DimensionMismatchError, NonFiniteDataError, NumericalFailureError
-from .linsys import _real, _real_vector
+from .errors import NonFiniteDataError, NumericalFailureError
+from .linsys import _check_nonnegative, _check_vectors, _real, _real_vector
 
 class StepMode(enum.Enum):
     INEXACT = "inexact"
@@ -70,13 +74,6 @@ def _check_step_mode(mode, name: str) -> None:
         raise ValueError(f"{name} must be a StepMode, got {mode!r}")
 
 
-def _check_lam(lam) -> None:
-    """Refuses a ``lam`` that is not finite and nonnegative (``ValueError``);
-    NaN fails the comparison."""
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lam must be finite and nonnegative, got {lam!r}")
-
-
 def soft_threshold(v, lam: float) -> np.ndarray:
     """Componentwise shrink toward zero: sign(v) * max(|v| - lam, 0).
 
@@ -85,7 +82,7 @@ def soft_threshold(v, lam: float) -> np.ndarray:
     sign of a zero may differ. A ``lam`` that is negative, infinite or NaN
     raises ``ValueError``, and a complex ``v`` ``TypeError``.
     """
-    _check_lam(lam)
+    _check_nonnegative(lam, "lam")
     v = np.asarray(_real(v, "v"), dtype=float)
     out = _threshold_into(v, _band(lam), np.empty_like(v))
     return out if out.ndim else out[()]
@@ -125,11 +122,12 @@ def _threshold_into(v: np.ndarray, band, out: np.ndarray) -> np.ndarray:
 def objective_value(x, lam: float) -> float:
     """lam*||x||_1 + 0.5*||x||_2^2.
 
-    A ``lam`` that is negative, infinite or NaN raises ``ValueError``, and a
-    complex ``x`` ``TypeError``.
+    A ``lam`` that is negative, infinite or NaN raises ``ValueError``, and an
+    ``x`` that is complex ``TypeError``, not 1-D
+    :class:`DimensionMismatchError` and not finite :class:`NonFiniteDataError`.
     """
-    _check_lam(lam)
-    return _objective(np.asarray(_real(x, "x"), dtype=float), lam)
+    _check_nonnegative(lam, "lam")
+    return _objective(_real_vector(x, "x"), lam)
 
 
 def _objective(x: np.ndarray, lam: float) -> float:
@@ -157,7 +155,7 @@ class DualPair:
 
     def __post_init__(self):
         dual = _real_vector(self.dual, "dual")
-        _check_lam(self.lam)
+        _check_nonnegative(self.lam, "lam")
         primal = _threshold_into(dual, _band(self.lam), np.empty_like(dual))
         dual.setflags(write=False)
         primal.setflags(write=False)
@@ -170,18 +168,27 @@ def bregman_distance(pair: DualPair, y) -> float:
 
     Nonnegative, and zero iff pair.primal equals y (up to floating rounding
     when the two are extremely close). A ``y`` whose shape is not the pair's
-    raises :class:`DimensionMismatchError`, and a complex one ``TypeError``.
+    raises :class:`DimensionMismatchError`, a complex one ``TypeError``, and
+    one with a NaN or infinite entry :class:`NonFiniteDataError`.
     """
     y = np.asarray(_real(y, "y"), dtype=float)
     _check_vectors(y, pair.primal, "y and the pair")
-    return _bregman_gap(pair.primal, pair.dual, y, pair.lam)
+    # after the shape check, whose message names both
+    return _bregman_gap(pair.primal, pair.dual, _real_vector(y, "y"), pair.lam)
 
 
-def _check_vectors(a: np.ndarray, v: np.ndarray, names: str) -> None:
-    """Refuses ``a`` and ``v`` unless both are vectors of one length
-    (:class:`DimensionMismatchError` naming them, ``names``)."""
-    if v.ndim != 1 or a.shape != v.shape:
-        raise DimensionMismatchError(f"{names} must be vectors of one length, got shapes {a.shape} and {v.shape}")
+def _row(a_i, b_i, v: np.ndarray, names: str) -> np.ndarray:
+    """The row ``a_i`` of a public step as a float vector, refused unless
+    ``a_i`` and ``b_i`` are real (``TypeError``), the row and the float
+    vector ``v`` are vectors of one length (:class:`DimensionMismatchError`
+    naming them, ``names``), and the row, ``v`` and ``b_i`` are finite
+    (:class:`NonFiniteDataError`), in that order."""
+    a = np.asarray(_real(a_i, "a_i"), dtype=float)
+    _real(b_i, "b_i")
+    _check_vectors(a, v, names)
+    if not (np.isfinite(a).all() and np.isfinite(v).all() and np.isfinite(b_i)):
+        raise NonFiniteDataError(f"{names} must be finite vectors and b_i a finite number, got b_i {b_i!r}")
+    return a
 
 
 def _bregman_gap(x, dual, y, lam: float) -> float:
@@ -193,12 +200,11 @@ def inexact_step(x, a_i, b_i: float) -> float:
     """Row residual <a_i, x> - b_i; the cheap step size for a unit row.
 
     A row that is not a vector of the length of ``x`` raises
-    :class:`DimensionMismatchError`, and complex input ``TypeError``.
+    :class:`DimensionMismatchError`, complex input ``TypeError``, and a NaN
+    or infinite entry of ``x``, the row or b_i :class:`NonFiniteDataError`.
     """
     x = np.asarray(_real(x, "x"), dtype=float)
-    a = np.asarray(_real(a_i, "a_i"), dtype=float)
-    _real(b_i, "b_i")
-    _check_vectors(a, x, "a_i and x")
+    a = _row(a_i, b_i, x, "a_i and x")
     return float(np.dot(a, x) - b_i)
 
 
@@ -243,11 +249,7 @@ def exact_step(dual, a_i, b_i: float, lam: float) -> float:
     :func:`soft_threshold`), before any step.
     """
     dual = np.asarray(_real(dual, "dual"), dtype=float)
-    a = np.asarray(_real(a_i, "a_i"), dtype=float)
-    _real(b_i, "b_i")
-    _check_vectors(a, dual, "a_i and dual")
-    if not (np.isfinite(dual).all() and np.isfinite(a).all() and np.isfinite(b_i)):
-        raise NonFiniteDataError(f"exact_step needs a finite dual, row and rhs, got rhs {b_i!r}")
+    a = _row(a_i, b_i, dual, "a_i and dual")
     primal = soft_threshold(dual, lam)
     return _exact_step(dual, primal, a, b_i, lam, _band(lam), _kits(a[None])[0], _workspace(a.size))
 
@@ -535,11 +537,7 @@ def project_hyperplane(pair: DualPair, a_i, b_i: float, mode: StepMode) -> DualP
     step. An exact step takes the row's kit and a workspace of its own.
     """
     _check_step_mode(mode, "mode")
-    a = np.asarray(_real(a_i, "a_i"), dtype=float)
-    _real(b_i, "b_i")
-    _check_vectors(a, pair.dual, "a_i and the pair")
-    if not (np.isfinite(a).all() and np.isfinite(b_i)):
-        raise NonFiniteDataError(f"project_hyperplane needs a finite row and rhs, got rhs {b_i!r}")
+    a = _row(a_i, b_i, pair.dual, "a_i and the pair")
     norm = float(np.linalg.norm(a))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"project_hyperplane expects a unit row, got norm {norm!r}")

@@ -11,23 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from math import comb, isfinite
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from .bregman import DualPair, StepMode, _bregman_gap, _check_lam, _check_step_mode, _check_vectors, soft_threshold
+from .bregman import DualPair, StepMode, _bregman_gap, _check_step_mode, soft_threshold
 from .errors import (
     AllZeroError,
     DimensionMismatchError,
     InvalidGammaError,
-    NonFiniteDataError,
     ZeroMatrixError,
     ZeroResidualError,
     ZeroTruthError,
 )
-from .linsys import LinearSystem, _real, _real_vector, residual
-from .sampling import _check_beta
+from .linsys import LinearSystem, _check_nonnegative, _check_vectors, _real, _real_matrix, _real_vector, residual
+from .sampling import _check_beta, _is_integer
 
 NONZERO_ENTRY_TOL = 1e-12
 SINGULAR_VALUE_CUTOFF = 1e-10
@@ -68,16 +67,14 @@ def smallest_nonzero_singular_value(system: LinearSystem | np.ndarray) -> Singul
     ``smallest_nonzero`` excludes values below 1e-10 times the largest;
     ``smallest`` may be zero for rank-deficient matrices. A
     :class:`LinearSystem` keeps its singular values, so the SVD runs once per
-    system. A complex array raises ``TypeError``, and one with a NaN or
-    infinite entry :class:`NonFiniteDataError`.
+    system. A complex array raises ``TypeError``, one with a NaN or infinite
+    entry :class:`NonFiniteDataError`, and one that is not 2-D
+    :class:`DimensionMismatchError`, before the SVD.
     """
     if isinstance(system, LinearSystem):
         svals = system.singular_values
     else:
-        a = np.asarray(_real(system, "matrix"), dtype=float)
-        if not np.isfinite(a).all():
-            raise NonFiniteDataError("matrix has a NaN or infinite entry")
-        svals = np.linalg.svd(a, compute_uv=False)
+        svals = np.linalg.svd(_real_matrix(system, "matrix", finite=True), compute_uv=False)
     largest = float(svals[0]) if svals.size else 0.0
     if largest == 0.0:
         raise ZeroMatrixError("matrix is identically zero")
@@ -134,30 +131,17 @@ def gamma_from_residuals(residuals, beta: int) -> float:
     never overflows) and the ratio is one correctly rounded division. It is
     exactly 1 for a single nonzero entry and exactly beta for constant
     magnitudes. Raises TypeError for complex input, DimensionMismatchError
-    for input that is not 1-D, InvalidBetaError for a beta that is no
-    integer or lies outside [1, m], and NonFiniteDataError for a NaN or
-    infinite entry.
+    for input that is not 1-D, NonFiniteDataError for a NaN or infinite
+    entry, and then InvalidBetaError for a beta that is no integer or lies
+    outside [1, m].
     """
-    mags = np.abs(np.asarray(_real(residuals, "residuals"), dtype=float))
-    if mags.ndim != 1:
-        raise DimensionMismatchError(f"residuals must be 1-D, got shape {mags.shape}")
+    mags = np.abs(_real_vector(residuals, "residuals"))
     m = mags.shape[0]
     _check_beta(beta, m)
-    if not np.all(np.isfinite(mags)):
-        raise NonFiniteDataError("subset sums need finite values")
     sq, total = _max_rank_sums(mags, beta)
     if total == 0:
         raise ZeroResidualError("gamma is undefined at a solution")
     return comb(m - 1, beta - 1) * sum(sq) / total
-
-
-def _check_nonnegative(value, name: str, *, positive: bool = False) -> None:
-    """Refuses a ``value`` that is not finite and nonnegative, or with
-    ``positive`` not finite and positive (``ValueError`` naming ``name``);
-    NaN fails the comparison."""
-    if not (isfinite(value) and (value > 0 if positive else value >= 0)):
-        kind = "positive" if positive else "nonnegative"
-        raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
 
 
 def contraction_factor(
@@ -177,13 +161,16 @@ def contraction_factor(
     A negative, infinite or NaN lam or sigma_min, or for lam > 0 an
     x_min_abs that is not finite and positive, raises ``ValueError``. A beta
     that is no integer or lies outside [1, m] raises
-    :class:`InvalidBetaError`, before gamma is checked against [1, beta].
+    :class:`InvalidBetaError`, and then an m that is no integer
+    ``ValueError``, before gamma is checked against [1, beta].
     """
-    _check_lam(lam)
+    _check_nonnegative(lam, "lam")
     _check_nonnegative(sigma_min, "sigma_min")
     if lam > 0:
         _check_nonnegative(x_min_abs, "x_min_abs", positive=True)
     _check_beta(beta, m)
+    if not _is_integer(m):
+        raise ValueError(f"m must be an integer, got {m!r}")
     if not (1.0 - 1e-9 <= gamma <= beta + 1e-9):
         raise InvalidGammaError(f"gamma={gamma} outside [1, beta={beta}]")
     if lam > 0:
@@ -209,7 +196,7 @@ def error_bound_margin(
     real (``TypeError``), finite (:class:`NonFiniteDataError`) vector of
     length n (:class:`DimensionMismatchError`) is refused before any work.
     """
-    _check_lam(lam)
+    _check_nonnegative(lam, "lam")
     _check_nonnegative(sigma_min, "sigma_min", positive=True)
     x_hat = _real_vector(x_hat, "x_hat", system.n)
     r = residual(system, pair.primal)
@@ -252,7 +239,7 @@ def noisy_envelope(
     real (``TypeError``), 1-D (:class:`DimensionMismatchError`) and finite
     (:class:`NonFiniteDataError`) vector is refused.
     """
-    _check_lam(lam)
+    _check_nonnegative(lam, "lam")
     _check_step_mode(mode, "mode")
     _check_nonnegative(delta_inf, "delta_inf")
     _check_nonnegative(a_one_two_norm, "a_one_two_norm")
@@ -270,8 +257,15 @@ def noisy_envelope(
 
 
 def density(matrix) -> float:
-    """Fraction of structurally nonzero entries. A complex array raises ``TypeError``."""
-    a = matrix.rows if isinstance(matrix, LinearSystem) else np.asarray(_real(matrix, "matrix"), dtype=float)
+    """Fraction of structurally nonzero entries.
+
+    An array that is complex raises ``TypeError``, one with a NaN or
+    infinite entry :class:`NonFiniteDataError`, and one that is not 2-D or
+    has no entry :class:`DimensionMismatchError`.
+    """
+    a = matrix.rows if isinstance(matrix, LinearSystem) else _real_matrix(matrix, "matrix", finite=True)
+    if a.size == 0:
+        raise DimensionMismatchError(f"matrix has shape {a.shape}: no entry to count")
     return float(np.count_nonzero(a)) / a.size
 
 
@@ -314,12 +308,14 @@ def build_theory_report(
     The checkpoints are every iteration when m <= 20 and every 100th
     iteration otherwise, from iteration 0; the iterates come from
     :func:`replay_duals`. A negative, infinite or NaN lam raises
-    ``ValueError``, also for a trace of no iterations, and an ``x_hat`` that
-    is not a real (``TypeError``), finite (:class:`NonFiniteDataError`)
-    vector of length n (:class:`DimensionMismatchError`) is refused before
-    any work.
+    ``ValueError`` and a beta that is no integer or lies outside [1, m]
+    :class:`InvalidBetaError`, also for a trace of no iterations, and an
+    ``x_hat`` that is not a real (``TypeError``), finite
+    (:class:`NonFiniteDataError`) vector of length n
+    (:class:`DimensionMismatchError`) is refused before any work.
     """
-    _check_lam(lam)
+    _check_nonnegative(lam, "lam")
+    _check_beta(beta, system.m)
     x_hat = _real_vector(x_hat, "x_hat", system.n)
     sv = smallest_nonzero_singular_value(system)
     xmin = min_abs_nonzero(x_hat)

@@ -53,7 +53,7 @@ from .errors import (
     UnsupportedFieldError,
     ZeroMatrixError,
 )
-from .linsys import LinearSystem, _normalized, _real_vector, _row_norms, normalize_rows
+from .linsys import LinearSystem, _check_nonnegative, _normalized, _real_vector, _row_norms, normalize_rows
 from .matrixmarket import read_matrix_market
 from .sampling import _is_integer
 from .solvers import IterationTrace, RunStatus, SolverSpec, StoppingRule, run
@@ -259,8 +259,7 @@ def add_noise(b, level: float, rng: np.random.Generator) -> tuple[np.ndarray, fl
     a ``b`` that is complex ``TypeError``, not 1-D
     :class:`DimensionMismatchError` and not finite :class:`NonFiniteDataError`.
     """
-    if not (math.isfinite(level) and level >= 0):
-        raise ValueError(f"noise level must be finite and nonnegative, got {level!r}")
+    _check_nonnegative(level, "noise level")
     b = _real_vector(b, "b")
     if level == 0.0:
         return b.copy(), 0.0, 0.0

@@ -4,10 +4,19 @@ All solvers in this package assume unit rows (||a_i||_2 = 1), which makes
 greedy subset sampling uniform and turns every hyperplane projection into a
 step of size equal to the row residual. ``normalize_rows`` is the one entry
 point that constructs a :class:`LinearSystem` from raw data.
+
+This module is also the one home of the package's argument checks, which
+every other module imports: a real array (``_real``), a real, finite vector
+(``_real_vector``), two vectors of one length (``_check_vectors``), a real
+2-D matrix (``_real_matrix``), a finite nonnegative or positive number
+(``_check_nonnegative``), a count (``_is_integer``) and a row index
+(``_check_row``). Each raises the package's exception for its kind of fault
+and names the argument; the solvers' loops call none of them.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -79,6 +88,36 @@ def _real_vector(value, name: str, n: int | None = None) -> np.ndarray:
     return arr
 
 
+def _check_vectors(a: np.ndarray, v: np.ndarray, names: str) -> None:
+    """Refuses the arrays ``a`` and ``v`` unless both are vectors of one
+    length (:class:`DimensionMismatchError` naming them, ``names``)."""
+    if v.ndim != 1 or a.shape != v.shape:
+        raise DimensionMismatchError(f"{names} must be vectors of one length, got shapes {a.shape} and {v.shape}")
+
+
+def _real_matrix(value, name: str, finite: bool = False) -> np.ndarray:
+    """``value`` as a float array, refused unless it is real (``TypeError``),
+    finite where ``finite`` is set (:class:`NonFiniteDataError`) and 2-D
+    (:class:`DimensionMismatchError`), in that order, each naming ``name``.
+    The finite test makes an m x n mask, so a :class:`LinearSystem`, which
+    builds none, finds a NaN row through its row norms instead."""
+    arr = np.asarray(_real(value, name), dtype=float)
+    if finite and not np.isfinite(arr).all():
+        raise NonFiniteDataError(f"{name} has a NaN or infinite entry")
+    if arr.ndim != 2:
+        raise DimensionMismatchError(f"{name} must be 2-D, got ndim={arr.ndim}")
+    return arr
+
+
+def _check_nonnegative(value, name: str, *, positive: bool = False) -> None:
+    """Refuses a ``value`` that is not finite and nonnegative, or with
+    ``positive`` not finite and positive (``ValueError`` naming ``name``);
+    NaN fails the comparison."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
     """An m x n system A x = b with unit rows.
@@ -104,12 +143,10 @@ class LinearSystem:
     row_scales: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(_real(self.rows, "rows"), dtype=float)
         # copies, so that the caller's arrays stay the caller's
         rhs = np.array(_real(self.rhs, "rhs"), dtype=float).reshape(-1)
         scales = np.array(_real(self.row_scales, "row_scales"), dtype=float).reshape(-1)
-        if rows.ndim != 2:
-            raise DimensionMismatchError(f"rows must be 2-D, got ndim={rows.ndim}")
+        rows = _real_matrix(self.rows, "rows")
         m = rows.shape[0]
         if m == 0:
             raise DimensionMismatchError("a system needs at least one row, got m=0")
@@ -178,10 +215,8 @@ def normalize_rows(raw_rows, raw_rhs) -> LinearSystem:
     left as they were; past that matrix the peak is the row-norm buffer
     (512 kB, or one row if that is longer), as no m x n temporary is made.
     """
-    raw = np.asarray(_real(raw_rows, "raw_rows"), dtype=float)
     b = np.asarray(_real(raw_rhs, "raw_rhs"), dtype=float).reshape(-1)
-    if raw.ndim != 2:
-        raise DimensionMismatchError(f"raw rows must be 2-D, got ndim={raw.ndim}")
+    raw = _real_matrix(raw_rows, "raw_rows")
     if raw.shape[0] != b.shape[0]:
         raise DimensionMismatchError(
             f"rhs length {b.shape[0]} does not match row count {raw.shape[0]}"
@@ -203,11 +238,10 @@ def _normalized(raw: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -
 
 
 def residual(system: LinearSystem, x) -> np.ndarray:
-    """Residual vector A x - b. A complex ``x`` raises ``TypeError``."""
-    x = np.asarray(_real(x, "x"), dtype=float)
-    if x.shape != (system.n,):
-        raise DimensionMismatchError(f"x has shape {x.shape}, expected ({system.n},)")
-    return system.rows @ x - system.rhs
+    """Residual vector A x - b. An ``x`` that is complex raises ``TypeError``,
+    one that is not of length n :class:`DimensionMismatchError`, and one with
+    a NaN or infinite entry :class:`NonFiniteDataError`."""
+    return system.rows @ _real_vector(x, "x", system.n) - system.rhs
 
 
 def _check_row(system: LinearSystem, i: int) -> None:

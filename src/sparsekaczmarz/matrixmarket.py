@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import ParseError, UnsupportedFieldError
-from .linsys import _real
+from .linsys import _real_matrix
 
 _BANNER_PREFIX = "%%MatrixMarket"
 # the reader builds a dense float64 array: refuse sizes above 512 MB of it
@@ -134,13 +134,12 @@ def write_matrix_market(path, matrix, comment: str | None = None) -> None:
     ``comment`` is written as one comment line in UTF-8, so a comment that
     holds a line break (any that ``str.splitlines`` splits at) or that has
     no UTF-8 form (a lone surrogate) is a ``ValueError``. So is a NaN or
-    infinite entry, which :func:`read_matrix_market` would refuse, and a
-    complex matrix is a ``TypeError``, not its real part. Each is raised
-    before the file is opened.
+    infinite entry, which :func:`read_matrix_market` would refuse; a
+    complex matrix is a ``TypeError``, not its real part, and one that is
+    not 2-D a :class:`DimensionMismatchError`. Each is raised before the
+    file is opened.
     """
-    a = np.asarray(_real(matrix, "matrix"), dtype=float)
-    if a.ndim != 2:
-        raise ValueError("matrix must be 2-D")
+    a = _real_matrix(matrix, "matrix")
     bad = np.argwhere(~np.isfinite(a))
     if bad.size:
         i, j = bad[0]

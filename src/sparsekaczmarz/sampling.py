@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySubsetError, InvalidBetaError
-from .linsys import _is_integer
+from .linsys import _is_integer, _real_vector
 
 
 def _check_beta(beta, m: int) -> None:
@@ -176,10 +176,13 @@ def select_motzkin(subset, residuals) -> Selection:
     """Index of the largest squared residual within ``subset``.
 
     Ties break to the smallest index: the subset is sorted, then picked
-    from by :func:`_largest_residual`, as ``run``'s subset pick is.
+    from by :func:`_largest_residual`, as ``run``'s subset pick is. An empty
+    subset raises :class:`EmptySubsetError`, and ``residuals`` that are
+    complex ``TypeError``, not 1-D :class:`DimensionMismatchError` and not
+    finite :class:`NonFiniteDataError`.
     """
     subset = np.asarray(subset)
     if subset.size == 0:
         raise EmptySubsetError("cannot select from an empty subset")
     subset = np.sort(subset)
-    return Selection(subset=subset, chosen=_largest_residual(subset, np.asarray(residuals, dtype=float)))
+    return Selection(subset=subset, chosen=_largest_residual(subset, _real_vector(residuals, "residuals")))

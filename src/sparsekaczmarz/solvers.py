@@ -32,7 +32,6 @@ from .bregman import (
     DualPair,
     StepMode,
     _band,
-    _check_lam,
     _check_step_mode,
     _kits,
     _objective,
@@ -42,7 +41,7 @@ from .bregman import (
     project_hyperplane,
 )
 from .errors import NonFiniteIterateError, ZeroTruthError
-from .linsys import LinearSystem, _check_row, _real_vector
+from .linsys import LinearSystem, _check_nonnegative, _check_row, _real_vector
 from .sampling import (
     SamplerConfig,
     SelectionRule,
@@ -106,7 +105,7 @@ class SolverSpec:
     stop: StoppingRule
 
     def __post_init__(self):
-        _check_lam(self.lam)
+        _check_nonnegative(self.lam, "lam")
         _check_step_mode(self.step_mode, "step_mode")
         # run reads their fields, and would fail there with a bare AttributeError
         for name, kind in (("sampler", SamplerConfig), ("stop", StoppingRule)):

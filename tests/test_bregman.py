@@ -1,5 +1,6 @@
 import warnings
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -25,11 +26,21 @@ from sparsekaczmarz import (
     project_hyperplane,
     residual,
     run,
+    select_motzkin,
     smallest_nonzero_singular_value,
     soft_threshold,
 )
-from sparsekaczmarz import bregman, harness
-from sparsekaczmarz.errors import DimensionMismatchError, NonFiniteDataError, NumericalFailureError
+import sparsekaczmarz as sk
+from sparsekaczmarz import bregman, diagnostics, harness, solvers
+from sparsekaczmarz.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    InvalidBetaError,
+    InvalidGammaError,
+    InvalidSparsityError,
+    NonFiniteDataError,
+    NumericalFailureError,
+)
 
 from oracles import (
     bisection_exact_step,
@@ -973,6 +984,8 @@ _COMPLEX_CALLS = {
     "density": lambda z: density(z[None]),
     "smallest_nonzero_singular_value": lambda z: smallest_nonzero_singular_value(np.diag(z)),
     "add_noise": lambda z: add_noise(z, 0.1, np.random.default_rng(0)),
+    # warned ComplexWarning and picked by the real parts alone
+    "select_motzkin": lambda z: select_motzkin([0, 1], z),
 }
 
 
@@ -985,6 +998,208 @@ def test_one_shot_api_refuses_complex_input(name):
         warnings.simplefilter("error")
         with pytest.raises(TypeError, match="must be real, got complex"):
             _COMPLEX_CALLS[name](np.array([1 + 1j, 0.0]))
+
+
+class _Fixtures(NamedTuple):
+    """A 12 x 8 system, its truth, a pair on it and an SSKM trace of 30 steps."""
+
+    system: sk.LinearSystem
+    x_hat: np.ndarray
+    pair: DualPair
+    trace: sk.IterationTrace
+
+
+def _with(values, index, bad):
+    """A float copy of ``values`` whose entry ``index`` is ``bad``."""
+    out = np.array(values, dtype=float)
+    out[index] = bad
+    return out
+
+
+def _eye(bad):
+    """The 2 x 2 identity with ``bad`` off its diagonal."""
+    return _with(np.eye(2), (0, 1), bad)
+
+
+def _truth(f, bad):
+    """The fixtures' truth with ``bad`` as its first entry."""
+    return _with(f.x_hat, 0, bad)
+
+
+# (exception, call) per public callable and parameter, for a NaN, +inf or -inf
+# ``bad``; ``f`` is a :class:`_Fixtures`. The entries marked "was" took
+# the value before: each returned NaN or a number, or failed inside numpy
+_NON_FINITE_CALLS = {
+    "DualPair dual": (NonFiniteDataError, lambda f, bad: DualPair([bad, 0.0], 1.0)),
+    "DualPair lam": (ValueError, lambda f, bad: DualPair([0.5, 0.0], bad)),
+    "ExperimentConfig lam": (ConfigError, lambda f, bad: sk.ExperimentConfig(lam=bad)),
+    "ExperimentConfig noise_level": (ConfigError, lambda f, bad: sk.ExperimentConfig(noise_level=bad)),
+    "ExperimentConfig mse_target": (ConfigError, lambda f, bad: sk.ExperimentConfig(mse_target=bad)),
+    "LinearSystem rows": (NonFiniteDataError, lambda f, bad: sk.LinearSystem(_eye(bad), [0, 0], [1, 1])),
+    "LinearSystem rhs": (NonFiniteDataError, lambda f, bad: sk.LinearSystem(np.eye(2), [bad, 0], [1, 1])),
+    "LinearSystem row_scales": (NonFiniteDataError, lambda f, bad: sk.LinearSystem(np.eye(2), [0, 0], [1, bad])),
+    "SamplerConfig beta": (InvalidBetaError, lambda f, bad: sk.SamplerConfig(sk.SelectionRule.SKM_GREEDY, beta=bad)),
+    "SamplerConfig seed": (ValueError, lambda f, bad: sk.SamplerConfig(sk.SelectionRule.SKM_GREEDY, seed=bad)),
+    "SolverSpec lam": (ValueError, lambda f, bad: SolverSpec.sskm(bad, 6)),
+    # an mse_target of +inf is a valid target, met by the first iterate
+    "StoppingRule max_iters": (ValueError, lambda f, bad: StoppingRule(max_iters=bad)),
+    "add_noise b": (NonFiniteDataError, lambda f, bad: add_noise([bad, 1.0], 0.1, np.random.default_rng(0))),
+    "add_noise level": (ValueError, lambda f, bad: add_noise([1.0, 1.0], bad, np.random.default_rng(0))),
+    "bregman_distance y": (NonFiniteDataError, lambda f, bad: bregman_distance(f.pair, _truth(f, bad))),  # was
+    "build_theory_report x_hat": (
+        NonFiniteDataError, lambda f, bad: sk.build_theory_report(f.system, _truth(f, bad), f.trace, 1.0, 6)
+    ),
+    "build_theory_report lam": (ValueError, lambda f, bad: sk.build_theory_report(f.system, f.x_hat, f.trace, bad, 6)),
+    # was: checked only where a checkpoint's residual is nonzero, after the SVD
+    "build_theory_report beta": (
+        InvalidBetaError, lambda f, bad: sk.build_theory_report(f.system, f.x_hat, f.trace, 1.0, bad)
+    ),
+    "contraction_factor sigma_min": (ValueError, lambda f, bad: sk.contraction_factor(bad, 1.0, 1.0, 2, 1.5, 10)),
+    "contraction_factor lam": (ValueError, lambda f, bad: sk.contraction_factor(0.5, bad, 1.0, 2, 1.5, 10)),
+    "contraction_factor x_min_abs": (ValueError, lambda f, bad: sk.contraction_factor(0.5, 1.0, bad, 2, 1.5, 10)),
+    "contraction_factor beta": (InvalidBetaError, lambda f, bad: sk.contraction_factor(0.5, 1.0, 1.0, bad, 1.5, 10)),
+    "contraction_factor gamma": (InvalidGammaError, lambda f, bad: sk.contraction_factor(0.5, 1.0, 1.0, 2, bad, 10)),
+    # was: m = +inf returned 1.0; NaN and -inf fail beta's range [1, m] first
+    "contraction_factor m": (ValueError, lambda f, bad: sk.contraction_factor(0.5, 1.0, 1.0, 2, 1.5, bad)),
+    "density": (NonFiniteDataError, lambda f, bad: density(_eye(bad))),  # was
+    "error_bound_margin x_hat": (
+        NonFiniteDataError, lambda f, bad: sk.error_bound_margin(f.pair, f.system, _truth(f, bad), 1.0, 0.5)
+    ),
+    "error_bound_margin lam": (ValueError, lambda f, bad: sk.error_bound_margin(f.pair, f.system, f.x_hat, bad, 0.5)),
+    "error_bound_margin sigma_min": (
+        ValueError, lambda f, bad: sk.error_bound_margin(f.pair, f.system, f.x_hat, 1.0, bad)
+    ),
+    "exact_step dual": (NonFiniteDataError, lambda f, bad: exact_step([bad, 0.0], [1.0, 0.0], 1.0, 1.0)),
+    "exact_step a_i": (NonFiniteDataError, lambda f, bad: exact_step([0.5, 0.0], [1.0, bad], 1.0, 1.0)),
+    "exact_step b_i": (NonFiniteDataError, lambda f, bad: exact_step([0.5, 0.0], [1.0, 0.0], bad, 1.0)),
+    "exact_step lam": (ValueError, lambda f, bad: exact_step([0.5, 0.0], [1.0, 0.0], 1.0, bad)),
+    "gamma_from_residuals residuals": (NonFiniteDataError, lambda f, bad: gamma_from_residuals([bad, 1.0], 1)),
+    "gamma_from_residuals beta": (InvalidBetaError, lambda f, bad: gamma_from_residuals([2.0, 1.0], bad)),
+    # a float m fails numpy's draw, and k must lie in [1, n]
+    "gaussian_instance m": (TypeError, lambda f, bad: sk.gaussian_instance(bad, 8, 2, np.random.default_rng(0))),
+    "gaussian_instance k": (
+        InvalidSparsityError, lambda f, bad: sk.gaussian_instance(12, 8, bad, np.random.default_rng(0))
+    ),
+    "init_state lam": (ValueError, lambda f, bad: sk.init_state(3, bad)),
+    "inexact_step x": (NonFiniteDataError, lambda f, bad: inexact_step([bad, 0.0], [1.0, 0.0], 1.0)),  # was
+    "inexact_step a_i": (NonFiniteDataError, lambda f, bad: inexact_step([0.5, 0.0], [1.0, bad], 1.0)),  # was
+    "inexact_step b_i": (NonFiniteDataError, lambda f, bad: inexact_step([0.5, 0.0], [1.0, 0.0], bad)),  # was
+    "min_abs_nonzero": (NonFiniteDataError, lambda f, bad: sk.min_abs_nonzero([bad, 1.0])),
+    "mse x": (NonFiniteDataError, lambda f, bad: mse([bad, 1.0], [1.0, 1.0])),
+    "mse x_hat": (NonFiniteDataError, lambda f, bad: mse([1.0, 1.0], [bad, 1.0])),
+    "noisy_envelope q_sequence": (
+        NonFiniteDataError, lambda f, bad: sk.noisy_envelope([0.9, bad], 1.0, f.x_hat, 0.1, 1.0, StepMode.EXACT)
+    ),
+    "noisy_envelope lam": (
+        ValueError, lambda f, bad: sk.noisy_envelope([0.9, 0.8], bad, f.x_hat, 0.1, 1.0, StepMode.EXACT)
+    ),
+    "noisy_envelope x_hat": (
+        NonFiniteDataError, lambda f, bad: sk.noisy_envelope([0.9, 0.8], 1.0, _truth(f, bad), 0.1, 1.0, StepMode.EXACT)
+    ),
+    "noisy_envelope delta_inf": (
+        ValueError, lambda f, bad: sk.noisy_envelope([0.9, 0.8], 1.0, f.x_hat, bad, 1.0, StepMode.EXACT)
+    ),
+    "noisy_envelope a_one_two_norm": (
+        ValueError, lambda f, bad: sk.noisy_envelope([0.9, 0.8], 1.0, f.x_hat, 0.1, bad, StepMode.EXACT)
+    ),
+    "normalize_rows raw_rows": (NonFiniteDataError, lambda f, bad: normalize_rows(_eye(bad), [0, 0])),
+    "normalize_rows raw_rhs": (NonFiniteDataError, lambda f, bad: normalize_rows(np.eye(2), [bad, 0])),
+    "objective_value x": (NonFiniteDataError, lambda f, bad: objective_value([bad, 0.0], 1.0)),  # was
+    "objective_value lam": (ValueError, lambda f, bad: objective_value([1.0, 0.0], bad)),
+    "project_hyperplane a_i": (
+        NonFiniteDataError,
+        lambda f, bad: project_hyperplane(f.pair, _with(f.system.rows[0], 0, bad), 1.0, StepMode.EXACT),
+    ),
+    "project_hyperplane b_i": (
+        NonFiniteDataError, lambda f, bad: project_hyperplane(f.pair, f.system.rows[0], bad, StepMode.EXACT)
+    ),
+    "residual x": (NonFiniteDataError, lambda f, bad: residual(f.system, _truth(f, bad))),  # was
+    "resolve_beta": (ConfigError, lambda f, bad: sk.resolve_beta(bad, 12)),
+    "run ground_truth": (NonFiniteDataError, lambda f, bad: run(f.system, SolverSpec.sskm(1.0, 6), _truth(f, bad))),
+    "sample_subset beta": (InvalidBetaError, lambda f, bad: sk.sample_subset(12, bad, np.random.default_rng(0))),
+    "select_motzkin residuals": (NonFiniteDataError, lambda f, bad: select_motzkin([0, 1], [bad, 1.0])),  # was
+    "smallest_nonzero_singular_value": (NonFiniteDataError, lambda f, bad: smallest_nonzero_singular_value(_eye(bad))),
+    # soft_threshold is a map entry by entry, and takes NaN or inf to itself
+    "soft_threshold lam": (ValueError, lambda f, bad: soft_threshold([1.0, 0.0], bad)),
+    "step_once i": (TypeError, lambda f, bad: sk.step_once(f.pair, f.system, bad, StepMode.EXACT)),
+    # a directory that does not exist: the refusal comes before the file is opened
+    "write_matrix_market": (ValueError, lambda f, bad: sk.write_matrix_market("/nonexistent/a.mtx", _eye(bad))),
+}
+
+
+@pytest.fixture(scope="module")
+def theory_fixtures():
+    system, x_hat, _ = sk.gaussian_instance(12, 8, 2, np.random.default_rng(4))
+    spec = SolverSpec.sskm(1.0, 6, StepMode.EXACT, seed=1, stop=StoppingRule(max_iters=30))
+    return _Fixtures(system, x_hat, *run(system, spec, ground_truth=x_hat))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", list(_NON_FINITE_CALLS))
+def test_public_api_refuses_non_finite_input_before_any_work(monkeypatch, theory_fixtures, name, bad):
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before the check")
+
+    # the steps, the residual of the diagnostics and the SVD
+    monkeypatch.setattr(solvers, "_step_into", no_work)
+    monkeypatch.setattr(bregman, "_exact_step", no_work)
+    monkeypatch.setattr(diagnostics, "residual", no_work)
+    monkeypatch.setattr(np.linalg, "svd", no_work)
+    error, call = _NON_FINITE_CALLS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call(theory_fixtures, bad)
+
+
+# a public name in none of the two tables needs a reason here
+_EXEMPT = {
+    "IterationTrace": "a record that run fills",
+    "RunStatus": "an enum",
+    "Selection": "a record that select_motzkin returns",
+    "SelectionRule": "an enum",
+    "SingularValues": "a record that smallest_nonzero_singular_value returns",
+    "StepMode": "an enum",
+    "TheoryReport": "a record that build_theory_report returns",
+    "child_rng": "derives a generator from integer ids, as child_seed",
+    "child_seed": "derives a seed from integer ids that the harness takes from a checked config",
+    "compare_methods": "takes an ExperimentConfig, whose fields are checked when it is built",
+    "load_config": "builds an ExperimentConfig from a file, which checks every field",
+    "one_two_norm": "takes a LinearSystem, checked when it is built",
+    "read_matrix_market": "reads a file; a non-finite value is a ParseError (test_matrixmarket)",
+    "real_matrix_bench": "takes files and an ExperimentConfig",
+    "replay_duals": "takes a LinearSystem and the trace run returned",
+    "solve_single": "takes an ExperimentConfig",
+    "sweep_beta": "takes an ExperimentConfig",
+    "sweep_lambda": "takes an ExperimentConfig",
+}
+
+
+def test_every_public_callable_has_a_bad_input_entry():
+    # a new public name with no entry fails here, as a name missing from
+    # __all__ fails in test_package
+    covered = {key.split()[0] for key in (*_COMPLEX_CALLS, *_NON_FINITE_CALLS)}
+    public = {name for name in sk.__all__ if callable(getattr(sk, name))}
+    assert public - covered - set(_EXEMPT) == set()
+    assert set(_EXEMPT) <= public - covered
+
+
+# each took a 1-D array before: numpy's LinAlgError, a count over the vector
+# and a bare ValueError for the first three
+_MATRIX_CALLS = {
+    "smallest_nonzero_singular_value": lambda a: smallest_nonzero_singular_value(a),
+    "density": lambda a: density(a),
+    "write_matrix_market": lambda a: sk.write_matrix_market("/nonexistent/a.mtx", a),
+    "LinearSystem": lambda a: sk.LinearSystem(a, [0.0], [1.0]),
+    "normalize_rows": lambda a: normalize_rows(a, [0.0]),
+}
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 1, 3)], ids=["1-D", "3-D"])
+@pytest.mark.parametrize("name", list(_MATRIX_CALLS))
+def test_matrix_api_refuses_an_array_that_is_not_2d(name, shape):
+    with pytest.raises(DimensionMismatchError, match=f"must be 2-D, got ndim={len(shape)}"):
+        _MATRIX_CALLS[name](np.ones(shape))
 
 
 def test_step_once_refuses_a_pair_of_another_length():

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -479,6 +480,13 @@ def test_density_matches_hand_count():
     a[rng.random((30, 20)) < 0.8] = 0.0
     count = sum(1 for i in range(30) for j in range(20) if a[i, j] != 0.0)
     assert density(a) == pytest.approx(count / 600.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_density_refuses_an_empty_matrix(shape):
+    # density(np.zeros((0, 3))) raised a bare ZeroDivisionError
+    with pytest.raises(DimensionMismatchError, match=re.escape(f"matrix has shape {shape}")):
+        density(np.zeros(shape))
 
 
 # --------------------------------------------------------------- bad lam
